@@ -36,7 +36,7 @@ from .solver import (
     tree_interpolate,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "ClauseSet", "Counterexample", "DagProblem", "FragmentReport",

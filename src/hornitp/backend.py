@@ -79,16 +79,17 @@ class Backend:
             raise BackendError("backend reply is not valid UTF-8") from None
 
     def close(self):
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        """Close both pipes and reap the process, also when it already exited."""
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

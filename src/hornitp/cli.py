@@ -11,8 +11,10 @@ unsat/invalid/nonterminating results, 2 for faults and exceeded limits
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import traceback
 
 from . import chc, renaming
 from .analysis import classify
@@ -70,7 +72,7 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _options(args) -> SolverOptions:
+def _budgets(args) -> SolverOptions:
     options = SolverOptions(jobs=args.jobs)
     for flag, field in (("cube_limit", "cube_limit"),
                         ("expansion_limit", "expansion_limit"),
@@ -82,15 +84,23 @@ def _options(args) -> SolverOptions:
             setattr(options, field, value)
     if args.jobs <= 0:
         raise HornitpError("--jobs must be positive")
-    backend_cmd = args.backend or os.environ.get("HORNITP_BACKEND")
-    if backend_cmd:
-        handle = Backend(backend_cmd)
-
-        def delegated(a, b, branch_depth, cube_limit):
-            return external_interpolant(a, b, handle)
-
-        options.interpolate = delegated
     return options
+
+
+@contextlib.contextmanager
+def _options(args):
+    """Solver options with the configured backend, closed when the block ends."""
+    options = _budgets(args)
+    backend_cmd = args.backend or os.environ.get("HORNITP_BACKEND")
+    with contextlib.ExitStack() as stack:
+        if backend_cmd:
+            handle = stack.enter_context(Backend(backend_cmd))
+
+            def delegated(a, b, branch_depth, cube_limit):
+                return external_interpolant(a, b, handle)
+
+            options.interpolate = delegated
+        yield options
 
 
 def _clauses(args) -> ClauseSet:
@@ -142,7 +152,8 @@ def _print_counterexample(cx: Counterexample, hc: ClauseSet, mode: str):
 
 def _cmd_solve(args) -> int:
     hc = _clauses(args)
-    result = solve(hc, _options(args))
+    with _options(args) as options:
+        result = solve(hc, options)
     if isinstance(result, Solved):
         print("sat")
         if args.output == "human":
@@ -156,7 +167,8 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     hc = _clauses(args)
     sol = chc.parse_solution(_read(args.solution), hc)
-    verdict = verify_solution(sol, hc)
+    options = _budgets(args)
+    verdict = verify_solution(sol, hc, options.branch_depth, options.cube_limit)
     if verdict:
         print("valid")
         return 0
@@ -174,8 +186,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_expand(args) -> int:
     hc = _clauses(args)
-    options = _options(args)
-    print(constraint_str(expand(hc, options.expansion_limit)))
+    print(constraint_str(expand(hc, _budgets(args).expansion_limit)))
     return 0
 
 
@@ -248,6 +259,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f'(error "{exc}")')
         print(str(exc), file=sys.stderr)
+        return 2
+    except Exception as exc:  # a bug, not a verdict: never exit 1 for it
+        print(f'(error "internal: {type(exc).__name__}: {exc}")')
+        traceback.print_exc()
         return 2
 
 

@@ -64,10 +64,6 @@ class NotLinear(WrongFragment):
     pass
 
 
-class NotBodyDisjoint(WrongFragment):
-    pass
-
-
 class MissingSymbol(HornitpError):
     def __init__(self, symbol):
         super().__init__(f"solution does not assign relation symbol {symbol.name}")

@@ -5,12 +5,18 @@ variable counts, where it is cheap and the certificate falls out of the
 bookkeeping) and a bounds-based simplex over eps-rationals (used above the
 cutoff, where FM can blow up).  Strict inequalities are handled by Motzkin
 transposition in FM and by infinitesimal bounds in the simplex.
+
+The simplex keeps its tableau rows fraction-free (integer coefficients over
+one positive integer denominator, gcd-reduced after every pivot) and updates
+the basic values incrementally: a pivot moves one nonbasic variable, so each
+basic value shifts by that variable's column times its move.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .terms import EQ, LE, LT, LinearAtom, LinearTerm, Var
@@ -184,6 +190,14 @@ def _fourier_motzkin(split) -> Sat | Unsat:
 
 # ---------------------------------------------------------------------------
 # Simplex over eps-rationals (Dutertre/de Moura style bounds tableau)
+#
+# An atom t + c <= 0 (or < 0) gets a slack s = t with the upper bound
+# s <= -c (-c - eps when strict); problem variables have no bounds.
+# A basic row is kept fraction-free as (d, {j: a_j}) over Python ints,
+# meaning d * x_s = sum a_j * x_j with d > 0 and gcd(d, a_j...) = 1.  A pivot
+# cross-multiplies rows and divides out the gcd.  Values, bounds and the
+# certificate stay Fractions.  The only nonbasic variable a pivot moves is
+# the leaving one, so the basic values shift by one column per pivot.
 # ---------------------------------------------------------------------------
 
 
@@ -195,6 +209,9 @@ class _DRat(NamedTuple):
 
     def __add__(self, other):
         return _DRat(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return _DRat(self.a - other.a, self.b - other.b)
 
     def scale(self, k: Fraction):
         return _DRat(self.a * k, self.b * k)
@@ -212,18 +229,11 @@ def _simplex(split) -> Sat | Unsat:
     rows: dict = {}
     for k, (a, _) in enumerate(split):
         s = nvars + k
-        rows[s] = {vidx[v]: c for v, c in a.term.coeffs}
+        d = lcm(*(c.denominator for _, c in a.term.coeffs))
+        rows[s] = (d, {vidx[v]: c.numerator * (d // c.denominator) for v, c in a.term.coeffs})
         ub[s] = _DRat(-a.term.constant, Fraction(-1 if a.rel == LT else 0))
-    beta = {i: _DZERO for i in range(nvars)}
-
-    def basic_value(row):
-        val = _DZERO
-        for j, c in row.items():
-            val = val + beta[j].scale(c)
-        return val
-
-    for s in rows:
-        beta[s] = basic_value(rows[s])
+    # every nonbasic variable starts at 0, so every basic one does too
+    beta = {i: _DZERO for i in range(nvars + len(split))}
 
     while True:
         bad = None
@@ -233,27 +243,22 @@ def _simplex(split) -> Sat | Unsat:
                 break
         if bad is None:
             break
-        row = rows[bad]
+        d, row = rows[bad]
         enter = None
         for j in sorted(row):
-            c = row[j]
-            if c == 0:
-                continue
-            if c > 0:  # decreasing j decreases bad; no lower bounds exist
-                enter = j
-                break
-            if j not in ub or beta[j] < ub[j]:  # room to increase j
+            # row[j] > 0: decreasing j decreases bad, and nothing has a lower
+            # bound; row[j] < 0: j needs room to increase
+            if row[j] > 0 or j not in ub or beta[j] < ub[j]:
                 enter = j
                 break
         if enter is None:
-            # every nonzero coefficient is negative, on a slack pinned at its
-            # upper bound: the row is a Farkas contradiction
+            # every coefficient is negative, on a slack pinned at its upper
+            # bound: the row is a Farkas contradiction
             atoms = tuple(a for a, _ in split)
             origins = tuple(o for _, o in split)
             mults = {bad - nvars: Fraction(1)}
-            for j, c in row.items():
-                if c != 0:
-                    mults[j - nvars] = mults.get(j - nvars, Fraction(0)) - c
+            for j, a in row.items():
+                mults[j - nvars] = Fraction(-a, d)
             cert = FarkasCertificate(
                 atoms,
                 tuple(sorted(mults.items())),
@@ -262,24 +267,46 @@ def _simplex(split) -> Sat | Unsat:
             )
             assert cert.is_valid(), "internal error: bad simplex certificate"
             return Unsat(cert)
-        # pivot bad <-> enter, landing bad exactly on its upper bound
-        c_e = row[enter]
-        delta = ub[bad]
-        new_enter_row = {bad: Fraction(1) / c_e}
-        for j, c in row.items():
-            if j != enter and c != 0:
-                new_enter_row[j] = -c / c_e
+        # pivot bad <-> enter: d_e * x_enter = sum erow_j * x_j, with bad
+        # now nonbasic
+        a_e = row.pop(enter)
+        sign = 1 if a_e > 0 else -1
+        d_e = a_e * sign
+        erow = {j: -a * sign for j, a in row.items()}
+        erow[bad] = d * sign
+        g = gcd(d_e, *erow.values())
+        if g != 1:
+            d_e //= g
+            erow = {j: a // g for j, a in erow.items()}
         del rows[bad]
-        for s, r in rows.items():
-            ce = r.pop(enter, Fraction(0))
-            if ce != 0:
-                for j, c in new_enter_row.items():
-                    r[j] = r.get(j, Fraction(0)) + ce * c
-                rows[s] = {j: c for j, c in r.items() if c != 0}
-        rows[enter] = {j: c for j, c in new_enter_row.items() if c != 0}
-        beta[bad] = delta
-        for s in rows:
-            beta[s] = basic_value(rows[s])
+        for s, (d_s, r) in rows.items():
+            r_e = r.pop(enter, 0)
+            if not r_e:
+                continue
+            if d_e != 1:
+                for j in r:
+                    r[j] *= d_e
+            for j, a in erow.items():
+                c = r.get(j, 0) + r_e * a
+                if c:
+                    r[j] = c
+                else:
+                    del r[j]
+            d_s *= d_e
+            g = gcd(d_s, *r.values())
+            if g != 1:
+                d_s //= g
+                for j in r:
+                    r[j] //= g
+            rows[s] = (d_s, r)
+        rows[enter] = (d_e, erow)
+        # land bad exactly on its upper bound and shift the basic values
+        shift = ub[bad] - beta[bad]
+        beta[bad] = ub[bad]
+        for s, (d_s, r) in rows.items():
+            a = r.get(bad)
+            if a:
+                beta[s] = beta[s] + shift.scale(Fraction(a, d_s))
 
     # feasible: concretise eps
     eps_bound = None

@@ -12,7 +12,7 @@ concrete derivation of false together with a satisfying model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .analysis import (
@@ -110,9 +110,6 @@ class Counterexample:
     tree: DerivationTree
     model: dict
     constraint: Constraint
-
-
-SolveResult = "Solved | Counterexample"
 
 
 # ---------------------------------------------------------------------------

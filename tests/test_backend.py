@@ -83,3 +83,13 @@ class TestFaultyBackends:
             with pytest.raises(BackendError) as exc:
                 be.interpolate(ge(TX, 0), le(TX, -1))
         assert "timed out" in str(exc.value)
+
+
+class TestClose:
+    @pytest.mark.parametrize("command", [_stub("good_backend"), "false"],
+                             ids=["running", "exited"])
+    def test_close_releases_both_pipes(self, command):
+        with Backend(command) as be:
+            proc = be._proc
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from hornitp import chc
+from hornitp import chc, cli
 from hornitp.cli import main
 from hornitp.horn import verify_solution
 from hornitp.sexpr import parse_one
@@ -119,6 +119,30 @@ class TestSolve:
         assert code == 2 and out.startswith("(error")
 
 
+class TestBackendLifetime:
+    @staticmethod
+    def _recording(tmp_path):
+        marker = tmp_path / "closed"
+        return marker, (f"{shlex.quote(sys.executable)} tests/backends/recording_backend.py "
+                        f"{shlex.quote(str(marker))}")
+
+    def test_backend_closed_after_solve(self, capsys, tmp_path):
+        marker, backend = self._recording(tmp_path)
+        code, out, _ = run(capsys, "--backend", backend, "solve", TREELIKE)
+        assert code == 0 and out.splitlines()[0] == "sat"
+        assert marker.read_text() == "closed\n"
+
+    def test_backend_closed_when_solve_raises(self, capsys, tmp_path, monkeypatch):
+        def fail(hc, options):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(cli, "solve", fail)
+        marker, backend = self._recording(tmp_path)
+        code, _, _ = run(capsys, "--backend", backend, "solve", TREELIKE)
+        assert code == 2
+        assert marker.read_text() == "closed\n"
+
+
 class TestVerify:
     def test_invalid_solution_names_failing_clause(self, capsys, tmp_path):
         with open(TREELIKE) as fh:
@@ -132,6 +156,25 @@ class TestVerify:
         assert code == 1
         assert out.splitlines()[0] == "invalid"
         assert "failing clause" in out and "countermodel" in out
+
+    def test_budget_flags_reach_verify_solution(self, capsys, monkeypatch):
+        seen = {}
+
+        def spy(sol, hc, branch_depth, cube_limit):
+            seen.update(branch_depth=branch_depth, cube_limit=cube_limit)
+            return verify_solution(sol, hc, branch_depth, cube_limit)
+
+        monkeypatch.setattr(cli, "verify_solution", spy)
+        code, out, _ = run(capsys, "--branch-depth", "7", "--cube-limit", "900",
+                           "verify", UNWOUND, "--solution", "tests/data/increment_unwound.sol")
+        assert code == 0 and out.strip() == "valid"
+        assert seen == {"branch_depth": 7, "cube_limit": 900}
+
+    def test_cube_limit_stops_verify(self, capsys):
+        code, out, err = run(capsys, "--cube-limit", "1", "verify", UNWOUND,
+                             "--solution", "tests/data/increment_unwound.sol")
+        assert code == 2 and out.startswith("(error")
+        assert "CubeLimitExceeded" in err
 
 
 class TestExpand:
@@ -203,3 +246,13 @@ class TestFaults:
     def test_dimacs_format_rejected_for_solve(self, capsys):
         code, out, _ = run(capsys, "--format", "dimacs", "solve", TREELIKE)
         assert code == 2 and out.startswith("(error")
+
+    def test_internal_error_exits_two(self, capsys, monkeypatch):
+        def crash(args):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", crash)
+        code, out, err = run(capsys, "classify", TREELIKE)
+        assert code == 2
+        assert out == '(error "internal: RuntimeError: unexpected")\n'
+        assert "RuntimeError" in err

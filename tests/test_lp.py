@@ -13,7 +13,21 @@ from hornitp.lp import (
     decide_rational,
     split_equalities,
 )
-from hornitp.terms import EQ, INT, LE, LT, LinearTerm, Var, eq, ge, le, lt, ne
+from hornitp.terms import (
+    EQ,
+    INT,
+    LE,
+    LT,
+    REAL,
+    LinearAtom,
+    LinearTerm,
+    Var,
+    eq,
+    ge,
+    le,
+    lt,
+    ne,
+)
 
 X = Var("x", INT)
 Y = Var("y", INT)
@@ -132,3 +146,72 @@ class TestCertificateProperties:
                 assert not total.coeffs
                 assert total.constant > 0 or (total.constant == 0 and cert.strict)
         assert found > 20  # the sample must actually exercise Unsat
+
+
+def _fractional_system(rng, pool):
+    """8-14 atoms over 1-3 variables each, coefficients c/q with q in {2, 3, 5}."""
+    atoms = []
+    for _ in range(rng.randint(8, 14)):
+        coeffs = {v: Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.choice([2, 3, 5]))
+                  for v in rng.sample(pool, rng.randint(1, 3))}
+        const = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+        atoms.append(LinearAtom(LinearTerm.make(coeffs, const), rng.choice([LE, LE, LT, EQ])))
+    return atoms
+
+
+def _chain_system(last):
+    """x0 >= 1, 3/2 (x_{i+1} - x_i) >= 1/(i+2), x3 - 2/3 x5 = 1/5, x7 - x2/3 < last."""
+    xs = [Var(f"x{i}", REAL) for i in range(8)]
+    t = LinearTerm.of
+    atoms = [ge(t(xs[0]), 1).atom]
+    for i in range(7):
+        atoms.append(ge((t(xs[i + 1]) - t(xs[i])).scale(Fraction(3, 2)), Fraction(1, i + 2)).atom)
+    atoms.append(eq(t(xs[3]) + t(xs[5]).scale(Fraction(-2, 3)), Fraction(1, 5)).atom)
+    atoms.append(lt(t(xs[7]) - t(xs[2]).scale(Fraction(1, 3)), last).atom)
+    return xs, split_equalities(atoms)
+
+
+class TestSimplexRegression:
+    def test_fractional_systems_agree_with_fm(self):
+        rng = random.Random(41)
+        verdicts = {Sat: 0, Unsat: 0}
+        combined = 0  # certificates that needed pivots to combine 3+ atoms
+        for trial in range(200):
+            pool = [Var(f"r{i}", REAL) for i in range(rng.randint(7, 10))]
+            atoms = _fractional_system(rng, pool)
+            split = split_equalities(atoms)
+            sx = _simplex(split)
+            assert type(sx) is type(_fourier_motzkin(split)), (trial, atoms)
+            verdicts[type(sx)] += 1
+            if isinstance(sx, Sat):
+                model = dict(sx.model)
+                for v in pool:
+                    model.setdefault(v, Fraction(0))
+                assert all(a.holds(model) for a in atoms), (trial, atoms)
+            else:
+                assert sx.certificate.is_valid(), (trial, atoms)
+                combined += len(sx.certificate.multipliers) >= 3
+        assert verdicts[Sat] > 50 and verdicts[Unsat] > 50
+        assert combined > 30
+
+    def test_pinned_unsat_certificate(self):
+        # nine pivots; the multipliers pin the pivot order
+        _, split = _chain_system(Fraction(4, 3))
+        res = _simplex(split)
+        assert isinstance(res, Unsat)
+        cert = res.certificate
+        assert cert.multipliers == (
+            (0, Fraction(7, 2)), (1, Fraction(7, 2)), (2, Fraction(7, 2)),
+            (3, Fraction(9, 2)), (6, Fraction(3)), (7, Fraction(3)),
+            (8, Fraction(3, 2)), (10, Fraction(1)),
+        )
+        assert cert.strict and cert.is_valid()
+
+    def test_pinned_sat_model(self):
+        xs, split = _chain_system(Fraction(7, 3))
+        res = _simplex(split)
+        assert isinstance(res, Sat)
+        assert [res.model[x] for x in xs] == [
+            Fraction(1), Fraction(4, 3), Fraction(14, 9), Fraction(31, 18),
+            Fraction(391, 180), Fraction(137, 60), Fraction(333, 140), Fraction(517, 210),
+        ]
