@@ -14,7 +14,8 @@ answered by exactly one of
 Constraints use the s-expression grammar of :mod:`hornitp.sexpr`.  Every
 answer is re-verified locally before being accepted, so a buggy backend can
 cause VerificationFailed but never an unsound result.  A handle owns its
-process and serves one request at a time.
+process and serves one request at a time; threads sharing a handle take
+turns, each holding it from writing its request until its reply is read.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import os
 import selectors
 import shlex
 import subprocess
+import threading
 
 from .engine import Interpolant, check_interpolant
 from .errors import BackendError, NotUnsat, ParseError, UndeclaredSymbol, VerificationFailed
@@ -33,7 +35,7 @@ DEFAULT_TIMEOUT = 60.0
 
 
 class Backend:
-    """Single-owner handle to a backend process (one in-flight request)."""
+    """Handle to a backend process (one in-flight request at a time)."""
 
     def __init__(self, command: str, timeout: float = DEFAULT_TIMEOUT):
         self.command = command
@@ -45,17 +47,19 @@ class Backend:
         except OSError as exc:
             raise BackendError(f"cannot launch backend {command!r}: {exc}") from None
         self._buffer = b""
+        self._lock = threading.Lock()
 
     def request(self, line: str) -> str:
-        if self._proc.poll() is not None:
-            raise BackendError(
-                f"backend exited with status {self._proc.returncode} before the request")
-        try:
-            self._proc.stdin.write(line.encode() + b"\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            raise BackendError("backend closed its input pipe") from None
-        return self._read_line()
+        with self._lock:
+            if self._proc.poll() is not None:
+                raise BackendError(
+                    f"backend exited with status {self._proc.returncode} before the request")
+            try:
+                self._proc.stdin.write(line.encode() + b"\n")
+                self._proc.stdin.flush()
+            except (BrokenPipeError, OSError):
+                raise BackendError("backend closed its input pipe") from None
+            return self._read_line()
 
     def _read_line(self) -> str:
         sel = selectors.DefaultSelector()

@@ -85,16 +85,28 @@ class TreeProblem:
                     stack.append(c)
         return frozenset(out)
 
+    def child_map(self) -> dict:
+        """Every node's children, in the order of :meth:`children`."""
+        kids: dict = {v: [] for v in self.nodes}
+        for p, c in self.edges:
+            kids[p].append(c)
+        for cs in kids.values():
+            cs.sort(key=str)
+        return kids
+
     def post_order(self) -> list:
-        """Children strictly before parents (an inverse topological order)."""
+        """Children strictly before parents (an inverse topological order):
+        each child's subtree in :meth:`children` order, then the node."""
+        kids = self.child_map()
         out = []
-
-        def walk(v):
-            for c in self.children(v):
-                walk(c)
-            out.append(v)
-
-        walk(self.root)
+        stack = [(self.root, False)]
+        while stack:
+            v, expanded = stack.pop()
+            if expanded:
+                out.append(v)
+            else:
+                stack.append((v, True))
+                stack.extend((c, False) for c in reversed(kids[v]))
         return out
 
 

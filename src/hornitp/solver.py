@@ -2,17 +2,27 @@
 
 Pipeline: classify each weakly-connected component, reduce it to the
 matching interpolation problem (sequence, tree, or DAG), interpolate, map
-labels back to relation-symbol solutions, and verify.  Body-disjoint sets
-with shared heads are solved by enumerating derivation cones (one defining
-clause per shared head) and combining the per-cone tree interpolants into a
-positive Boolean combination; general recursion-free sets are first made
-body-disjoint by duplicating derivation cones.  Unsolvable sets produce a
-concrete derivation of false together with a satisfying model.
+labels back to relation-symbol solutions, and verify.  Sequences and trees
+(and each derivation cone below) are labeled from Farkas certificates: one
+rational LP per choice of one DNF cube per node label, each certificate
+labeling every node at once by the weighted sum of its subtree's atoms; the
+choices of nodes outside a subtree are conjoined and those inside it
+disjoined.  An external interpolation backend, or a cube choice that needs
+integer branching, falls back to interpolating node by node.
+Body-disjoint sets with shared heads are solved by enumerating derivation
+cones (one defining clause per shared head) and combining the per-cone tree
+interpolants into a positive Boolean combination; general recursion-free
+sets are first made body-disjoint by duplicating derivation cones.
+Unsolvable sets produce a concrete derivation of false together with a
+satisfying model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from math import prod
 from typing import Callable, Optional
 
 from .analysis import (
@@ -28,8 +38,9 @@ from .encodings import (
     sequence_from_linear_treelike,
     tree_problem_from_treelike,
 )
-from .engine import DEFAULT_BRANCH_DEPTH, binary_interpolant, sat
+from .engine import DEFAULT_BRANCH_DEPTH, _fractional_int, binary_interpolant, sat
 from .errors import (
+    CubeLimitExceeded,
     ExpansionLimitExceeded,
     NotUnsat,
     PathLimitExceeded,
@@ -46,20 +57,26 @@ from .horn import (
     Valid,
     verify_solution,
 )
-from .lp import Sat, Unsat
+from .lp import FarkasCertificate, Sat, decide_rational
 from .problems import DagProblem, SequenceProblem, TreeProblem, check_dag, check_tree
 from .terms import (
     DEFAULT_CUBE_LIMIT,
     FALSE,
+    LE,
+    LT,
     TRUE,
     Constraint,
+    LinearAtom,
     LinearTerm,
     Var,
+    atom,
     cand,
     cnot,
     cor,
     eq,
+    free_vars,
     rename_vars,
+    to_dnf,
 )
 
 DEFAULT_EXPANSION_LIMIT = 100_000
@@ -221,16 +238,156 @@ def find_counterexample(hc: ClauseSet, options: SolverOptions) -> Optional[Count
 
 
 def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
-    """Node labeling computed leaf-to-root by binary interpolation.
+    """Tree interpolant of a labeled tree whose node labels are jointly
+    unsatisfiable.
 
-    At each step the frontier of processed-but-unconsumed labels plus the
-    remaining node labels stays unsatisfiable; this invariant is asserted
-    after every step, and the final labeling is checked against the tree
-    interpolant conditions before being returned.  Raises NotUnsat (with a
-    model) when the conjunction of all node labels is satisfiable.
+    Certificate path: each node label is put in DNF, and for every cube
+    choice sigma (one cube per node; at most ``cube_limit`` choices) the
+    chosen atoms, in post order, go to one rational LP.  Its Farkas
+    certificate labels every node v at once: I_sigma(v) is the
+    multiplier-weighted sum of the certificate atoms from the subtree of v,
+    strict when a strict atom carries a positive multiplier; the root gets
+    false.  The choices combine per node: I(v) disjoins, over the choices of
+    the nodes inside the subtree of v, the conjunction over the choices of
+    the nodes outside it.  One-cube labels make this one LP with
+    I(v) = I_sigma(v); a false label makes I(v) false exactly on the
+    subtrees that hold one.
+
+    Fallback: the node-by-node sweep (one binary interpolation and one
+    satisfiability check per node) serves an ``options.interpolate``
+    backend, which answers binary problems only, and a cube choice that is
+    rationally satisfiable with a fractional Int value, which needs integer
+    branching and so has no single certificate.
+
+    Either path makes one frontier check per node: after node v, the labels
+    of the processed nodes whose parent is still unprocessed, together with
+    the remaining node labels, must be unsatisfiable; on the certificate
+    path that means they still form a Farkas certificate for every choice.
+    The final labeling must pass check_tree.  Raises NotUnsat (with a model)
+    when the conjunction of all node labels is satisfiable.
     """
     options = options or SolverOptions()
     order = tp.post_order()
+    found = None
+    if options.interpolate is None:
+        found = _certificate_labels(tp, order, options)
+    labels, invariant_checks = found or _node_by_node_labels(tp, order, options)
+    failures = check_tree(tp, labels)
+    if tree_log is not None:
+        tree_log.append({"problem": tp, "labels": labels,
+                         "invariant_checks": invariant_checks,
+                         "property_failures": list(failures)})
+    if failures:
+        raise SolverInternalError(f"tree labeling rejected: {failures}")
+    return labels
+
+
+def _certificate_labels(tp: TreeProblem, order: list, options: SolverOptions):
+    """(labels, frontier checks) from one certificate per cube choice, or
+    None when the node-by-node sweep has to take over."""
+    n = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    child_map = tp.child_map()
+    kids = [[pos[c] for c in child_map[v]] for v in order]
+    parent = [n] * n  # the root's parent is never processed
+    first = list(range(n))  # subtree(order[i]) is order[first[i]..i]
+    for i, cs in enumerate(kids):
+        for c in cs:
+            parent[c] = i
+        if cs:
+            first[i] = first[cs[0]]
+    certified = []  # (sigma, per node: [(certificate atom, multiplier)])
+    multi = []  # nodes with more than one cube
+    if any(tp.labels[v] is FALSE for v in order):
+        # a false label refutes the conjunction by itself, as the ground
+        # atom 1 <= 0 would: the subtrees holding one get false
+        contradiction = LinearAtom(LinearTerm.const(1), LE)
+        certified.append(((), [[(contradiction, Fraction(1))] if tp.labels[v] is FALSE
+                               else [] for v in order]))
+    else:
+        cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in order]
+        if not all(cubes):
+            return None  # a label false only after DNF: the sweep handles it
+        if prod(len(cs) for cs in cubes) > options.cube_limit:
+            raise CubeLimitExceeded(options.cube_limit)
+        multi = [i for i in range(n) if len(cubes[i]) > 1]
+        for sigma in product(*(range(len(cs)) for cs in cubes)):
+            atoms, owner = [], []
+            for i, k in enumerate(sigma):
+                atoms.extend(cubes[i][k].atoms)
+                owner.extend([i] * len(cubes[i][k].atoms))
+            res = decide_rational(atoms)
+            if isinstance(res, Sat):
+                if _fractional_int(res.model) is not None:
+                    return None
+                model = dict(res.model)
+                for v in frozenset().union(*(free_vars(tp.labels[v]) for v in order)):
+                    model.setdefault(v, Fraction(0))
+                raise NotUnsat(model)
+            cert = res.certificate
+            used = [[] for _ in range(n)]
+            for j, lam in cert.multipliers:
+                used[owner[cert.origins[j]]].append((cert.atoms[j], lam))
+            certified.append((sigma, used))
+    choices = []  # (sigma, [I_sigma], [weighted sum], used)
+    for sigma, used in certified:
+        sums, strict, itps = [], [], []
+        for i in range(n):
+            s = LinearTerm.const(0)
+            st = False
+            for a, lam in used[i]:
+                s = s + a.term.scale(lam)
+                st = st or (a.rel == LT and lam > 0)
+            for c in kids[i]:
+                s = s + sums[c]
+                st = st or strict[c]
+            sums.append(s)
+            strict.append(st)
+            itps.append(FALSE if i == n - 1 else atom(s, LT if st else LE))
+        choices.append((sigma, itps, sums, used))
+    invariant_checks = 0
+    frontier: list = []
+    for i in range(n):
+        frontier = [w for w in frontier if parent[w] != i] + [i]
+        for _, itps, sums, used in choices:
+            if not _frontier_refuted(frontier, itps, sums, used[i + 1:]):
+                raise SolverInternalError(f"frontier invariant violated after node {order[i]}")
+        invariant_checks += 1
+    labels = {}
+    for i, v in enumerate(order):
+        inside = [m for m in multi if first[i] <= m <= i]
+        groups: dict = {}
+        for sigma, itps, _, _ in choices:
+            groups.setdefault(tuple(sigma[m] for m in inside), []).append(itps[i])
+        labels[v] = cor(*(cand(*g) for g in groups.values()))
+    return labels, invariant_checks
+
+
+def _frontier_refuted(frontier: list, itps: list, sums: list, remaining: list) -> bool:
+    """Whether the frontier labels of one cube choice, each canonical atom
+    weighted by the inverse of its canonicalisation scale, and the
+    certificate's remaining cube atoms still form a Farkas certificate."""
+    weighted = []
+    for w in frontier:
+        label = itps[w]
+        if label is FALSE:
+            return True
+        if label is not TRUE:
+            a = label.atom
+            weighted.append((a, sums[w].coeffs[0][1] / a.term.coeffs[0][1]))
+    for node_atoms in remaining:
+        weighted.extend(node_atoms)
+    atoms = tuple(a for a, _ in weighted)
+    mults = tuple((j, lam) for j, (_, lam) in enumerate(weighted))
+    strict = any(a.rel == LT and lam > 0 for a, lam in weighted)
+    return FarkasCertificate(atoms, mults, strict, tuple(range(len(atoms)))).is_valid()
+
+
+def _node_by_node_labels(tp: TreeProblem, order: list, options: SolverOptions):
+    """(labels, frontier checks) computed leaf-to-root by binary
+    interpolation, asserting after every step that the frontier of
+    processed-but-unconsumed labels plus the remaining node labels stays
+    unsatisfiable."""
     parent = {c: p for p, c in tp.edges}
     labels: dict = {}
     processed: list = []
@@ -258,14 +415,7 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
         invariant_checks += 1
         if isinstance(sat(conj, options.branch_depth, options.cube_limit), Sat):
             raise SolverInternalError(f"frontier invariant violated after node {v}")
-    failures = check_tree(tp, labels)
-    if tree_log is not None:
-        tree_log.append({"problem": tp, "labels": labels,
-                         "invariant_checks": invariant_checks,
-                         "property_failures": list(failures)})
-    if failures:
-        raise SolverInternalError(f"tree labeling rejected: {failures}")
-    return labels
+    return labels, invariant_checks
 
 
 def sequence_interpolants(sp: SequenceProblem, options: SolverOptions = None) -> list:

@@ -3,6 +3,7 @@
 import random
 import shlex
 import sys
+import threading
 
 import pytest
 
@@ -54,6 +55,33 @@ class TestGoodBackend:
                 a, b = random_unsat_pair(rng, sat)
                 itp = external_interpolant(a, b, be)
                 assert check_interpolant(a, b, itp.formula) == []
+
+    def test_threads_share_one_process(self):
+        # each thread's interpolant separates its own bound; a reply read by
+        # the wrong thread fails the local re-verification
+        errors = []
+
+        def worker(k):
+            try:
+                for i in range(10):
+                    c = 10 * k + i
+                    be.interpolate(ge(TX, c), le(TX, c - 1))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Backend(_stub("good_backend")) as be:
+                threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
 
 
 class TestFaultyBackends:

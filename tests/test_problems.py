@@ -1,7 +1,10 @@
 """Problem shapes and their mechanical condition checkers."""
 
+import random
+
 import pytest
 
+from hornitp import chc, solver
 from hornitp.problems import (
     DagProblem,
     SequenceProblem,
@@ -83,6 +86,45 @@ class TestTree:
         order = tp.post_order()
         assert order.index("l1") < order.index("root")
         assert order.index("l2") < order.index("root")
+
+    def test_post_order_long_path_iterative(self):
+        n = 1200
+        tp = TreeProblem(tuple(range(n)), frozenset((i, i + 1) for i in range(n - 1)),
+                         {i: TRUE for i in range(n)}, 0)
+        assert tp.post_order() == list(reversed(range(n)))
+
+    def test_post_order_matches_recursive_definition(self):
+        def recursive(tp):
+            out = []
+
+            def walk(v):
+                for c in tp.children(v):
+                    walk(c)
+                out.append(v)
+
+            walk(tp.root)
+            return out
+
+        trees = []
+        solver.tree_log = trees
+        try:
+            for name in ("increment_treelike", "increment_unwound"):
+                with open(f"tests/data/{name}.chc") as fh:
+                    solver.solve(chc.parse_chc(fh.read()))
+        finally:
+            solver.tree_log = None
+        problems = [r["problem"] for r in trees]
+        assert len(problems) >= 3
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randint(1, 25)
+            # mixed names: children sort by str, so 10 comes before 9
+            names = [i if rng.random() < 0.5 else f"n{i}" for i in range(n)]
+            edges = frozenset((names[rng.randrange(i)], names[i]) for i in range(1, n))
+            problems.append(TreeProblem(tuple(names), edges,
+                                        {v: TRUE for v in names}, names[0]))
+        for tp in problems:
+            assert tp.post_order() == recursive(tp)
 
 
 class TestDag:

@@ -5,12 +5,13 @@ import random
 import pytest
 
 import worked_examples as PE
-from generators import random_clause_set
+from generators import random_clause_set, random_cube
 from hornitp import solver
 from hornitp.analysis import normalize
 from hornitp.encodings import tree_problem_from_treelike
-from hornitp.engine import sat
+from hornitp.engine import binary_interpolant, sat
 from hornitp.errors import (
+    CubeLimitExceeded,
     ExpansionLimitExceeded,
     NotUnsat,
     RecursiveSystem,
@@ -23,8 +24,15 @@ from hornitp.horn import (
     rel_atom,
     verify_solution,
 )
-from hornitp.lp import Sat, Unsat
-from hornitp.problems import DagProblem, SequenceProblem, check_dag, check_sequence
+from hornitp.lp import Sat, Unsat, decide_rational
+from hornitp.problems import (
+    DagProblem,
+    SequenceProblem,
+    TreeProblem,
+    check_dag,
+    check_sequence,
+    check_tree,
+)
 from hornitp.solver import (
     Counterexample,
     Solved,
@@ -37,7 +45,22 @@ from hornitp.solver import (
     solve,
     tree_interpolate,
 )
-from hornitp.terms import INT, TRUE, LinearTerm, Var, evaluate, ge, le, lt
+from hornitp.terms import (
+    FALSE,
+    INT,
+    TRUE,
+    LinearTerm,
+    Var,
+    cand,
+    cor,
+    eq,
+    evaluate,
+    ge,
+    le,
+    lt,
+    ne,
+    to_dnf,
+)
 
 X = Var("x", INT)
 TX = LinearTerm.of(X)
@@ -222,3 +245,124 @@ class TestSolve:
                 assert bool(verify_solution(res.solution, hc))
             else:
                 assert evaluate(res.constraint, res.model)
+
+
+def _path_tree(labels):
+    """Path tree over ``labels`` (first one a leaf, last one the root)."""
+    nodes = tuple(range(len(labels)))
+    edges = frozenset((i + 1, i) for i in range(len(labels) - 1))
+    return TreeProblem(nodes, edges, dict(enumerate(labels)), nodes[-1])
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(solver, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+class TestCertificateLabels:
+    """Labels read off one Farkas certificate per cube choice."""
+
+    VARS = [Var(f"u{i}", INT) for i in range(3)]
+
+    def _random_tree(self, rng, disjunctive):
+        n = rng.randint(1, 6)
+        edges = frozenset((rng.randrange(i), i) for i in range(1, n))
+        labels = {i: random_cube(rng, self.VARS, max_atoms=3) for i in range(n)}
+        for i in rng.sample(range(n), min(disjunctive, n)):
+            labels[i] = cor(random_cube(rng, self.VARS),
+                            ne(LinearTerm.of(rng.choice(self.VARS)), rng.randint(-2, 2)))
+        return TreeProblem(tuple(range(n)), edges, labels, 0)
+
+    def test_random_trees_pass_check_tree(self, monkeypatch):
+        rng = random.Random(31)
+        sweeps = _counting(monkeypatch, "_node_by_node_labels")
+        solved = {0: 0, 1: 0, 2: 0}
+        log = []
+        monkeypatch.setattr(solver, "tree_log", log)
+        while min(solved.values()) < 15:
+            disjunctive = rng.choice(list(solved))
+            tp = self._random_tree(rng, disjunctive)
+            # keep trees whose every cube choice is rationally unsatisfiable,
+            # so that no choice needs integer branching; a label without
+            # cubes (false) may go either way
+            if not (all(to_dnf(c) for c in tp.labels.values())
+                    and all(isinstance(decide_rational(list(c.atoms)), Unsat)
+                            for c in to_dnf(cand(*tp.labels.values())))):
+                continue
+            labels = tree_interpolate(tp)
+            assert check_tree(tp, labels) == []
+            assert log[-1]["invariant_checks"] == len(tp.nodes)
+            solved[disjunctive] += 1
+        assert sweeps == []
+
+    def test_sequence_is_one_lp(self, monkeypatch):
+        xs = [Var(f"x{i}", INT) for i in range(10)]
+        parts = [ge(LinearTerm.of(xs[0]), 0)]
+        parts += [eq(LinearTerm.of(xs[i]), LinearTerm.of(xs[i - 1]) + 1) for i in range(1, 9)]
+        parts.append(cand(eq(LinearTerm.of(xs[9]), LinearTerm.of(xs[8]) + 1),
+                          lt(LinearTerm.of(xs[9]), 9)))
+        sp = SequenceProblem(tuple(parts))
+        lps = _counting(monkeypatch, "decide_rational")
+        itps = _counting(monkeypatch, "binary_interpolant")
+        labels = sequence_interpolants(sp)
+        assert check_sequence(sp, labels) == []
+        assert (len(lps), len(itps)) == (1, 0)
+
+    def test_false_label_needs_no_lp(self, monkeypatch):
+        # an underivable symbol gets the label false
+        tp = TreeProblem(("a", "b", "c", "root"),
+                         frozenset({("root", "a"), ("a", "b"), ("root", "c")}),
+                         {"a": ge(TX, 1), "b": FALSE, "c": le(TX, 3), "root": TRUE}, "root")
+        lps = _counting(monkeypatch, "decide_rational")
+        sweeps = _counting(monkeypatch, "_node_by_node_labels")
+        labels = tree_interpolate(tp)
+        assert check_tree(tp, labels) == []
+        assert labels == {"a": FALSE, "b": FALSE, "c": TRUE, "root": FALSE}
+        assert (len(lps), len(sweeps)) == (0, 0)
+
+    def test_integer_branching_falls_back(self, monkeypatch):
+        y, z = Var("y", INT), Var("z", INT)
+        node = cand(eq(TX, LinearTerm.of(y).scale(2)), ge(TX, 0), le(TX, 6))
+        tp = _path_tree([node, eq(TX, LinearTerm.of(z).scale(2) + 1)])
+        itps = _counting(monkeypatch, "binary_interpolant")
+        labels = tree_interpolate(tp)
+        assert check_tree(tp, labels) == []
+        assert len(itps) == 1
+
+    def test_external_interpolate_goes_node_by_node(self):
+        calls = []
+
+        def recorder(a, b, branch_depth, cube_limit):
+            calls.append((a, b))
+            return binary_interpolant(a, b, branch_depth, cube_limit)
+
+        y = Var("y", INT)
+        tp = TreeProblem(("l1", "l2", "root"),
+                         frozenset({("root", "l1"), ("root", "l2")}),
+                         {"l1": ge(TX, 0), "l2": le(TX - LinearTerm.of(y), 0),
+                          "root": lt(LinearTerm.of(y), 0)}, "root")
+        labels = tree_interpolate(tp, SolverOptions(interpolate=recorder))
+        assert check_tree(tp, labels) == []
+        assert len(calls) == 2
+
+    def test_satisfiable_disjunctive_tree_raises_not_unsat(self):
+        y, z = Var("y", INT), Var("z", INT)
+        labels = [cor(le(TX, 0), ge(TX, 5)),
+                  cand(eq(LinearTerm.of(y), TX + 1), ge(LinearTerm.of(z), 0)),
+                  ge(LinearTerm.of(y), 3)]
+        with pytest.raises(NotUnsat) as exc:
+            tree_interpolate(_path_tree(labels))
+        assert all(evaluate(c, exc.value.model) for c in labels)
+
+    def test_cube_product_over_limit(self):
+        # five labels of two cubes each: 32 choices
+        tp = _path_tree([ne(TX, i) for i in range(5)] + [eq(TX, 0)])
+        with pytest.raises(CubeLimitExceeded):
+            tree_interpolate(tp, SolverOptions(cube_limit=20))
