@@ -28,6 +28,7 @@ from .terms import (
     cor,
     free_vars,
     to_dnf,
+    weighted_sum,
 )
 from .terms import DEFAULT_CUBE_LIMIT, _canonical_atom
 
@@ -120,13 +121,9 @@ def _cert_interpolant(cert: FarkasCertificate, n_a: int) -> Constraint:
     s satisfies A |= (s rel 0), s = c - sum_B keeps s over shared variables,
     and (s rel 0) & B inherits the contradiction.
     """
-    s = LinearTerm.const(0)
-    strict = False
-    for i, lam in cert.multipliers:
-        if cert.origins[i] < n_a:
-            s = s + cert.atoms[i].term.scale(lam)
-            if cert.atoms[i].rel == LT:
-                strict = True
+    a_side = [(cert.atoms[i], lam) for i, lam in cert.multipliers if cert.origins[i] < n_a]
+    s = weighted_sum((a.term, lam) for a, lam in a_side)
+    strict = any(a.rel == LT for a, _ in a_side)
     return atom(s, LT if strict else LE)
 
 

@@ -6,10 +6,13 @@ bookkeeping) and a bounds-based simplex over eps-rationals (used above the
 cutoff, where FM can blow up).  Strict inequalities are handled by Motzkin
 transposition in FM and by infinitesimal bounds in the simplex.
 
-The simplex keeps its tableau rows fraction-free (integer coefficients over
-one positive integer denominator, gcd-reduced after every pivot) and updates
-the basic values incrementally: a pivot moves one nonbasic variable, so each
-basic value shifts by that variable's column times its move.
+Both engines keep their rows fraction-free, over Python ints.  An FM row is
+an integer combination of the input atoms, row = sum combo_i * term_i, and is
+gcd-reduced after every elimination; its combo is the certificate.  The
+simplex keeps its tableau rows as integer coefficients over one positive
+integer denominator, gcd-reduced after every pivot, and updates the basic
+values incrementally: a pivot moves one nonbasic variable, so each basic
+value shifts by that variable's column times its move.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .terms import EQ, LE, LT, LinearAtom, LinearTerm, Var
+from .terms import EQ, LE, LT, LinearAtom, LinearTerm, weighted_sum
 
 FM_VAR_CUTOFF = 6
 
@@ -33,6 +36,10 @@ class FarkasCertificate:
     the input atom that atoms[i] came from.  The weighted sum of the atom
     terms has zero variable coefficients and a constant c with c > 0, or
     c >= 0 when some strict atom carries a positive multiplier.
+
+    A certificate is determined only up to a positive factor: scaling every
+    multiplier by the same k > 0 keeps it valid, and the engines do not
+    promise any particular scale.
     """
 
     atoms: tuple
@@ -41,10 +48,7 @@ class FarkasCertificate:
     origins: tuple
 
     def weighted_sum(self) -> LinearTerm:
-        total = LinearTerm.const(0)
-        for i, lam in self.multipliers:
-            total = total + self.atoms[i].term.scale(lam)
-        return total
+        return weighted_sum((self.atoms[i].term, lam) for i, lam in self.multipliers)
 
     def is_valid(self) -> bool:
         if any(lam < 0 for _, lam in self.multipliers):
@@ -81,28 +85,43 @@ def split_equalities(atoms) -> list:
 def decide_rational(atoms) -> Sat | Unsat:
     """Feasibility over the rationals (Int sorts are not yet enforced)."""
     split = split_equalities(atoms)
-    names = set()
-    for a, _ in split:
-        names |= a.vars
+    names = {v for a, _ in split for v, _ in a.term.coeffs}
     if len(names) <= FM_VAR_CUTOFF:
         return _fourier_motzkin(split)
     return _simplex(split)
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin
+# Fourier-Motzkin over integer rows
+#
+# Variables are indexed in sorted order, as in the simplex.  Each atom
+# becomes a row scaled by the lcm of its denominators; eliminating v combines
+# every pair of rows with opposite signs on v by the smallest positive
+# integer factors that cancel it, then divides out the gcd of the result
+# (coefficients, constant and combo).  Every row is a positive multiple of
+# the row a rational elimination would build, so the keep/drop and
+# contradiction tests and the elimination order are those of rational FM,
+# and certificate multipliers differ from it by one positive factor.
 # ---------------------------------------------------------------------------
 
 
 class _Row(NamedTuple):
-    coeffs: dict  # Var -> Fraction
-    const: Fraction
+    """``coeffs . x + const rel 0`` over Python ints, with the exact identity
+    row = sum of combo[i] * (term of split atom i)."""
+
+    coeffs: dict  # variable index -> nonzero int
+    const: int
     strict: bool
-    combo: dict  # split-atom index -> Fraction multiplier
+    combo: dict  # split-atom index -> positive int multiplier
 
 
-def _row_of(atom: LinearAtom, idx: int) -> _Row:
-    return _Row(dict(atom.term.coeffs), atom.term.constant, atom.rel == LT, {idx: Fraction(1)})
+def _row_of(atom: LinearAtom, idx: int, vidx: dict) -> _Row:
+    """The atom's term scaled by the lcm of all its denominators."""
+    t = atom.term
+    d = lcm(t.constant.denominator, *(c.denominator for _, c in t.coeffs))
+    coeffs = {vidx[v]: c.numerator * (d // c.denominator) for v, c in t.coeffs}
+    const = t.constant.numerator * (d // t.constant.denominator)
+    return _Row(coeffs, const, atom.rel == LT, {idx: d})
 
 
 def _contradicts(row: _Row) -> bool:
@@ -112,38 +131,47 @@ def _contradicts(row: _Row) -> bool:
 def _certificate(split, row: _Row) -> FarkasCertificate:
     atoms = tuple(a for a, _ in split)
     origins = tuple(o for _, o in split)
-    mults = tuple(sorted(row.combo.items()))
+    mults = tuple(sorted((i, Fraction(lam)) for i, lam in row.combo.items()))
     cert = FarkasCertificate(atoms, mults, row.strict, origins)
     assert cert.is_valid(), "internal error: bad Farkas certificate"
     return cert
 
 
-def _combine(pos: _Row, neg: _Row, v: Var) -> _Row:
-    kp = 1 / pos.coeffs[v]
-    kn = 1 / -neg.coeffs[v]
-    coeffs: dict = {}
-    for w, c in pos.coeffs.items():
-        coeffs[w] = c * kp
+def _combine(pos: _Row, neg: _Row, v: int) -> _Row:
+    """The gcd-reduced combination of pos and neg that cancels v: a positive
+    multiple of pos / pos_v + neg / -neg_v."""
+    a, b = pos.coeffs[v], -neg.coeffs[v]
+    g = gcd(a, b)
+    kp, kn = b // g, a // g
+    coeffs = {w: c * kp for w, c in pos.coeffs.items()}
     for w, c in neg.coeffs.items():
-        coeffs[w] = coeffs.get(w, Fraction(0)) + c * kn
-    coeffs = {w: c for w, c in coeffs.items() if c != 0}
+        coeffs[w] = coeffs.get(w, 0) + c * kn
+    coeffs = {w: c for w, c in coeffs.items() if c}
     combo = {i: lam * kp for i, lam in pos.combo.items()}
     for i, lam in neg.combo.items():
-        combo[i] = combo.get(i, Fraction(0)) + lam * kn
-    return _Row(coeffs, pos.const * kp + neg.const * kn, pos.strict or neg.strict, combo)
+        combo[i] = combo.get(i, 0) + lam * kn
+    const = pos.const * kp + neg.const * kn
+    g = gcd(const, *coeffs.values(), *combo.values())
+    if g != 1:
+        coeffs = {w: c // g for w, c in coeffs.items()}
+        combo = {i: lam // g for i, lam in combo.items()}
+        const //= g
+    return _Row(coeffs, const, pos.strict or neg.strict, combo)
 
 
 def _fourier_motzkin(split) -> Sat | Unsat:
-    rows = [_row_of(a, i) for i, (a, _) in enumerate(split)]
+    pvars = sorted({v for a, _ in split for v, _ in a.term.coeffs})
+    vidx = {v: i for i, v in enumerate(pvars)}
+    rows = [_row_of(a, i, vidx) for i, (a, _) in enumerate(split)]
     for row in rows:
         if _contradicts(row):
             return Unsat(_certificate(split, row))
-    steps = []  # (var, rows at the step it was eliminated)
+    steps = []  # (var index, rows at the step it was eliminated)
     while True:
         present: dict = {}
         for row in rows:
-            for v in row.coeffs:
-                present.setdefault(v, [0, 0])[0 if row.coeffs[v] > 0 else 1] += 1
+            for v, c in row.coeffs.items():
+                present.setdefault(v, [0, 0])[0 if c > 0 else 1] += 1
         if not present:
             break
         v = min(present, key=lambda v: (present[v][0] * present[v][1], v))
@@ -159,10 +187,7 @@ def _fourier_motzkin(split) -> Sat | Unsat:
                 if row.coeffs or row.const != 0 or row.strict:
                     rest.append(row)
         rows = rest
-    model: dict = {}
-    for a, _ in split:
-        for v in a.vars:
-            model.setdefault(v, Fraction(0))
+    vals = [Fraction(0)] * len(pvars)
     for v, vrows in reversed(steps):
         lo = hi = None
         lo_strict = hi_strict = False
@@ -171,8 +196,8 @@ def _fourier_motzkin(split) -> Sat | Unsat:
             rest_val = row.const
             for w, c in row.coeffs.items():
                 if w != v:
-                    rest_val += c * model[w]
-            bound = -rest_val / a
+                    rest_val += c * vals[w]
+            bound = Fraction(-rest_val, a)
             if a > 0:  # upper bound on v
                 if hi is None or bound < hi or (bound == hi and row.strict):
                     hi, hi_strict = bound, row.strict
@@ -180,11 +205,15 @@ def _fourier_motzkin(split) -> Sat | Unsat:
                 if lo is None or bound > lo or (bound == lo and row.strict):
                     lo, lo_strict = bound, row.strict
         if lo is not None and hi is not None:
-            model[v] = lo if lo == hi else (lo + hi) / 2
+            vals[v] = lo if lo == hi else (lo + hi) / 2
         elif lo is not None:
-            model[v] = lo if not lo_strict else lo + 1
+            vals[v] = lo if not lo_strict else lo + 1
         elif hi is not None:
-            model[v] = hi if not hi_strict else hi - 1
+            vals[v] = hi if not hi_strict else hi - 1
+    model: dict = {}
+    for a, _ in split:
+        for v in a.vars:
+            model.setdefault(v, vals[vidx[v]])
     return Sat(model)
 
 

@@ -10,6 +10,7 @@ checkers are the authority every solver result must pass.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .engine import entails, sat
@@ -115,17 +116,28 @@ def check_tree(tp: TreeProblem, labels: dict) -> list:
     failures = []
     if isinstance(sat(labels[tp.root]), Sat):
         failures.append("root-label-not-false")
+    kids = tp.child_map()
+    order = tp.post_order()
+    pos = {v: i for i, v in enumerate(order)}
+    first = {}  # subtree(v) is order[first[v]..pos[v]]
+    occurs: dict = {}  # variable -> ascending post-order positions of its nodes
+    for i, v in enumerate(order):
+        first[v] = first[kids[v][0]] if kids[v] else i
+        for x in free_vars(tp.labels[v]):
+            occurs.setdefault(x, []).append(i)
     for v in tp.nodes:
-        premises = [tp.labels[v]] + [labels[c] for c in tp.children(v)]
+        premises = [tp.labels[v]] + [labels[c] for c in kids[v]]
         if not entails(premises, labels[v]):
             failures.append(f"node-entailment-{v}")
-        inside = tp.subtree(v)
-        below = frozenset().union(
-            *(free_vars(tp.labels[w]) for w in inside), frozenset())
-        above = frozenset().union(
-            *(free_vars(tp.labels[w]) for w in tp.nodes if w not in inside), frozenset())
-        if not free_vars(labels[v]) <= (below & above):
-            failures.append(f"variable-condition-{v}")
+        lo, hi = first[v], pos[v]
+        for x in free_vars(labels[v]):
+            at = occurs.get(x, [])
+            k = bisect_left(at, lo)
+            below = k < len(at) and at[k] <= hi
+            above = bool(at) and (at[0] < lo or at[-1] > hi)
+            if not (below and above):
+                failures.append(f"variable-condition-{v}")
+                break
     return failures
 
 

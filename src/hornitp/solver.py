@@ -77,6 +77,7 @@ from .terms import (
     free_vars,
     rename_vars,
     to_dnf,
+    weighted_sum,
 )
 
 DEFAULT_EXPANSION_LIMIT = 100_000
@@ -329,28 +330,28 @@ def _certificate_labels(tp: TreeProblem, order: list, options: SolverOptions):
             for j, lam in cert.multipliers:
                 used[owner[cert.origins[j]]].append((cert.atoms[j], lam))
             certified.append((sigma, used))
-    choices = []  # (sigma, [I_sigma], [weighted sum], used)
+    choices = []  # (sigma, [I_sigma], [weighted sum], [remaining-atom sum])
     for sigma, used in certified:
+        own = [[(a.term, lam) for a, lam in u] for u in used]
+        own_strict = [any(a.rel == LT and lam > 0 for a, lam in u) for u in used]
         sums, strict, itps = [], [], []
         for i in range(n):
-            s = LinearTerm.const(0)
-            st = False
-            for a, lam in used[i]:
-                s = s + a.term.scale(lam)
-                st = st or (a.rel == LT and lam > 0)
-            for c in kids[i]:
-                s = s + sums[c]
-                st = st or strict[c]
-            sums.append(s)
-            strict.append(st)
-            itps.append(FALSE if i == n - 1 else atom(s, LT if st else LE))
-        choices.append((sigma, itps, sums, used))
+            sums.append(weighted_sum(own[i] + [(sums[c], 1) for c in kids[i]]))
+            strict.append(own_strict[i] or any(strict[c] for c in kids[i]))
+            itps.append(FALSE if i == n - 1 else atom(sums[i], LT if strict[i] else LE))
+        # rest[i]: the certificate atoms of the nodes from i on, summed into
+        # one atom, strict when one of them is
+        rest = [LinearAtom(LinearTerm.const(0), LE)] * (n + 1)
+        for i in reversed(range(n)):
+            rest[i] = LinearAtom(weighted_sum(own[i] + [(rest[i + 1].term, 1)]),
+                                 LT if own_strict[i] or rest[i + 1].rel == LT else LE)
+        choices.append((sigma, itps, sums, rest))
     invariant_checks = 0
     frontier: list = []
     for i in range(n):
         frontier = [w for w in frontier if parent[w] != i] + [i]
-        for _, itps, sums, used in choices:
-            if not _frontier_refuted(frontier, itps, sums, used[i + 1:]):
+        for _, itps, sums, rest in choices:
+            if not _frontier_refuted(frontier, itps, sums, rest[i + 1]):
                 raise SolverInternalError(f"frontier invariant violated after node {order[i]}")
         invariant_checks += 1
     labels = {}
@@ -363,10 +364,11 @@ def _certificate_labels(tp: TreeProblem, order: list, options: SolverOptions):
     return labels, invariant_checks
 
 
-def _frontier_refuted(frontier: list, itps: list, sums: list, remaining: list) -> bool:
+def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) -> bool:
     """Whether the frontier labels of one cube choice, each canonical atom
-    weighted by the inverse of its canonicalisation scale, and the
-    certificate's remaining cube atoms still form a Farkas certificate."""
+    weighted by the inverse of its canonicalisation scale, and ``rest``, the
+    certificate's remaining cube atoms summed into one, still form a Farkas
+    certificate."""
     weighted = []
     for w in frontier:
         label = itps[w]
@@ -375,8 +377,7 @@ def _frontier_refuted(frontier: list, itps: list, sums: list, remaining: list) -
         if label is not TRUE:
             a = label.atom
             weighted.append((a, sums[w].coeffs[0][1] / a.term.coeffs[0][1]))
-    for node_atoms in remaining:
-        weighted.extend(node_atoms)
+    weighted.append((rest, Fraction(1)))
     atoms = tuple(a for a, _ in weighted)
     mults = tuple((j, lam) for j, (_, lam) in enumerate(weighted))
     strict = any(a.rel == LT and lam > 0 for a, lam in weighted)

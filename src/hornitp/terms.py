@@ -152,6 +152,17 @@ class LinearTerm:
         return s
 
 
+def weighted_sum(pairs) -> LinearTerm:
+    """sum of k * t over (LinearTerm t, k) pairs, built in one pass."""
+    acc: dict = {}
+    const = Fraction(0)
+    for t, k in pairs:
+        const += t.constant * k
+        for v, c in t.coeffs:
+            acc[v] = acc.get(v, 0) + c * k
+    return LinearTerm(tuple(sorted((v, c) for v, c in acc.items() if c)), const)
+
+
 LE = "<="
 LT = "<"
 EQ = "="

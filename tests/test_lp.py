@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 from generators import random_term
+from hornitp.engine import _cert_interpolant
 from hornitp.lp import (
     FM_VAR_CUTOFF,
+    FarkasCertificate,
     Sat,
     Unsat,
     _fourier_motzkin,
@@ -215,3 +218,151 @@ class TestSimplexRegression:
             Fraction(1), Fraction(4, 3), Fraction(14, 9), Fraction(31, 18),
             Fraction(391, 180), Fraction(137, 60), Fraction(333, 140), Fraction(517, 210),
         ]
+
+
+# ---------------------------------------------------------------------------
+# Rational Fourier-Motzkin, kept as the reference for the integer-row engine:
+# the same elimination order and keep/drop tests over Fraction rows, each
+# combination normalised to coefficient +-1 on the eliminated variable.
+# ---------------------------------------------------------------------------
+
+
+class _RefRow(NamedTuple):
+    coeffs: dict  # Var -> Fraction
+    const: Fraction
+    strict: bool
+    combo: dict  # split-atom index -> Fraction multiplier
+
+
+def _ref_contradicts(row):
+    return not row.coeffs and (row.const > 0 or (row.const == 0 and row.strict))
+
+
+def _ref_certificate(split, row):
+    return FarkasCertificate(tuple(a for a, _ in split), tuple(sorted(row.combo.items())),
+                             row.strict, tuple(o for _, o in split))
+
+
+def _ref_combine(pos, neg, v):
+    kp = 1 / pos.coeffs[v]
+    kn = 1 / -neg.coeffs[v]
+    coeffs = {w: c * kp for w, c in pos.coeffs.items()}
+    for w, c in neg.coeffs.items():
+        coeffs[w] = coeffs.get(w, Fraction(0)) + c * kn
+    coeffs = {w: c for w, c in coeffs.items() if c != 0}
+    combo = {i: lam * kp for i, lam in pos.combo.items()}
+    for i, lam in neg.combo.items():
+        combo[i] = combo.get(i, Fraction(0)) + lam * kn
+    return _RefRow(coeffs, pos.const * kp + neg.const * kn, pos.strict or neg.strict, combo)
+
+
+def _reference_fm(split):
+    rows = [_RefRow(dict(a.term.coeffs), a.term.constant, a.rel == LT, {i: Fraction(1)})
+            for i, (a, _) in enumerate(split)]
+    for row in rows:
+        if _ref_contradicts(row):
+            return Unsat(_ref_certificate(split, row))
+    steps = []
+    while True:
+        present = {}
+        for row in rows:
+            for v in row.coeffs:
+                present.setdefault(v, [0, 0])[0 if row.coeffs[v] > 0 else 1] += 1
+        if not present:
+            break
+        v = min(present, key=lambda v: (present[v][0] * present[v][1], v))
+        pos = [r for r in rows if r.coeffs.get(v, 0) > 0]
+        neg = [r for r in rows if r.coeffs.get(v, 0) < 0]
+        rest = [r for r in rows if v not in r.coeffs]
+        steps.append((v, pos + neg))
+        for p in pos:
+            for n in neg:
+                row = _ref_combine(p, n, v)
+                if _ref_contradicts(row):
+                    return Unsat(_ref_certificate(split, row))
+                if row.coeffs or row.const != 0 or row.strict:
+                    rest.append(row)
+        rows = rest
+    model = {}
+    for a, _ in split:
+        for v in a.vars:
+            model.setdefault(v, Fraction(0))
+    for v, vrows in reversed(steps):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for row in vrows:
+            a = row.coeffs[v]
+            rest_val = row.const
+            for w, c in row.coeffs.items():
+                if w != v:
+                    rest_val += c * model[w]
+            bound = -rest_val / a
+            if a > 0:
+                if hi is None or bound < hi or (bound == hi and row.strict):
+                    hi, hi_strict = bound, row.strict
+            else:
+                if lo is None or bound > lo or (bound == lo and row.strict):
+                    lo, lo_strict = bound, row.strict
+        if lo is not None and hi is not None:
+            model[v] = lo if lo == hi else (lo + hi) / 2
+        elif lo is not None:
+            model[v] = lo if not lo_strict else lo + 1
+        elif hi is not None:
+            model[v] = hi if not hi_strict else hi - 1
+    return Sat(model)
+
+
+def _small_fractional_system(rng):
+    """2-7 atoms over 1-6 Int or Real variables, coefficients c/q, fractional
+    constants, relations <=, < and =."""
+    pool = [Var(f"f{i}", rng.choice([INT, REAL])) for i in range(rng.randint(1, 6))]
+    atoms = []
+    for _ in range(rng.randint(2, 7)):
+        coeffs = {v: Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.choice([1, 2, 3, 5]))
+                  for v in rng.sample(pool, rng.randint(1, min(3, len(pool))))}
+        const = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7]))
+        atoms.append(LinearAtom(LinearTerm.make(coeffs, const), rng.choice([LE, LT, EQ])))
+    return atoms
+
+
+class TestIntegerFourierMotzkin:
+    def test_agrees_with_rational_reference(self):
+        rng = random.Random(59)
+        verdicts = {Sat: 0, Unsat: 0}
+        for trial in range(300):
+            atoms = _small_fractional_system(rng)
+            split = split_equalities(atoms)
+            new, ref = _fourier_motzkin(split), _reference_fm(split)
+            assert type(new) is type(ref), (trial, atoms)
+            verdicts[type(new)] += 1
+            if isinstance(new, Sat):
+                assert list(new.model.items()) == list(ref.model.items()), (trial, atoms)
+                assert all(isinstance(x, Fraction) for x in new.model.values())
+                continue
+            cert, rcert = new.certificate, ref.certificate
+            assert cert.is_valid() and cert.strict == rcert.strict, (trial, atoms)
+            assert [i for i, _ in cert.multipliers] == [i for i, _ in rcert.multipliers]
+            ratios = {lam / rlam for (_, lam), (_, rlam) in
+                      zip(cert.multipliers, rcert.multipliers)}
+            assert len(ratios) == 1 and ratios.pop() > 0, (trial, atoms)
+            for n_a in range(len(atoms) + 1):
+                assert _cert_interpolant(cert, n_a) == _cert_interpolant(rcert, n_a)
+        assert verdicts[Sat] > 50 and verdicts[Unsat] > 50
+
+    def test_pinned_integer_certificate(self):
+        # -x/2 - 3y/5 - 5/2 <= 0, x + 2 <= 0 and -x/2 + 4y/5 + 2 < 0 scale to
+        # rows -5x - 6y - 25, x + 2 and -5x + 8y + 20 (combos 10, 1, 10);
+        # eliminating y gives -35x - 40 (combos 40, 30), gcd-reduced by 5 to
+        # -7x - 8, and eliminating x then leaves 6 < 0.  Rational FM finds
+        # the multipliers 8/7, 1 and 6/7.
+        x, y = Var("x", REAL), Var("y", REAL)
+        atoms = [
+            LinearAtom(LinearTerm.make({x: Fraction(-1, 2), y: Fraction(-3, 5)}, Fraction(-5, 2)), LE),
+            LinearAtom(LinearTerm.make({x: Fraction(1)}, Fraction(2)), LE),
+            LinearAtom(LinearTerm.make({x: Fraction(-1, 2), y: Fraction(4, 5)}, Fraction(2)), LT),
+        ]
+        res = _fourier_motzkin(split_equalities(atoms))
+        assert isinstance(res, Unsat)
+        cert = res.certificate
+        assert cert.multipliers == ((0, Fraction(8)), (1, Fraction(7)), (2, Fraction(6)))
+        assert cert.strict and cert.weighted_sum() == LinearTerm.const(6)

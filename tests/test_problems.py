@@ -4,7 +4,11 @@ import random
 
 import pytest
 
+from generators import random_cube
 from hornitp import chc, solver
+from hornitp.engine import entails, sat
+from hornitp.errors import NotUnsat
+from hornitp.lp import Sat
 from hornitp.problems import (
     DagProblem,
     SequenceProblem,
@@ -13,7 +17,20 @@ from hornitp.problems import (
     check_sequence,
     check_tree,
 )
-from hornitp.terms import FALSE, INT, TRUE, LinearTerm, Var, cand, eq, ge, le, lt
+from hornitp.terms import (
+    FALSE,
+    INT,
+    TRUE,
+    LinearTerm,
+    Var,
+    cand,
+    cor,
+    eq,
+    free_vars,
+    ge,
+    le,
+    lt,
+)
 
 X = Var("x", INT)
 Y = Var("y", INT)
@@ -125,6 +142,72 @@ class TestTree:
                                         {v: TRUE for v in names}, names[0]))
         for tp in problems:
             assert tp.post_order() == recursive(tp)
+
+
+def _reference_check_tree(tp, labels):
+    """check_tree as the definition reads: subtree(v) by reachability."""
+    failures = []
+    if isinstance(sat(labels[tp.root]), Sat):
+        failures.append("root-label-not-false")
+    for v in tp.nodes:
+        premises = [tp.labels[v]] + [labels[c] for c in tp.children(v)]
+        if not entails(premises, labels[v]):
+            failures.append(f"node-entailment-{v}")
+        inside = tp.subtree(v)
+        below = frozenset().union(*(free_vars(tp.labels[w]) for w in inside), frozenset())
+        above = frozenset().union(
+            *(free_vars(tp.labels[w]) for w in tp.nodes if w not in inside), frozenset())
+        if not free_vars(labels[v]) <= (below & above):
+            failures.append(f"variable-condition-{v}")
+    return failures
+
+
+class TestCheckTreeBookkeeping:
+    FOREIGN = LinearTerm.of(Var("foreign", INT))
+
+    def _cases(self):
+        """(problem, labeling): solved tests/data trees and seeded random
+        trees, each with its valid labeling, one label weakened to true and
+        one label disjoined with an atom over a foreign variable."""
+        log = []
+        solver.tree_log = log
+        try:
+            for name in ("increment_treelike", "increment_unwound"):
+                with open(f"tests/data/{name}.chc") as fh:
+                    solver.solve(chc.parse_chc(fh.read()))
+        finally:
+            solver.tree_log = None
+        solved = [(r["problem"], r["labels"]) for r in log]
+        rng = random.Random(13)
+        pool = [Var(f"u{i}", INT) for i in range(3)]
+        while len(solved) < len(log) + 20:
+            n = rng.randint(1, 7)
+            edges = frozenset((rng.randrange(i), i) for i in range(1, n))
+            tp = TreeProblem(tuple(range(n)), edges,
+                             {i: random_cube(rng, pool, max_atoms=3) for i in range(n)}, 0)
+            try:
+                solved.append((tp, solver.tree_interpolate(tp)))
+            except NotUnsat:
+                continue
+        cases = []
+        for tp, labels in solved:
+            cases.append((tp, labels))
+            for change in (lambda c: TRUE, lambda c: cor(c, eq(self.FOREIGN, 7))):
+                v = rng.choice(tp.nodes)
+                cases.append((tp, {**labels, v: change(labels[v])}))
+        return cases
+
+    def test_failures_match_the_definition(self, monkeypatch):
+        cases = self._cases()
+        expected = [_reference_check_tree(tp, labels) for tp, labels in cases]
+        assert sum(e == [] for e in expected) >= 23
+        assert sum(any(f.startswith("variable-condition") for f in e) for e in expected) >= 10
+
+        def no_edge_scans(self, v):
+            raise AssertionError("check_tree rescanned the edges")
+
+        monkeypatch.setattr(TreeProblem, "children", no_edge_scans)
+        assert [check_tree(tp, labels) for tp, labels in cases] == expected
 
 
 class TestDag:

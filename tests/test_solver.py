@@ -15,6 +15,7 @@ from hornitp.errors import (
     ExpansionLimitExceeded,
     NotUnsat,
     RecursiveSystem,
+    SolverInternalError,
     UnknownResult,
 )
 from hornitp.horn import (
@@ -48,6 +49,7 @@ from hornitp.solver import (
 from hornitp.terms import (
     FALSE,
     INT,
+    REAL,
     TRUE,
     LinearTerm,
     Var,
@@ -360,6 +362,18 @@ class TestCertificateLabels:
         with pytest.raises(NotUnsat) as exc:
             tree_interpolate(_path_tree(labels))
         assert all(evaluate(c, exc.value.model) for c in labels)
+
+    def test_weakened_labels_fail_the_frontier_check(self, monkeypatch):
+        # x >= 0, y = x, y < 0 over the reals: the certificate sums to 0 < 0,
+        # at every scale, so labels weakened by 1 leave -1 < 0
+        x, y = Var("x", REAL), Var("y", REAL)
+        tp = _path_tree([ge(LinearTerm.of(x), 0), eq(LinearTerm.of(y), LinearTerm.of(x)),
+                         lt(LinearTerm.of(y), 0)])
+        assert check_tree(tp, tree_interpolate(tp)) == []
+        weakened = solver.atom
+        monkeypatch.setattr(solver, "atom", lambda term, rel: weakened(term - 1, rel))
+        with pytest.raises(SolverInternalError, match="frontier invariant violated after node 0"):
+            tree_interpolate(tp)
 
     def test_cube_product_over_limit(self):
         # five labels of two cubes each: 32 choices
