@@ -113,20 +113,36 @@ def sequence_from_linear_treelike(nhc: NormalizedClauseSet) -> list:
 def tree_problem_to_horn(tp: TreeProblem) -> ClauseSet:
     """One clause per node plus a root-to-false clause; tree-like by
     construction, with argument vectors given by the subtree/context
-    shared-variable sets."""
-    vectors = {}
-    symbols = {}
-    all_nodes = set(tp.nodes)
-    for v in tp.nodes:
-        inside = tp.subtree(v)
-        below = frozenset().union(*(free_vars(tp.labels[w]) for w in inside), frozenset())
-        above = frozenset().union(
-            *(free_vars(tp.labels[w]) for w in all_nodes - inside), frozenset())
-        vectors[v] = sorted(below & above)
-        symbols[v] = _symbol_for(f"p_{v}", vectors[v])
+    shared-variable sets.
+
+    A variable is shared at v when it occurs both inside and outside the
+    subtree of v.  Subtrees are post-order intervals, so the nodes that
+    share it are those met walking up from each node where it occurs,
+    stopping at the first subtree that holds all of its occurrences."""
+    kids = tp.child_map()
+    order = tp.post_order()
+    pos = {v: i for i, v in enumerate(order)}
+    first = {}  # subtree(v) is order[first[v]..pos[v]]
+    parent = {}
+    occurs: dict = {}  # variable -> its nodes, in post order
+    for i, v in enumerate(order):
+        first[v] = first[kids[v][0]] if kids[v] else i
+        for c in kids[v]:
+            parent[c] = v
+        for x in free_vars(tp.labels[v]):
+            occurs.setdefault(x, []).append(v)
+    shared: dict = {v: set() for v in order}
+    for x, at in occurs.items():
+        lo, hi = pos[at[0]], pos[at[-1]]
+        for u in at:
+            while not (first[u] <= lo and hi <= pos[u]) and x not in shared[u]:
+                shared[u].add(x)
+                u = parent[u]
+    vectors = {v: sorted(xs) for v, xs in shared.items()}
+    symbols = {v: _symbol_for(f"p_{v}", vectors[v]) for v in order}
     clauses = []
     for v in sorted(tp.nodes, key=str):
-        body = tuple(_atom_on(symbols[c], vectors[c]) for c in tp.children(v))
+        body = tuple(_atom_on(symbols[c], vectors[c]) for c in kids[v])
         clauses.append(HornClause(tp.labels[v], body, _atom_on(symbols[v], vectors[v])))
     clauses.append(HornClause(TRUE, (_atom_on(symbols[tp.root], vectors[tp.root]),), None))
     return ClauseSet.make(clauses)

@@ -43,7 +43,7 @@ class FarkasCertificate:
     """
 
     atoms: tuple
-    multipliers: tuple  # of (atom index, Fraction >= 0)
+    multipliers: tuple  # of (atom index, int or Fraction >= 0)
     strict: bool
     origins: tuple
 
@@ -131,7 +131,7 @@ def _contradicts(row: _Row) -> bool:
 def _certificate(split, row: _Row) -> FarkasCertificate:
     atoms = tuple(a for a, _ in split)
     origins = tuple(o for _, o in split)
-    mults = tuple(sorted((i, Fraction(lam)) for i, lam in row.combo.items()))
+    mults = tuple(sorted(row.combo.items()))
     cert = FarkasCertificate(atoms, mults, row.strict, origins)
     assert cert.is_valid(), "internal error: bad Farkas certificate"
     return cert

@@ -31,6 +31,7 @@ from .terms import (
     Constraint,
     LinearTerm,
     Var,
+    _rat,
     atom,
     cand,
     cnot,
@@ -127,21 +128,22 @@ def parse_one(text: str) -> SNode:
 # ---------------------------------------------------------------------------
 
 
-def parse_number(node: SNode) -> Fraction:
+def parse_number(node: SNode) -> int | Fraction:
+    """An int for an integral literal, else a Fraction (never a float)."""
     if not node.is_atom:
         raise ParseError("expected a number", node.line, node.col)
     try:
         if "/" in node.value:
             num, den = node.value.split("/", 1)
-            return Fraction(int(num), int(den))
+            return _rat(Fraction(int(num), int(den)))
         if "." in node.value:
-            return Fraction(node.value)
-        return Fraction(int(node.value))
+            return _rat(Fraction(node.value))
+        return int(node.value)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"malformed number {node.value!r}", node.line, node.col) from None
 
 
-def number_str(q: Fraction) -> str:
+def number_str(q: int | Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -308,5 +310,5 @@ def parse_model(node: SNode, variables: dict) -> dict:
             raise ParseError("malformed model entry", e.line, e.col)
         name = e.items[0].value
         v = variables.get(name, Var(name, INT))
-        out[v] = parse_number(e.items[1])
+        out[v] = Fraction(parse_number(e.items[1]))
     return out

@@ -303,7 +303,7 @@ def _certificate_labels(tp: TreeProblem, order: list, options: SolverOptions):
         # a false label refutes the conjunction by itself, as the ground
         # atom 1 <= 0 would: the subtrees holding one get false
         contradiction = LinearAtom(LinearTerm.const(1), LE)
-        certified.append(((), [[(contradiction, Fraction(1))] if tp.labels[v] is FALSE
+        certified.append(((), [[(contradiction, 1)] if tp.labels[v] is FALSE
                                else [] for v in order]))
     else:
         cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in order]
@@ -376,8 +376,8 @@ def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) 
             return True
         if label is not TRUE:
             a = label.atom
-            weighted.append((a, sums[w].coeffs[0][1] / a.term.coeffs[0][1]))
-    weighted.append((rest, Fraction(1)))
+            weighted.append((a, Fraction(sums[w].coeffs[0][1], a.term.coeffs[0][1])))
+    weighted.append((rest, 1))
     atoms = tuple(a for a, _ in weighted)
     mults = tuple((j, lam) for j, (_, lam) in enumerate(weighted))
     strict = any(a.rel == LT and lam > 0 for a, lam in weighted)

@@ -2,8 +2,11 @@
 
 Variables are Int- or Real-sorted, terms are exact rational linear
 combinations, and constraints are and/or/not trees over atoms of the shape
-``term rel 0``.  All arithmetic uses :class:`fractions.Fraction`; nothing in
-this package touches floating point.
+``term rel 0``.  Every coefficient and constant is a Python ``int`` when it
+is integral and a :class:`fractions.Fraction` with denominator > 1
+otherwise; canonical atoms have coprime int coefficients, so most term
+arithmetic is plain int arithmetic.  Nothing in this package touches
+floating point.
 """
 
 from __future__ import annotations
@@ -20,14 +23,15 @@ REAL = "Real"
 
 DEFAULT_CUBE_LIMIT = 10_000
 
-Rat = Fraction
 
-
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _rat(x):
+    """x as an int when integral, else as a Fraction with denominator > 1."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -44,34 +48,30 @@ class Var:
 class LinearTerm:
     """coeffs * vars + constant, with no zero coefficients stored."""
 
-    coeffs: tuple  # sorted tuple of (Var, Fraction)
-    constant: Fraction
+    coeffs: tuple  # sorted tuple of (Var, nonzero int or Fraction)
+    constant: object  # int, or Fraction with denominator > 1
 
     @staticmethod
     def make(coeffs: Mapping[Var, Fraction] | Iterable = (), constant=0) -> "LinearTerm":
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        acc: dict[Var, Fraction] = {}
+        acc: dict = {}
         for v, c in items:
-            c = _rat(c)
-            if c == 0:
-                continue
-            acc[v] = acc.get(v, Fraction(0)) + c
-        clean = tuple(sorted(((v, c) for v, c in acc.items() if c != 0)))
-        return LinearTerm(clean, _rat(constant))
+            acc[v] = acc.get(v, 0) + _rat(c)
+        return LinearTerm(_clean(acc), _rat(constant))
 
     @staticmethod
     def of(v: Var) -> "LinearTerm":
-        return LinearTerm(((v, Fraction(1)),), Fraction(0))
+        return LinearTerm(((v, 1),), 0)
 
     @staticmethod
     def const(x) -> "LinearTerm":
         return LinearTerm((), _rat(x))
 
-    def coeff(self, v: Var) -> Fraction:
+    def coeff(self, v: Var):
         for w, c in self.coeffs:
             if w == v:
                 return c
-        return Fraction(0)
+        return 0
 
     @property
     def vars(self) -> frozenset:
@@ -86,17 +86,17 @@ class LinearTerm:
     def scale(self, k) -> "LinearTerm":
         k = _rat(k)
         if k == 0:
-            return LinearTerm((), Fraction(0))
-        return LinearTerm(tuple((v, c * k) for v, c in self.coeffs), self.constant * k)
+            return LinearTerm((), 0)
+        return LinearTerm(tuple([(v, _rat(c * k)) for v, c in self.coeffs]),
+                          _rat(self.constant * k))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = LinearTerm.const(other)
         acc = dict(self.coeffs)
         for v, c in other.coeffs:
-            acc[v] = acc.get(v, Fraction(0)) + c
-        clean = tuple(sorted((v, c) for v, c in acc.items() if c != 0))
-        return LinearTerm(clean, self.constant + other.constant)
+            acc[v] = acc.get(v, 0) + c
+        return LinearTerm(_clean(acc), _rat(self.constant + other.constant))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -124,16 +124,15 @@ class LinearTerm:
         return total
 
     def substituted(self, sigma: Mapping[Var, "LinearTerm"]) -> "LinearTerm":
-        out = LinearTerm.const(self.constant)
+        pairs = [(LinearTerm((), self.constant), 1)]
         for v, c in self.coeffs:
             repl = sigma.get(v)
             if repl is None:
-                out = out + LinearTerm.of(v).scale(c)
-            else:
-                if v.sort == INT and any(w.sort != INT for w in repl.vars):
-                    raise SortMismatch(f"cannot substitute Real-sorted term for Int variable {v.name}")
-                out = out + repl.scale(c)
-        return out
+                repl = LinearTerm.of(v)
+            elif v.sort == INT and any(w.sort != INT for w, _ in repl.coeffs):
+                raise SortMismatch(f"cannot substitute Real-sorted term for Int variable {v.name}")
+            pairs.append((repl, c))
+        return weighted_sum(pairs)
 
     def __repr__(self):
         if not self.coeffs:
@@ -152,15 +151,21 @@ class LinearTerm:
         return s
 
 
+def _clean(acc: dict) -> tuple:
+    """The sorted nonzero (Var, coefficient) pairs of acc, each normalised:
+    a sum of Fractions may be integral."""
+    return tuple(sorted((v, c if type(c) is int else _rat(c)) for v, c in acc.items() if c))
+
+
 def weighted_sum(pairs) -> LinearTerm:
     """sum of k * t over (LinearTerm t, k) pairs, built in one pass."""
     acc: dict = {}
-    const = Fraction(0)
+    const = 0
     for t, k in pairs:
         const += t.constant * k
         for v, c in t.coeffs:
             acc[v] = acc.get(v, 0) + c * k
-    return LinearTerm(tuple(sorted((v, c) for v, c in acc.items() if c)), const)
+    return LinearTerm(_clean(acc), _rat(const))
 
 
 LE = "<="
@@ -212,27 +217,26 @@ def _canonical_atom(term: LinearTerm, rel: str):
     if term.is_constant():
         c = term.constant
         return {LE: c <= 0, LT: c < 0, EQ: c == 0, NE: c != 0}[rel]
-    denom_lcm = 1
-    num_gcd = 0
+    # scaling by lcm(denominators) / gcd(numerators) gives coprime ints
+    den, g = 1, 0
     for _, c in term.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-        num_gcd = math.gcd(num_gcd, abs(c.numerator))
-    term = term.scale(Fraction(denom_lcm, 1))
-    g = 0
-    for _, c in term.coeffs:
-        g = math.gcd(g, int(c))
-    if g > 1:
-        term = term.scale(Fraction(1, g))
+        den = math.lcm(den, c.denominator)
+        g = math.gcd(g, c.numerator)
     if rel in (EQ, NE) and term.coeffs[0][1] < 0:
-        term = -term
+        g = -g
+    if den != 1 or g != 1:
+        k = term.constant * den
+        term = LinearTerm(
+            tuple([(v, c.numerator * (den // c.denominator) // g) for v, c in term.coeffs]),
+            k // g if type(k) is int and k % g == 0 else _rat(Fraction(k, g)))
     if term.all_int_sorted():
         c = term.constant
         if rel == LE:
-            term = LinearTerm(term.coeffs, Fraction(math.ceil(c)))
+            term = LinearTerm(term.coeffs, math.ceil(c))
         elif rel == LT:
-            term = LinearTerm(term.coeffs, Fraction(math.floor(c) + 1))
+            term = LinearTerm(term.coeffs, math.floor(c) + 1)
             rel = LE
-        elif c.denominator != 1:
+        elif type(c) is not int:
             return rel == NE  # no integer solutions: = is false, != is true
     return LinearAtom(term, rel)
 
@@ -340,38 +344,38 @@ def _as_term(x) -> LinearTerm:
 
 
 def cand(*args) -> Constraint:
-    flat = []
+    flat: dict = {}  # insertion-ordered set: first occurrences in order
     for a in args:
         if a is TRUE:
             continue
         if a is FALSE:
             return FALSE
         if isinstance(a, CAnd):
-            flat.extend(x for x in a.args if x not in flat)
-        elif a not in flat:
-            flat.append(a)
+            flat.update(dict.fromkeys(a.args))
+        else:
+            flat[a] = None
     if not flat:
         return TRUE
     if len(flat) == 1:
-        return flat[0]
+        return next(iter(flat))
     return CAnd(tuple(flat))
 
 
 def cor(*args) -> Constraint:
-    flat = []
+    flat: dict = {}  # insertion-ordered set: first occurrences in order
     for a in args:
         if a is FALSE:
             continue
         if a is TRUE:
             return TRUE
         if isinstance(a, COr):
-            flat.extend(x for x in a.args if x not in flat)
-        elif a not in flat:
-            flat.append(a)
+            flat.update(dict.fromkeys(a.args))
+        else:
+            flat[a] = None
     if not flat:
         return FALSE
     if len(flat) == 1:
-        return flat[0]
+        return next(iter(flat))
     return COr(tuple(flat))
 
 
@@ -540,11 +544,4 @@ def to_dnf(c: Constraint, limit: int = DEFAULT_CUBE_LIMIT) -> list:
             acc = [x + y for x in acc for y in alts]
         return acc
 
-    cubes = []
-    for raw in go(nnf):
-        seen = []
-        for a in raw:
-            if a not in seen:
-                seen.append(a)
-        cubes.append(Cube(tuple(seen)))
-    return cubes
+    return [Cube(tuple(dict.fromkeys(raw))) for raw in go(nnf)]

@@ -1,13 +1,19 @@
 """Reductions between interpolation problems and clause fragments."""
 
+import random
+
 import pytest
 
 import worked_examples as PE
+from generators import random_cube
+from hornitp import chc, solver
 from hornitp.analysis import classify, normalize
 from hornitp.encodings import (
     ENTRY_NODE,
     EXIT_NODE,
     FALSE_NODE,
+    _atom_on,
+    _symbol_for,
     binary_to_horn,
     dag_problem_from_linear,
     dag_problem_to_horn,
@@ -17,7 +23,7 @@ from hornitp.encodings import (
     tree_problem_to_horn,
 )
 from hornitp.errors import WrongFragment
-from hornitp.horn import Solution, verify_solution
+from hornitp.horn import ClauseSet, HornClause, Solution, verify_solution
 from hornitp.problems import DagProblem, SequenceProblem, TreeProblem
 from hornitp.solver import Solved, solve
 from hornitp.terms import FALSE, INT, TRUE, LinearTerm, Var, free_vars, ge, le, lt
@@ -110,6 +116,64 @@ class TestTreeProblemToHorn:
         hc = tree_problem_to_horn(tp)
         assert len(hc.clauses) == len(tp.nodes) + 1
         assert classify(hc).tree_like
+
+
+def _reference_tree_problem_to_horn(tp):
+    """tree_problem_to_horn as the definition reads: every subtree by
+    reachability, every shared set by union over the nodes in and out."""
+    vectors = {}
+    symbols = {}
+    all_nodes = set(tp.nodes)
+    for v in tp.nodes:
+        inside = tp.subtree(v)
+        below = frozenset().union(*(free_vars(tp.labels[w]) for w in inside), frozenset())
+        above = frozenset().union(
+            *(free_vars(tp.labels[w]) for w in all_nodes - inside), frozenset())
+        vectors[v] = sorted(below & above)
+        symbols[v] = _symbol_for(f"p_{v}", vectors[v])
+    clauses = []
+    for v in sorted(tp.nodes, key=str):
+        body = tuple(_atom_on(symbols[c], vectors[c]) for c in tp.children(v))
+        clauses.append(HornClause(tp.labels[v], body, _atom_on(symbols[v], vectors[v])))
+    clauses.append(HornClause(TRUE, (_atom_on(symbols[tp.root], vectors[tp.root]),), None))
+    return ClauseSet.make(clauses)
+
+
+class TestTreeProblemToHornBookkeeping:
+    def _problems(self):
+        """The trees solved for tests/data, then seeded random trees with
+        mixed node names and cube labels over a small shared pool."""
+        log = []
+        solver.tree_log = log
+        try:
+            for name in ("increment_treelike", "increment_unwound"):
+                with open(f"tests/data/{name}.chc") as fh:
+                    solver.solve(chc.parse_chc(fh.read()))
+        finally:
+            solver.tree_log = None
+        problems = [r["problem"] for r in log]
+        assert len(problems) >= 3
+        rng = random.Random(31)
+        pool = [Var(f"u{i}", INT) for i in range(6)]
+        for _ in range(60):
+            n = rng.randint(1, 30)
+            names = [i if rng.random() < 0.5 else f"n{i}" for i in range(n)]
+            edges = frozenset((names[rng.randrange(i)], names[i]) for i in range(1, n))
+            labels = {v: random_cube(rng, pool, max_atoms=2) for v in names}
+            problems.append(TreeProblem(tuple(names), edges, labels, names[0]))
+        return problems
+
+    def test_same_clause_set_as_the_definition(self, monkeypatch):
+        problems = self._problems()
+        expected = [_reference_tree_problem_to_horn(tp) for tp in problems]
+        assert sum(any(s.arity for s in hc.relations) for hc in expected) >= 40
+
+        def no_scans(self, v):
+            raise AssertionError("tree_problem_to_horn rescanned the edges")
+
+        monkeypatch.setattr(TreeProblem, "children", no_scans)
+        monkeypatch.setattr(TreeProblem, "subtree", no_scans)
+        assert [tree_problem_to_horn(tp) for tp in problems] == expected
 
 
 class TestTreeProblemFromTreelike:

@@ -257,7 +257,8 @@ def _ref_combine(pos, neg, v):
 
 
 def _reference_fm(split):
-    rows = [_RefRow(dict(a.term.coeffs), a.term.constant, a.rel == LT, {i: Fraction(1)})
+    rows = [_RefRow({v: Fraction(c) for v, c in a.term.coeffs}, Fraction(a.term.constant),
+                    a.rel == LT, {i: Fraction(1)})
             for i, (a, _) in enumerate(split)]
     for row in rows:
         if _ref_contradicts(row):

@@ -1,5 +1,6 @@
 """Constraint language: terms, canonical atoms, DNF, evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from generators import random_constraint
 from hornitp.errors import CubeLimitExceeded, SortMismatch
+from hornitp.sexpr import parse_constraint, parse_number, parse_one
 from hornitp.terms import (
     EQ,
     FALSE,
@@ -18,10 +20,16 @@ from hornitp.terms import (
     NE,
     REAL,
     TRUE,
+    CAnd,
     CAtom,
+    COr,
     Cube,
+    LinearAtom,
     LinearTerm,
     Var,
+    _atom_cubes,
+    _canonical_atom,
+    _nnf,
     atom,
     cand,
     cnot,
@@ -35,6 +43,7 @@ from hornitp.terms import (
     ne,
     substitute,
     to_dnf,
+    weighted_sum,
 )
 
 X = Var("x", INT)
@@ -186,3 +195,218 @@ def test_evaluate_respects_structure(x, y):
     assert evaluate(cand(c1, c2), m) == (evaluate(c1, m) and evaluate(c2, m))
     assert evaluate(cor(c1, c2), m) == (evaluate(c1, m) or evaluate(c2, m))
     assert evaluate(cnot(c1), m) == (not evaluate(c1, m))
+
+
+# ---------------------------------------------------------------------------
+# Coefficient representation: ints where integral, Fractions otherwise
+# ---------------------------------------------------------------------------
+
+
+def _reference_canonical_atom(term, rel):
+    """_canonical_atom over Fractions throughout: scale by the lcm of the
+    denominators, divide by the gcd, flip = and != to a positive leading
+    coefficient, then tighten all-Int atoms."""
+    coeffs = [(v, Fraction(c)) for v, c in term.coeffs]
+    const = Fraction(term.constant)
+    if not coeffs:
+        return {LE: const <= 0, LT: const < 0, EQ: const == 0, NE: const != 0}[rel]
+    denom_lcm = 1
+    for _, c in coeffs:
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    coeffs = [(v, c * denom_lcm) for v, c in coeffs]
+    const *= denom_lcm
+    g = 0
+    for _, c in coeffs:
+        g = math.gcd(g, int(c))
+    if g > 1:
+        coeffs = [(v, c / g) for v, c in coeffs]
+        const /= g
+    if rel in (EQ, NE) and coeffs[0][1] < 0:
+        coeffs = [(v, -c) for v, c in coeffs]
+        const = -const
+    if all(v.sort == INT for v, _ in coeffs):
+        if rel == LE:
+            const = Fraction(math.ceil(const))
+        elif rel == LT:
+            const = Fraction(math.floor(const) + 1)
+            rel = LE
+        elif const.denominator != 1:
+            return rel == NE
+    return LinearAtom(LinearTerm(tuple(coeffs), const), rel)
+
+
+_REL_HOLDS = {LE: lambda x: x <= 0, LT: lambda x: x < 0,
+              EQ: lambda x: x == 0, NE: lambda x: x != 0}
+
+
+def _random_rational_term(rng, pool):
+    coeffs = {v: Fraction(rng.choice([-6, -4, -3, -2, -1, 1, 2, 3, 4, 6]),
+                          rng.choice([1, 1, 2, 3, 4, 6]))
+              for v in rng.sample(pool, rng.randint(0, len(pool)))}
+    return LinearTerm.make(coeffs, Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 5])))
+
+
+def _assert_representation(t: LinearTerm):
+    for c in [c for _, c in t.coeffs] + [t.constant]:
+        assert not isinstance(c, float), t
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), (t, c)
+
+
+class TestIntegerRepresentation:
+    def test_canonical_atom_matches_fraction_reference(self):
+        rng = random.Random(41)
+        ints = [Var(f"i{k}", INT) for k in range(3)]
+        reals = [Var(f"r{k}", REAL) for k in range(3)]
+        folded = 0
+        for trial in range(1500):
+            pool = rng.choice([ints, reals, ints[:2] + reals[:1]])
+            term, rel = _random_rational_term(rng, pool), rng.choice([LE, LT, EQ, NE])
+            got, want = _canonical_atom(term, rel), _reference_canonical_atom(term, rel)
+            assert got == want, (trial, term, rel)
+            if isinstance(got, bool):
+                folded += 1
+                continue
+            assert all(type(c) is int for _, c in got.term.coeffs), got
+            _assert_representation(got.term)
+            for _ in range(4):
+                m = {v: Fraction(rng.randint(-6, 6), 1 if v.sort == INT else rng.choice([1, 2, 3]))
+                     for v in pool}
+                assert got.holds(m) == want.holds(m) == _REL_HOLDS[rel](term.evaluate(m)), \
+                    (trial, term, rel, m)
+        assert 50 < folded < 1000
+
+    def test_operations_keep_ints_and_proper_fractions(self):
+        rng = random.Random(43)
+        pool = [Var("a", INT), Var("b", INT), Var("c", REAL), Var("d", REAL)]
+        for _ in range(300):
+            s, t = _random_rational_term(rng, pool), _random_rational_term(rng, pool)
+            k = rng.choice([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-4, 3), Fraction(6, 3)])
+            sigma = {v: _random_rational_term(rng, pool[2:]) for v in pool[2:]
+                     if rng.random() < 0.5}
+            for out in (LinearTerm.make(dict(s.coeffs), s.constant), s.scale(k), s * k,
+                        s + t, s - t, -s, s + k, s - k,
+                        weighted_sum([(s, k), (t, Fraction(3, 2)), (s, 2)]),
+                        s.substituted(sigma), t.substituted({})):
+                _assert_representation(out)
+        # sums of proper fractions that cancel come back as ints
+        half = LinearTerm.of(pool[2]).scale(Fraction(1, 2))
+        whole = half + half + Fraction(1, 2) + Fraction(1, 2)
+        assert whole.coeffs == ((pool[2], 1),) and type(whole.coeffs[0][1]) is int
+        assert type(whole.constant) is int
+
+    def test_parsed_numbers_are_ints_where_integral(self):
+        for text, value in (("3", 3), ("-4", -4), ("6/3", 2), ("2.0", 2), ("0", 0)):
+            got = parse_number(parse_one(text))
+            assert type(got) is int and got == value, text
+        for text, value in (("1/2", Fraction(1, 2)), ("-0.25", Fraction(-1, 4))):
+            got = parse_number(parse_one(text))
+            assert type(got) is Fraction and got == value, text
+
+    def test_parsed_constraints_keep_ints_and_proper_fractions(self):
+        variables = {"x": X, "y": Y, "r": Var("r", REAL)}
+        texts = ["(<= (* 2/4 x) 3/1)", "(= (+ (* 1.5 r) (* 1/2 r) y) 6.0)",
+                 "(< (- (* 3 x) (* 2/3 r) 7) 1/3)", "(and (<= 0 x) (< (* 4/2 y) 10))"]
+        seen = 0
+        for text in texts:
+            c = parse_constraint(parse_one(text), variables)
+            for cube in to_dnf(c):
+                for a in cube.atoms:
+                    _assert_representation(a.term)
+                    seen += 1
+        assert seen >= 5
+
+
+def _ref_cand(*args):
+    flat = []
+    for a in args:
+        if a is TRUE:
+            continue
+        if a is FALSE:
+            return FALSE
+        if isinstance(a, CAnd):
+            flat.extend(x for x in a.args if x not in flat)
+        elif a not in flat:
+            flat.append(a)
+    if not flat:
+        return TRUE
+    if len(flat) == 1:
+        return flat[0]
+    return CAnd(tuple(flat))
+
+
+def _ref_cor(*args):
+    flat = []
+    for a in args:
+        if a is FALSE:
+            continue
+        if a is TRUE:
+            return TRUE
+        if isinstance(a, COr):
+            flat.extend(x for x in a.args if x not in flat)
+        elif a not in flat:
+            flat.append(a)
+    if not flat:
+        return FALSE
+    if len(flat) == 1:
+        return flat[0]
+    return COr(tuple(flat))
+
+
+def _ref_raw_cubes(c):
+    """to_dnf's cubes before deduplication, as atom lists."""
+    def go(c):
+        if c is TRUE:
+            return [[]]
+        if c is FALSE:
+            return []
+        if isinstance(c, CAtom):
+            return _atom_cubes(c.atom)
+        if isinstance(c, COr):
+            return [cube for a in c.args for cube in go(a)]
+        acc = [[]]
+        for a in c.args:
+            acc = [x + y for x in acc for y in go(a)]
+        return acc
+
+    return go(_nnf(c, False))
+
+
+def _ref_dedup(raw):
+    seen = []
+    for a in raw:
+        if a not in seen:
+            seen.append(a)
+    return seen
+
+
+class TestHashDedup:
+    def test_cand_cor_match_list_dedup_in_order(self):
+        rng = random.Random(47)
+        atoms = [le(TX, 0), lt(TY, 1), eq(TX - TY), ne(TX, 2), le(TX + TY, 3)]
+        pool = atoms + [TRUE, FALSE]
+        for _ in range(200):
+            a, b = rng.sample(atoms, 2)
+            pool.append(rng.choice([cand, cor, _ref_cand, _ref_cor])(a, b, rng.choice(atoms)))
+        repeated = 0
+        for _ in range(2000):
+            args = [rng.choice(pool[:7] if rng.random() < 0.5 else pool)
+                    for _ in range(rng.randint(0, 6))]
+            repeated += any(a == b for i, a in enumerate(args) for b in args[i + 1:]
+                            if a is not TRUE and a is not FALSE)
+            for new, ref in ((cand, _ref_cand), (cor, _ref_cor)):
+                got, want = new(*args), ref(*args)
+                assert got == want and repr(got) == repr(want), args
+        assert repeated > 200
+
+    def test_to_dnf_cubes_match_list_dedup_in_order(self):
+        rng = random.Random(53)
+        pool = [X, Y]
+        repeated = 0
+        for _ in range(300):
+            c = random_constraint(rng, pool, depth=3)
+            c = cand(c, cor(c, random_constraint(rng, pool)))
+            raw = _ref_raw_cubes(c)
+            want = [tuple(_ref_dedup(r)) for r in raw]
+            assert [cube.atoms for cube in to_dnf(c)] == want, c
+            repeated += any(len(w) < len(r) for w, r in zip(want, raw))
+        assert repeated > 20
