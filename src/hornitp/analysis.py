@@ -32,27 +32,25 @@ class DependenceGraph:
         for h, q in sorted(self.edges):
             succ[h].append(q)
         state: dict = {}  # 0 visiting, 1 done
-        stack_path: list = []
-
-        def visit(p):
-            state[p] = 0
-            stack_path.append(p)
-            for q in succ[p]:
-                if q not in state:
-                    cyc = visit(q)
-                    if cyc is not None:
-                        return cyc
-                elif state[q] == 0:
-                    return stack_path[stack_path.index(q):] + [q]
-            stack_path.pop()
-            state[p] = 1
-            return None
-
-        for p in sorted(self.nodes):
-            if p not in state:
-                cyc = visit(p)
-                if cyc is not None:
-                    return cyc
+        for root in sorted(self.nodes):
+            if root in state:
+                continue
+            # depth-first with an explicit stack: path[i] is being visited
+            # and todo[i] holds its successors not yet looked at
+            state[root] = 0
+            path, todo = [root], [iter(succ[root])]
+            while todo:
+                for q in todo[-1]:
+                    if q not in state:
+                        state[q] = 0
+                        path.append(q)
+                        todo.append(iter(succ[q]))
+                        break
+                    if state[q] == 0:
+                        return path[path.index(q):] + [q]
+                else:
+                    state[path.pop()] = 1
+                    todo.pop()
         return None
 
     def topological_order(self) -> list:

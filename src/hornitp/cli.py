@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cube-limit", type=int, default=None, metavar="N")
     parser.add_argument("--expansion-limit", type=int, default=None, metavar="N")
     parser.add_argument("--branch-depth", type=int, default=None, metavar="N")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument("--backend", default=None, metavar="CMD",
                         help="external interpolation command "
                              "(default: $HORNITP_BACKEND)")
@@ -73,7 +72,7 @@ def _read(path: str) -> str:
 
 
 def _budgets(args) -> SolverOptions:
-    options = SolverOptions(jobs=args.jobs)
+    options = SolverOptions()
     for flag, field in (("cube_limit", "cube_limit"),
                         ("expansion_limit", "expansion_limit"),
                         ("branch_depth", "branch_depth")):
@@ -82,8 +81,6 @@ def _budgets(args) -> SolverOptions:
             if value <= 0:
                 raise HornitpError(f"--{flag.replace('_', '-')} must be positive")
             setattr(options, field, value)
-    if args.jobs <= 0:
-        raise HornitpError("--jobs must be positive")
     return options
 
 

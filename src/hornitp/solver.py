@@ -1,21 +1,21 @@
 """End-to-end solving of recursion-free Horn clause sets.
 
-Pipeline: classify each weakly-connected component, reduce it to the
-matching interpolation problem (sequence, tree, or DAG), interpolate, map
-labels back to relation-symbol solutions, and verify.  Sequences and trees
-(and each derivation cone below) are labeled from Farkas certificates: one
-rational LP per choice of one DNF cube per node label, each certificate
-labeling every node at once by the weighted sum of its subtree's atoms; the
-choices of nodes outside a subtree are conjoined and those inside it
-disjoined.  An external interpolation backend, or a cube choice that needs
-integer branching, falls back to interpolating node by node.
-Body-disjoint sets with shared heads are solved by enumerating derivation
-cones (one defining clause per shared head) and combining the per-cone tree
-interpolants into a positive Boolean combination; general recursion-free
-sets are first made body-disjoint by duplicating derivation cones.
-Unsolvable sets produce a concrete derivation of false together with a
-satisfying model.
-"""
+Pipeline: classify each weakly-connected component and solve it on one of
+two paths, then verify the combined solution.  A linear component that is
+not tree-like is a restricted DAG interpolation problem.  Every other
+component is solved through its derivation cones of false (one defining
+clause per symbol met): a component that is not body-disjoint is first made
+so by duplicating derivation cones, each cone is one tree interpolation
+problem, and the per-cone labels combine into a positive Boolean
+combination per symbol.  Sequences are the trees that are paths, and a
+tree-like component has exactly one cone.  Trees are labeled from Farkas
+certificates: one rational LP per choice of one DNF cube per node label,
+each certificate labeling every node at once by the weighted sum of its
+subtree's atoms; the choices of nodes outside a subtree are conjoined and
+those inside it disjoined.  An external interpolation backend, or a cube
+choice that needs integer branching, falls back to interpolating node by
+node.  Unsolvable sets produce a concrete derivation of false together with
+a satisfying model."""
 
 from __future__ import annotations
 
@@ -33,9 +33,7 @@ from .analysis import (
     normalize,
 )
 from .encodings import (
-    FALSE_NODE,
     dag_problem_from_linear,
-    sequence_from_linear_treelike,
     tree_problem_from_treelike,
 )
 from .engine import DEFAULT_BRANCH_DEPTH, _fractional_int, binary_interpolant, sat
@@ -97,7 +95,6 @@ class SolverOptions:
     expansion_limit: int = DEFAULT_EXPANSION_LIMIT
     subset_limit: int = DEFAULT_SUBSET_LIMIT
     path_limit: int = DEFAULT_PATH_LIMIT
-    jobs: int = 1  # worker threads for independent connected components
     # binary interpolation entry point; replaced when an external backend
     # is configured
     interpolate: Callable = None  # (A, B, branch_depth, cube_limit) -> Interpolant
@@ -478,7 +475,7 @@ def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Body-disjoint solving (shared heads)
+# Derivation cones (body-disjoint sets)
 # ---------------------------------------------------------------------------
 
 
@@ -495,30 +492,29 @@ def _enumerate_cones(comp: ClauseSet, limit: int) -> list:
     for i, h in enumerate(clauses):
         if h.head is not None:
             by_head.setdefault(h.head.symbol, []).append(i)
-    cones: list = []
-
-    def go(pending: tuple, chosen: frozenset):
-        if len(cones) > limit:
+    cones: dict = {}  # insertion-ordered set: first occurrences in order
+    found = 0
+    # depth-first over (symbols still to derive, clauses chosen so far); the
+    # alternatives are pushed in reverse so the first defining clause is
+    # explored first
+    stack = [(tuple(b.symbol for b in clauses[false_idx[0]].body),
+              frozenset({false_idx[0]}))]
+    while stack:
+        if found > limit:
             raise SubsetLimitExceeded(limit)
+        pending, chosen = stack.pop()
         if not pending:
-            cones.append(chosen)
-            return
+            found += 1
+            cones[chosen] = None
+            continue
         s, rest = pending[0], pending[1:]
-        defining = by_head.get(s, [])
+        defining = by_head.get(s)
         if not defining:
-            go(rest, chosen)  # underivable symbol: nothing to choose
-            return
-        for ci in defining:
-            body_syms = tuple(b.symbol for b in clauses[ci].body)
-            go(rest + body_syms, chosen | {ci})
-
-    root = false_idx[0]
-    go(tuple(b.symbol for b in clauses[root].body), frozenset({root}))
-    unique = []
-    for c in cones:
-        if c not in unique:
-            unique.append(c)
-    return unique
+            stack.append((rest, chosen))  # underivable symbol: nothing to choose
+            continue
+        for ci in reversed(defining):
+            stack.append((rest + tuple(b.symbol for b in clauses[ci].body), chosen | {ci}))
+    return list(cones)
 
 
 def _subcones(comp: ClauseSet, cone: frozenset) -> dict:
@@ -529,49 +525,44 @@ def _subcones(comp: ClauseSet, cone: frozenset) -> dict:
         if h.head is not None:
             head_of[h.head.symbol] = i
     memo: dict = {}
-
-    def sub(p):
-        if p in memo:
-            return memo[p]
-        if p not in head_of:
-            memo[p] = frozenset()
-            return memo[p]
-        i = head_of[p]
-        acc = frozenset({i})
-        for b in comp.clauses[i].body:
-            acc |= sub(b.symbol)
-        memo[p] = acc
-        return acc
-
     symbols = set()
     for i in cone:
         symbols |= comp.clauses[i].symbols
     for p in symbols:
-        sub(p)
+        stack = [p]
+        while stack:
+            q = stack[-1]
+            if q in memo:
+                stack.pop()
+            elif q not in head_of:
+                memo[stack.pop()] = frozenset()
+            else:
+                body = [b.symbol for b in comp.clauses[head_of[q]].body]
+                missing = [b for b in body if b not in memo]
+                if missing:
+                    stack.append(missing[0])  # derive body symbols in order
+                else:
+                    memo[stack.pop()] = frozenset({head_of[q]}).union(*(memo[b] for b in body))
     return memo
 
 
-def _solve_body_disjoint_component(nhc: NormalizedClauseSet, comp: ClauseSet,
-                                   original: ClauseSet, options: SolverOptions):
-    """Returns a symbol->Constraint map or a Counterexample.
+def _cone_labels(nhc: NormalizedClauseSet, comp: ClauseSet, options: SolverOptions) -> dict:
+    """Symbol->Constraint map of ``comp``, a connected body-disjoint
+    component of the normalized set ``nhc``.
 
-    ``comp`` is the normalized component, ``original`` the corresponding
-    input clauses used for counterexample extraction.
+    Each derivation cone of false is one tree problem.  A symbol's solution
+    disjoins, over the groups of cones that derive the symbol by the same
+    clauses, the conjunction of the group's labels.  A component without a
+    false-head clause has no cone and gets an empty map.
     """
-    cones = _enumerate_cones(comp, options.subset_limit)
     per_cone: list = []  # (cone, labels dict, subcone map)
-    for cone in cones:
+    for cone in _enumerate_cones(comp, options.subset_limit):
         cone_set = ClauseSet.make([comp.clauses[i] for i in sorted(cone)])
         sub_nhc = NormalizedClauseSet(cone_set, nhc.arg_vectors, nhc.origin_map)
         problems = tree_problem_from_treelike(sub_nhc)
         assert len(problems) == 1, "a derivation cone is one connected tree"
-        try:
-            labels = tree_interpolate(problems[0], options)
-        except NotUnsat:
-            cx = find_counterexample(original, options)
-            assert cx is not None, "satisfiable cone must yield a counterexample"
-            return cx
-        per_cone.append((cone, labels, _subcones(comp, cone)))
+        per_cone.append((cone, tree_interpolate(problems[0], options),
+                         _subcones(comp, cone)))
     assignment: dict = {}
     symbols = sorted({s for cone, _, _ in per_cone
                       for i in cone for s in comp.clauses[i].symbols})
@@ -660,61 +651,51 @@ def body_disjoint_transform(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT)
 # ---------------------------------------------------------------------------
 
 
-def _fill_true(assignment: dict, hc: ClauseSet):
-    for p in sorted(hc.relations):
-        if p not in assignment:
-            assignment[p] = TRUE
-
-
 def _solve_component(comp: ClauseSet, options: SolverOptions):
     """Symbol->Constraint map over normalized argument vectors, or a
-    Counterexample; second return value is the argument-vector map."""
+    Counterexample; second return value is the argument-vector map.
+
+    A linear set that is not tree-like is solved as a DAG problem.  Every
+    other set is solved through derivation cones: it is made body-disjoint
+    by body_disjoint_transform when it is not already, normalized, and each
+    of its connected components (copies of an underivable symbol can split
+    it) labeled by _cone_labels; an original symbol's solution conjoins
+    those of its copies.  A tree-like set is the one-cone case, and the
+    symbols of a set without a false-head clause are left to be assigned
+    true.
+    """
     report = classify(comp)
-    nhc = normalize(comp)
+    dag = report.linear and not report.tree_like
+    copies: dict = {}
+    disjoint = comp
+    if not (dag or report.body_disjoint):
+        disjoint, copies = body_disjoint_transform(comp, options.expansion_limit)
+    nhc = normalize(disjoint)
     assignment: dict = {}
     try:
-        if report.linear_tree_like:
-            for sp, chain in sequence_from_linear_treelike(nhc):
-                labels = sequence_interpolants(sp, options)
-                for i, p in enumerate(chain):
-                    assignment[p] = labels[i + 1]
-        elif report.tree_like:
-            for tp in tree_problem_from_treelike(nhc):
-                labels = tree_interpolate(tp, options)
-                for v in tp.nodes:
-                    if v != FALSE_NODE:
-                        assignment[v] = labels[v]
-        elif report.linear:
+        if dag:
             for dp, symbols in dag_problem_from_linear(nhc):
                 labels = dag_interpolate(dp, options)
                 for p in symbols:
                     assignment[p] = labels[p]
-        elif report.body_disjoint:
-            result = _solve_body_disjoint_component(nhc, nhc.clause_set, comp, options)
-            if isinstance(result, Counterexample):
-                return result, nhc.arg_vectors
-            assignment = result
-        else:
-            transformed, copies = body_disjoint_transform(comp, options.expansion_limit)
-            tn = normalize(transformed)
-            collected: dict = {}
-            for sub in connected_components(tn.clause_set):
-                result = _solve_body_disjoint_component(tn, sub, comp, options)
-                if isinstance(result, Counterexample):
-                    return result, nhc.arg_vectors
-                collected.update(result)
-            for p in sorted(comp.relations):
-                parts = []
-                for c in copies.get(p, [p]):
-                    if c in collected:
-                        mapping = dict(zip(tn.arg_vectors[c], nhc.arg_vectors[p]))
-                        parts.append(rename_vars(collected[c], mapping))
-                if parts:
-                    assignment[p] = cand(*parts)
+            return assignment, nhc.arg_vectors
+        collected: dict = {}
+        for sub in connected_components(nhc.clause_set):
+            collected.update(_cone_labels(nhc, sub, options))
     except NotUnsat:
         cx = find_counterexample(comp, options)
         assert cx is not None, "satisfiable encoding must yield a counterexample"
         return cx, nhc.arg_vectors
+    for p in sorted(comp.relations):
+        parts = []
+        for c in copies.get(p, [p]):
+            if c in collected:
+                label = collected[c]
+                if c != p:
+                    label = rename_vars(label, dict(zip(nhc.arg_vectors[c], nhc.arg_vectors[p])))
+                parts.append(label)
+        if parts:
+            assignment[p] = cand(*parts)
     return assignment, nhc.arg_vectors
 
 
@@ -725,20 +706,14 @@ def solve(hc: ClauseSet, options: SolverOptions = None):
     _check_recursion_free(hc)
     assignment_formulas: dict = {}
     vectors: dict = {}
-    components = connected_components(hc)
-    if options.jobs > 1 and len(components) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            results = list(pool.map(lambda c: _solve_component(c, options), components))
-    else:
-        results = [_solve_component(comp, options) for comp in components]
+    results = [_solve_component(comp, options) for comp in connected_components(hc)]
     for result, arg_vectors in results:
         if isinstance(result, Counterexample):
             return result
         assignment_formulas.update(result)
         vectors.update(arg_vectors)
-    _fill_true(assignment_formulas, hc)
+    for p in sorted(hc.relations):
+        assignment_formulas.setdefault(p, TRUE)  # unconstrained symbols
     assignment = {}
     for p, formula in assignment_formulas.items():
         params = list(vectors.get(p) or

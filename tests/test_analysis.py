@@ -5,8 +5,9 @@ import random
 import pytest
 
 import worked_examples as PE
-from generators import random_clause_set
+from generators import chain_clauses, random_clause_set
 from hornitp.analysis import (
+    DependenceGraph,
     classify,
     connected_components,
     dependence_graph,
@@ -38,6 +39,71 @@ class TestDependenceGraph:
     def test_empty_set(self):
         g = dependence_graph(ClauseSet.make([]))
         assert g.is_acyclic() and not g.nodes
+
+
+def _recursive_find_cycle(g):
+    """DependenceGraph.find_cycle as a recursive depth-first search."""
+    succ: dict = {p: [] for p in g.nodes}
+    for h, q in sorted(g.edges):
+        succ[h].append(q)
+    state: dict = {}
+    stack_path: list = []
+
+    def visit(p):
+        state[p] = 0
+        stack_path.append(p)
+        for q in succ[p]:
+            if q not in state:
+                cyc = visit(q)
+                if cyc is not None:
+                    return cyc
+            elif state[q] == 0:
+                return stack_path[stack_path.index(q):] + [q]
+        stack_path.pop()
+        state[p] = 1
+        return None
+
+    for p in sorted(g.nodes):
+        if p not in state:
+            cyc = visit(p)
+            if cyc is not None:
+                return cyc
+    return None
+
+
+class TestFindCycleDepth:
+    N = 1500
+
+    def _reversed_chain(self):
+        # higher steps sort first, so the search starts at the deepest symbol
+        return chain_clauses(self.N, lambda i: f"p{self.N - i:04d}")
+
+    def test_reversed_name_chain_is_recursion_free(self):
+        hc = self._reversed_chain()
+        report = classify(hc)
+        assert report.recursion_free and report.linear_tree_like
+
+    def test_cycle_through_long_chain(self):
+        hc = self._reversed_chain()
+        top, bottom = hc.clauses[-1].body[0], hc.clauses[0].head
+        back = ClauseSet.make(list(hc.clauses) + [HornClause(TRUE, (top,), bottom)])
+        cycle = dependence_graph(back).find_cycle()
+        edges = dependence_graph(back).edges
+        assert len(cycle) == self.N + 2 and cycle[0] == cycle[-1]
+        assert all((h, q) in edges for h, q in zip(cycle, cycle[1:]))
+
+    def test_matches_recursive_search(self):
+        rng = random.Random(23)
+        cyclic = 0
+        for _ in range(400):
+            nodes = [RelationSymbol(f"s{i}", ()) for i in range(rng.randint(1, 12))]
+            edges = frozenset((rng.choice(nodes), rng.choice(nodes))
+                              for _ in range(rng.randint(0, 2 * len(nodes))))
+            g = DependenceGraph(frozenset(nodes), edges)
+            expected = _recursive_find_cycle(g)
+            assert g.find_cycle() == expected
+            cyclic += expected is not None
+        assert 50 < cyclic < 350
 
 
 class TestClassify:

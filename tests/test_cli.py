@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, output modes."""
 
-import re
 import shlex
 import sys
 
@@ -111,10 +110,6 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", TREELIKE)
         assert code == 0 and out.splitlines()[0] == "sat"
 
-    def test_jobs_flag(self, capsys):
-        code, out, _ = run(capsys, "--jobs", "4", "solve", TREELIKE)
-        assert code == 0 and out.splitlines()[0] == "sat"
-
     def test_nonpositive_budget_rejected(self, capsys):
         code, out, _ = run(capsys, "--cube-limit", "0", "solve", TREELIKE)
         assert code == 2 and out.startswith("(error")
@@ -142,39 +137,6 @@ class TestBackendLifetime:
         code, _, _ = run(capsys, "--backend", backend, "solve", TREELIKE)
         assert code == 2
         assert marker.read_text() == "closed\n"
-
-
-def _renamed_chc(path, prefix):
-    """(declarations, assertions) of a CHC file with its relation symbols
-    renamed to prefix + name."""
-    with open(path) as fh:
-        text = fh.read()
-    declared = set(re.findall(r"\(declare-fun (\S+)", text))
-    decls, asserts = [], []
-    for line in text.splitlines():
-        if line.startswith(("(declare-fun", "(assert")):
-            line = "".join(prefix + t if t in declared else t
-                           for t in re.findall(r"[^\s()]+|[()]|\s+", line))
-            (decls if line.startswith("(declare-fun") else asserts).append(line)
-    return decls, asserts
-
-
-class TestBackendThreads:
-    def test_jobs_share_one_backend(self, capsys, tmp_path):
-        # three components solved on worker threads that all send their
-        # requests to one backend process
-        parts = [_renamed_chc(TREELIKE, "a_"), _renamed_chc(TREELIKE, "b_"),
-                 _renamed_chc(UNWOUND, "")]
-        lines = ["(set-logic HORN)"]
-        lines += [d for decls, _ in parts for d in decls]
-        lines += [a for _, asserts in parts for a in asserts]
-        path = tmp_path / "three.chc"
-        path.write_text("\n".join(lines + ["(check-sat)"]) + "\n")
-        backend = f"{shlex.quote(sys.executable)} tests/backends/good_backend.py"
-        for _ in range(3):
-            code, out, err = run(capsys, "--jobs", "4", "--backend", backend,
-                                 "solve", str(path))
-            assert (code, out.splitlines()[0]) == (0, "sat"), err
 
 
 class TestVerify:

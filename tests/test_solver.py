@@ -5,9 +5,10 @@ import random
 import pytest
 
 import worked_examples as PE
-from generators import random_clause_set, random_cube
+from generators import chain_clauses, random_clause_set, random_cube
 from hornitp import solver
-from hornitp.analysis import normalize
+from hornitp import chc
+from hornitp.analysis import classify, connected_components, normalize
 from hornitp.encodings import tree_problem_from_treelike
 from hornitp.engine import binary_interpolant, sat
 from hornitp.errors import (
@@ -16,6 +17,7 @@ from hornitp.errors import (
     NotUnsat,
     RecursiveSystem,
     SolverInternalError,
+    SubsetLimitExceeded,
     UnknownResult,
 )
 from hornitp.horn import (
@@ -221,16 +223,20 @@ class TestSolve:
         assert isinstance(res, Counterexample)
         assert evaluate(res.constraint, res.model)
 
-    def test_jobs_parallel_components_agree(self):
-        rng = random.Random(6)
-        for _ in range(10):
-            hc = random_clause_set(rng)
-            try:
-                one = solve(hc, SolverOptions(jobs=1))
-                many = solve(hc, SolverOptions(jobs=4))
-            except UnknownResult:
-                continue
-            assert isinstance(one, Solved) == isinstance(many, Solved)
+    @pytest.mark.parametrize("linear", [True, False])
+    def test_query_free_component_gets_true(self, linear):
+        # r(x) and y = x + 1 -> q(y), or r(x) and s(z) and y = x + z -> q(y):
+        # without a false-head clause nothing constrains the symbols
+        y, z = Var("y", INT), Var("z", INT)
+        q, r, s = (RelationSymbol(n, (INT,)) for n in "qrs")
+        body = (rel_atom(r, X),) if linear else (rel_atom(r, X), rel_atom(s, z))
+        rhs = TX + 1 if linear else TX + LinearTerm.of(z)
+        hc = ClauseSet.make([HornClause(eq(LinearTerm.of(y), rhs), body, rel_atom(q, y))])
+        assert classify(hc).linear == linear
+        res = solve(hc)
+        assert isinstance(res, Solved)
+        assert {p: body for p, (_, body) in res.solution.assignment.items()} == \
+            {p: TRUE for p in hc.relations}
 
     def test_oracle_equivalence_sample(self):
         rng = random.Random(14)
@@ -247,6 +253,115 @@ class TestSolve:
                 assert bool(verify_solution(res.solution, hc))
             else:
                 assert evaluate(res.constraint, res.model)
+
+
+def _recursive_enumerate_cones(comp, limit):
+    """solver._enumerate_cones as a recursive depth-first search."""
+    clauses = comp.clauses
+    false_idx = [i for i, h in enumerate(clauses) if h.head is None]
+    if not false_idx:
+        return []
+    by_head: dict = {}
+    for i, h in enumerate(clauses):
+        if h.head is not None:
+            by_head.setdefault(h.head.symbol, []).append(i)
+    cones: list = []
+
+    def go(pending, chosen):
+        if len(cones) > limit:
+            raise SubsetLimitExceeded(limit)
+        if not pending:
+            cones.append(chosen)
+            return
+        s, rest = pending[0], pending[1:]
+        defining = by_head.get(s, [])
+        if not defining:
+            go(rest, chosen)
+            return
+        for ci in defining:
+            go(rest + tuple(b.symbol for b in clauses[ci].body), chosen | {ci})
+
+    go(tuple(b.symbol for b in clauses[false_idx[0]].body), frozenset({false_idx[0]}))
+    unique = []
+    for c in cones:
+        if c not in unique:
+            unique.append(c)
+    return unique
+
+
+def _recursive_subcones(comp, cone):
+    """solver._subcones as a memoized recursion."""
+    head_of = {comp.clauses[i].head.symbol: i for i in cone
+               if comp.clauses[i].head is not None}
+    memo: dict = {}
+
+    def sub(p):
+        if p not in memo:
+            acc = frozenset()
+            if p in head_of:
+                acc = frozenset({head_of[p]})
+                for b in comp.clauses[head_of[p]].body:
+                    acc |= sub(b.symbol)
+            memo[p] = acc
+        return memo[p]
+
+    symbols = set()
+    for i in cone:
+        symbols |= comp.clauses[i].symbols
+    for p in symbols:
+        sub(p)
+    return memo
+
+
+class TestDerivationCones:
+    def _components(self):
+        """Normalized body-disjoint components: the tests/data sets, seeded
+        random sets, and random sets made body-disjoint by the transform."""
+        sets = []
+        for name in ("increment_treelike", "increment_unwound"):
+            with open(f"tests/data/{name}.chc") as fh:
+                sets.append(chc.parse_chc(fh.read()))
+        rng = random.Random(41)
+        while len(sets) < 120:
+            hc = random_clause_set(rng)
+            if not classify(hc).body_disjoint:
+                hc, _ = body_disjoint_transform(hc)
+            sets.append(hc)
+        return [sub for hc in sets
+                for sub in connected_components(normalize(hc).clause_set)]
+
+    def test_iterative_matches_recursive(self):
+        several = 0
+        for comp in self._components():
+            cones = solver._enumerate_cones(comp, 4096)
+            assert cones == _recursive_enumerate_cones(comp, 4096)
+            several += len(cones) > 1
+            for cone in cones:
+                subs = solver._subcones(comp, cone)
+                assert list(subs.items()) == list(_recursive_subcones(comp, cone).items())
+        assert several >= 5
+
+    def test_subset_limit_matches_recursive(self):
+        comps = [c for c in self._components()
+                 if len(_recursive_enumerate_cones(c, 4096)) > 1]
+        for comp in comps:
+            for limit in range(4):
+                try:
+                    expected = _recursive_enumerate_cones(comp, limit)
+                except SubsetLimitExceeded:
+                    with pytest.raises(SubsetLimitExceeded):
+                        solver._enumerate_cones(comp, limit)
+                else:
+                    assert solver._enumerate_cones(comp, limit) == expected
+
+    def test_long_chain(self):
+        n = 3000
+        comp = normalize(chain_clauses(n)).clause_set
+        (cone,) = solver._enumerate_cones(comp, 4096)
+        assert cone == frozenset(range(n + 2))
+        subs = solver._subcones(comp, cone)
+        # p_i is derived by the fact and the first i steps
+        assert sorted(len(s) for s in subs.values()) == list(range(1, n + 2))
 
 
 def _path_tree(labels):
