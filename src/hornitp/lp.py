@@ -6,13 +6,14 @@ bookkeeping) and a bounds-based simplex over eps-rationals (used above the
 cutoff, where FM can blow up).  Strict inequalities are handled by Motzkin
 transposition in FM and by infinitesimal bounds in the simplex.
 
-Both engines keep their rows fraction-free, over Python ints.  An FM row is
-an integer combination of the input atoms, row = sum combo_i * term_i, and is
-gcd-reduced after every elimination; its combo is the certificate.  The
-simplex keeps its tableau rows as integer coefficients over one positive
-integer denominator, gcd-reduced after every pivot, and updates the basic
-values incrementally: a pivot moves one nonbasic variable, so each basic
-value shifts by that variable's column times its move.
+Both engines work over Python ints and give int certificate multipliers.
+An FM row is an integer combination of the input atoms, row = sum combo_i *
+term_i, and is gcd-reduced after every elimination; its combo is the
+certificate.  The simplex scales each atom's slack to integer coefficients
+and bounds, keeps its tableau rows as integer coefficients over one positive
+integer denominator, gcd-reduced after every pivot, and reads every basic
+value as an int pair off its row, since each nonbasic variable sits at its
+bound or at 0.  Fractions appear only in the returned models.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class FarkasCertificate:
     """
 
     atoms: tuple
-    multipliers: tuple  # of (atom index, int or Fraction >= 0)
+    multipliers: tuple  # of (atom index, int or Fraction >= 0); both LP engines give ints
     strict: bool
     origins: tuple
 
@@ -218,86 +219,81 @@ def _fourier_motzkin(split) -> Sat | Unsat:
 
 
 # ---------------------------------------------------------------------------
-# Simplex over eps-rationals (Dutertre/de Moura style bounds tableau)
+# Simplex over eps-rationals (Dutertre/de Moura style bounds tableau), on ints
 #
-# An atom t + c <= 0 (or < 0) gets a slack s = t with the upper bound
-# s <= -c (-c - eps when strict); problem variables have no bounds.
-# A basic row is kept fraction-free as (d, {j: a_j}) over Python ints,
-# meaning d * x_s = sum a_j * x_j with d > 0 and gcd(d, a_j...) = 1.  A pivot
-# cross-multiplies rows and divides out the gcd.  Values, bounds and the
-# certificate stay Fractions.  The only nonbasic variable a pivot moves is
-# the leaving one, so the basic values shift by one column per pivot.
+# An atom t + c <= 0 (or < 0) gets a slack s = D*t, where D is the lcm of
+# every denominator of the atom, constant included, as in FM's _row_of.  Its
+# row starts as (1, {var: int}) and its upper bound is the int pair
+# (-D*c, -D if strict else 0), read as a + b*eps for an infinitesimal
+# eps > 0; problem variables have no bounds.  A basic row is kept
+# fraction-free as (d, {j: a_j}), meaning d * x_s = sum a_j * x_j with d > 0
+# and gcd(d, a_j...) = 1.  A pivot cross-multiplies rows and divides out the
+# gcd.  A nonbasic variable is either a slack sitting at its bound (it left
+# the basis there) or a problem variable still at 0, so d * x_s is the int
+# pair sum a_j * bound_j.  A pivot changes the value of no row but those that
+# hold the entering variable and the entering variable's own, which is below
+# its bound; only the former are re-summed and re-checked against the set of
+# violated rows.  Fractions are built once, when eps is concretised.
 # ---------------------------------------------------------------------------
 
 
-class _DRat(NamedTuple):
-    """a + b*eps for an infinitesimal eps > 0; compared lexicographically."""
-
-    a: Fraction
-    b: Fraction
-
-    def __add__(self, other):
-        return _DRat(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return _DRat(self.a - other.a, self.b - other.b)
-
-    def scale(self, k: Fraction):
-        return _DRat(self.a * k, self.b * k)
-
-
-_DZERO = _DRat(Fraction(0), Fraction(0))
+def _row_value(r: dict, ub_a: list, ub_b: list) -> tuple:
+    """d * x_s as an int pair (a, b) for the basic row d * x_s = sum r_j * x_j."""
+    p = q = 0
+    for j, a in r.items():
+        p += a * ub_a[j]
+        q += a * ub_b[j]
+    return p, q
 
 
 def _simplex(split) -> Sat | Unsat:
-    pvars = sorted({v for a, _ in split for v in a.vars})
+    pvars = sorted({v for a, _ in split for v, _ in a.term.coeffs})
     nvars = len(pvars)
     vidx = {v: i for i, v in enumerate(pvars)}
-    # variable indices: 0..nvars-1 problem vars, then one slack per atom
-    ub: dict = {}
+    # variable indices: 0..nvars-1 problem vars, then one slack per atom.
+    # ub_a/ub_b hold each slack's upper bound and, for a problem variable,
+    # its value 0 while it is nonbasic; scale holds each slack's D.
+    ub_a = [0] * nvars
+    ub_b = [0] * nvars
+    scale = []
     rows: dict = {}
     for k, (a, _) in enumerate(split):
-        s = nvars + k
-        d = lcm(*(c.denominator for _, c in a.term.coeffs))
-        rows[s] = (d, {vidx[v]: c.numerator * (d // c.denominator) for v, c in a.term.coeffs})
-        ub[s] = _DRat(-a.term.constant, Fraction(-1 if a.rel == LT else 0))
+        t = a.term
+        d = lcm(t.constant.denominator, *(c.denominator for _, c in t.coeffs))
+        rows[nvars + k] = (1, {vidx[v]: c.numerator * (d // c.denominator) for v, c in t.coeffs})
+        ub_a.append(-t.constant.numerator * (d // t.constant.denominator))
+        ub_b.append(-d if a.rel == LT else 0)
+        scale.append(d)
     # every nonbasic variable starts at 0, so every basic one does too
-    beta = {i: _DZERO for i in range(nvars + len(split))}
+    violated = {s for s in rows if (0, 0) > (ub_a[s], ub_b[s])}
 
-    while True:
-        bad = None
-        for s in sorted(rows):
-            if s in ub and beta[s] > ub[s]:
-                bad = s
-                break
-        if bad is None:
-            break
+    while violated:
+        bad = min(violated)
         d, row = rows[bad]
-        enter = None
-        for j in sorted(row):
-            # row[j] > 0: decreasing j decreases bad, and nothing has a lower
-            # bound; row[j] < 0: j needs room to increase
-            if row[j] > 0 or j not in ub or beta[j] < ub[j]:
-                enter = j
-                break
+        # row[j] > 0: decreasing j decreases bad, and nothing has a lower
+        # bound; row[j] < 0: j needs room to increase, which only a problem
+        # variable has, since a nonbasic slack sits at its upper bound
+        enter = min((j for j, a in row.items() if a > 0 or j < nvars), default=None)
         if enter is None:
             # every coefficient is negative, on a slack pinned at its upper
-            # bound: the row is a Farkas contradiction
+            # bound: d * s_bad = sum a_j * s_j is a Farkas contradiction, and
+            # D_bad * d and -a_j * D_j are its multipliers on the atoms
             atoms = tuple(a for a, _ in split)
             origins = tuple(o for _, o in split)
-            mults = {bad - nvars: Fraction(1)}
+            mults = {bad - nvars: d * scale[bad - nvars]}
             for j, a in row.items():
-                mults[j - nvars] = Fraction(-a, d)
+                mults[j - nvars] = -a * scale[j - nvars]
+            g = gcd(*mults.values())
             cert = FarkasCertificate(
                 atoms,
-                tuple(sorted(mults.items())),
-                any(atoms[i].rel == LT and lam > 0 for i, lam in mults.items()),
+                tuple(sorted((i, lam // g) for i, lam in mults.items())),
+                any(atoms[i].rel == LT for i in mults),
                 origins,
             )
             assert cert.is_valid(), "internal error: bad simplex certificate"
             return Unsat(cert)
         # pivot bad <-> enter: d_e * x_enter = sum erow_j * x_j, with bad
-        # now nonbasic
+        # now nonbasic at its upper bound
         a_e = row.pop(enter)
         sign = 1 if a_e > 0 else -1
         d_e = a_e * sign
@@ -308,6 +304,7 @@ def _simplex(split) -> Sat | Unsat:
             d_e //= g
             erow = {j: a // g for j, a in erow.items()}
         del rows[bad]
+        violated.discard(bad)
         for s, (d_s, r) in rows.items():
             r_e = r.pop(enter, 0)
             if not r_e:
@@ -328,31 +325,29 @@ def _simplex(split) -> Sat | Unsat:
                 for j in r:
                     r[j] //= g
             rows[s] = (d_s, r)
+            if s >= nvars:
+                if _row_value(r, ub_a, ub_b) > (d_s * ub_a[s], d_s * ub_b[s]):
+                    violated.add(s)
+                else:
+                    violated.discard(s)
+        # an entering slack had a positive coefficient in bad's row, so
+        # moving bad down onto its bound moves it strictly below its own
         rows[enter] = (d_e, erow)
-        # land bad exactly on its upper bound and shift the basic values
-        shift = ub[bad] - beta[bad]
-        beta[bad] = ub[bad]
-        for s, (d_s, r) in rows.items():
-            a = r.get(bad)
-            if a:
-                beta[s] = beta[s] + shift.scale(Fraction(a, d_s))
 
-    # feasible: concretise eps
-    eps_bound = None
-    vals = {v: beta[vidx[v]] for v in pvars}
-    for a, _ in split:
-        p = a.term.constant
-        q = Fraction(0)
-        for v, c in a.term.coeffs:
-            p += c * vals[v].a
-            q += c * vals[v].b
-        if q > 0:
-            cap = -p / q
-            if eps_bound is None or cap < eps_bound:
-                eps_bound = cap
-    eps = Fraction(1) if eps_bound is None else eps_bound / 2
-    if eps <= 0:
-        eps = Fraction(1, 2)
-    model = {v: d.a + d.b * eps for v, d in vals.items()}
+    # feasible: concretise eps at half the least cap (d * ub_s - a) / b over
+    # the basic slacks with d * x_s = (a, b) and b > 0; a nonbasic slack
+    # sits at its bound, whose eps part is not positive
+    caps = []
+    for s, (d, r) in rows.items():
+        if s >= nvars:
+            p, q = _row_value(r, ub_a, ub_b)
+            if q > 0:
+                caps.append(Fraction(d * ub_a[s] - p, q))
+    eps = min(caps) / 2 if caps else Fraction(1)
+    model = {}
+    for v in pvars:
+        d, r = rows.get(vidx[v], (1, {}))
+        p, q = _row_value(r, ub_a, ub_b)
+        model[v] = Fraction(p * eps.denominator + q * eps.numerator, d * eps.denominator)
     assert all(a.holds(model) for a, _ in split), "internal error: simplex model"
     return Sat(model)

@@ -84,7 +84,12 @@ def tokenize(text: str):
             if j >= n:
                 raise ParseError("unterminated string", line, col)
             yield (text[i:j + 1], line, col)
-            col += j + 1 - i
+            newlines = text.count("\n", i, j)
+            if newlines:
+                line += newlines
+                col = j + 1 - text.rfind("\n", i, j)
+            else:
+                col += j + 1 - i
             i = j + 1
         else:
             j = i

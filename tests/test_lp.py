@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 from generators import random_term
@@ -198,15 +199,15 @@ class TestSimplexRegression:
         assert combined > 30
 
     def test_pinned_unsat_certificate(self):
-        # nine pivots; the multipliers pin the pivot order
+        # nine pivots; the multipliers pin the pivot order.  They are the
+        # Fraction simplex's 7/2, 7/2, 7/2, 9/2, 3, 3, 3/2, 1 times 2, the
+        # gcd-reduced int form of the same row after the same pivots.
         _, split = _chain_system(Fraction(4, 3))
         res = _simplex(split)
         assert isinstance(res, Unsat)
         cert = res.certificate
         assert cert.multipliers == (
-            (0, Fraction(7, 2)), (1, Fraction(7, 2)), (2, Fraction(7, 2)),
-            (3, Fraction(9, 2)), (6, Fraction(3)), (7, Fraction(3)),
-            (8, Fraction(3, 2)), (10, Fraction(1)),
+            (0, 7), (1, 7), (2, 7), (3, 9), (6, 6), (7, 6), (8, 3), (10, 2),
         )
         assert cert.strict and cert.is_valid()
 
@@ -313,12 +314,12 @@ def _reference_fm(split):
     return Sat(model)
 
 
-def _small_fractional_system(rng):
-    """2-7 atoms over 1-6 Int or Real variables, coefficients c/q, fractional
-    constants, relations <=, < and =."""
-    pool = [Var(f"f{i}", rng.choice([INT, REAL])) for i in range(rng.randint(1, 6))]
+def _small_fractional_system(rng, max_vars=6, max_atoms=7):
+    """2-max_atoms atoms over 1-max_vars Int or Real variables, coefficients
+    c/q, fractional constants, relations <=, < and =."""
+    pool = [Var(f"f{i}", rng.choice([INT, REAL])) for i in range(rng.randint(1, max_vars))]
     atoms = []
-    for _ in range(rng.randint(2, 7)):
+    for _ in range(rng.randint(2, max_atoms)):
         coeffs = {v: Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.choice([1, 2, 3, 5]))
                   for v in rng.sample(pool, rng.randint(1, min(3, len(pool))))}
         const = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7]))
@@ -367,3 +368,158 @@ class TestIntegerFourierMotzkin:
         cert = res.certificate
         assert cert.multipliers == ((0, Fraction(8)), (1, Fraction(7)), (2, Fraction(6)))
         assert cert.strict and cert.weighted_sum() == LinearTerm.const(6)
+
+
+# ---------------------------------------------------------------------------
+# Simplex over Fraction values, kept as the reference for the integer one:
+# unscaled slacks s = t, basic values and bounds as a + b*eps pairs of
+# Fractions shifted per pivot, the leaving row found by a sorted scan, and
+# Fraction multipliers scaled so the violated row gets 1.
+# ---------------------------------------------------------------------------
+
+
+class _RefDRat(NamedTuple):
+    a: Fraction
+    b: Fraction
+
+    def __add__(self, other):
+        return _RefDRat(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other):
+        return _RefDRat(self.a - other.a, self.b - other.b)
+
+    def scale(self, k):
+        return _RefDRat(self.a * k, self.b * k)
+
+
+def _reference_simplex(split):
+    pvars = sorted({v for a, _ in split for v in a.vars})
+    nvars = len(pvars)
+    vidx = {v: i for i, v in enumerate(pvars)}
+    # variable indices: 0..nvars-1 problem vars, then one slack per atom
+    ub = {}
+    rows = {}
+    for k, (a, _) in enumerate(split):
+        s = nvars + k
+        d = lcm(*(c.denominator for _, c in a.term.coeffs))
+        rows[s] = (d, {vidx[v]: c.numerator * (d // c.denominator) for v, c in a.term.coeffs})
+        ub[s] = _RefDRat(-a.term.constant, Fraction(-1 if a.rel == LT else 0))
+    # every nonbasic variable starts at 0, so every basic one does too
+    beta = {i: _RefDRat(Fraction(0), Fraction(0)) for i in range(nvars + len(split))}
+
+    while True:
+        bad = None
+        for s in sorted(rows):
+            if s in ub and beta[s] > ub[s]:
+                bad = s
+                break
+        if bad is None:
+            break
+        d, row = rows[bad]
+        enter = None
+        for j in sorted(row):
+            # row[j] > 0: decreasing j decreases bad, and nothing has a lower
+            # bound; row[j] < 0: j needs room to increase
+            if row[j] > 0 or j not in ub or beta[j] < ub[j]:
+                enter = j
+                break
+        if enter is None:
+            # every coefficient is negative, on a slack pinned at its upper
+            # bound: the row is a Farkas contradiction
+            atoms = tuple(a for a, _ in split)
+            origins = tuple(o for _, o in split)
+            mults = {bad - nvars: Fraction(1)}
+            for j, a in row.items():
+                mults[j - nvars] = Fraction(-a, d)
+            cert = FarkasCertificate(
+                atoms,
+                tuple(sorted(mults.items())),
+                any(atoms[i].rel == LT and lam > 0 for i, lam in mults.items()),
+                origins,
+            )
+            return Unsat(cert)
+        # pivot bad <-> enter: d_e * x_enter = sum erow_j * x_j, with bad
+        # now nonbasic
+        a_e = row.pop(enter)
+        sign = 1 if a_e > 0 else -1
+        d_e = a_e * sign
+        erow = {j: -a * sign for j, a in row.items()}
+        erow[bad] = d * sign
+        g = gcd(d_e, *erow.values())
+        if g != 1:
+            d_e //= g
+            erow = {j: a // g for j, a in erow.items()}
+        del rows[bad]
+        for s, (d_s, r) in rows.items():
+            r_e = r.pop(enter, 0)
+            if not r_e:
+                continue
+            if d_e != 1:
+                for j in r:
+                    r[j] *= d_e
+            for j, a in erow.items():
+                c = r.get(j, 0) + r_e * a
+                if c:
+                    r[j] = c
+                else:
+                    del r[j]
+            d_s *= d_e
+            g = gcd(d_s, *r.values())
+            if g != 1:
+                d_s //= g
+                for j in r:
+                    r[j] //= g
+            rows[s] = (d_s, r)
+        rows[enter] = (d_e, erow)
+        # land bad exactly on its upper bound and shift the basic values
+        shift = ub[bad] - beta[bad]
+        beta[bad] = ub[bad]
+        for s, (d_s, r) in rows.items():
+            a = r.get(bad)
+            if a:
+                beta[s] = beta[s] + shift.scale(Fraction(a, d_s))
+
+    # feasible: concretise eps
+    eps_bound = None
+    vals = {v: beta[vidx[v]] for v in pvars}
+    for a, _ in split:
+        p = a.term.constant
+        q = Fraction(0)
+        for v, c in a.term.coeffs:
+            p += c * vals[v].a
+            q += c * vals[v].b
+        if q > 0:
+            cap = -p / q
+            if eps_bound is None or cap < eps_bound:
+                eps_bound = cap
+    eps = Fraction(1) if eps_bound is None else eps_bound / 2
+    if eps <= 0:
+        eps = Fraction(1, 2)
+    model = {v: d.a + d.b * eps for v, d in vals.items()}
+    return Sat(model)
+
+
+class TestIntegerSimplex:
+    def test_agrees_with_fraction_reference(self):
+        rng = random.Random(71)
+        verdicts = {Sat: 0, Unsat: 0}
+        combined = 0  # certificates that needed pivots to combine 3+ atoms
+        for trial in range(2000):
+            atoms = _small_fractional_system(rng, max_vars=12, max_atoms=14)
+            split = split_equalities(atoms)
+            new, ref = _simplex(split), _reference_simplex(split)
+            assert type(new) is type(ref), (trial, atoms)
+            verdicts[type(new)] += 1
+            if isinstance(new, Sat):
+                assert list(new.model.items()) == list(ref.model.items()), (trial, atoms)
+                continue
+            cert, rcert = new.certificate, ref.certificate
+            assert cert.is_valid() and cert.strict == rcert.strict, (trial, atoms)
+            assert [i for i, _ in cert.multipliers] == [i for i, _ in rcert.multipliers]
+            assert all(type(lam) is int for _, lam in cert.multipliers), (trial, atoms)
+            ratios = {lam / rlam for (_, lam), (_, rlam) in
+                      zip(cert.multipliers, rcert.multipliers)}
+            assert len(ratios) == 1 and ratios.pop() > 0, (trial, atoms)
+            combined += len(cert.multipliers) >= 3
+        assert verdicts[Sat] > 300 and verdicts[Unsat] > 300
+        assert combined > 100

@@ -54,6 +54,19 @@ class TestParser:
         with pytest.raises(ParseError):
             parse_one("(a)) ")
 
+    def test_positions_after_multiline_string(self):
+        # a string literal that spans a newline moves later tokens to the
+        # next line, with columns counted from that line's start
+        node = parse_one('(a "x\ny" b)')
+        assert [(n.line, n.col) for n in node.items] == [(1, 2), (1, 4), (2, 4)]
+        nodes = parse_all('(a "x\n\ny")\n(b)')
+        assert (nodes[1].line, nodes[1].col) == (4, 1)
+
+    def test_parse_error_position_after_multiline_string(self):
+        with pytest.raises(ParseError) as err:
+            parse_all('(a "x\ny" ))')
+        assert (err.value.line, err.value.col) == (2, 5)
+
     def test_comments_skipped(self):
         assert len(parse_all("; note\n(a) ; trailing\n(b)")) == 2
 
