@@ -24,7 +24,7 @@ with ``(vars (x Int) (y Real) ...)`` declaring every variable used.
 
 from __future__ import annotations
 
-from .errors import ParseError, SortError, SortMismatch, UndeclaredSymbol
+from .errors import MalformedProblem, ParseError, SortError, SortMismatch, UndeclaredSymbol
 from .horn import ClauseSet, HornClause, RelationAtom, RelationSymbol, Solution
 from .problems import DagProblem, SequenceProblem, TreeProblem
 from .sexpr import (
@@ -228,19 +228,44 @@ def _sections(items: list) -> dict:
     return out
 
 
+def _section(sec: dict, key: str, form: SNode) -> SNode:
+    if key not in sec:
+        raise ParseError(f"problem needs a ({key} ...) section", form.line, form.col)
+    return sec[key]
+
+
+def _declared(node: SNode, table: dict, what: str) -> str:
+    """The name an atom gives, which must be a key of ``table``."""
+    if not node.is_atom or node.value not in table:
+        raise ParseError(f"undeclared {what} {str(node)!r}", node.line, node.col)
+    return node.value
+
+
+def _named_node(sec: dict, key: str, form: SNode, nodes: dict) -> str:
+    """The declared node of a (key name) section."""
+    node = _section(sec, key, form)
+    if len(node.items) != 2:
+        raise ParseError(f"expected ({key} name)", node.line, node.col)
+    return _declared(node.items[1], nodes, "node")
+
+
 def _named_constraints(node: SNode, variables: dict) -> dict:
     out = {}
     for it in node.items[1:]:
         items = _expect_list(it, "a (name constraint) pair")
         if len(items) != 2 or not items[0].is_atom:
             raise ParseError("expected (name constraint)", it.line, it.col)
+        if items[0].value in out:
+            raise ParseError(f"duplicate node {items[0].value!r}", it.line, it.col)
         out[items[0].value] = parse_constraint(items[1], variables)
     return out
 
 
 def parse_problem(text: str):
     """Returns ("binary", (a, b)), a SequenceProblem, TreeProblem, or
-    DagProblem according to the leading keyword."""
+    DagProblem according to the leading keyword.  A problem whose shape
+    breaks its definition (a node with two parents, an edge into a DAG's
+    entry, a cycle, ...) is a ParseError at the offending part."""
     form = parse_all(text)
     if len(form) != 1:
         raise ParseError("expected a single problem expression", 1, 1)
@@ -262,39 +287,70 @@ def parse_problem(text: str):
         return ("binary", (parse_constraint(sec["A"].items[1], variables),
                            parse_constraint(sec["B"].items[1], variables)))
     if kind == "sequence":
+        if not rest:
+            raise ParseError("sequence problem needs at least one part",
+                             form[0].line, form[0].col)
         return SequenceProblem(tuple(parse_constraint(p, variables) for p in rest))
     if kind == "tree":
         sec = _sections(rest)
-        labels = _named_constraints(sec["nodes"], variables)
-        edges = set()
-        for e in sec["edges"].items[1:]:
+        nodes = _section(sec, "nodes", form[0])
+        labels = _named_constraints(nodes, variables)
+        root = _named_node(sec, "root", form[0], labels)
+        edges = _section(sec, "edges", form[0])
+        parent = {}
+        for e in edges.items[1:]:
             pair = _expect_list(e, "an edge (parent child)")
-            if len(pair) != 2 or not all(p.is_atom for p in pair):
+            if len(pair) != 2:
                 raise ParseError("expected (parent child)", e.line, e.col)
-            edges.add((pair[0].value, pair[1].value))
-        root = sec["root"].items[1].value
-        return TreeProblem(tuple(labels), frozenset(edges), labels, root)
+            p, c = (_declared(x, labels, "node") for x in pair)
+            if c == root:
+                raise ParseError(f"edge into the root {c!r}", e.line, e.col)
+            if c in parent:
+                raise ParseError(f"node {c!r} has two parents", e.line, e.col)
+            parent[c] = p
+        for v in labels:
+            if v != root and v not in parent:
+                raise ParseError(f"node {v!r} has no parent", nodes.line, nodes.col)
+        tp = TreeProblem(tuple(labels), frozenset((p, c) for c, p in parent.items()),
+                         labels, root)
+        # one parent per node but the root: what the root misses is a cycle
+        if len(tp.post_order()) != len(labels):
+            raise ParseError("edges form a cycle", edges.line, edges.col)
+        return tp
     if kind == "dag":
         sec = _sections(rest)
-        node_labels = _named_constraints(sec["nodes"], variables)
-        edges = []
+        node_labels = _named_constraints(_section(sec, "nodes", form[0]), variables)
+        entry = _named_node(sec, "entry", form[0], node_labels)
+        exit_ = _named_node(sec, "exit", form[0], node_labels)
+        edges = _section(sec, "edges", form[0])
         edge_labels = {}
-        for e in sec["edges"].items[1:]:
+        for e in edges.items[1:]:
             triple = _expect_list(e, "an edge (u v constraint)")
-            if len(triple) != 3 or not triple[0].is_atom or not triple[1].is_atom:
+            if len(triple) != 3:
                 raise ParseError("expected (u v constraint)", e.line, e.col)
-            key = (triple[0].value, triple[1].value)
-            edges.append(key)
+            key = (_declared(triple[0], node_labels, "node"),
+                   _declared(triple[1], node_labels, "node"))
+            if key[1] == entry:
+                raise ParseError(f"edge into the entry {entry!r}", e.line, e.col)
+            if key[0] == exit_:
+                raise ParseError(f"edge out of the exit {exit_!r}", e.line, e.col)
+            if key in edge_labels:
+                raise ParseError(f"duplicate edge {key[0]!r} -> {key[1]!r}", e.line, e.col)
             edge_labels[key] = parse_constraint(triple[2], variables)
-        entry = sec["entry"].items[1].value
-        exit_ = sec["exit"].items[1].value
         allowed = None
         if "allowed" in sec:
             allowed = {v: frozenset() for v in node_labels}
             for a in sec["allowed"].items[1:]:
                 items_a = _expect_list(a, "an allowed set (node var ...)")
-                allowed[items_a[0].value] = frozenset(
-                    variables[v.value] for v in items_a[1:])
-        return DagProblem(tuple(node_labels), tuple(edges), entry, exit_,
-                          edge_labels, node_labels, allowed)
+                if not items_a:
+                    raise ParseError("expected (node var ...)", a.line, a.col)
+                allowed[_declared(items_a[0], node_labels, "node")] = frozenset(
+                    variables[_declared(v, variables, "variable")] for v in items_a[1:])
+        dp = DagProblem(tuple(node_labels), tuple(edge_labels), entry, exit_,
+                        edge_labels, node_labels, allowed)
+        try:
+            dp.topological_order()
+        except MalformedProblem as exc:
+            raise ParseError(str(exc), edges.line, edges.col) from None
+        return dp
     raise ParseError(f"unknown problem kind {kind!r}", form[0].line, form[0].col)

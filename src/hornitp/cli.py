@@ -241,26 +241,28 @@ _COMMANDS = {
 }
 
 
+def _error_line(message: str) -> str:
+    """``(error "message")``, each " doubled as in an SMT-LIB 2.6 string."""
+    return '(error "' + message.replace('"', '""') + '")'
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f'(error "{exc}")')
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
+    except ParseError as exc:  # its message already says "parse error"
+        message = str(exc)
     except HornitpError as exc:
-        print(f'(error "{type(exc).__name__}: {exc}")')
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        message = f"{type(exc).__name__}: {exc}"
     except OSError as exc:
-        print(f'(error "{exc}")')
-        print(str(exc), file=sys.stderr)
-        return 2
+        message = str(exc)
     except Exception as exc:  # a bug, not a verdict: never exit 1 for it
-        print(f'(error "internal: {type(exc).__name__}: {exc}")')
+        print(_error_line(f"internal: {type(exc).__name__}: {exc}"))
         traceback.print_exc()
         return 2
+    print(_error_line(message))
+    print(message, file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

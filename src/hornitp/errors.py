@@ -70,6 +70,11 @@ class MissingSymbol(HornitpError):
         self.symbol = symbol
 
 
+class MalformedProblem(HornitpError):
+    """An interpolation problem's shape breaks its definition, e.g. a tree
+    node with two parents or a DAG entry with an incoming edge."""
+
+
 class SolverInternalError(HornitpError):
     """A mandatory internal verification gate rejected a computed result."""
 

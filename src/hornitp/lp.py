@@ -1,19 +1,18 @@
 """Exact rational feasibility of atom conjunctions, with Farkas certificates.
 
-Two engines share one interface: Fourier-Motzkin elimination (used for small
-variable counts, where it is cheap and the certificate falls out of the
-bookkeeping) and a bounds-based simplex over eps-rationals (used above the
-cutoff, where FM can blow up).  Strict inequalities are handled by Motzkin
-transposition in FM and by infinitesimal bounds in the simplex.
+One engine decides every conjunction: a bounds-based simplex over
+eps-rationals (Dutertre & de Moura, CAV 2006).  Equalities are split into
+two <= halves, and of the atoms that share one linear form only the tightest
+is kept, so each form gets one slack bounded by its tightest atom.  Strict
+inequalities are handled by infinitesimal bounds.
 
-Both engines work over Python ints and give int certificate multipliers.
-An FM row is an integer combination of the input atoms, row = sum combo_i *
-term_i, and is gcd-reduced after every elimination; its combo is the
-certificate.  The simplex scales each atom's slack to integer coefficients
-and bounds, keeps its tableau rows as integer coefficients over one positive
-integer denominator, gcd-reduced after every pivot, and reads every basic
-value as an int pair off its row, since each nonbasic variable sits at its
-bound or at 0.  Fractions appear only in the returned models.
+The simplex works over Python ints and gives int certificate multipliers.
+It scales each atom's slack to integer coefficients and bounds, keeps its
+tableau rows as integer coefficients over one positive integer denominator,
+gcd-reduced after every pivot, and reads every basic value as an int pair
+off its row, since each nonbasic variable sits at its bound or at 0.
+Fractions appear only in the returned models.  Every certificate and every
+model is checked before it is returned.
 """
 
 from __future__ import annotations
@@ -23,28 +22,28 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
+from .errors import SolverInternalError
 from .terms import EQ, LE, LT, LinearAtom, LinearTerm, weighted_sum
-
-FM_VAR_CUTOFF = 6
 
 
 @dataclass(frozen=True)
 class FarkasCertificate:
     """Nonnegative combination of inequality atoms summing to a contradiction.
 
-    ``atoms`` are the certified atoms (equalities of the input conjunction
-    appear split into their two <= halves); ``origins[i]`` is the index of
-    the input atom that atoms[i] came from.  The weighted sum of the atom
-    terms has zero variable coefficients and a constant c with c > 0, or
-    c >= 0 when some strict atom carries a positive multiplier.
+    ``atoms`` are the atoms the simplex was given: a subset of the split
+    input atoms (equalities appear as their two <= halves), one per linear
+    form; ``origins[i]`` is the index of the input atom that atoms[i] came
+    from.  The weighted sum of the atom terms has zero variable coefficients
+    and a constant c with c > 0, or c >= 0 when some strict atom carries a
+    positive multiplier.
 
     A certificate is determined only up to a positive factor: scaling every
-    multiplier by the same k > 0 keeps it valid, and the engines do not
+    multiplier by the same k > 0 keeps it valid, and the simplex does not
     promise any particular scale.
     """
 
     atoms: tuple
-    multipliers: tuple  # of (atom index, int or Fraction >= 0); both LP engines give ints
+    multipliers: tuple  # of (atom index, int or Fraction >= 0); the simplex gives ints
     strict: bool
     origins: tuple
 
@@ -84,148 +83,49 @@ def split_equalities(atoms) -> list:
 
 
 def decide_rational(atoms) -> Sat | Unsat:
-    """Feasibility over the rationals (Int sorts are not yet enforced)."""
-    split = split_equalities(atoms)
-    names = {v for a, _ in split for v, _ in a.term.coeffs}
-    if len(names) <= FM_VAR_CUTOFF:
-        return _fourier_motzkin(split)
-    return _simplex(split)
+    """Feasibility over the rationals (Int sorts are not yet enforced).
+
+    Of the split atoms with one linear form t only the tightest enters the
+    simplex: the one with the largest constant c in t + c <= 0, a strict
+    atom winning a tie, which entails all the others.  A certificate names
+    only kept atoms; a model is checked against every input atom.
+    """
+    tightest: dict = {}  # term.coeffs -> (tightness, atom, origin)
+    for a, o in split_equalities(atoms):
+        key = (a.term.constant, a.rel == LT)
+        kept = tightest.get(a.term.coeffs)
+        if kept is None or key > kept[0]:
+            tightest[a.term.coeffs] = (key, a, o)
+    res = _simplex([(a, o) for _, a, o in tightest.values()])
+    if isinstance(res, Sat) and not _holds_all(atoms, res.model):
+        raise SolverInternalError("simplex model violates an input atom")
+    return res
 
 
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin over integer rows
-#
-# Variables are indexed in sorted order, as in the simplex.  Each atom
-# becomes a row scaled by the lcm of its denominators; eliminating v combines
-# every pair of rows with opposite signs on v by the smallest positive
-# integer factors that cancel it, then divides out the gcd of the result
-# (coefficients, constant and combo).  Every row is a positive multiple of
-# the row a rational elimination would build, so the keep/drop and
-# contradiction tests and the elimination order are those of rational FM,
-# and certificate multipliers differ from it by one positive factor.
-# ---------------------------------------------------------------------------
-
-
-class _Row(NamedTuple):
-    """``coeffs . x + const rel 0`` over Python ints, with the exact identity
-    row = sum of combo[i] * (term of split atom i)."""
-
-    coeffs: dict  # variable index -> nonzero int
-    const: int
-    strict: bool
-    combo: dict  # split-atom index -> positive int multiplier
-
-
-def _row_of(atom: LinearAtom, idx: int, vidx: dict) -> _Row:
-    """The atom's term scaled by the lcm of all its denominators."""
-    t = atom.term
-    d = lcm(t.constant.denominator, *(c.denominator for _, c in t.coeffs))
-    coeffs = {vidx[v]: c.numerator * (d // c.denominator) for v, c in t.coeffs}
-    const = t.constant.numerator * (d // t.constant.denominator)
-    return _Row(coeffs, const, atom.rel == LT, {idx: d})
-
-
-def _contradicts(row: _Row) -> bool:
-    return not row.coeffs and (row.const > 0 or (row.const == 0 and row.strict))
-
-
-def _certificate(split, row: _Row) -> FarkasCertificate:
-    atoms = tuple(a for a, _ in split)
-    origins = tuple(o for _, o in split)
-    mults = tuple(sorted(row.combo.items()))
-    cert = FarkasCertificate(atoms, mults, row.strict, origins)
-    assert cert.is_valid(), "internal error: bad Farkas certificate"
-    return cert
-
-
-def _combine(pos: _Row, neg: _Row, v: int) -> _Row:
-    """The gcd-reduced combination of pos and neg that cancels v: a positive
-    multiple of pos / pos_v + neg / -neg_v."""
-    a, b = pos.coeffs[v], -neg.coeffs[v]
-    g = gcd(a, b)
-    kp, kn = b // g, a // g
-    coeffs = {w: c * kp for w, c in pos.coeffs.items()}
-    for w, c in neg.coeffs.items():
-        coeffs[w] = coeffs.get(w, 0) + c * kn
-    coeffs = {w: c for w, c in coeffs.items() if c}
-    combo = {i: lam * kp for i, lam in pos.combo.items()}
-    for i, lam in neg.combo.items():
-        combo[i] = combo.get(i, 0) + lam * kn
-    const = pos.const * kp + neg.const * kn
-    g = gcd(const, *coeffs.values(), *combo.values())
-    if g != 1:
-        coeffs = {w: c // g for w, c in coeffs.items()}
-        combo = {i: lam // g for i, lam in combo.items()}
-        const //= g
-    return _Row(coeffs, const, pos.strict or neg.strict, combo)
-
-
-def _fourier_motzkin(split) -> Sat | Unsat:
-    pvars = sorted({v for a, _ in split for v, _ in a.term.coeffs})
-    vidx = {v: i for i, v in enumerate(pvars)}
-    rows = [_row_of(a, i, vidx) for i, (a, _) in enumerate(split)]
-    for row in rows:
-        if _contradicts(row):
-            return Unsat(_certificate(split, row))
-    steps = []  # (var index, rows at the step it was eliminated)
-    while True:
-        present: dict = {}
-        for row in rows:
-            for v, c in row.coeffs.items():
-                present.setdefault(v, [0, 0])[0 if c > 0 else 1] += 1
-        if not present:
-            break
-        v = min(present, key=lambda v: (present[v][0] * present[v][1], v))
-        pos = [r for r in rows if r.coeffs.get(v, 0) > 0]
-        neg = [r for r in rows if r.coeffs.get(v, 0) < 0]
-        rest = [r for r in rows if v not in r.coeffs]
-        steps.append((v, pos + neg))
-        for p in pos:
-            for n in neg:
-                row = _combine(p, n, v)
-                if _contradicts(row):
-                    return Unsat(_certificate(split, row))
-                if row.coeffs or row.const != 0 or row.strict:
-                    rest.append(row)
-        rows = rest
-    vals = [Fraction(0)] * len(pvars)
-    for v, vrows in reversed(steps):
-        lo = hi = None
-        lo_strict = hi_strict = False
-        for row in vrows:
-            a = row.coeffs[v]
-            rest_val = row.const
-            for w, c in row.coeffs.items():
-                if w != v:
-                    rest_val += c * vals[w]
-            bound = Fraction(-rest_val, a)
-            if a > 0:  # upper bound on v
-                if hi is None or bound < hi or (bound == hi and row.strict):
-                    hi, hi_strict = bound, row.strict
-            else:  # lower bound
-                if lo is None or bound > lo or (bound == lo and row.strict):
-                    lo, lo_strict = bound, row.strict
-        if lo is not None and hi is not None:
-            vals[v] = lo if lo == hi else (lo + hi) / 2
-        elif lo is not None:
-            vals[v] = lo if not lo_strict else lo + 1
-        elif hi is not None:
-            vals[v] = hi if not hi_strict else hi - 1
-    model: dict = {}
-    for a, _ in split:
-        for v in a.vars:
-            model.setdefault(v, vals[vidx[v]])
-    return Sat(model)
+def _holds_all(atoms, model: dict) -> bool:
+    """Whether every <=, < or = atom holds under the model, summed over ints:
+    with the model scaled by its common denominator D > 0 to ints D*x, the
+    sign of D*t(x) = sum c_v * (D*x_v) + D*c decides each atom."""
+    den = lcm(*(q.denominator for q in model.values()))
+    num = {v: q.numerator * (den // q.denominator) for v, q in model.items()}
+    for a in atoms:
+        t = a.term
+        val = t.constant * den
+        for v, c in t.coeffs:
+            val += c * num[v]
+        if val > 0 or (val == 0 and a.rel == LT) or (val < 0 and a.rel == EQ):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Simplex over eps-rationals (Dutertre/de Moura style bounds tableau), on ints
 #
 # An atom t + c <= 0 (or < 0) gets a slack s = D*t, where D is the lcm of
-# every denominator of the atom, constant included, as in FM's _row_of.  Its
-# row starts as (1, {var: int}) and its upper bound is the int pair
-# (-D*c, -D if strict else 0), read as a + b*eps for an infinitesimal
-# eps > 0; problem variables have no bounds.  A basic row is kept
+# every denominator of the atom, constant included.  Its row starts as
+# (1, {var: int}) and its upper bound is the int pair (-D*c, -D if strict
+# else 0), read as a + b*eps for an infinitesimal eps > 0; problem variables
+# have no bounds.  A basic row is kept
 # fraction-free as (d, {j: a_j}), meaning d * x_s = sum a_j * x_j with d > 0
 # and gcd(d, a_j...) = 1.  A pivot cross-multiplies rows and divides out the
 # gcd.  A nonbasic variable is either a slack sitting at its bound (it left
@@ -290,7 +190,8 @@ def _simplex(split) -> Sat | Unsat:
                 any(atoms[i].rel == LT for i in mults),
                 origins,
             )
-            assert cert.is_valid(), "internal error: bad simplex certificate"
+            if not cert.is_valid():
+                raise SolverInternalError("simplex certificate is not a contradiction")
             return Unsat(cert)
         # pivot bad <-> enter: d_e * x_enter = sum erow_j * x_j, with bad
         # now nonbasic at its upper bound
@@ -349,5 +250,4 @@ def _simplex(split) -> Sat | Unsat:
         d, r = rows.get(vidx[v], (1, {}))
         p, q = _row_value(r, ub_a, ub_b)
         model[v] = Fraction(p * eps.denominator + q * eps.numerator, d * eps.denominator)
-    assert all(a.holds(model) for a, _ in split), "internal error: simplex model"
     return Sat(model)

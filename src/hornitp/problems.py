@@ -14,8 +14,14 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .engine import entails, sat
+from .errors import MalformedProblem
 from .lp import Sat
 from .terms import FALSE, TRUE, Constraint, cand, free_vars
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise MalformedProblem(message)
 
 
 @dataclass(frozen=True)
@@ -25,7 +31,7 @@ class SequenceProblem:
     parts: tuple  # of Constraint, n >= 1
 
     def __post_init__(self):
-        assert len(self.parts) >= 1
+        _require(len(self.parts) >= 1, "a sequence problem needs at least one part")
 
 
 def check_sequence(sp: SequenceProblem, labels) -> list:
@@ -64,11 +70,13 @@ class TreeProblem:
     def __post_init__(self):
         parents: dict = {}
         for p, c in self.edges:
-            assert c not in parents, "node with two parents is not a tree"
+            _require(c not in parents, f"node {c!r} has two parents")
             parents[c] = p
-        assert self.root in self.nodes
-        assert all(v in self.labels for v in self.nodes)
-        assert all(v == self.root or v in parents for v in self.nodes)
+        _require(self.root in self.nodes, f"root {self.root!r} is not a node")
+        _require(self.root not in parents, f"root {self.root!r} has a parent")
+        _require(all(v in self.labels for v in self.nodes), "a node has no label")
+        _require(all(v == self.root or v in parents for v in self.nodes),
+                 "a node other than the root has no parent")
 
     def children(self, v) -> list:
         return sorted((c for p, c in self.edges if p == v), key=str)
@@ -161,9 +169,10 @@ class DagProblem:
     allowed: dict | None = None  # node -> frozenset of Var
 
     def __post_init__(self):
-        assert self.entry in self.nodes and self.exit in self.nodes
-        assert not any(v == self.entry for _, v in self.edges), "entry has no incoming edges"
-        assert not any(u == self.exit for u, _ in self.edges), "exit has no outgoing edges"
+        _require(self.entry in self.nodes and self.exit in self.nodes,
+                 "entry and exit must be nodes")
+        _require(not any(v == self.entry for _, v in self.edges), "the entry has an incoming edge")
+        _require(not any(u == self.exit for u, _ in self.edges), "the exit has an outgoing edge")
 
     def incoming(self, v) -> list:
         return [e for e in self.edges if e[1] == v]
@@ -194,7 +203,7 @@ class DagProblem:
                 if indeg[w] == 0:
                     ready.append(w)
             ready.sort(key=str)
-        assert len(order) == len(self.nodes), "edge relation has a cycle"
+        _require(len(order) == len(self.nodes), "the edge relation has a cycle")
         return order
 
 

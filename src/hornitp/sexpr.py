@@ -59,6 +59,8 @@ class SNode:
 
 
 def tokenize(text: str):
+    """(token, line, col) triples.  A string token keeps its enclosing quotes,
+    and a doubled quote inside it reads as one, as in SMT-LIB 2.6."""
     line, col = 1, 1
     i, n = 0, len(text)
     while i < n:
@@ -78,12 +80,12 @@ def tokenize(text: str):
             col += 1
             i += 1
         elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
+            j = text.find('"', i + 1)
+            while j >= 0 and text.startswith('"', j + 1):  # "" is one escaped "
+                j = text.find('"', j + 2)
+            if j < 0:
                 raise ParseError("unterminated string", line, col)
-            yield (text[i:j + 1], line, col)
+            yield ('"' + text[i + 1:j].replace('""', '"') + '"', line, col)
             newlines = text.count("\n", i, j)
             if newlines:
                 line += newlines

@@ -8,7 +8,7 @@ import pytest
 from hornitp import chc, cli
 from hornitp.cli import main
 from hornitp.horn import verify_solution
-from hornitp.sexpr import parse_one
+from hornitp.sexpr import parse_all, parse_one
 
 TREELIKE = "tests/data/increment_treelike.chc"
 RECURSIVE = "tests/data/increment_recursive.chc"
@@ -202,6 +202,33 @@ class TestEncode:
         assert code == 2 and out.startswith("(error")
 
 
+    @pytest.mark.parametrize("kind, text", [
+        ("tree", "(tree (vars (x Int)) (edges) (root a))"),
+        ("tree", "(tree (vars (x Int)) (nodes (a (<= x 0))) (edges) (root))"),
+        ("tree", "(tree (vars (x Int)) (nodes (a (<= x 0))) (edges (a 9)) (root a))"),
+        ("tree", "(tree (vars (x Int)) (nodes (a (<= x 0))) (edges) (root b))"),
+        ("tree", "(tree (vars (x Int)) (nodes (a true) (b true) (c true)) "
+                 "(edges (a c) (b c) (a b)) (root a))"),
+        ("tree", "(tree (vars (x Int)) (nodes (a true) (b true) (c true)) "
+                 "(edges (b c) (c b)) (root a))"),
+        ("dag", "(dag (vars (x Int)) (nodes (s true) (t false)) (edges (s t (<= x 0))) "
+                "(entry s) (exit t) (allowed (s z)))"),
+        ("dag", "(dag (vars (x Int)) (nodes (s true) (t false)) "
+                "(edges (s t (<= x 0)) (t s true)) (entry s) (exit t))"),
+        ("dag", "(dag (vars (x Int)) (nodes (s true) (t false) (u true)) "
+                "(edges (s t (<= x 0)) (t u true)) (entry s) (exit t))"),
+        ("dag", "(dag (vars (x Int)) (nodes (s true) (m true) (n true) (t false)) "
+                "(edges (s m true) (m n true) (n m true) (m t true)) (entry s) (exit t))"),
+        ("sequence", "(sequence (vars (x Int)))"),
+    ])
+    def test_malformed_problem_is_parse_error(self, capsys, tmp_path, kind, text):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "encode", str(path), "--kind", kind)
+        assert code == 2 and out.startswith('(error "parse error')
+        assert "Traceback" not in err
+
+
 class TestRenameHorn:
     def test_terminating_output(self, capsys):
         code, out, _ = run(capsys, "rename-horn", CNF)
@@ -238,6 +265,17 @@ class TestFaults:
         path.write_text("(this is not horn")
         code, out, _ = run(capsys, "solve", str(path))
         assert code == 2 and out.startswith("(error")
+
+    def test_error_line_with_quotes_parses_back(self, capsys, tmp_path):
+        path = tmp_path / "quote.chc"
+        path.write_text(UNSOLVABLE.replace("(p x))))", '(|a"b| x))))', 1))
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2
+        (node,) = parse_all(out)
+        assert node.items[0].value == "error" and len(node.items) == 2
+        message = node.items[1].value[1:-1]
+        assert message.startswith("parse error at 3:") and """'|a"b|'""" in message
+        assert err == message + "\n"
 
     def test_dimacs_format_rejected_for_solve(self, capsys):
         code, out, _ = run(capsys, "--format", "dimacs", "solve", TREELIKE)

@@ -1,18 +1,20 @@
-"""Rational decision core: Fourier-Motzkin, simplex, Farkas certificates."""
+"""Rational decision core: the simplex, its tightest-atom merge and Farkas
+certificates, checked against a rational Fourier-Motzkin reference and a
+Fraction simplex reference kept in this file."""
 
 import random
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
 
+import pytest
 from generators import random_term
-from hornitp.engine import _cert_interpolant
+from hornitp import lp
+from hornitp.errors import SolverInternalError
 from hornitp.lp import (
-    FM_VAR_CUTOFF,
     FarkasCertificate,
     Sat,
     Unsat,
-    _fourier_motzkin,
     _simplex,
     decide_rational,
     split_equalities,
@@ -97,10 +99,55 @@ class TestSplitEqualities:
         assert {origin for _, origin in out} == {0}
 
 
+class TestSelfChecks:
+    def test_invalid_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(FarkasCertificate, "is_valid", lambda self: False)
+        with pytest.raises(SolverInternalError):
+            decide_rational(_atoms(le(LinearTerm.of(X), 0), le(-LinearTerm.of(X), -1)))
+
+    def test_bad_model_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "_simplex", lambda kept: Sat({X: Fraction(2)}))
+        with pytest.raises(SolverInternalError):
+            decide_rational(_atoms(le(LinearTerm.of(X), 3), le(LinearTerm.of(X), 1)))
+
+
+class TestTightestAtom:
+    def test_stacked_cuts_certificate_uses_tightest(self):
+        # branching stacks cuts x <= 5, x <= 3, x <= 1 on one form; with
+        # x >= 2 and y = x the certificate needs only the tightest cut
+        t = LinearTerm.of
+        atoms = _atoms(le(t(X), 5), eq(t(Y) - t(X)), le(t(X), 3), ge(t(X), 2),
+                       le(t(X), 1), le(t(X) + t(Y), 9))
+        res = decide_rational(atoms)
+        assert isinstance(res, Unsat) and res.certificate.is_valid()
+        cert = res.certificate
+        used = {cert.origins[i] for i, lam in cert.multipliers if lam}
+        assert 4 in used and not used & {0, 2}
+        assert len(cert.atoms) == 5  # y = x splits into two forms, x has one
+
+    def test_stacked_cuts_model_holds_on_every_atom(self):
+        t = LinearTerm.of
+        atoms = _atoms(le(t(X), 5), ge(t(X), 1), le(t(X), 4), ge(t(X), 0),
+                       le(t(X), 3), le(t(X) + t(Y), 7), ge(t(X) + t(Y), 7))
+        res = decide_rational(atoms)
+        assert isinstance(res, Sat)
+        assert all(a.holds(res.model) for a in atoms)
+
+    def test_strict_atom_wins_a_tie(self):
+        a = Var("a", REAL)
+        atoms = [LinearAtom(LinearTerm.make({a: 1}, -1), LE),
+                 LinearAtom(LinearTerm.make({a: 1}, -1), LT),
+                 LinearAtom(LinearTerm.make({a: -1}, 1), LE)]
+        res = decide_rational(atoms)
+        assert isinstance(res, Unsat) and res.certificate.strict
+        assert {res.certificate.origins[i] for i, _ in res.certificate.multipliers} == {1, 2}
+
+
 class TestBackendAgreement:
     def test_fm_and_simplex_agree(self):
+        # small systems of 1-4 variables, where Fourier-Motzkin is cheap
         rng = random.Random(17)
-        pool = [Var(f"w{i}", INT) for i in range(FM_VAR_CUTOFF + 2)]
+        pool = [Var(f"w{i}", INT) for i in range(8)]
         for trial in range(300):
             k = rng.randint(1, 4)
             variables = rng.sample(pool, k)
@@ -109,9 +156,8 @@ class TestBackendAgreement:
                 c = rng.choice([le, lt, eq])(random_term(rng, variables), 0)
                 if hasattr(c, "atom"):
                     atoms.append(c.atom)
-            split = split_equalities(atoms)
-            fm = _fourier_motzkin(split)
-            sx = _simplex(split)
+            fm = _reference_fm(split_equalities(atoms))
+            sx = decide_rational(atoms)
             assert isinstance(fm, Sat) == isinstance(sx, Sat), (trial, atoms)
             for res in (fm, sx):
                 if isinstance(res, Sat):
@@ -121,13 +167,6 @@ class TestBackendAgreement:
                     assert all(a.holds(model) for a in atoms)
                 else:
                     assert res.certificate.is_valid()
-
-    def test_simplex_used_above_cutoff(self):
-        variables = [Var(f"v{i}", INT) for i in range(FM_VAR_CUTOFF + 1)]
-        atoms = [le(LinearTerm.of(v), 0).atom for v in variables]
-        atoms.append(le(-LinearTerm.of(variables[0]), -1).atom)
-        res = decide_rational(atoms)
-        assert isinstance(res, Unsat) and res.certificate.is_valid()
 
 
 class TestCertificateProperties:
@@ -185,7 +224,7 @@ class TestSimplexRegression:
             atoms = _fractional_system(rng, pool)
             split = split_equalities(atoms)
             sx = _simplex(split)
-            assert type(sx) is type(_fourier_motzkin(split)), (trial, atoms)
+            assert type(sx) is type(_reference_fm(split)), (trial, atoms)
             verdicts[type(sx)] += 1
             if isinstance(sx, Sat):
                 model = dict(sx.model)
@@ -222,9 +261,9 @@ class TestSimplexRegression:
 
 
 # ---------------------------------------------------------------------------
-# Rational Fourier-Motzkin, kept as the reference for the integer-row engine:
-# the same elimination order and keep/drop tests over Fraction rows, each
-# combination normalised to coefficient +-1 on the eliminated variable.
+# Rational Fourier-Motzkin, kept as an independent reference for the
+# simplex's verdicts: it eliminates the variable with the fewest pos x neg
+# row pairs, each combination normalised to coefficient +-1 on it.
 # ---------------------------------------------------------------------------
 
 
@@ -314,7 +353,7 @@ def _reference_fm(split):
     return Sat(model)
 
 
-def _small_fractional_system(rng, max_vars=6, max_atoms=7):
+def _small_fractional_system(rng, max_vars, max_atoms):
     """2-max_atoms atoms over 1-max_vars Int or Real variables, coefficients
     c/q, fractional constants, relations <=, < and =."""
     pool = [Var(f"f{i}", rng.choice([INT, REAL])) for i in range(rng.randint(1, max_vars))]
@@ -325,49 +364,6 @@ def _small_fractional_system(rng, max_vars=6, max_atoms=7):
         const = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7]))
         atoms.append(LinearAtom(LinearTerm.make(coeffs, const), rng.choice([LE, LT, EQ])))
     return atoms
-
-
-class TestIntegerFourierMotzkin:
-    def test_agrees_with_rational_reference(self):
-        rng = random.Random(59)
-        verdicts = {Sat: 0, Unsat: 0}
-        for trial in range(300):
-            atoms = _small_fractional_system(rng)
-            split = split_equalities(atoms)
-            new, ref = _fourier_motzkin(split), _reference_fm(split)
-            assert type(new) is type(ref), (trial, atoms)
-            verdicts[type(new)] += 1
-            if isinstance(new, Sat):
-                assert list(new.model.items()) == list(ref.model.items()), (trial, atoms)
-                assert all(isinstance(x, Fraction) for x in new.model.values())
-                continue
-            cert, rcert = new.certificate, ref.certificate
-            assert cert.is_valid() and cert.strict == rcert.strict, (trial, atoms)
-            assert [i for i, _ in cert.multipliers] == [i for i, _ in rcert.multipliers]
-            ratios = {lam / rlam for (_, lam), (_, rlam) in
-                      zip(cert.multipliers, rcert.multipliers)}
-            assert len(ratios) == 1 and ratios.pop() > 0, (trial, atoms)
-            for n_a in range(len(atoms) + 1):
-                assert _cert_interpolant(cert, n_a) == _cert_interpolant(rcert, n_a)
-        assert verdicts[Sat] > 50 and verdicts[Unsat] > 50
-
-    def test_pinned_integer_certificate(self):
-        # -x/2 - 3y/5 - 5/2 <= 0, x + 2 <= 0 and -x/2 + 4y/5 + 2 < 0 scale to
-        # rows -5x - 6y - 25, x + 2 and -5x + 8y + 20 (combos 10, 1, 10);
-        # eliminating y gives -35x - 40 (combos 40, 30), gcd-reduced by 5 to
-        # -7x - 8, and eliminating x then leaves 6 < 0.  Rational FM finds
-        # the multipliers 8/7, 1 and 6/7.
-        x, y = Var("x", REAL), Var("y", REAL)
-        atoms = [
-            LinearAtom(LinearTerm.make({x: Fraction(-1, 2), y: Fraction(-3, 5)}, Fraction(-5, 2)), LE),
-            LinearAtom(LinearTerm.make({x: Fraction(1)}, Fraction(2)), LE),
-            LinearAtom(LinearTerm.make({x: Fraction(-1, 2), y: Fraction(4, 5)}, Fraction(2)), LT),
-        ]
-        res = _fourier_motzkin(split_equalities(atoms))
-        assert isinstance(res, Unsat)
-        cert = res.certificate
-        assert cert.multipliers == ((0, Fraction(8)), (1, Fraction(7)), (2, Fraction(6)))
-        assert cert.strict and cert.weighted_sum() == LinearTerm.const(6)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from generators import random_cube
 from hornitp import chc, solver
 from hornitp.engine import entails, sat
-from hornitp.errors import NotUnsat
+from hornitp.errors import MalformedProblem, NotUnsat
 from hornitp.lp import Sat
 from hornitp.problems import (
     DagProblem,
@@ -93,7 +93,7 @@ class TestTree:
         assert "variable-condition-l1" in failures
 
     def test_two_parents_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(MalformedProblem):
             TreeProblem(("a", "b", "c"),
                         frozenset({("a", "c"), ("b", "c"), ("a", "b")}),
                         {"a": TRUE, "b": TRUE, "c": TRUE}, "a")

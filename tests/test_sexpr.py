@@ -67,6 +67,13 @@ class TestParser:
             parse_all('(a "x\ny" ))')
         assert (err.value.line, err.value.col) == (2, 5)
 
+    def test_doubled_quote_in_string(self):
+        node = parse_one('(error "say ""hi"" (twice)" x)')
+        assert [n.value for n in node.items] == ["error", '"say "hi" (twice)"', "x"]
+        assert (node.items[2].line, node.items[2].col) == (1, 29)
+        with pytest.raises(ParseError):
+            parse_all('(a "unterminated "" b)')
+
     def test_comments_skipped(self):
         assert len(parse_all("; note\n(a) ; trailing\n(b)")) == 2
 
