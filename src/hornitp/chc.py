@@ -319,7 +319,8 @@ def parse_problem(text: str):
         return tp
     if kind == "dag":
         sec = _sections(rest)
-        node_labels = _named_constraints(_section(sec, "nodes", form[0]), variables)
+        nodes = _section(sec, "nodes", form[0])
+        node_labels = _named_constraints(nodes, variables)
         entry = _named_node(sec, "entry", form[0], node_labels)
         exit_ = _named_node(sec, "exit", form[0], node_labels)
         edges = _section(sec, "edges", form[0])
@@ -346,11 +347,12 @@ def parse_problem(text: str):
                     raise ParseError("expected (node var ...)", a.line, a.col)
                 allowed[_declared(items_a[0], node_labels, "node")] = frozenset(
                     variables[_declared(v, variables, "variable")] for v in items_a[1:])
-        dp = DagProblem(tuple(node_labels), tuple(edge_labels), entry, exit_,
-                        edge_labels, node_labels, allowed)
         try:
+            dp = DagProblem(tuple(node_labels), tuple(edge_labels), entry, exit_,
+                            edge_labels, node_labels, allowed)
             dp.topological_order()
         except MalformedProblem as exc:
-            raise ParseError(str(exc), edges.line, edges.col) from None
+            at = next((it for it in nodes.items[1:] if it.items[0].value == exc.node), edges)
+            raise ParseError(str(exc), at.line, at.col) from None
         return dp
     raise ParseError(f"unknown problem kind {kind!r}", form[0].line, form[0].col)

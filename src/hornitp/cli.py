@@ -111,83 +111,80 @@ def _clauses(args) -> ClauseSet:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     report = classify(_clauses(args))
     if args.output == "sexpr":
         fields = report.as_text().replace(":", "").splitlines()
-        print("(classification " + " ".join(f"({f})" for f in fields) + ")")
-    else:
-        print(report.as_text())
-    return 0
+        return 0, "(classification " + " ".join(f"({f})" for f in fields) + ")\n"
+    return 0, report.as_text() + "\n"
 
 
 def _derivation_sexpr(tree: DerivationTree, index: dict) -> str:
-    inner = " ".join(_derivation_sexpr(c, index) for c in tree.children)
-    label = index[id(tree.clause)]
-    return f"(clause {label} {inner})" if inner else f"(clause {label})"
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if type(t) is str:
+            out.append(t)
+            continue
+        out.append(f"(clause {index[id(t.clause)]}")
+        stack.append(")")
+        for c in reversed(t.children):
+            stack += (c, " ")
+    return "".join(out)
 
 
-def _print_counterexample(cx: Counterexample, hc: ClauseSet, mode: str):
+def _counterexample_lines(cx: Counterexample, hc: ClauseSet, mode: str) -> list:
     index = {id(h): i + 1 for i, h in enumerate(hc.clauses)}
-    print("unsat")
     if mode == "sexpr":
-        print(f"(counterexample {model_str(cx.model)} "
-              f"{_derivation_sexpr(cx.tree, index)})")
-        return
-    print("; derivation of false (clause numbers refer to input order):")
-
-    def walk(t: DerivationTree, depth: int):
-        print(";" + "  " * (depth + 1) + f"clause {index[id(t.clause)]}: {t.clause!r}")
-        for c in t.children:
-            walk(c, depth + 1)
-
-    walk(cx.tree, 0)
+        return ["unsat", f"(counterexample {model_str(cx.model)} "
+                         f"{_derivation_sexpr(cx.tree, index)})"]
+    lines = ["unsat", "; derivation of false (clause numbers refer to input order):"]
+    stack = [(cx.tree, 1)]
+    while stack:
+        t, depth = stack.pop()
+        lines.append(";" + "  " * depth + f"clause {index[id(t.clause)]}: {t.clause!r}")
+        stack.extend((c, depth + 1) for c in reversed(t.children))
     assignment = ", ".join(f"{v.name} = {number_str(val)}"
                            for v, val in sorted(cx.model.items()))
-    print(f"; witness model: {assignment}")
+    lines.append(f"; witness model: {assignment}")
+    return lines
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     hc = _clauses(args)
     with _options(args) as options:
         result = solve(hc, options)
     if isinstance(result, Solved):
-        print("sat")
+        head = "sat\n"
         if args.output == "human":
-            print("; the clause set is solvable; a verified solution:")
-        sys.stdout.write(chc.print_solution(result.solution))
-        return 0
-    _print_counterexample(result, hc, args.output)
-    return 1
+            head += "; the clause set is solvable; a verified solution:\n"
+        return 0, head + chc.print_solution(result.solution)
+    return 1, "\n".join(_counterexample_lines(result, hc, args.output)) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     hc = _clauses(args)
     sol = chc.parse_solution(_read(args.solution), hc)
     options = _budgets(args)
     verdict = verify_solution(sol, hc, options.branch_depth, options.cube_limit)
     if verdict:
-        print("valid")
-        return 0
-    print("invalid")
+        return 0, "valid\n"
     index = {id(h): i + 1 for i, h in enumerate(hc.clauses)}
     if args.output == "sexpr":
-        print(f"(failing-clause {index[id(verdict.clause)]} {model_str(verdict.model)})")
-    else:
-        print(f"; failing clause {index[id(verdict.clause)]}: {verdict.clause!r}")
-        assignment = ", ".join(f"{v.name} = {number_str(val)}"
-                               for v, val in sorted(verdict.model.items()))
-        print(f"; countermodel: {assignment}")
-    return 1
+        return 1, (f"invalid\n(failing-clause {index[id(verdict.clause)]} "
+                   f"{model_str(verdict.model)})\n")
+    assignment = ", ".join(f"{v.name} = {number_str(val)}"
+                           for v, val in sorted(verdict.model.items()))
+    return 1, (f"invalid\n; failing clause {index[id(verdict.clause)]}: {verdict.clause!r}\n"
+               f"; countermodel: {assignment}\n")
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args):
     hc = _clauses(args)
-    print(constraint_str(expand(hc, _budgets(args).expansion_limit)))
-    return 0
+    return 0, constraint_str(expand(hc, _budgets(args).expansion_limit)) + "\n"
 
 
-def _cmd_encode(args) -> int:
+def _cmd_encode(args):
     problem = chc.parse_problem(_read(args.file))
     kinds = {SequenceProblem: "sequence", TreeProblem: "tree", DagProblem: "dag"}
     actual = ("binary" if isinstance(problem, tuple) else kinds[type(problem)])
@@ -202,11 +199,10 @@ def _cmd_encode(args) -> int:
         hc = tree_problem_to_horn(problem)
     else:
         hc = dag_problem_to_horn(problem)
-    sys.stdout.write(chc.print_chc(hc))
-    return 0
+    return 0, chc.print_chc(hc)
 
 
-def _cmd_rename_horn(args) -> int:
+def _cmd_rename_horn(args):
     if args.format == "chc":
         raise HornitpError("rename-horn requires --format dimacs")
     cs = renaming.parse_dimacs(_read(args.file))
@@ -214,21 +210,14 @@ def _cmd_rename_horn(args) -> int:
     if not result:
         cycle = " ".join(str(l) for l in result.cycle)
         if args.output == "sexpr":
-            print(f"(nonterminating (cycle {cycle}))")
-        else:
-            print("NONTERMINATING")
-            print(f"; literal cycle: {cycle}")
-        return 1
+            return 1, f"(nonterminating (cycle {cycle}))\n"
+        return 1, f"NONTERMINATING\n; literal cycle: {cycle}\n"
     ren = renaming.compute_renaming(cs)
     variables = " ".join(str(v) for v in sorted(ren.variables))
     renamed = renaming.emit_dimacs(renaming.rename(cs, ren))
     if args.output == "sexpr":
-        print(f"(terminating (renaming {variables}))")
-    else:
-        print("TERMINATING")
-        print(f"; renaming: {variables}")
-    sys.stdout.write(renamed)
-    return 0
+        return 0, f"(terminating (renaming {variables}))\n" + renamed
+    return 0, f"TERMINATING\n; renaming: {variables}\n" + renamed
 
 
 _COMMANDS = {
@@ -249,7 +238,7 @@ def _error_line(message: str) -> str:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code, out = _COMMANDS[args.command](args)
     except ParseError as exc:  # its message already says "parse error"
         message = str(exc)
     except HornitpError as exc:
@@ -260,6 +249,9 @@ def main(argv=None) -> int:
         print(_error_line(f"internal: {type(exc).__name__}: {exc}"))
         traceback.print_exc()
         return 2
+    else:  # rendered in full first, so a failure prints only its error line
+        sys.stdout.write(out)
+        return code
     print(_error_line(message))
     print(message, file=sys.stderr)
     return 2

@@ -72,7 +72,12 @@ class MissingSymbol(HornitpError):
 
 class MalformedProblem(HornitpError):
     """An interpolation problem's shape breaks its definition, e.g. a tree
-    node with two parents or a DAG entry with an incoming edge."""
+    node with two parents or a DAG entry with an incoming edge.  ``node`` is
+    the offending node when there is one."""
+
+    def __init__(self, message, node=None):
+        super().__init__(message)
+        self.node = node
 
 
 class SolverInternalError(HornitpError):

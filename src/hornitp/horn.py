@@ -10,7 +10,7 @@ universal closure with the decision engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .engine import DEFAULT_BRANCH_DEPTH, sat
 from .errors import MissingSymbol, SortMismatch
@@ -28,8 +28,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class RelationSymbol:
+class RelationSymbol(NamedTuple):
     name: str
     arg_sorts: tuple = ()
 

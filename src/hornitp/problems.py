@@ -151,7 +151,10 @@ def check_tree(tp: TreeProblem, labels: dict) -> list:
 
 @dataclass(frozen=True)
 class DagProblem:
-    """Connected DAG with entry/exit nodes and edge/node constraint labels.
+    """DAG with entry/exit nodes and edge/node constraint labels in which
+    every node but the entry and the exit touches an edge.  It need not be
+    connected: a clause component without facts or queries leaves the entry
+    and the exit apart from the rest.
 
     ``allowed`` optionally fixes the variables permitted in each node's
     interpolant; when absent, the incoming/outgoing edge-label variable
@@ -173,6 +176,10 @@ class DagProblem:
                  "entry and exit must be nodes")
         _require(not any(v == self.entry for _, v in self.edges), "the entry has an incoming edge")
         _require(not any(u == self.exit for u, _ in self.edges), "the exit has an outgoing edge")
+        touched = {self.entry, self.exit}.union(*self.edges)
+        for v in self.nodes:
+            if v not in touched:
+                raise MalformedProblem(f"node {v!r} touches no edge", v)
 
     def incoming(self, v) -> list:
         return [e for e in self.edges if e[1] == v]

@@ -24,10 +24,6 @@ from .terms import (
     NE,
     REAL,
     TRUE,
-    CAnd,
-    CAtom,
-    CNot,
-    COr,
     Constraint,
     LinearTerm,
     Var,
@@ -36,6 +32,7 @@ from .terms import (
     cand,
     cnot,
     cor,
+    render,
 )
 
 
@@ -259,23 +256,14 @@ def parse_constraint(node: SNode, variables: dict) -> Constraint:
     raise ParseError(f"unknown constraint operator {op!r}", node.line, node.col)
 
 
+def _atom_str(a) -> str:
+    if a.rel == NE:
+        return f"(not (= {term_str(a.term)} 0))"
+    return f"({a.rel} {term_str(a.term)} 0)"
+
+
 def constraint_str(c: Constraint) -> str:
-    if c is TRUE:
-        return "true"
-    if c is FALSE:
-        return "false"
-    if isinstance(c, CAtom):
-        a = c.atom
-        if a.rel == NE:
-            return f"(not (= {term_str(a.term)} 0))"
-        return f"({a.rel} {term_str(a.term)} 0)"
-    if isinstance(c, CAnd):
-        return "(and " + " ".join(constraint_str(x) for x in c.args) + ")"
-    if isinstance(c, COr):
-        return "(or " + " ".join(constraint_str(x) for x in c.args) + ")"
-    if isinstance(c, CNot):
-        return f"(not {constraint_str(c.arg)})"
-    raise AssertionError(f"unprintable constraint {c!r}")
+    return render(c, _atom_str)
 
 
 # ---------------------------------------------------------------------------

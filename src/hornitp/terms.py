@@ -7,6 +7,11 @@ is integral and a :class:`fractions.Fraction` with denominator > 1
 otherwise; canonical atoms have coprime int coefficients, so most term
 arithmetic is plain int arithmetic.  Nothing in this package touches
 floating point.
+
+:class:`Var`, :class:`LinearTerm` and :class:`LinearAtom` are immutable
+``NamedTuple`` values: hashing, equality and ordering are the tuple's own,
+so ``hash(Var(n, s)) == hash((n, s))``.  ``+``, ``-`` and ``*`` on a
+LinearTerm are term arithmetic, never tuple concatenation or repetition.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CubeLimitExceeded, SortMismatch
 
@@ -35,8 +40,7 @@ def _rat(x):
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-@dataclass(frozen=True, order=True)
-class Var:
+class Var(NamedTuple):
     name: str
     sort: str = INT
 
@@ -44,8 +48,7 @@ class Var:
         return self.name if self.sort == INT else f"{self.name}:{self.sort}"
 
 
-@dataclass(frozen=True)
-class LinearTerm:
+class LinearTerm(NamedTuple):
     """coeffs * vars + constant, with no zero coefficients stored."""
 
     coeffs: tuple  # sorted tuple of (Var, nonzero int or Fraction)
@@ -176,8 +179,7 @@ NE = "!="
 _NEGATED = {LE: LT, LT: LE, EQ: NE, NE: EQ}
 
 
-@dataclass(frozen=True)
-class LinearAtom:
+class LinearAtom(NamedTuple):
     """Canonical atom ``term rel 0`` with at least one variable.
 
     Canonicalisation scales variable coefficients to coprime integers, gives
@@ -249,55 +251,67 @@ def _canonical_atom(term: LinearTerm, rel: str):
 class Constraint:
     __slots__ = ()
 
+    def __repr__(self):
+        return render(self, repr)
+
 
 class _CTrue(Constraint):
     __slots__ = ()
 
-    def __repr__(self):
-        return "true"
-
 
 class _CFalse(Constraint):
     __slots__ = ()
-
-    def __repr__(self):
-        return "false"
 
 
 TRUE = _CTrue()
 FALSE = _CFalse()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CAtom(Constraint):
     atom: LinearAtom
 
-    def __repr__(self):
-        return repr(self.atom)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CAnd(Constraint):
     args: tuple
 
-    def __repr__(self):
-        return "(and " + " ".join(map(repr, self.args)) + ")"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class COr(Constraint):
     args: tuple
 
-    def __repr__(self):
-        return "(or " + " ".join(map(repr, self.args)) + ")"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class CNot(Constraint):
     arg: Constraint
 
-    def __repr__(self):
-        return f"(not {self.arg!r})"
+
+def render(c: Constraint, atom_str) -> str:
+    """c as ``true``, ``false``, ``(and ...)``, ``(or ...)`` and ``(not ...)``
+    around ``atom_str(atom)`` for each atom.  Iterative, so the nesting depth
+    is not limited by the recursion limit."""
+    out = []
+    stack: list = [c]
+    while stack:
+        c = stack.pop()
+        if type(c) is str:
+            out.append(c)
+        elif c is TRUE or c is FALSE:
+            out.append("true" if c is TRUE else "false")
+        elif isinstance(c, CAtom):
+            out.append(atom_str(c.atom))
+        elif isinstance(c, CNot):
+            out.append("(not ")
+            stack += (")", c.arg)
+        else:
+            out.append("(and " if isinstance(c, CAnd) else "(or ")
+            stack.append(")")
+            for i, a in enumerate(reversed(c.args)):
+                if i:
+                    stack.append(" ")
+                stack.append(a)
+    return "".join(out)
 
 
 def atom(term: LinearTerm, rel: str) -> Constraint:

@@ -24,6 +24,17 @@ UNSOLVABLE = """(set-logic HORN)
 
 SEQ_PROBLEM = "(sequence (vars (x Int)) (<= 0 x) (<= x -1))"
 
+STRAY_DAG_NODE = ("(dag (vars (x Int)) (nodes (s true) (t false) (u true)) "
+                  "(edges (s t (<= x 0))) (entry s) (exit t))")
+
+
+def deep_query(levels: int) -> str:
+    """A satisfiable query whose constraint nests and/or 2 * levels deep."""
+    c = "(<= x 0)"
+    for k in range(1, levels + 1):
+        c = f"(and (<= x {k}) (or (>= x {-k}) {c}))"
+    return f"(set-logic HORN)\n(assert (forall ((x Int)) (=> {c} false)))\n(check-sat)\n"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -219,6 +230,7 @@ class TestEncode:
                 "(edges (s t (<= x 0)) (t u true)) (entry s) (exit t))"),
         ("dag", "(dag (vars (x Int)) (nodes (s true) (m true) (n true) (t false)) "
                 "(edges (s m true) (m n true) (n m true) (m t true)) (entry s) (exit t))"),
+        ("dag", STRAY_DAG_NODE),
         ("sequence", "(sequence (vars (x Int)))"),
     ])
     def test_malformed_problem_is_parse_error(self, capsys, tmp_path, kind, text):
@@ -227,6 +239,14 @@ class TestEncode:
         code, out, err = run(capsys, "encode", str(path), "--kind", kind)
         assert code == 2 and out.startswith('(error "parse error')
         assert "Traceback" not in err
+
+
+    def test_node_without_edges_is_parse_error_at_the_node(self, capsys, tmp_path):
+        path = tmp_path / "p.dag"
+        path.write_text(STRAY_DAG_NODE)
+        code, out, _ = run(capsys, "encode", str(path), "--kind", "dag")
+        assert code == 2
+        assert out == '(error "parse error at 1:47: node \'u\' touches no edge")\n'
 
 
 class TestRenameHorn:
@@ -290,3 +310,22 @@ class TestFaults:
         assert code == 2
         assert out == '(error "internal: RuntimeError: unexpected")\n'
         assert "RuntimeError" in err
+
+    @pytest.mark.parametrize("mode", ["human", "sexpr"])
+    def test_deeply_nested_constraint_prints_its_verdict(self, capsys, tmp_path, mode):
+        path = tmp_path / "deep.chc"
+        path.write_text(deep_query(125))
+        code, out, _ = run(capsys, "--output", mode, "solve", str(path))
+        assert code == 1
+        assert out.startswith("unsat\n") and "(error" not in out
+        if mode == "human":
+            assert out.count("(and (x - ") == 125
+
+    def test_failed_rendering_prints_only_the_error(self, capsys, monkeypatch):
+        def boom(sol):
+            raise RuntimeError("cannot render")
+
+        monkeypatch.setattr(chc, "print_solution", boom)
+        code, out, _ = run(capsys, "solve", TREELIKE)
+        assert code == 2
+        assert out == '(error "internal: RuntimeError: cannot render")\n'

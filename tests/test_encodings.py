@@ -249,6 +249,18 @@ class TestDagProblemFromLinear:
         p_sym = [s for s in hc.relations if s.name == "p"][0]
         assert len(dp.outgoing(p_sym)) == 2
 
+    def test_component_without_facts_or_queries(self):
+        from hornitp.horn import ClauseSet, HornClause, RelationSymbol, rel_atom
+
+        p, q, r = (RelationSymbol(n, (INT,)) for n in "pqr")
+        hc = ClauseSet.make([
+            HornClause(le(TX, 0), (rel_atom(p, X),), rel_atom(q, X)),
+            HornClause(ge(TX, 1), (rel_atom(p, X),), rel_atom(r, X)),
+        ])
+        ((dp, _),) = dag_problem_from_linear(normalize(hc))
+        assert not dp.outgoing(ENTRY_NODE) and not dp.incoming(EXIT_NODE)
+        assert isinstance(solve(hc), Solved)
+
     def test_wrong_fragment_rejected(self):
         with pytest.raises(WrongFragment):
             dag_problem_from_linear(normalize(PE.treelike_clauses()))

@@ -250,6 +250,20 @@ class TestDag:
         order = dp.topological_order()
         assert order[0] == "en" and order[-1] == "ex"
 
+    def test_node_without_edges_rejected(self):
+        dp = self._problem()
+        with pytest.raises(MalformedProblem) as info:
+            DagProblem(dp.nodes + ("u",), dp.edges, dp.entry, dp.exit,
+                       dp.edge_labels, {**dp.node_labels, "u": TRUE})
+        assert info.value.node == "u"
+
+    def test_entry_and_exit_may_touch_no_edge(self):
+        # what dag_problem_from_linear builds for a component with neither
+        # facts nor queries
+        dp = DagProblem(("en", "a", "b", "ex"), (("a", "b"),), "en", "ex",
+                        {("a", "b"): TRUE}, dict.fromkeys(("en", "a", "b", "ex"), TRUE))
+        assert check_dag(dp, {"en": TRUE, "a": FALSE, "b": FALSE, "ex": FALSE}) == []
+
     def test_allowed_vars_default_from_edge_labels(self):
         dp = self._problem()
         no_allowed = DagProblem(dp.nodes, dp.edges, dp.entry, dp.exit,

@@ -53,6 +53,45 @@ TX = LinearTerm.of(X)
 TY = LinearTerm.of(Y)
 
 
+class TestValueTypes:
+    """Var, LinearTerm, LinearAtom and RelationSymbol are tuples: their hash
+    is the tuple's, so set and dict iteration orders match a dataclass's."""
+
+    def _values(self):
+        from hornitp.horn import RelationSymbol
+
+        term = TX - 2 * TY + 3
+        a = LinearAtom(term, LE)
+        return [(X, ("x", INT)), (Var("r", REAL), ("r", REAL)),
+                (term, (term.coeffs, term.constant)), (a, (term, LE)),
+                (RelationSymbol("p", (INT, REAL)), ("p", (INT, REAL))),
+                (RelationSymbol("q"), ("q", ()))]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for value, fields in self._values():
+            assert hash(value) == hash(fields)
+
+    def test_var_sorts_by_name_then_sort(self):
+        vs = [Var("y", INT), Var("x", REAL), Var("x", INT), Var("a", REAL)]
+        assert sorted(vs) == [Var("a", REAL), Var("x", INT), Var("x", REAL), Var("y", INT)]
+
+    def test_attributes_are_read_only(self):
+        for value, _ in self._values():
+            for attr in ("name", "sort", "coeffs", "term", "arg_sorts"):
+                with pytest.raises(AttributeError):
+                    setattr(value, attr, None)
+
+    def test_arithmetic_is_term_arithmetic(self):
+        t1, t2 = TX + 1, 2 * TY
+        assert t1 + t2 == LinearTerm.make({X: 1, Y: 2}, 1)
+        assert 2 * t1 == t1 * 2 == LinearTerm.make({X: 2}, 2)
+        assert Fraction(1, 2) * t2 == TY
+        assert t1 - t2 == LinearTerm.make({X: 1, Y: -2}, 1)
+        assert 1 + t1 == t1 + 1 == LinearTerm.make({X: 1}, 2)
+        for t in (t1 + t2, 2 * t1, t1 * 2, 1 + t1):
+            assert isinstance(t, LinearTerm) and len(t) == 2
+
+
 class TestLinearTerm:
     def test_no_zero_coefficients_stored(self):
         t = TX + TY - TX
