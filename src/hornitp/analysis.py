@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotLinear
 from .horn import ClauseSet, HornClause, RelationAtom, RelationSymbol
-from .terms import LinearTerm, Var, cand, cor, eq, rename_vars
+from .terms import LinearTerm, Var, cand, cor, eq, substitute
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,6 @@ def connected_components(hc: ClauseSet) -> list:
 class NormalizedClauseSet:
     clause_set: ClauseSet
     arg_vectors: dict  # RelationSymbol -> tuple of Var
-    origin_map: dict  # fresh Var -> original Var
 
     @property
     def clauses(self):
@@ -189,37 +188,49 @@ def _fresh_vector(sym: RelationSymbol, suffix: str = "") -> tuple:
 
 def normalize(hc: ClauseSet) -> NormalizedClauseSet:
     """Rewrite so each relation atom is the symbol applied to its fixed
-    argument vector, binding equalities moved into the clause constraint,
-    and all other variables distinct across clauses."""
+    argument vector and all other variables are distinct across clauses.
+
+    Aliases come first: walking the head, then the body, an argument that
+    is a plain variable of the slot's sort and not yet renamed is renamed
+    onto the slot.  A binding equality ``slot = argument`` goes into the
+    constraint only where the renamed argument is not the slot itself: a
+    compound argument, a variable repeated across slots, or an Int
+    variable in a Real slot.  Every other variable v of clause idx becomes
+    ``v@idx``.  A symbol occurring again in one clause gets a fresh copy
+    ``~idx.n`` of its vector."""
     arg_vectors = {p: _fresh_vector(p) for p in sorted(hc.relations)}
     reserved = {v for vec in arg_vectors.values() for v in vec}
-    origin_map: dict = {}
     new_clauses = []
     for idx, h in enumerate(hc.clauses):
-        renaming = {}
-        for v in sorted(h.vars):
-            nv = Var(f"{v.name}@{idx}", v.sort)
-            assert nv not in reserved
-            renaming[v] = nv
-            origin_map[nv] = v
-        bindings = []
+        atoms = ([h.head] if h.head is not None else []) + list(h.body)
+        vectors = []
         used: dict = {}  # symbol -> copies handed out in this clause
-
-        def rewrite(a: RelationAtom) -> RelationAtom:
+        renaming: dict = {}
+        for a in atoms:
             n = used.get(a.symbol, 0)
             used[a.symbol] = n + 1
             vec = arg_vectors[a.symbol] if n == 0 else _fresh_vector(a.symbol, f"~{idx}.{n}")
-            sigma = {v: LinearTerm.of(w) for v, w in renaming.items()}
+            vectors.append(vec)
             for x, t in zip(vec, a.args):
-                bindings.append(eq(x, t.substituted(sigma)))
-            return RelationAtom(a.symbol, tuple(LinearTerm.of(x) for x in vec))
-
-        head = rewrite(h.head) if h.head is not None else None
-        body = tuple(rewrite(b) for b in h.body)
-        constraint = cand(rename_vars(h.constraint, renaming), *bindings)
-        new_clauses.append(HornClause(constraint, body, head))
-    return NormalizedClauseSet(ClauseSet(hc.relations, tuple(new_clauses)),
-                               arg_vectors, origin_map)
+                if len(t.coeffs) == 1 and t.constant == 0:
+                    ((v, c),) = t.coeffs
+                    if c == 1 and v.sort == x.sort and v not in renaming:
+                        renaming[v] = x
+        aliased = set(renaming.values())
+        for v in sorted(h.vars - renaming.keys()):
+            nv = Var(f"{v.name}@{idx}", v.sort)
+            assert nv not in reserved
+            renaming[v] = nv
+        sigma = {v: LinearTerm.of(w) for v, w in renaming.items()}
+        bindings = [eq(x, t.substituted(sigma))
+                    for a, vec in zip(atoms, vectors)
+                    for x, t in zip(vec, a.args) if x not in aliased]
+        new_atoms = [RelationAtom(a.symbol, tuple(LinearTerm.of(x) for x in vec))
+                     for a, vec in zip(atoms, vectors)]
+        head = new_atoms.pop(0) if h.head is not None else None
+        constraint = cand(substitute(h.constraint, sigma), *bindings)
+        new_clauses.append(HornClause(constraint, tuple(new_atoms), head))
+    return NormalizedClauseSet(ClauseSet(hc.relations, tuple(new_clauses)), arg_vectors)
 
 
 def merge_linear_duplicates(hc: ClauseSet) -> ClauseSet:

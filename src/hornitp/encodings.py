@@ -67,7 +67,7 @@ def sequence_to_horn(sp: SequenceProblem) -> ClauseSet:
 
 def _component_normalized(nhc: NormalizedClauseSet) -> list:
     comps = connected_components(nhc.clause_set)
-    return [NormalizedClauseSet(c, nhc.arg_vectors, nhc.origin_map) for c in comps]
+    return [NormalizedClauseSet(c, nhc.arg_vectors) for c in comps]
 
 
 def sequence_from_linear_treelike(nhc: NormalizedClauseSet) -> list:

@@ -558,7 +558,7 @@ def _cone_labels(nhc: NormalizedClauseSet, comp: ClauseSet, options: SolverOptio
     per_cone: list = []  # (cone, labels dict, subcone map)
     for cone in _enumerate_cones(comp, options.subset_limit):
         cone_set = ClauseSet.make([comp.clauses[i] for i in sorted(cone)])
-        sub_nhc = NormalizedClauseSet(cone_set, nhc.arg_vectors, nhc.origin_map)
+        sub_nhc = NormalizedClauseSet(cone_set, nhc.arg_vectors)
         problems = tree_problem_from_treelike(sub_nhc)
         assert len(problems) == 1, "a derivation cone is one connected tree"
         per_cone.append((cone, tree_interpolate(problems[0], options),

@@ -23,7 +23,23 @@ from hornitp.horn import (
     rel_atom,
     verify_solution,
 )
-from hornitp.terms import INT, TRUE, LinearTerm, Var, cor, eq, free_vars, ge, le
+from hornitp.solver import Counterexample, Solved, solve
+from hornitp.terms import (
+    INT,
+    REAL,
+    TRUE,
+    CAtom,
+    LinearTerm,
+    Var,
+    cand,
+    cor,
+    eq,
+    free_vars,
+    ge,
+    le,
+    lt,
+    rename_vars,
+)
 
 
 class TestDependenceGraph:
@@ -193,8 +209,6 @@ class TestNormalize:
     def test_solution_transfers_to_original(self):
         hc = PE.treelike_clauses()
         nhc = normalize(hc)
-        from hornitp.solver import solve, Solved
-
         res = solve(nhc.clause_set)
         assert isinstance(res, Solved)
         # normalized argument vectors are the formal parameters, so the
@@ -212,6 +226,86 @@ class TestNormalize:
         from hornitp.engine import entails
 
         assert entails([h.constraint], binding)
+
+    # aliasing: a plain-variable argument is renamed onto its slot, and a
+    # binding equality is left only where the argument is not that slot
+
+    def _one(self, clause):
+        nhc = normalize(ClauseSet.make([clause]))
+        (h,) = nhc.clauses
+        return h, nhc.arg_vectors
+
+    def test_plain_variable_argument_adds_no_binding(self):
+        p = RelationSymbol("p", (INT,))
+        x = Var("x", INT)
+        h, vec = self._one(HornClause(ge(LinearTerm.of(x), 0), (), rel_atom(p, x)))
+        (p0,) = vec[p]
+        assert h.constraint == ge(LinearTerm.of(p0), 0)
+        assert h.head == rel_atom(p, p0)
+
+    def test_repeated_variable_gives_one_alias_and_one_equality(self):
+        p = RelationSymbol("p", (INT, INT))
+        x = Var("x", INT)
+        h, vec = self._one(HornClause(ge(LinearTerm.of(x), 0), (), rel_atom(p, x, x)))
+        p0, p1 = vec[p]
+        assert h.constraint == cand(ge(LinearTerm.of(p0), 0), eq(LinearTerm.of(p1), LinearTerm.of(p0)))
+        assert h.head == rel_atom(p, p0, p1)
+
+    def test_int_variable_in_real_slot_keeps_binding(self):
+        p = RelationSymbol("p", (REAL,))
+        x = Var("x", INT)
+        h, vec = self._one(HornClause(ge(LinearTerm.of(x), 0), (), rel_atom(p, x)))
+        (p0,) = vec[p]
+        x0 = LinearTerm.of(Var("x@0", INT))
+        assert h.constraint == cand(ge(x0, 0), eq(LinearTerm.of(p0), x0))
+
+    def test_compound_argument_keeps_binding(self):
+        q = RelationSymbol("q", (INT,))
+        x = Var("x", INT)
+        h, vec = self._one(HornClause(ge(LinearTerm.of(x), 0), (), rel_atom(q, LinearTerm.of(x) + 1)))
+        (q0,) = vec[q]
+        x0 = LinearTerm.of(Var("x@0", INT))
+        assert h.constraint == cand(ge(x0, 0), eq(LinearTerm.of(q0), x0 + 1))
+
+    def test_second_body_occurrence_aliases_onto_its_copy(self):
+        p = RelationSymbol("p", (INT,))
+        x, y = Var("x", INT), Var("y", INT)
+        h, vec = self._one(HornClause(lt(LinearTerm.of(x), LinearTerm.of(y)),
+                                      (rel_atom(p, x), rel_atom(p, y)), None))
+        (p0,) = vec[p]
+        copy = Var("p#0~0.1", INT)
+        assert h.constraint == lt(LinearTerm.of(p0), LinearTerm.of(copy))
+        assert h.body == (rel_atom(p, p0), rel_atom(p, copy))
+
+    def test_chain_steps_normalize_to_their_input_atom(self):
+        hc = chain_clauses(8)
+        nhc = normalize(hc)
+        steps = list(zip(hc.clauses, nhc.clauses))[1:-1]
+        assert len(steps) == 8
+        for orig, h in steps:
+            (body,) = orig.body
+            renaming = {body.args[0].coeffs[0][0]: nhc.arg_vectors[body.symbol][0],
+                        orig.head.args[0].coeffs[0][0]: nhc.arg_vectors[orig.head.symbol][0]}
+            assert isinstance(h.constraint, CAtom)
+            assert h.constraint == rename_vars(orig.constraint, renaming)
+
+    def test_normalized_set_solves_like_the_original(self):
+        # integer branching may run out of depth (UnknownResult): that is
+        # incompleteness, not a verdict, so it is counted and bounded
+        rng = random.Random(11)
+        unknown = 0
+        for _ in range(300):
+            hc = random_clause_set(rng)
+            try:
+                res = solve(normalize(hc).clause_set)
+                if isinstance(res, Solved):
+                    assert bool(verify_solution(res.solution, hc))
+                else:
+                    assert isinstance(res, Counterexample)
+                    assert isinstance(solve(hc), Counterexample)
+            except UnknownResult:
+                unknown += 1
+        assert unknown <= 3
 
 
 class TestMergeLinearDuplicates:
