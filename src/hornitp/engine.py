@@ -1,25 +1,26 @@
-"""Satisfiability and binary Craig interpolation for linear constraints.
+"""Satisfiability and Craig interpolation for linear constraints.
 
 The rational core lives in :mod:`hornitp.lp`; this module adds integer
 completeness by branching on fractional Int-sorted values, lifts cube-level
-decisions to arbitrary constraints through DNF, and derives interpolants from
-Farkas certificates.
+decisions to arbitrary constraints through DNF, and labels trees from Farkas
+certificates (label_tree); a binary interpolant is the two-node tree's.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import NotUnsat, UnknownResult
-from .lp import FarkasCertificate, Sat, Unsat, decide_rational
+from .lp import Sat, Unsat, decide_rational
 from .terms import (
     FALSE,
     INT,
     LE,
     LT,
-    TRUE,
     Constraint,
     Cube,
     LinearTerm,
@@ -68,8 +69,7 @@ def _decide(atoms, depth):
         return res
     if depth <= 0:
         raise UnknownResult("integer branching depth exhausted")
-    left, right = _branch_cuts(*frac)
-    for cut in (left, right):
+    for cut in _branch_cuts(*frac):
         sub = _decide(atoms + [cut], depth - 1)
         if isinstance(sub, Sat):
             return sub
@@ -113,69 +113,124 @@ def entails(premises, goal: Constraint, branch_depth: int = DEFAULT_BRANCH_DEPTH
     return isinstance(sat(body, branch_depth, cube_limit), Unsat)
 
 
-def _cert_interpolant(cert: FarkasCertificate, n_a: int) -> Constraint:
-    """Multiplier-weighted sum of the A-side atoms of a certificate.
+def _subtree_labels(own: list, strict: set, kids: list, leaves) -> list:
+    """Labels of one certificate from each node's (term, multiplier) pairs
+    and the set of nodes with a strict atom."""
+    sums, below, itps = [], [], []
+    for i in range(len(own) - 1):
+        pairs, below_i = own[i], i in strict
+        if kids[i]:
+            pairs = pairs + [(sums[c], 1) for c in kids[i]]
+            below_i = below_i or any(below[c] for c in kids[i])
+        sums.append(weighted_sum(pairs))
+        below.append(below_i)
+        itps.append(atom(sums[i], LT if below_i else LE))
+    itps.append(FALSE)
+    if leaves is not None:
+        leaves.append((own, strict, sums, itps))
+    return itps
 
-    Writing the certified combination as sum_A + sum_B = c, the A-side part
-    s satisfies A |= (s rel 0), s = c - sum_B keeps s over shared variables,
-    and (s rel 0) & B inherits the contradiction.
-    """
-    a_side = [(cert.atoms[i], lam) for i, lam in cert.multipliers if cert.origins[i] < n_a]
-    s = weighted_sum((a.term, lam) for a, lam in a_side)
-    strict = any(a.rel == LT for a, _ in a_side)
-    return atom(s, LT if strict else LE)
 
-
-def _interpolate_cubes(a_atoms, b_atoms, depth) -> Constraint:
-    res = decide_rational(a_atoms + b_atoms)
+def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, leaves) -> list:
+    """Labels of one cube choice, nodes[i] being node i's cube with its cuts
+    appended: one LP per call, the nested calls are branch nodes."""
+    atoms, ends, own = [], [], []
+    for c in nodes:
+        atoms += c.atoms
+        ends.append(len(atoms))
+        own.append([])
+    res = decide_rational(atoms)
     if isinstance(res, Unsat):
-        return _cert_interpolant(res.certificate, len(a_atoms))
+        cert = res.certificate
+        cert_atoms, mults, origins = cert.atoms, cert.multipliers, cert.origins
+        strict = set()
+        for j, lam in mults:
+            a = cert_atoms[j]
+            i = bisect_right(ends, origins[j])
+            own[i].append((a.term, lam))
+            if a.rel == LT:
+                strict.add(i)
+        return _subtree_labels(own, strict, kids, leaves)
     frac = _fractional_int(res.model)
     if frac is None:
         raise NotUnsat(res.model)
     if depth <= 0:
         raise UnknownResult("integer branching depth exhausted during interpolation")
     v, val = frac
-    left, right = _branch_cuts(v, val)
-    a_vars = frozenset().union(*(a.vars for a in a_atoms)) if a_atoms else frozenset()
-    if v in a_vars:
-        # cut strengthens the A side: A is the union of the two branches,
-        # so the branch interpolants combine with "or"
-        return cor(_interpolate_cubes(a_atoms + [left], b_atoms, depth - 1),
-                   _interpolate_cubes(a_atoms + [right], b_atoms, depth - 1))
-    return cand(_interpolate_cubes(a_atoms, b_atoms + [left], depth - 1),
-                _interpolate_cubes(a_atoms, b_atoms + [right], depth - 1))
+    s = next(i for i, c in enumerate(nodes) if v in c.vars)
+    branches = []
+    for cut in _branch_cuts(v, val):
+        split = list(nodes)
+        split[s] = Cube(nodes[s].atoms + (cut,))
+        branches.append(_interpolate_cubes(split, kids, first, depth - 1, leaves))
+    # the cut strengthens node s: subtrees holding it are the union of the
+    # two branches, the others must hold in both
+    return [cor(left, right) if first[w] <= s <= w else cand(left, right)
+            for w, (left, right) in enumerate(zip(*branches))]
+
+
+def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH,
+               leaves: list = None) -> list:
+    """Tree interpolant of nodes 0..n-1 in post order (each subtree an
+    interval ending at its root, n-1 the root) with DNF cubes cubes[i] and
+    children kids[i], in post order too.
+
+    Each choice of one cube per node is one rational LP; its Farkas
+    certificate labels node w by the weighted sum of the certificate atoms
+    of subtree(w), strict when one of them is, and the root by false.  A
+    fractional Int value x = v is a case split x <= floor(v) or
+    x >= floor(v) + 1 at the first node whose atoms mention x.  Branches and
+    cube choices combine by one rule (McMillan, TCS 2005): node w disjoins
+    over those made inside subtree(w) the conjunction over those made
+    outside it.  A node without cubes refutes alone, as 1 <= 0 would.
+
+    A list ``leaves`` gets (own, strict, sums, labels) per certificate read:
+    per node its (term, multiplier) pairs, the nodes with a strict atom, and
+    per non-root node its subtree's sum.  Raises NotUnsat with a model of
+    every cube when a choice is satisfiable, UnknownResult when
+    ``branch_depth`` runs out.
+    """
+    n = len(cubes)
+    if not all(cubes):
+        one = [(LinearTerm.const(1), 1)]
+        return _subtree_labels([[] if cs else one for cs in cubes], set(), kids, leaves)
+    first = []  # subtree(i) is first[i]..i
+    for i, cs in enumerate(kids):
+        first.append(first[cs[0]] if cs else i)
+    try:
+        choices = [_interpolate_cubes(nodes, kids, first, branch_depth, leaves)
+                   for nodes in product(*cubes)]
+    except NotUnsat as exc:
+        model = dict(exc.model)  # completed to every cube's variables
+        for v in frozenset().union(*(c.vars for cs in cubes for c in cs)):
+            model.setdefault(v, Fraction(0))
+        raise NotUnsat(model) from None
+    if len(choices) == 1:
+        return choices[0]
+    sigmas = list(product(*map(range, map(len, cubes))))
+    multi = [i for i in range(n) if len(cubes[i]) > 1]
+    labels = []
+    for i in range(n - 1):
+        inside = [m for m in multi if first[i] <= m <= i]
+        groups: dict = {}
+        for sigma, itps in zip(sigmas, choices):
+            groups.setdefault(tuple(map(sigma.__getitem__, inside)), []).append(itps[i])
+        labels.append(cor(*(cand(*g) for g in groups.values())))
+    return labels + [FALSE]
 
 
 def binary_interpolant(A: Constraint, B: Constraint,
                        branch_depth: int = DEFAULT_BRANCH_DEPTH,
                        cube_limit: int = DEFAULT_CUBE_LIMIT) -> Interpolant:
-    """Craig interpolant of an unsatisfiable conjunction A and B.
+    """Craig interpolant of an unsatisfiable conjunction A and B: the label
+    of A on the tree with child A and root B (only each side's DNF is
+    bounded by ``cube_limit``).
 
     Raises NotUnsat with a witnessing model when A and B are jointly
     satisfiable, and UnknownResult when integer branching depth runs out.
     """
-    cubes_a = to_dnf(A, cube_limit)
-    cubes_b = to_dnf(B, cube_limit)
-    if not cubes_a:
-        return Interpolant(FALSE)
-    if not cubes_b:
-        return Interpolant(TRUE)
-    shared = free_vars(A) | free_vars(B)
-    disjuncts = []
-    for ca in cubes_a:
-        conjuncts = []
-        for cb in cubes_b:
-            try:
-                conjuncts.append(_interpolate_cubes(list(ca.atoms), list(cb.atoms),
-                                                    branch_depth))
-            except NotUnsat as exc:
-                model = dict(exc.model)
-                for v in shared:
-                    model.setdefault(v, Fraction(0))
-                raise NotUnsat(model) from None
-        disjuncts.append(cand(*conjuncts))
-    return Interpolant(cor(*disjuncts))
+    cubes = [to_dnf(A, cube_limit), to_dnf(B, cube_limit)]
+    return Interpolant(label_tree(cubes, ([], [0]), branch_depth)[0])
 
 
 def check_interpolant(A: Constraint, B: Constraint, formula: Constraint,

@@ -9,19 +9,17 @@ so by duplicating derivation cones, each cone is one tree interpolation
 problem, and the per-cone labels combine into a positive Boolean
 combination per symbol.  Sequences are the trees that are paths, and a
 tree-like component has exactly one cone.  Trees are labeled from Farkas
-certificates: one rational LP per choice of one DNF cube per node label,
-each certificate labeling every node at once by the weighted sum of its
-subtree's atoms; the choices of nodes outside a subtree are conjoined and
-those inside it disjoined.  An external interpolation backend, or a cube
-choice that needs integer branching, falls back to interpolating node by
-node.  Unsolvable sets produce a concrete derivation of false together with
-a satisfying model."""
+certificates by engine.label_tree, the routine binary interpolation uses
+too: one rational LP per choice of one DNF cube per node label and of each
+integer case split, each certificate labeling every node at once by the
+weighted sum of its subtree's atoms.  Only an external interpolation
+backend labels node by node.  Unsolvable sets produce a concrete derivation
+of false together with a satisfying model."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
 from typing import Callable, Optional
 
@@ -36,7 +34,7 @@ from .encodings import (
     dag_problem_from_linear,
     tree_problem_from_treelike,
 )
-from .engine import DEFAULT_BRANCH_DEPTH, _fractional_int, binary_interpolant, sat
+from .engine import DEFAULT_BRANCH_DEPTH, binary_interpolant, label_tree, sat
 from .errors import (
     CubeLimitExceeded,
     ExpansionLimitExceeded,
@@ -55,7 +53,7 @@ from .horn import (
     Valid,
     verify_solution,
 )
-from .lp import FarkasCertificate, Sat, decide_rational
+from .lp import FarkasCertificate, Sat
 from .problems import DagProblem, SequenceProblem, TreeProblem, check_dag, check_tree
 from .terms import (
     DEFAULT_CUBE_LIMIT,
@@ -67,12 +65,10 @@ from .terms import (
     LinearAtom,
     LinearTerm,
     Var,
-    atom,
     cand,
     cnot,
     cor,
     eq,
-    free_vars,
     rename_vars,
     to_dnf,
     weighted_sum,
@@ -239,37 +235,23 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
     """Tree interpolant of a labeled tree whose node labels are jointly
     unsatisfiable.
 
-    Certificate path: each node label is put in DNF, and for every cube
-    choice sigma (one cube per node; at most ``cube_limit`` choices) the
-    chosen atoms, in post order, go to one rational LP.  Its Farkas
-    certificate labels every node v at once: I_sigma(v) is the
-    multiplier-weighted sum of the certificate atoms from the subtree of v,
-    strict when a strict atom carries a positive multiplier; the root gets
-    false.  The choices combine per node: I(v) disjoins, over the choices of
-    the nodes inside the subtree of v, the conjunction over the choices of
-    the nodes outside it.  One-cube labels make this one LP with
-    I(v) = I_sigma(v); a false label makes I(v) false exactly on the
-    subtrees that hold one.
-
-    Fallback: the node-by-node sweep (one binary interpolation and one
-    satisfiability check per node) serves an ``options.interpolate``
-    backend, which answers binary problems only, and a cube choice that is
-    rationally satisfiable with a fractional Int value, which needs integer
-    branching and so has no single certificate.
+    Certificate path: engine.label_tree labels the nodes from their labels'
+    DNF (at most ``cube_limit`` cube choices), one rational LP per cube
+    choice and integer case split.  Node-by-node path: an
+    ``options.interpolate`` backend answers binary problems only, so each
+    node gets one binary interpolation and one satisfiability check.
 
     Either path makes one frontier check per node: after node v, the labels
     of the processed nodes whose parent is still unprocessed, together with
     the remaining node labels, must be unsatisfiable; on the certificate
-    path that means they still form a Farkas certificate for every choice.
+    path that means that for every certificate read they still form one.
     The final labeling must pass check_tree.  Raises NotUnsat (with a model)
     when the conjunction of all node labels is satisfiable.
     """
     options = options or SolverOptions()
     order = tp.post_order()
-    found = None
-    if options.interpolate is None:
-        found = _certificate_labels(tp, order, options)
-    labels, invariant_checks = found or _node_by_node_labels(tp, order, options)
+    sweep = _certificate_labels if options.interpolate is None else _node_by_node_labels
+    labels, invariant_checks = sweep(tp, order, options)
     failures = check_tree(tp, labels)
     if tree_log is not None:
         tree_log.append({"problem": tp, "labels": labels,
@@ -281,90 +263,45 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
 
 
 def _certificate_labels(tp: TreeProblem, order: list, options: SolverOptions):
-    """(labels, frontier checks) from one certificate per cube choice, or
-    None when the node-by-node sweep has to take over."""
+    """(labels, frontier checks) from engine.label_tree, with the frontier
+    checked against every certificate it read."""
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}
     child_map = tp.child_map()
     kids = [[pos[c] for c in child_map[v]] for v in order]
     parent = [n] * n  # the root's parent is never processed
-    first = list(range(n))  # subtree(order[i]) is order[first[i]..i]
     for i, cs in enumerate(kids):
         for c in cs:
             parent[c] = i
-        if cs:
-            first[i] = first[cs[0]]
-    certified = []  # (sigma, per node: [(certificate atom, multiplier)])
-    multi = []  # nodes with more than one cube
-    if any(tp.labels[v] is FALSE for v in order):
-        # a false label refutes the conjunction by itself, as the ground
-        # atom 1 <= 0 would: the subtrees holding one get false
-        contradiction = LinearAtom(LinearTerm.const(1), LE)
-        certified.append(((), [[(contradiction, 1)] if tp.labels[v] is FALSE
-                               else [] for v in order]))
-    else:
-        cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in order]
-        if not all(cubes):
-            return None  # a label false only after DNF: the sweep handles it
-        if prod(len(cs) for cs in cubes) > options.cube_limit:
-            raise CubeLimitExceeded(options.cube_limit)
-        multi = [i for i in range(n) if len(cubes[i]) > 1]
-        for sigma in product(*(range(len(cs)) for cs in cubes)):
-            atoms, owner = [], []
-            for i, k in enumerate(sigma):
-                atoms.extend(cubes[i][k].atoms)
-                owner.extend([i] * len(cubes[i][k].atoms))
-            res = decide_rational(atoms)
-            if isinstance(res, Sat):
-                if _fractional_int(res.model) is not None:
-                    return None
-                model = dict(res.model)
-                for v in frozenset().union(*(free_vars(tp.labels[v]) for v in order)):
-                    model.setdefault(v, Fraction(0))
-                raise NotUnsat(model)
-            cert = res.certificate
-            used = [[] for _ in range(n)]
-            for j, lam in cert.multipliers:
-                used[owner[cert.origins[j]]].append((cert.atoms[j], lam))
-            certified.append((sigma, used))
-    choices = []  # (sigma, [I_sigma], [weighted sum], [remaining-atom sum])
-    for sigma, used in certified:
-        own = [[(a.term, lam) for a, lam in u] for u in used]
-        own_strict = [any(a.rel == LT and lam > 0 for a, lam in u) for u in used]
-        sums, strict, itps = [], [], []
-        for i in range(n):
-            sums.append(weighted_sum(own[i] + [(sums[c], 1) for c in kids[i]]))
-            strict.append(own_strict[i] or any(strict[c] for c in kids[i]))
-            itps.append(FALSE if i == n - 1 else atom(sums[i], LT if strict[i] else LE))
+    cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in order]
+    if prod(len(cs) for cs in cubes) > options.cube_limit:
+        raise CubeLimitExceeded(options.cube_limit)
+    leaves: list = []
+    itps = label_tree(cubes, kids, options.branch_depth, leaves)
+    certified = []  # per certificate: (labels, subtree sums, remaining-atom sums)
+    for own, strict, sums, leaf_itps in leaves:
         # rest[i]: the certificate atoms of the nodes from i on, summed into
         # one atom, strict when one of them is
         rest = [LinearAtom(LinearTerm.const(0), LE)] * (n + 1)
         for i in reversed(range(n)):
             rest[i] = LinearAtom(weighted_sum(own[i] + [(rest[i + 1].term, 1)]),
-                                 LT if own_strict[i] or rest[i + 1].rel == LT else LE)
-        choices.append((sigma, itps, sums, rest))
+                                 LT if i in strict or rest[i + 1].rel == LT else LE)
+        certified.append((leaf_itps, sums, rest))
     invariant_checks = 0
     frontier: list = []
     for i in range(n):
         frontier = [w for w in frontier if parent[w] != i] + [i]
-        for _, itps, sums, rest in choices:
-            if not _frontier_refuted(frontier, itps, sums, rest[i + 1]):
+        for leaf_itps, sums, rest in certified:
+            if not _frontier_refuted(frontier, leaf_itps, sums, rest[i + 1]):
                 raise SolverInternalError(f"frontier invariant violated after node {order[i]}")
         invariant_checks += 1
-    labels = {}
-    for i, v in enumerate(order):
-        inside = [m for m in multi if first[i] <= m <= i]
-        groups: dict = {}
-        for sigma, itps, _, _ in choices:
-            groups.setdefault(tuple(sigma[m] for m in inside), []).append(itps[i])
-        labels[v] = cor(*(cand(*g) for g in groups.values()))
-    return labels, invariant_checks
+    return dict(zip(order, itps)), invariant_checks
 
 
 def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) -> bool:
-    """Whether the frontier labels of one cube choice, each canonical atom
+    """Whether the frontier labels of one certificate, each canonical atom
     weighted by the inverse of its canonicalisation scale, and ``rest``, the
-    certificate's remaining cube atoms summed into one, still form a Farkas
+    certificate's remaining atoms summed into one, still form a Farkas
     certificate."""
     weighted = []
     for w in frontier:
@@ -684,7 +621,8 @@ def _solve_component(comp: ClauseSet, options: SolverOptions):
             collected.update(_cone_labels(nhc, sub, options))
     except NotUnsat:
         cx = find_counterexample(comp, options)
-        assert cx is not None, "satisfiable encoding must yield a counterexample"
+        if cx is None:
+            raise SolverInternalError("satisfiable encoding yielded no counterexample")
         return cx, nhc.arg_vectors
     for p in sorted(comp.relations):
         parts = []

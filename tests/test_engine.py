@@ -7,21 +7,28 @@ import pytest
 
 from generators import random_unsat_pair
 from hornitp.engine import (
+    DEFAULT_BRANCH_DEPTH,
+    _branch_cuts,
+    _fractional_int,
     binary_interpolant,
     check_interpolant,
     entails,
+    label_tree,
     sat,
     sat_cube,
 )
 from hornitp.errors import NotUnsat, UnknownResult
-from hornitp.lp import Sat, Unsat
+from hornitp.lp import Sat, Unsat, decide_rational
 from hornitp.terms import (
     FALSE,
     INT,
+    LE,
+    LT,
     TRUE,
     Cube,
     LinearTerm,
     Var,
+    atom,
     cand,
     cor,
     eq,
@@ -30,6 +37,8 @@ from hornitp.terms import (
     ge,
     le,
     ne,
+    to_dnf,
+    weighted_sum,
 )
 
 X = Var("x", INT)
@@ -148,3 +157,96 @@ class TestBinaryInterpolant:
         assert "variable-condition" in check_interpolant(a, b, ge(LinearTerm.of(y), 0))
         assert "left-entailment" in check_interpolant(a, b, ge(TX, 1))
         assert "right-contradiction" in check_interpolant(a, b, TRUE)
+
+
+# ---------------------------------------------------------------------------
+# Reference: binary interpolation one cube pair at a time, each pair with its
+# own branch and bound; label_tree on the two-node tree gives the same formulas
+# ---------------------------------------------------------------------------
+
+
+def _reference_cert_interpolant(cert, n_a):
+    a_side = [(cert.atoms[i], lam) for i, lam in cert.multipliers if cert.origins[i] < n_a]
+    s = weighted_sum((a.term, lam) for a, lam in a_side)
+    strict = any(a.rel == LT for a, _ in a_side)
+    return atom(s, LT if strict else LE)
+
+
+def _reference_interpolate_cubes(a_atoms, b_atoms, depth, cuts):
+    res = decide_rational(a_atoms + b_atoms)
+    if isinstance(res, Unsat):
+        return _reference_cert_interpolant(res.certificate, len(a_atoms))
+    frac = _fractional_int(res.model)
+    if frac is None:
+        raise NotUnsat(res.model)
+    if depth <= 0:
+        raise UnknownResult("integer branching depth exhausted during interpolation")
+    v, val = frac
+    left, right = _branch_cuts(v, val)
+    a_vars = frozenset().union(*(a.vars for a in a_atoms)) if a_atoms else frozenset()
+    cuts.append("A" if v in a_vars else "B")
+    if v in a_vars:
+        return cor(_reference_interpolate_cubes(a_atoms + [left], b_atoms, depth - 1, cuts),
+                   _reference_interpolate_cubes(a_atoms + [right], b_atoms, depth - 1, cuts))
+    return cand(_reference_interpolate_cubes(a_atoms, b_atoms + [left], depth - 1, cuts),
+                _reference_interpolate_cubes(a_atoms, b_atoms + [right], depth - 1, cuts))
+
+
+def _reference_binary_interpolant(A, B, cuts):
+    cubes_a, cubes_b = to_dnf(A), to_dnf(B)
+    if not cubes_a:
+        return FALSE
+    if not cubes_b:
+        return TRUE
+    return cor(*(cand(*(_reference_interpolate_cubes(list(ca.atoms), list(cb.atoms),
+                                                     DEFAULT_BRANCH_DEPTH, cuts)
+                        for cb in cubes_b))
+                 for ca in cubes_a))
+
+
+def _bounded_parity_pairs():
+    """u even in a short range against u odd, and the reverse, each way
+    round: unsatisfiable only over the integers."""
+    u, v, w = (LinearTerm.of(Var(n, INT)) for n in ("u", "v", "w"))
+    even, odd = eq(u, v.scale(2)), eq(u, w.scale(2) + 1)
+    for lo in range(-4, 5):
+        for k in (1, 2, 3):
+            bounded = cand(ge(u, lo), le(u, lo + 2 * k))
+            for a, b in ((even, odd), (odd, even)):
+                yield cand(a, bounded), b
+                yield b, cand(a, bounded)
+                yield cor(cand(a, bounded), ge(u, lo + 2 * k + 5)), cand(b, le(u, lo + 2 * k))
+
+
+class TestLabelTree:
+    def test_binary_matches_cube_pairs_on_random_pairs(self):
+        # criterion 6's corpus
+        rng = random.Random(99)
+        cuts = []
+        for _ in range(200):
+            a, b = random_unsat_pair(rng, sat)
+            assert binary_interpolant(a, b).formula == _reference_binary_interpolant(a, b, cuts)
+
+    def test_binary_matches_cube_pairs_on_parity_pairs(self):
+        cuts = []
+        for a, b in _bounded_parity_pairs():
+            assert binary_interpolant(a, b).formula == _reference_binary_interpolant(a, b, cuts)
+        assert {"A", "B"} <= set(cuts)
+
+    def test_nodes_without_cubes_refute_alone(self):
+        cubes = to_dnf(ge(TX, 0))
+        assert label_tree([[], cubes], ([], [0])) == [FALSE, FALSE]
+        assert label_tree([cubes, []], ([], [0])) == [TRUE, FALSE]
+
+    def test_case_split_labels_the_subtrees(self):
+        # leaf 0 says x = 2y, leaf 1 bounds x to [0, 2], root 2 says
+        # x = 2z + 1: the first fractional value is cut at the first node
+        # that mentions it, and every certificate labels all three nodes
+        y, z = LinearTerm.of(Var("y", INT)), LinearTerm.of(Var("z", INT))
+        labels = [eq(TX, y.scale(2)), cand(ge(TX, 0), le(TX, 2)), eq(TX, z.scale(2) + 1)]
+        leaves = []
+        itps = label_tree([to_dnf(c) for c in labels], ([], [], [0, 1]), leaves=leaves)
+        assert len(leaves) > 1 and itps[2] is FALSE
+        assert free_vars(itps[0]) <= {X} and free_vars(itps[1]) <= {X}
+        assert entails([labels[0]], itps[0]) and entails([labels[1]], itps[1])
+        assert isinstance(sat(cand(itps[0], itps[1], labels[2])), Unsat)

@@ -6,7 +6,7 @@ import pytest
 
 import worked_examples as PE
 from generators import chain_clauses, random_clause_set, random_cube
-from hornitp import solver
+from hornitp import engine, solver
 from hornitp import chc
 from hornitp.analysis import classify, connected_components, normalize
 from hornitp.encodings import tree_problem_from_treelike
@@ -53,6 +53,7 @@ from hornitp.terms import (
     INT,
     REAL,
     TRUE,
+    CNot,
     LinearTerm,
     Var,
     cand,
@@ -223,6 +224,27 @@ class TestSolve:
         assert isinstance(res, Counterexample)
         assert evaluate(res.constraint, res.model)
 
+    def test_missing_counterexample_is_an_internal_error(self, monkeypatch):
+        # the check must raise, not assert, so that it holds under python -O
+        p = RelationSymbol("p", (INT,))
+        hc = ClauseSet.make([
+            HornClause(ge(TX, 0), (), rel_atom(p, X)),
+            HornClause(ge(TX, 5), (rel_atom(p, X),), None),
+        ])
+        monkeypatch.setattr(solver, "find_counterexample", lambda hc, options: None)
+        with pytest.raises(SolverInternalError, match="no counterexample"):
+            solve(hc)
+
+    def test_branching_over_the_whole_tree_finds_a_counterexample(self):
+        # draw 48 of this stream: branch and bound over the whole tree's LP
+        # reaches an integral model within the default branch depth
+        rng = random.Random(11)
+        for _ in range(48):
+            random_clause_set(rng)
+        res = solve(random_clause_set(rng))
+        assert isinstance(res, Counterexample)
+        assert evaluate(res.constraint, res.model)
+
     @pytest.mark.parametrize("linear", [True, False])
     def test_query_free_component_gets_true(self, linear):
         # r(x) and y = x + 1 -> q(y), or r(x) and s(z) and y = x + z -> q(y):
@@ -371,15 +393,15 @@ def _path_tree(labels):
     return TreeProblem(nodes, edges, dict(enumerate(labels)), nodes[-1])
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=solver):
     calls = []
-    original = getattr(solver, name)
+    original = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solver, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -426,7 +448,9 @@ class TestCertificateLabels:
         parts.append(cand(eq(LinearTerm.of(xs[9]), LinearTerm.of(xs[8]) + 1),
                           lt(LinearTerm.of(xs[9]), 9)))
         sp = SequenceProblem(tuple(parts))
-        lps = _counting(monkeypatch, "decide_rational")
+        # each _interpolate_cubes call solves one LP; engine.decide_rational
+        # also serves the satisfiability checks of check_tree and check_sequence
+        lps = _counting(monkeypatch, "_interpolate_cubes", engine)
         itps = _counting(monkeypatch, "binary_interpolant")
         labels = sequence_interpolants(sp)
         assert check_sequence(sp, labels) == []
@@ -437,21 +461,48 @@ class TestCertificateLabels:
         tp = TreeProblem(("a", "b", "c", "root"),
                          frozenset({("root", "a"), ("a", "b"), ("root", "c")}),
                          {"a": ge(TX, 1), "b": FALSE, "c": le(TX, 3), "root": TRUE}, "root")
-        lps = _counting(monkeypatch, "decide_rational")
+        lps = _counting(monkeypatch, "decide_rational", engine)
         sweeps = _counting(monkeypatch, "_node_by_node_labels")
         labels = tree_interpolate(tp)
         assert check_tree(tp, labels) == []
         assert labels == {"a": FALSE, "b": FALSE, "c": TRUE, "root": FALSE}
         assert (len(lps), len(sweeps)) == (0, 0)
 
-    def test_integer_branching_falls_back(self, monkeypatch):
+    def test_integer_branching_is_a_case_split(self, monkeypatch):
+        # x = 2y in [0, 6] against x = 2z + 1: rationally satisfiable, so the
+        # one cube choice is refuted only by branching on a fractional value
         y, z = Var("y", INT), Var("z", INT)
         node = cand(eq(TX, LinearTerm.of(y).scale(2)), ge(TX, 0), le(TX, 6))
         tp = _path_tree([node, eq(TX, LinearTerm.of(z).scale(2) + 1)])
+        lps = _counting(monkeypatch, "_interpolate_cubes", engine)
+        sweeps = _counting(monkeypatch, "_node_by_node_labels")
         itps = _counting(monkeypatch, "binary_interpolant")
         labels = tree_interpolate(tp)
         assert check_tree(tp, labels) == []
-        assert len(itps) == 1
+        assert len(lps) > 1
+        assert (len(sweeps), len(itps)) == (0, 0)
+
+    def test_label_false_only_after_dnf_is_a_false_label(self, monkeypatch):
+        # not true has no cubes but is not the constant FALSE
+        tp = TreeProblem(("a", "b", "c", "root"),
+                         frozenset({("root", "a"), ("a", "b"), ("root", "c")}),
+                         {"a": ge(TX, 1), "b": CNot(TRUE), "c": le(TX, 3), "root": TRUE},
+                         "root")
+        sweeps = _counting(monkeypatch, "_node_by_node_labels")
+        labels = tree_interpolate(tp)
+        assert check_tree(tp, labels) == []
+        assert labels == {"a": FALSE, "b": FALSE, "c": TRUE, "root": FALSE}
+        assert sweeps == []
+
+    def test_random_sets_need_no_sweep(self, monkeypatch):
+        # draws 19, 89 and 139 of this stream have a cube choice whose
+        # rational model is fractional on an Int variable; without a backend
+        # no tree goes node by node
+        rng = random.Random(5)
+        sweeps = _counting(monkeypatch, "_node_by_node_labels")
+        for _ in range(140):
+            solve(random_clause_set(rng))
+        assert sweeps == []
 
     def test_external_interpolate_goes_node_by_node(self):
         calls = []
@@ -485,8 +536,8 @@ class TestCertificateLabels:
         tp = _path_tree([ge(LinearTerm.of(x), 0), eq(LinearTerm.of(y), LinearTerm.of(x)),
                          lt(LinearTerm.of(y), 0)])
         assert check_tree(tp, tree_interpolate(tp)) == []
-        weakened = solver.atom
-        monkeypatch.setattr(solver, "atom", lambda term, rel: weakened(term - 1, rel))
+        weakened = engine.atom
+        monkeypatch.setattr(engine, "atom", lambda term, rel: weakened(term - 1, rel))
         with pytest.raises(SolverInternalError, match="frontier invariant violated after node 0"):
             tree_interpolate(tp)
 
