@@ -48,9 +48,7 @@ def _expect_list(node: SNode, what: str) -> list:
 
 
 def _head_name(node: SNode) -> str | None:
-    if not node.is_atom and node.items and node.items[0].is_atom:
-        return node.items[0].value
-    return None
+    return node.items[0].value if node.items else None  # a list's value is None
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,7 @@ def _parse_clause(node: SNode, relations: dict) -> HornClause:
     if premise is not None:
         parts = (premise.items[1:] if _head_name(premise) == "and" else [premise])
         for p in parts:
-            name = p.value if p.is_atom else _head_name(p)
+            name = p.value if p.items is None else _head_name(p)
             if name in relations:
                 atoms.append(_parse_rel_atom(p, relations, variables))
             else:
@@ -132,7 +130,7 @@ def _parse_rel_atom(node: SNode, relations: dict, variables: dict) -> RelationAt
     if node.is_atom:
         return RelationAtom(relations[node.value], ())
     sym = relations[node.items[0].value]
-    args = tuple(parse_term(a, variables) for a in node.items[1:])
+    args = tuple([parse_term(a, variables) for a in node.items[1:]])
     try:
         return RelationAtom(sym, args)
     except SortMismatch as exc:
@@ -183,7 +181,7 @@ def parse_solution(text: str, hc: ClauseSet) -> Solution:
                              form.line, form.col)
         name = items[1].value if items[1].is_atom else None
         if name not in by_name:
-            raise UndeclaredSymbol(f"undeclared relation {name!r}")
+            raise UndeclaredSymbol(f"undeclared relation {name!r}", items[1].line, items[1].col)
         sym = by_name[name]
         params = parse_var_decls(items[2])
         if tuple(v.sort for v in params.values()) != sym.arg_sorts:
@@ -276,7 +274,7 @@ def parse_problem(text: str):
         raise ParseError("problem must start with a (vars ...) declaration",
                          form[0].line, form[0].col)
     variables = parse_var_decls(
-        SNode(items=body[0].items[1:], line=body[0].line, col=body[0].col))
+        SNode(None, body[0].items[1:], body[0].offset, body[0].source))
     rest = body[1:]
     if kind == "binary":
         sec = _sections(rest)

@@ -50,7 +50,7 @@ class RelationAtom:
             raise SortMismatch(
                 f"{self.symbol.name} expects {self.symbol.arity} arguments, got {len(self.args)}")
         for sort, t in zip(self.symbol.arg_sorts, self.args):
-            if sort == "Int" and any(v.sort != "Int" for v in t.vars):
+            if sort == "Int" and not t.all_int_sorted():
                 raise SortMismatch(
                     f"Real-sorted term passed for Int argument of {self.symbol.name}")
 

@@ -4,14 +4,26 @@ The constraint grammar is shared by the solver protocol, the ``encode``
 subcommand, and solution files::
 
     c ::= true | false | (and c...) | (or c...) | (not c)
-        | (<= t t) | (< t t) | (= t t)
-    t ::= (+ t...) | (* q v) | <integer> | <rational n/d> | <variable>
+        | (<= t t) | (< t t) | (= t t) | (>= t t) | (> t t)
+    t ::= (+ t...) | (- t) | (- t t...) | (* q t) | (* t q)
+        | <integer> | <rational n/d> | <decimal> | <variable>
 
 Rationals are written ``n/d``; every emitted expression fits on one line.
+Between tokens the reader skips whitespace and ``;`` comments that run to
+the end of the line.  A string is ``"..."`` with ``""`` for one quote, as in
+SMT-LIB 2.6, and may span lines.
+
+:func:`parse_all` reads a text in one pass of one regular expression,
+which resumes after each string.  Each node keeps its character offset in
+the text; its ``line`` and ``col`` are counted from the text only when asked
+for, which in practice means when an error is reported.  Terms and
+constraints are read with explicit stacks, so their nesting depth is not
+limited by the recursion limit.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, UndeclaredSymbol
@@ -27,6 +39,7 @@ from .terms import (
     Constraint,
     LinearTerm,
     Var,
+    _clean,
     _rat,
     atom,
     cand,
@@ -36,86 +49,107 @@ from .terms import (
 )
 
 
+def _position(text: str, offset: int) -> tuple:
+    """(line, col) of ``text[offset]``, both counted from 1; only "\n" ends
+    a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 class SNode:
-    """Parsed s-expression: either an atom or a list, with a position."""
+    """Parsed s-expression: either an atom or a list, with a position.
 
-    __slots__ = ("value", "items", "line", "col")
+    A node read from a text holds the text and its offset in it; ``line``
+    and ``col`` are computed from them on demand.  A node built by hand may
+    give ``line`` and ``col`` directly instead."""
 
-    def __init__(self, value=None, items=None, line=0, col=0):
+    __slots__ = ("value", "items", "offset", "source", "_line", "_col")
+
+    def __init__(self, value=None, items=None, offset=0, source=None, line=0, col=0):
         self.value = value  # str for atoms, None for lists
         self.items = items  # list of SNode for lists, None for atoms
-        self.line = line
-        self.col = col
+        self.offset = offset
+        self.source = source  # the text read, or None for a given position
+        if source is None:
+            self._line = line
+            self._col = col
+
+    @property
+    def line(self) -> int:
+        return self._line if self.source is None else _position(self.source, self.offset)[0]
+
+    @property
+    def col(self) -> int:
+        return self._col if self.source is None else _position(self.source, self.offset)[1]
 
     @property
     def is_atom(self):
         return self.items is None
 
     def __repr__(self):
-        return self.value if self.is_atom else "(" + " ".join(map(repr, self.items)) + ")"
-
-
-def tokenize(text: str):
-    """(token, line, col) triples.  A string token keeps its enclosing quotes,
-    and a doubled quote inside it reads as one, as in SMT-LIB 2.6."""
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            yield (ch, line, col)
-            col += 1
-            i += 1
-        elif ch == '"':
-            j = text.find('"', i + 1)
-            while j >= 0 and text.startswith('"', j + 1):  # "" is one escaped "
-                j = text.find('"', j + 2)
-            if j < 0:
-                raise ParseError("unterminated string", line, col)
-            yield ('"' + text[i + 1:j].replace('""', '"') + '"', line, col)
-            newlines = text.count("\n", i, j)
-            if newlines:
-                line += newlines
-                col = j + 1 - text.rfind("\n", i, j)
+        out = []
+        stack: list = [self]  # nodes, and the text between them
+        while stack:
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+            elif node.items is None:
+                out.append(node.value)
             else:
-                col += j + 1 - i
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            yield (text[i:j], line, col)
-            col += j - i
-            i = j
+                out.append("(")
+                stack.append(")")
+                for i, item in enumerate(reversed(node.items)):
+                    if i:
+                        stack.append(" ")
+                    stack.append(item)
+        return "".join(out)
+
+
+# One token per match.  Whitespace matches no alternative, so ``finditer``
+# skips it; every other character starts a match.  A string is read from its
+# opening quote by ``_string_end``, and the scan goes on after it.
+_TOKEN = re.compile(r'[^\s();"][^\s();]*|[()]|;[^\n]*|"')
+
+
+def _string_end(text: str, start: int) -> int:
+    """Index of the quote that closes the string opened at ``start``: the
+    first one not followed by another, since ``""`` is one escaped quote."""
+    end = text.find('"', start + 1)
+    while end >= 0 and text.startswith('"', end + 1):
+        end = text.find('"', end + 2)
+    if end < 0:
+        raise ParseError("unterminated string", *_position(text, start))
+    return end
 
 
 def parse_all(text: str) -> list:
     """All top-level s-expressions in the text."""
-    stack: list = []
+    stack: list = []  # the enclosing lists of the open list nodes
     top: list = []
-    for tok, line, col in tokenize(text):
-        if tok == "(":
-            stack.append((SNode(items=[], line=line, col=col), top))
-            top = stack[-1][0].items
-        elif tok == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", line, col)
-            node, top = stack.pop()
-            top.append(node)
-        else:
-            top.append(SNode(value=tok, line=line, col=col))
+    pos = 0
+    while pos is not None:  # one pass, resumed after each string
+        tokens, pos = _TOKEN.finditer(text, pos), None
+        for m in tokens:
+            tok = m[0]
+            if tok == "(":
+                node = SNode(None, [], m.start(), text)
+                top.append(node)
+                stack.append(top)
+                top = node.items
+            elif tok == ")":
+                if not stack:
+                    raise ParseError("unbalanced ')'", *_position(text, m.start()))
+                top = stack.pop()
+            elif tok == '"':
+                start = m.start()
+                end = _string_end(text, start)
+                top.append(SNode('"' + text[start + 1:end].replace('""', '"') + '"',
+                                 None, start, text))
+                pos = end + 1
+                break
+            elif tok[0] != ";":
+                top.append(SNode(tok, None, m.start(), text))
     if stack:
-        node = stack[-1][0]
+        node = stack[-1][-1]  # the innermost open list
         raise ParseError("unbalanced '('", node.line, node.col)
     return top
 
@@ -152,12 +186,14 @@ def number_str(q: int | Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+_SORTS = {"Int": INT, "Real": REAL}
+
+
 def parse_sort(node: SNode):
-    if node.is_atom and node.value == "Int":
-        return INT
-    if node.is_atom and node.value == "Real":
-        return REAL
-    raise ParseError(f"unknown sort {node!r}", node.line, node.col)
+    sort = _SORTS.get(node.value)  # a list's value is None
+    if sort is None:
+        raise ParseError(f"unknown sort {node!r}", node.line, node.col)
+    return sort
 
 
 def sort_str(sort) -> str:
@@ -174,43 +210,70 @@ def _is_number_token(s: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _collect(stack: list, acc: dict, variables: dict):
+    """Adds k * t to the coefficient dict ``acc`` for every (t, k) on
+    ``stack`` and returns the sum of their constants.  Subterms are read
+    left to right, so the first error raised is the first in the text."""
+    const = 0
+    while stack:
+        node, k = stack.pop()
+        if k is None:  # a malformed factor, reported once its term is read
+            raise node
+        items = node.items
+        if items is None:
+            tok = node.value
+            v = variables.get(tok)
+            # a number token reads as a number even where a variable has its
+            # name; a token that starts with a letter is no number token
+            if v is not None and (tok[0].isalpha() or not _is_number_token(tok)):
+                acc[v] = acc.get(v, 0) + k
+            elif _is_number_token(tok):
+                const += k * parse_number(node)
+            else:
+                raise UndeclaredSymbol(f"undeclared variable {tok!r}", node.line, node.col)
+            continue
+        if not items or items[0].items is not None:
+            raise ParseError("malformed term", node.line, node.col)
+        op = items[0].value
+        if op == "+":
+            stack += [(a, k) for a in reversed(items[1:])]
+        elif op == "-":
+            if len(items) == 1:
+                raise ParseError("'-' needs arguments", node.line, node.col)
+            if len(items) == 2:
+                stack.append((items[1], -k))
+            else:
+                stack += [(a, -k) for a in reversed(items[2:])]
+                stack.append((items[1], k))
+        elif op == "*":
+            if len(items) != 3:
+                raise ParseError("'*' takes a constant and a term", node.line, node.col)
+            _, factor, term = items
+            if not (factor.items is None and _is_number_token(factor.value)):
+                factor, term = term, factor
+                if not (factor.items is None and _is_number_token(factor.value)):
+                    raise ParseError("'*' needs a constant factor", node.line, node.col)
+            try:
+                q = parse_number(factor)
+            except ParseError as exc:
+                stack.append((exc, None))
+                q = 0
+            stack.append((term, k * q))
+        else:
+            raise ParseError(f"unknown term operator {op!r}", node.line, node.col)
+    return const
+
+
 def parse_term(node: SNode, variables: dict) -> LinearTerm:
     """``variables`` maps names to Var; unknown names raise."""
-    if node.is_atom:
-        if _is_number_token(node.value):
-            return LinearTerm.const(parse_number(node))
-        v = variables.get(node.value)
-        if v is None:
-            raise UndeclaredSymbol(f"undeclared variable {node.value!r}")
-        return LinearTerm.of(v)
-    if not node.items or not node.items[0].is_atom:
-        raise ParseError("malformed term", node.line, node.col)
-    op = node.items[0].value
-    args = node.items[1:]
-    if op == "+":
-        total = LinearTerm.const(0)
-        for a in args:
-            total = total + parse_term(a, variables)
-        return total
-    if op == "-":
-        if len(args) == 1:
-            return -parse_term(args[0], variables)
-        if len(args) >= 2:
-            total = parse_term(args[0], variables)
-            for a in args[1:]:
-                total = total - parse_term(a, variables)
-            return total
-        raise ParseError("'-' needs arguments", node.line, node.col)
-    if op == "*":
-        if len(args) != 2:
-            raise ParseError("'*' takes a constant and a term", node.line, node.col)
-        left, right = args
-        if left.is_atom and _is_number_token(left.value):
-            return parse_term(right, variables).scale(parse_number(left))
-        if right.is_atom and _is_number_token(right.value):
-            return parse_term(left, variables).scale(parse_number(right))
-        raise ParseError("'*' needs a constant factor", node.line, node.col)
-    raise ParseError(f"unknown term operator {op!r}", node.line, node.col)
+    tok = node.value
+    if tok is not None and tok[0].isalpha():  # the common case: a variable
+        v = variables.get(tok)
+        if v is not None:
+            return LinearTerm(((v, 1),), 0)
+    acc: dict = {}
+    const = _collect([(node, 1)], acc, variables)
+    return LinearTerm(_clean(acc), _rat(const))
 
 
 def term_str(t: LinearTerm) -> str:
@@ -222,38 +285,51 @@ def term_str(t: LinearTerm) -> str:
     return pieces[0] if len(pieces) == 1 else "(+ " + " ".join(pieces) + ")"
 
 
-_REL_OPS = {"<=": LE, "<": LT, "=": EQ}
+# operator -> (relation, sign of the first term in ``first - second rel 0``)
+_REL_OPS = {"<=": (LE, 1), "<": (LT, 1), "=": (EQ, 1), ">=": (LE, -1), ">": (LT, -1)}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
 
 
 def parse_constraint(node: SNode, variables: dict) -> Constraint:
-    if node.is_atom:
-        if node.value == "true":
-            return TRUE
-        if node.value == "false":
-            return FALSE
-        raise ParseError(f"unexpected constraint atom {node.value!r}", node.line, node.col)
-    if not node.items or not node.items[0].is_atom:
-        raise ParseError("malformed constraint", node.line, node.col)
-    op = node.items[0].value
-    args = node.items[1:]
-    if op == "and":
-        return cand(*(parse_constraint(a, variables) for a in args))
-    if op == "or":
-        return cor(*(parse_constraint(a, variables) for a in args))
-    if op == "not":
-        if len(args) != 1:
-            raise ParseError("'not' takes one argument", node.line, node.col)
-        return cnot(parse_constraint(args[0], variables))
-    if op in _REL_OPS or op in (">=", ">"):
-        if len(args) != 2:
-            raise ParseError(f"{op!r} takes two terms", node.line, node.col)
-        left = parse_term(args[0], variables)
-        right = parse_term(args[1], variables)
-        if op in (">=", ">"):
-            left, right = right, left
-            op = "<=" if op == ">=" else "<"
-        return atom(left - right, _REL_OPS[op])
-    raise ParseError(f"unknown constraint operator {op!r}", node.line, node.col)
+    done: list = []  # the constraints read so far, in text order
+    stack: list = [node]  # nodes to read, and (combine, n) for the last n done
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            combine, n = node
+            args = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(combine(*args))
+            continue
+        items = node.items
+        if items is None:
+            c = _CONSTANTS.get(node.value)
+            if c is None:
+                raise ParseError(f"unexpected constraint atom {node.value!r}",
+                                 node.line, node.col)
+            done.append(c)
+            continue
+        if not items or items[0].items is not None:
+            raise ParseError("malformed constraint", node.line, node.col)
+        op = items[0].value
+        if op == "and" or op == "or":
+            stack.append((cand if op == "and" else cor, len(items) - 1))
+            stack += reversed(items[1:])
+        elif op == "not":
+            if len(items) != 2:
+                raise ParseError("'not' takes one argument", node.line, node.col)
+            stack.append((cnot, 1))
+            stack.append(items[1])
+        elif op in _REL_OPS:
+            if len(items) != 3:
+                raise ParseError(f"{op!r} takes two terms", node.line, node.col)
+            rel, sign = _REL_OPS[op]
+            acc: dict = {}
+            const = _collect([(items[2], -sign), (items[1], sign)], acc, variables)
+            done.append(atom(LinearTerm(_clean(acc), _rat(const)), rel))
+        else:
+            raise ParseError(f"unknown constraint operator {op!r}", node.line, node.col)
+    return done[0]
 
 
 def _atom_str(a) -> str:
@@ -277,12 +353,13 @@ def parse_var_decls(node: SNode) -> dict:
         raise ParseError("expected a variable declaration list", node.line, node.col)
     out: dict = {}
     for d in node.items:
-        if d.is_atom or len(d.items) != 2 or not d.items[0].is_atom:
+        items = d.items
+        if items is None or len(items) != 2 or items[0].items is not None:
             raise ParseError("malformed variable declaration", d.line, d.col)
-        name = d.items[0].value
+        name = items[0].value
         if name in out:
             raise ParseError(f"duplicate variable {name!r}", d.line, d.col)
-        out[name] = Var(name, parse_sort(d.items[1]))
+        out[name] = Var(name, parse_sort(items[1]))
     return out
 
 

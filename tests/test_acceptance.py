@@ -14,7 +14,7 @@ import pytest
 import conftest
 
 import worked_examples as PE
-from generators import random_clause_set, random_prop_clauses, random_unsat_pair
+from generators import random_clause_set, random_prop_clauses
 from hornitp import chc, solver
 from hornitp.analysis import classify, normalize
 from hornitp.encodings import (
@@ -139,12 +139,10 @@ def test_criterion_5_oracle_equivalence():
                    f"{agree}/200 cases, {elapsed:.1f}s")
 
 
-def test_criterion_6_interpolant_contracts():
-    rng = random.Random(99)
+def test_criterion_6_interpolant_contracts(unsat_pairs):
     good = 0
     certs = 0
-    for _ in range(200):
-        a, b = random_unsat_pair(rng, sat)
+    for a, b in unsat_pairs:
         itp = binary_interpolant(a, b)
         if check_interpolant(a, b, itp.formula) == []:
             good += 1

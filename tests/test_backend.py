@@ -1,15 +1,13 @@
 """External interpolation backends: protocol, re-verification, fault handling."""
 
-import random
 import shlex
 import sys
 import threading
 
 import pytest
 
-from generators import random_unsat_pair
 from hornitp.backend import Backend, external_interpolant, interpolation_request
-from hornitp.engine import check_interpolant, sat
+from hornitp.engine import check_interpolant
 from hornitp.errors import BackendError, NotUnsat, VerificationFailed
 from hornitp.sexpr import parse_one
 from hornitp.terms import INT, LinearTerm, Var, cand, ge, le
@@ -48,11 +46,9 @@ class TestGoodBackend:
 
         assert evaluate(cand(ge(TX, 0), ge(TX, 5)), exc.value.model)
 
-    def test_many_requests_one_process(self):
-        rng = random.Random(99)
+    def test_many_requests_one_process(self, unsat_pairs):
         with Backend(_stub("good_backend")) as be:
-            for _ in range(50):
-                a, b = random_unsat_pair(rng, sat)
+            for a, b in unsat_pairs[:50]:
                 itp = external_interpolant(a, b, be)
                 assert check_interpolant(a, b, itp.formula) == []
 

@@ -36,6 +36,15 @@ def deep_query(levels: int) -> str:
     return f"(set-logic HORN)\n(assert (forall ((x Int)) (=> {c} false)))\n(check-sat)\n"
 
 
+def deep_negation(levels: int) -> str:
+    """A satisfiable query whose constraint is ``(<= x 0)`` under ``levels``
+    nested ``not``s; an even count reads as the atom itself."""
+    c = "(<= x 0)"
+    for _ in range(levels):
+        c = f"(not {c})"
+    return f"(set-logic HORN)\n(assert (forall ((x Int)) (=> {c} false)))\n(check-sat)\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -320,6 +329,15 @@ class TestFaults:
         assert out.startswith("unsat\n") and "(error" not in out
         if mode == "human":
             assert out.count("(and (x - ") == 125
+
+    @pytest.mark.parametrize("mode", ["human", "sexpr"])
+    def test_deeply_nested_negation_prints_its_verdict(self, capsys, tmp_path, mode):
+        # 3,000 levels: far past the recursion limit of a recursive reader
+        path = tmp_path / "deep_not.chc"
+        path.write_text(deep_negation(3000))
+        code, out, _ = run(capsys, "--output", mode, "solve", str(path))
+        assert code == 1
+        assert out.startswith("unsat\n") and "(error" not in out
 
     def test_failed_rendering_prints_only_the_error(self, capsys, monkeypatch):
         def boom(sol):

@@ -219,12 +219,10 @@ def _bounded_parity_pairs():
 
 
 class TestLabelTree:
-    def test_binary_matches_cube_pairs_on_random_pairs(self):
+    def test_binary_matches_cube_pairs_on_random_pairs(self, unsat_pairs):
         # criterion 6's corpus
-        rng = random.Random(99)
         cuts = []
-        for _ in range(200):
-            a, b = random_unsat_pair(rng, sat)
+        for a, b in unsat_pairs:
             assert binary_interpolant(a, b).formula == _reference_binary_interpolant(a, b, cuts)
 
     def test_binary_matches_cube_pairs_on_parity_pairs(self):

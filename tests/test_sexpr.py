@@ -84,6 +84,57 @@ class TestParser:
             parse_number(parse_one("1/0"))
 
 
+def _preorder(nodes):
+    """(value, or "(" for a list; line; col) of every node, in text order."""
+    out = []
+    stack = list(reversed(nodes))
+    while stack:
+        n = stack.pop()
+        out.append(("(" if n.items is not None else n.value, n.line, n.col))
+        if n.items is not None:
+            stack.extend(reversed(n.items))
+    return out
+
+
+# every whitespace character str.isspace accepts separates tokens and counts
+# as one column; only "\n" starts a line, also inside strings
+READ = [
+    ("a\r\n\tb\x0bc\x0cd\xa0e f　g",
+     [("a", 1, 1), ("b", 2, 2), ("c", 2, 4), ("d", 2, 6), ("e", 2, 8), ("f", 2, 10),
+      ("g", 2, 12)]),
+    ('(x"y" "z"w)\n  ;; c (\n"" """" """"""',
+     [("(", 1, 1), ('x"y"', 1, 2), ('"z"', 1, 7), ("w", 1, 10), ('""', 3, 1),
+      ('"""', 3, 4), ('""""', 3, 9)]),
+    ('p "l1\nl2\n\n" q\n  "a""\n""b" r',
+     [("p", 1, 1), ('"l1\nl2\n\n"', 1, 3), ("q", 4, 3), ('"a"\n"b"', 5, 3), ("r", 6, 6)]),
+    ("; only a comment", []),
+    ("(a;c\nb)", [("(", 1, 1), ("a", 1, 2), ("b", 2, 1)]),
+    ('(a (b "x)" c)\n  ) d',
+     [("(", 1, 1), ("a", 1, 2), ("(", 1, 4), ("b", 1, 5), ('"x)"', 1, 7), ("c", 1, 12),
+      ("d", 2, 5)]),
+]
+
+UNREADABLE = [
+    ('(x"y" "z"w)\n  ;; c (\n"" """" """"""(', "unbalanced '('", 3, 15),
+    ('"a" "b', "unterminated string", 1, 5),
+    ('(a "x\ny" ))', "unbalanced ')'", 2, 5),
+    (")", "unbalanced ')'", 1, 1),
+    ("(a\n (b\n  (c)", "unbalanced '('", 2, 2),
+]
+
+
+class TestReaderPositions:
+    @pytest.mark.parametrize("text,expected", READ)
+    def test_every_node_position(self, text, expected):
+        assert _preorder(parse_all(text)) == expected
+
+    @pytest.mark.parametrize("text,message,line,col", UNREADABLE)
+    def test_error_message_and_position(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_all(text)
+        assert str(err.value) == f"parse error at {line}:{col}: {message}"
+
+
 class TestTerms:
     def test_round_trip(self):
         t = LinearTerm.of(X).scale(3) + LinearTerm.of(Y).scale(Fraction(-1, 2)) + 5
@@ -96,6 +147,12 @@ class TestTerms:
     def test_undeclared_variable(self):
         with pytest.raises(UndeclaredSymbol):
             parse_term(parse_one("z"), VARS)
+
+    def test_undeclared_variable_reports_its_position(self):
+        with pytest.raises(UndeclaredSymbol) as err:
+            parse_term(parse_one("(+ x\n   (* 2 z))"), VARS)
+        assert str(err.value) == "parse error at 2:9: undeclared variable 'z'"
+        assert (err.value.line, err.value.col) == (2, 9)
 
 
 class TestConstraints:
