@@ -171,6 +171,8 @@ def connected_components(hc: ClauseSet) -> list:
 class NormalizedClauseSet:
     clause_set: ClauseSet
     arg_vectors: dict  # RelationSymbol -> tuple of Var
+    # per clause of the input set: its variables -> the normalized ones
+    renamings: tuple = ()
 
     @property
     def clauses(self):
@@ -197,10 +199,11 @@ def normalize(hc: ClauseSet) -> NormalizedClauseSet:
     compound argument, a variable repeated across slots, or an Int
     variable in a Real slot.  Every other variable v of clause idx becomes
     ``v@idx``.  A symbol occurring again in one clause gets a fresh copy
-    ``~idx.n`` of its vector."""
+    ``~idx.n`` of its vector.  The per-clause maps from original to
+    normalized variables are kept as ``renamings``."""
     arg_vectors = {p: _fresh_vector(p) for p in sorted(hc.relations)}
     reserved = {v for vec in arg_vectors.values() for v in vec}
-    new_clauses = []
+    new_clauses, renamings = [], []
     for idx, h in enumerate(hc.clauses):
         atoms = ([h.head] if h.head is not None else []) + list(h.body)
         vectors = []
@@ -230,7 +233,9 @@ def normalize(hc: ClauseSet) -> NormalizedClauseSet:
         head = new_atoms.pop(0) if h.head is not None else None
         constraint = cand(substitute(h.constraint, sigma), *bindings)
         new_clauses.append(HornClause(constraint, tuple(new_atoms), head))
-    return NormalizedClauseSet(ClauseSet(hc.relations, tuple(new_clauses)), arg_vectors)
+        renamings.append(renaming)
+    return NormalizedClauseSet(ClauseSet(hc.relations, tuple(new_clauses)), arg_vectors,
+                               tuple(renamings))
 
 
 def merge_linear_duplicates(hc: ClauseSet) -> ClauseSet:

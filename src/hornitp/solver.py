@@ -13,15 +13,20 @@ certificates by engine.label_tree, the routine binary interpolation uses
 too: one rational LP per choice of one DNF cube per node label and of each
 integer case split, each certificate labeling every node at once by the
 weighted sum of its subtree's atoms.  Only an external interpolation
-backend labels node by node.  Unsolvable sets produce a concrete derivation
-of false together with a satisfying model."""
+backend labels node by node.  An unsolvable set makes its encoding
+satisfiable, and the model is read back as the counterexample: a derivation
+of false whose clause constraints all hold under it, over the input
+clauses, with its accumulated constraint evaluated under the model before
+it is returned.  find_counterexample, a second search over derivations, is
+not on this path."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .analysis import (
     NormalizedClauseSet,
@@ -57,7 +62,9 @@ from .lp import FarkasCertificate, Sat
 from .problems import DagProblem, SequenceProblem, TreeProblem, check_dag, check_tree
 from .terms import (
     DEFAULT_CUBE_LIMIT,
+    EQ,
     FALSE,
+    INT,
     LE,
     LT,
     TRUE,
@@ -65,10 +72,12 @@ from .terms import (
     LinearAtom,
     LinearTerm,
     Var,
+    atom,
     cand,
     cnot,
     cor,
     eq,
+    evaluate,
     rename_vars,
     to_dnf,
     weighted_sum,
@@ -108,7 +117,11 @@ class DerivationTree:
     children: tuple  # one DerivationTree per body atom
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack += stack.pop().children
+        return count
 
 
 @dataclass(frozen=True)
@@ -224,6 +237,101 @@ def find_counterexample(hc: ClauseSet, options: SolverOptions) -> Optional[Count
                 if isinstance(res, Sat):
                     return Counterexample(DerivationTree(h, subtrees), res.model, total)
     return None
+
+
+def _derivation_of_false(nhc: NormalizedClauseSet, model: Mapping) -> Optional[dict]:
+    """Map from each symbol met to the first clause of ``nhc`` that derives
+    it under ``model`` (its constraint holds and its body symbols are
+    derivable), or to None; the key None maps to the first false-head clause
+    that qualifies.  None when no clause derives false.
+
+    Depth-first with an explicit stack and one evaluation per clause.  All
+    clauses share each symbol's argument vector, so taking one clause per
+    symbol gives a derivation that the one model satisfies throughout.
+    """
+    clauses = nhc.clauses
+    by_head: dict = {None: []}
+    for i, h in enumerate(clauses):
+        by_head.setdefault(h.head.symbol if h.head is not None else None, []).append(i)
+    holds: dict = {}  # clause index -> whether its constraint holds
+    choice: dict = {}
+    stack = [[None, 0, 0]]  # symbol, candidate clause, body atoms derived
+    while stack:
+        frame = stack[-1]
+        p, k, j = frame
+        candidates = by_head.get(p, ())
+        if k == len(candidates):
+            choice[p] = None
+            stack.pop()
+            continue
+        ci = candidates[k]
+        if ci not in holds:
+            holds[ci] = evaluate(clauses[ci].constraint, model)
+        body = clauses[ci].body
+        if not holds[ci]:
+            frame[1] += 1
+        elif j == len(body):
+            choice[p] = ci
+            stack.pop()
+        elif body[j].symbol not in choice:
+            stack.append([body[j].symbol, 0, 0])
+        elif choice[body[j].symbol] is None:
+            frame[1], frame[2] = k + 1, 0
+        else:
+            frame[2] += 1
+    return choice if choice[None] is not None else None
+
+
+def _counterexample_from_model(comp: ClauseSet, origins, nhc: NormalizedClauseSet,
+                               model: Mapping) -> Counterexample:
+    """The derivation of false that ``model``, a model of an encoding of
+    ``nhc``, satisfies, as a Counterexample over the clauses of ``comp``.
+
+    ``nhc`` normalizes a copy of ``comp`` whose clause i copies
+    ``comp.clauses[origins[i]]``.  Instances are numbered in pre-order from
+    1 and variable v of instance k becomes ``v~k``, valued as its
+    normalized variable (missing variables read 0).  Raises
+    SolverInternalError when no derivation holds, or when the accumulated
+    constraint is false under the model or an Int value is fractional.
+    """
+    # integral values as ints, so that evaluating is int arithmetic
+    model = defaultdict(int, {v: x.numerator if x.denominator == 1 else x
+                              for v, x in model.items()})
+    choice = _derivation_of_false(nhc, model)
+    if choice is None:
+        raise SolverInternalError("satisfiable encoding yielded no counterexample")
+    nodes = []  # pre-order: (input clause, number of body atoms)
+    parts = []
+    values = {}
+    stack = [(choice[None], ())]  # clause index, the parent's renamed body atom args
+    while stack:
+        ci, binding = stack.pop()
+        k = len(nodes) + 1
+        h = comp.clauses[origins[ci]]
+        ren = {}
+        for v, w in nhc.renamings[ci].items():
+            ren[v] = fresh = Var(f"{v.name}~{k}", v.sort)
+            values[fresh] = model[w]
+        parts.append(rename_vars(h.constraint, ren))
+        if binding:  # eq(s, t), built in one pass
+            parts += [atom(weighted_sum(((_renamed(s, ren), 1), (t, -1))), EQ)
+                      for s, t in zip(h.head.args, binding)]
+        nodes.append((h, len(h.body)))
+        for b, nb in reversed(list(zip(h.body, nhc.clauses[ci].body))):
+            stack.append((choice[nb.symbol], [_renamed(t, ren) for t in b.args]))
+    built: list = []
+    for h, n in reversed(nodes):
+        built.append(DerivationTree(h, tuple(built.pop() for _ in range(n))))
+    total = cand(*parts)
+    if not evaluate(total, values) or any(
+            v.sort == INT and type(x) is not int for v, x in values.items()):
+        raise SolverInternalError("counterexample model fails its derivation's constraint")
+    return Counterexample(built[0], {v: Fraction(x) for v, x in values.items()}, total)
+
+
+def _renamed(t: LinearTerm, ren: dict) -> LinearTerm:
+    """t with its variables renamed by the injective map ``ren``."""
+    return LinearTerm(tuple(sorted([(ren[v], c) for v, c in t.coeffs])), t.constant)
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +631,15 @@ def body_disjoint_transform(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT)
     """Duplicate derivation cones until every symbol occurs in at most one
     clause body at most once.
 
-    Returns (clause set, copy map) where the copy map lists, per original
-    symbol, all symbols standing for it (itself included).  A solution of
-    the result maps back by conjoining the copies' formulas per original
-    symbol.
+    Returns (clause set, copy map, origins) where the copy map lists, per
+    original symbol, all symbols standing for it (itself included), and
+    origins[i] is the index in ``hc`` of the clause that clause i copies.
+    A solution of the result maps back by conjoining the copies' formulas
+    per original symbol.
     """
     _check_recursion_free(hc)
     clauses = list(hc.clauses)
+    origins = list(range(len(clauses)))
     root_of = {s: s for s in hc.relations}
     copies: dict = {s: [s] for s in hc.relations}
     counter = 0
@@ -573,14 +683,15 @@ def body_disjoint_transform(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT)
             body = list(h.body)
             body[pos] = mapped(body[pos])
             clauses[ci] = HornClause(h.constraint, tuple(body), h.head)
-            for d in list(clauses):
+            for di, d in enumerate(list(clauses)):
                 if d.head is not None and d.head.symbol in cone:
                     clauses.append(HornClause(d.constraint,
                                               tuple(mapped(b) for b in d.body),
                                               mapped(d.head)))
+                    origins.append(origins[di])
                     if len(clauses) > limit:
                         raise ExpansionLimitExceeded(limit)
-    return ClauseSet.make(clauses), copies
+    return ClauseSet.make(clauses), copies, origins
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +711,19 @@ def _solve_component(comp: ClauseSet, options: SolverOptions):
     those of its copies.  A tree-like set is the one-cone case, and the
     symbols of a set without a false-head clause are left to be assigned
     true.
+
+    When a DAG problem, a cone's tree or a backend's first binary problem
+    (the whole tree) is satisfiable, its model gives the Counterexample:
+    _counterexample_from_model walks the normalized set for a derivation of
+    false that the model satisfies and maps it back to the clauses of
+    ``comp`` through the copies' origins and normalize's renamings.
     """
     report = classify(comp)
     dag = report.linear and not report.tree_like
     copies: dict = {}
-    disjoint = comp
+    disjoint, origins = comp, range(len(comp.clauses))
     if not (dag or report.body_disjoint):
-        disjoint, copies = body_disjoint_transform(comp, options.expansion_limit)
+        disjoint, copies, origins = body_disjoint_transform(comp, options.expansion_limit)
     nhc = normalize(disjoint)
     assignment: dict = {}
     try:
@@ -619,11 +736,8 @@ def _solve_component(comp: ClauseSet, options: SolverOptions):
         collected: dict = {}
         for sub in connected_components(nhc.clause_set):
             collected.update(_cone_labels(nhc, sub, options))
-    except NotUnsat:
-        cx = find_counterexample(comp, options)
-        if cx is None:
-            raise SolverInternalError("satisfiable encoding yielded no counterexample")
-        return cx, nhc.arg_vectors
+    except NotUnsat as exc:
+        return _counterexample_from_model(comp, origins, nhc, exc.model), nhc.arg_vectors
     for p in sorted(comp.relations):
         parts = []
         for c in copies.get(p, [p]):

@@ -17,7 +17,7 @@ LinearTerm are term arithmetic, never tuple concatenation or repetition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
@@ -272,19 +272,43 @@ class CAtom(Constraint):
     atom: LinearAtom
 
 
+# CAnd, COr and CNot hash their field at construction, with the value the
+# generated __hash__ would give; the children's hashes are stored already,
+# so hashing a deep nesting is not recursive.
 @dataclass(frozen=True, repr=False)
 class CAnd(Constraint):
     args: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.args,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, repr=False)
 class COr(Constraint):
     args: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.args,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, repr=False)
 class CNot(Constraint):
     arg: Constraint
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.arg,)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def render(c: Constraint, atom_str) -> str:

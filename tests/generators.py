@@ -66,10 +66,11 @@ def random_clause_set(rng: random.Random) -> ClauseSet:
     return ClauseSet.make(clauses, symbols)
 
 
-def chain_clauses(n: int, name=lambda i: f"p{i}") -> ClauseSet:
+def chain_clauses(n: int, name=lambda i: f"p{i}", unsat: bool = False) -> ClauseSet:
     """Solvable linear chain of n steps over symbols name(0)..name(n):
     x = 0 -> p0(x), pi(x) and y = x + 1 -> p(i+1)(y), pn(x) and x < 0 ->
-    false."""
+    false.  With ``unsat`` the query is x >= n, which the one derivation
+    reaches."""
     x, y = Var("x", INT), Var("y", INT)
     tx, ty = LinearTerm.of(x), LinearTerm.of(y)
     symbols = [RelationSymbol(name(i), (INT,)) for i in range(n + 1)]
@@ -77,7 +78,8 @@ def chain_clauses(n: int, name=lambda i: f"p{i}") -> ClauseSet:
     for i in range(n):
         clauses.append(HornClause(eq(ty, tx + 1), (rel_atom(symbols[i], tx),),
                                   rel_atom(symbols[i + 1], ty)))
-    clauses.append(HornClause(lt(tx, 0), (rel_atom(symbols[n], tx),), None))
+    query = ge(tx, n) if unsat else lt(tx, 0)
+    clauses.append(HornClause(query, (rel_atom(symbols[n], tx),), None))
     return ClauseSet.make(clauses)
 
 

@@ -1,6 +1,7 @@
 """End-to-end solving: dispatch, interpolation sweeps, expansion oracle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -60,10 +61,12 @@ from hornitp.terms import (
     cor,
     eq,
     evaluate,
+    free_vars,
     ge,
     le,
     lt,
     ne,
+    substitute,
     to_dnf,
 )
 
@@ -188,13 +191,13 @@ class TestBodyDisjointTransform:
         from hornitp.analysis import classify
 
         assert not classify(hc).body_disjoint
-        transformed, copies = body_disjoint_transform(hc)
+        transformed, copies, _ = body_disjoint_transform(hc)
         assert classify(transformed).body_disjoint
         assert len(copies[p]) >= 2
 
     def test_already_disjoint_is_identity(self):
         hc = PE.unwinding_clauses()
-        transformed, copies = body_disjoint_transform(hc)
+        transformed, copies, _ = body_disjoint_transform(hc)
         assert transformed.clauses == hc.clauses
         assert all(copies[s] == [s] for s in hc.relations)
 
@@ -231,7 +234,7 @@ class TestSolve:
             HornClause(ge(TX, 0), (), rel_atom(p, X)),
             HornClause(ge(TX, 5), (rel_atom(p, X),), None),
         ])
-        monkeypatch.setattr(solver, "find_counterexample", lambda hc, options: None)
+        monkeypatch.setattr(solver, "_derivation_of_false", lambda nhc, model: None)
         with pytest.raises(SolverInternalError, match="no counterexample"):
             solve(hc)
 
@@ -275,6 +278,194 @@ class TestSolve:
                 assert bool(verify_solution(res.solution, hc))
             else:
                 assert evaluate(res.constraint, res.model)
+
+
+def _accumulated(tree):
+    """The accumulated constraint of a derivation, rebuilt from its tree:
+    instances numbered in pre-order from 1, variable v of instance k renamed
+    to v~k, each renamed constraint followed by its head's bindings."""
+    parts, stack = [], [(tree, ())]
+    while stack:
+        t, binding = stack.pop()
+        k = len(parts) + 1
+        h = t.clause
+        sigma = {v: LinearTerm.of(Var(f"{v.name}~{k}", v.sort)) for v in h.vars}
+        parts.append(cand(substitute(h.constraint, sigma),
+                          *(eq(s.substituted(sigma), b)
+                            for s, b in zip(h.head.args if binding else (), binding))))
+        stack += [(c, [x.substituted(sigma) for x in b.args])
+                  for c, b in reversed(list(zip(t.children, h.body)))]
+    return cand(*parts)
+
+
+def _assert_checked(cx, hc):
+    """cx is a derivation of false built from hc's own clause objects whose
+    accumulated constraint holds under its model, Int values integral."""
+    inputs = {id(h) for h in hc.clauses}
+    assert cx.tree.clause.head is None
+    stack = [cx.tree]
+    while stack:
+        t = stack.pop()
+        assert id(t.clause) in inputs
+        assert [c.clause.head.symbol for c in t.children] == [b.symbol for b in t.clause.body]
+        stack += t.children
+    assert cx.constraint == _accumulated(cx.tree)
+    assert set(cx.model) == free_vars(cx.constraint)
+    assert all(val.denominator == 1 for v, val in cx.model.items() if v.sort == INT)
+    assert evaluate(cx.constraint, cx.model)
+
+
+def _shared(n: int, query) -> ClauseSet:
+    """p0(x) <- x = 0; two steps p_{i+1}(y) <- p_i(x), y = x+1 or y = x+2;
+    query(x) and p_n(x) -> false.  Linear, shaped as a DAG."""
+    y = Var("y", INT)
+    ps = [RelationSymbol(f"p{i}", (INT,)) for i in range(n + 1)]
+    clauses = [HornClause(eq(TX, 0), (), rel_atom(ps[0], X))]
+    for i in range(n):
+        for step in (1, 2):
+            clauses.append(HornClause(eq(LinearTerm.of(y), TX + step),
+                                      (rel_atom(ps[i], X),), rel_atom(ps[i + 1], y)))
+    clauses.append(HornClause(query, (rel_atom(ps[n], X),), None))
+    return ClauseSet.make(clauses)
+
+
+def _duplicated_cone() -> ClauseSet:
+    """p is defined twice and used by both q and r, so solving copies p's
+    cone; only the second definition of p (x = 1) in both copies reaches
+    false."""
+    a, b, y = (Var(n, INT) for n in "aby")
+    ty = LinearTerm.of(y)
+    p, q, r = (RelationSymbol(n, (INT,)) for n in "pqr")
+    return ClauseSet.make([
+        HornClause(eq(TX, 0), (), rel_atom(p, X)),
+        HornClause(eq(TX, 1), (), rel_atom(p, X)),
+        HornClause(eq(ty, TX + 1), (rel_atom(p, X),), rel_atom(q, y)),
+        HornClause(eq(ty, TX + 2), (rel_atom(p, X),), rel_atom(r, y)),
+        HornClause(ge(LinearTerm.of(a) + LinearTerm.of(b), 5),
+                   (rel_atom(q, a), rel_atom(r, b)), None),
+    ])
+
+
+def _unsolvable() -> ClauseSet:
+    p = RelationSymbol("p", (INT,))
+    return ClauseSet.make([
+        HornClause(ge(TX, 0), (), rel_atom(p, X)),
+        HornClause(ge(TX, 5), (rel_atom(p, X),), None),
+    ])
+
+
+class TestCounterexampleFromModel:
+    """solve builds a Counterexample from the model of the satisfiable
+    encoding, gated by evaluating its accumulated constraint."""
+
+    def test_model_failing_the_derivation_is_an_internal_error(self, monkeypatch):
+        # the walk accepts the model, which is then changed under it: the
+        # evaluation gate must raise, not assert (python -O)
+        walk = solver._derivation_of_false
+
+        def corrupting(nhc, model):
+            choice = walk(nhc, model)
+            for v in list(model):
+                model[v] = model[v] - 10
+            return choice
+
+        monkeypatch.setattr(solver, "_derivation_of_false", corrupting)
+        with pytest.raises(SolverInternalError, match="fails its derivation"):
+            solve(_unsolvable())
+
+    def test_fractional_int_model_is_an_internal_error(self, monkeypatch):
+        # x + y = 1 and x = y hold at x = y = 1/2 but have no integer model
+        y = Var("y", INT)
+        p = RelationSymbol("p", (INT, INT))
+        hc = ClauseSet.make([
+            HornClause(cand(eq(TX + LinearTerm.of(y), 1), eq(TX, LinearTerm.of(y))), (),
+                       rel_atom(p, X, y)),
+            HornClause(TRUE, (rel_atom(p, X, y),), None),
+        ])
+        assert isinstance(solve(hc), Solved)
+        half = {Var("p#0", INT): Fraction(1, 2), Var("p#1", INT): Fraction(1, 2)}
+
+        def rational_model(*args, **kwargs):
+            raise NotUnsat(half)
+
+        monkeypatch.setattr(solver, "label_tree", rational_model)
+        with pytest.raises(SolverInternalError, match="fails its derivation"):
+            solve(hc)
+
+    def test_solve_does_not_search_again(self, monkeypatch):
+        def no_search(hc, options):
+            raise AssertionError("find_counterexample called")
+
+        monkeypatch.setattr(solver, "find_counterexample", no_search)
+        sets = [_unsolvable(), _duplicated_cone(), _shared(3, ge(TX, 6)),
+                chain_clauses(8, unsat=True)]
+        for hc in sets:
+            cx = solve(hc)
+            assert isinstance(cx, Counterexample)
+            _assert_checked(cx, hc)
+        hc = _unsolvable()
+        cx = solve(hc, SolverOptions(interpolate=binary_interpolant))
+        assert isinstance(cx, Counterexample)  # the node-by-node path's first step
+        _assert_checked(cx, hc)
+        rng = random.Random(3)
+        found = 0
+        for _ in range(150):
+            hc = random_clause_set(rng)
+            try:
+                res = solve(hc)
+            except UnknownResult:
+                continue
+            if isinstance(res, Counterexample):
+                found += 1
+                _assert_checked(res, hc)
+        assert found >= 20
+
+    def test_branching_model_is_a_counterexample(self):
+        # draw 722 of this stream: label_tree's branch and bound reaches an
+        # integral model, where a second search ran out of branch depth
+        rng = random.Random(2)
+        for _ in range(722):
+            random_clause_set(rng)
+        hc = random_clause_set(rng)
+        cx = solve(hc)
+        assert isinstance(cx, Counterexample)
+        _assert_checked(cx, hc)
+
+    def test_long_chain_counterexample(self):
+        # 1,200 nested derivation steps, under the default recursion limit
+        n = 1200
+        hc = chc.parse_chc(chc.print_chc(chain_clauses(n, unsat=True)))
+        cx = solve(hc)
+        assert isinstance(cx, Counterexample)
+        _assert_checked(cx, hc)
+        assert len(cx.model) == 2 * n + 2
+        assert cx.tree.size() == n + 2
+
+    @pytest.mark.parametrize("build", [_duplicated_cone, lambda: _shared(3, ge(TX, 6)),
+                                       lambda: _shared(3, lt(TX, 0))],
+                             ids=["duplicated-cone", "shared-3-reachable", "shared-3"])
+    def test_verdict_matches_expansion(self, build):
+        hc = build()
+        res = solve(hc)
+        assert isinstance(res, Counterexample) == isinstance(sat(expand(hc)), Sat)
+        if isinstance(res, Counterexample):
+            _assert_checked(res, hc)
+
+    def test_walk_takes_the_clauses_the_model_satisfies(self):
+        # only x = 1 for both copies of p, and only the +2 step everywhere,
+        # reach false; the input clauses come back, not their copies
+        cx = solve(_duplicated_cone())
+        hc = _duplicated_cone()
+        assert [c.clause.constraint for c in cx.tree.children] == \
+            [hc.clauses[2].constraint, hc.clauses[3].constraint]
+        assert all(c.children[0].clause.constraint == eq(TX, 1) for c in cx.tree.children)
+        hc = _shared(3, ge(TX, 6))
+        cx = solve(hc)
+        t, steps = cx.tree, []
+        while t.children:
+            (t,) = t.children
+            steps.append(t.clause)
+        assert steps == [hc.clauses[6], hc.clauses[4], hc.clauses[2], hc.clauses[0]]
 
 
 def _recursive_enumerate_cones(comp, limit):
@@ -347,7 +538,7 @@ class TestDerivationCones:
         while len(sets) < 120:
             hc = random_clause_set(rng)
             if not classify(hc).body_disjoint:
-                hc, _ = body_disjoint_transform(hc)
+                hc, _, _ = body_disjoint_transform(hc)
             sets.append(hc)
         return [sub for hc in sets
                 for sub in connected_components(normalize(hc).clause_set)]

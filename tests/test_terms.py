@@ -22,6 +22,7 @@ from hornitp.terms import (
     TRUE,
     CAnd,
     CAtom,
+    CNot,
     COr,
     Cube,
     LinearAtom,
@@ -436,6 +437,17 @@ class TestHashDedup:
                 got, want = new(*args), ref(*args)
                 assert got == want and repr(got) == repr(want), args
         assert repeated > 200
+
+    def test_deep_nesting_hashes_without_recursion(self):
+        # and/or nested 600 deep, then a not around it: each level's hash is
+        # stored at construction, with the value the generated __hash__ gives
+        c = le(TX, 0)
+        for k in range(1, 301):
+            c = CAnd((le(TX, k), COr((ge(TX, -k), c))))
+        n = CNot(c)
+        assert hash(c) == hash((c.args,)) and hash(n) == hash((c,))
+        assert cor(n, c, n) == COr((n, c))
+        assert cand(le(TY, 0), c) == CAnd((le(TY, 0),) + c.args)
 
     def test_to_dnf_cubes_match_list_dedup_in_order(self):
         rng = random.Random(53)
