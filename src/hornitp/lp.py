@@ -4,7 +4,10 @@ One engine decides every conjunction: a bounds-based simplex over
 eps-rationals (Dutertre & de Moura, CAV 2006).  Equalities are split into
 two <= halves, and of the atoms that share one linear form only the tightest
 is kept, so each form gets one slack bounded by its tightest atom.  Strict
-inequalities are handled by infinitesimal bounds.
+inequalities are handled by infinitesimal bounds.  As in that design, a
+lower bound above an upper bound is a conflict before any pivot: when the
+kept atoms on a form t and on its exact negation -t cross, their sum with
+multipliers (1, 1) is the certificate and no tableau is built.
 
 The simplex works over Python ints and gives int certificate multipliers.
 It scales each atom's slack to integer coefficients and bounds, keeps its
@@ -30,12 +33,14 @@ from .terms import EQ, LE, LT, LinearAtom, LinearTerm, weighted_sum
 class FarkasCertificate:
     """Nonnegative combination of inequality atoms summing to a contradiction.
 
-    ``atoms`` are the atoms the simplex was given: a subset of the split
-    input atoms (equalities appear as their two <= halves), one per linear
-    form; ``origins[i]`` is the index of the input atom that atoms[i] came
-    from.  The weighted sum of the atom terms has zero variable coefficients
-    and a constant c with c > 0, or c >= 0 when some strict atom carries a
-    positive multiplier.
+    ``atoms`` are the kept atoms: a subset of the split input atoms
+    (equalities appear as their two <= halves), one per linear form, the
+    same tuple whether the simplex refuted them or a crossing bound pair
+    did; ``origins[i]`` is the index of the input atom that atoms[i] came
+    from.  A bound pair's certificate has multipliers (1, 1) on the atoms
+    of a form and of its exact negation.  The weighted sum of the atom
+    terms has zero variable coefficients and a constant c with c > 0, or
+    c >= 0 when some strict atom carries a positive multiplier.
 
     A certificate is determined only up to a positive factor: scaling every
     multiplier by the same k > 0 keeps it valid, and the simplex does not
@@ -85,10 +90,14 @@ def split_equalities(atoms) -> list:
 def decide_rational(atoms) -> Sat | Unsat:
     """Feasibility over the rationals (Int sorts are not yet enforced).
 
-    Of the split atoms with one linear form t only the tightest enters the
-    simplex: the one with the largest constant c in t + c <= 0, a strict
-    atom winning a tie, which entails all the others.  A certificate names
-    only kept atoms; a model is checked against every input atom.
+    Of the split atoms with one linear form t only the tightest is kept:
+    the one with the largest constant c in t + c <= 0, a strict atom
+    winning a tie, which entails all the others.  When the kept atoms
+    t + c1 <= 0 and -t + c2 <= 0 cross (c1 + c2 > 0, or = 0 with one of them
+    strict) their sum refutes the conjunction without the simplex;
+    otherwise the kept atoms go to the simplex.  A certificate names only
+    kept atoms and is checked before it is returned; a model is checked
+    against every input atom.
     """
     tightest: dict = {}  # term.coeffs -> (tightness, atom, origin)
     for a, o in split_equalities(atoms):
@@ -96,10 +105,35 @@ def decide_rational(atoms) -> Sat | Unsat:
         kept = tightest.get(a.term.coeffs)
         if kept is None or key > kept[0]:
             tightest[a.term.coeffs] = (key, a, o)
-    res = _simplex([(a, o) for _, a, o in tightest.values()])
+    split = [(a, o) for _, a, o in tightest.values()]
+    for coeffs, ((c, strict), _, _) in tightest.items():
+        if coeffs and coeffs[0][1] < 0:
+            negated = tuple([(v, -k) for v, k in coeffs])
+            opposite = tightest.get(negated)
+            if opposite is not None:
+                total = c + opposite[0][0]
+                if total > 0 or (total == 0 and (strict or opposite[0][1])):
+                    forms = list(tightest)
+                    return _bound_pair(split, forms.index(coeffs), forms.index(negated))
+    res = _simplex(split)
     if isinstance(res, Sat) and not _holds_all(atoms, res.model):
         raise SolverInternalError("simplex model violates an input atom")
     return res
+
+
+def _bound_pair(split: list, i: int, j: int) -> Unsat:
+    """Unsat from the kept atoms split[i] and split[j], on a form and its
+    exact negation, whose bounds cross: their sum with multipliers (1, 1)
+    is a constant contradiction."""
+    cert = FarkasCertificate(
+        tuple(a for a, _ in split),
+        ((min(i, j), 1), (max(i, j), 1)),
+        split[i][0].rel == LT or split[j][0].rel == LT,
+        tuple(o for _, o in split),
+    )
+    if not cert.is_valid():
+        raise SolverInternalError("bound-pair certificate is not a contradiction")
+    return Unsat(cert)
 
 
 def _holds_all(atoms, model: dict) -> bool:

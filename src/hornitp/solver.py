@@ -23,7 +23,7 @@ not on this path."""
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from typing import Callable, Mapping, Optional
@@ -109,12 +109,53 @@ class SolverOptions:
         return fn(a, b, self.branch_depth, self.cube_limit).formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DerivationTree:
-    """One derivation of a relation atom (or of false, at the root)."""
+    """One derivation of a relation atom (or of false, at the root).
+
+    Its hash is taken at construction from the children's stored hashes, and
+    ``==`` and ``repr`` walk an explicit stack, so no tree depth reaches the
+    recursion limit.  They give what the generated dataclass methods would.
+    """
 
     clause: HornClause
     children: tuple  # one DerivationTree per body atom
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.clause, self.children)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            s, t = stack.pop()
+            if s is t:
+                continue
+            if s._hash != t._hash or s.clause != t.clause or len(s.children) != len(t.children):
+                return False
+            stack += zip(s.children, t.children)
+        return True
+
+    def __repr__(self):
+        out = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+                continue
+            out.append(f"DerivationTree(clause={t.clause!r}, children=(")
+            stack.append(",))" if len(t.children) == 1 else "))")
+            for i in range(len(t.children) - 1, -1, -1):
+                stack.append(t.children[i])
+                if i:
+                    stack.append(", ")
+        return "".join(out)
 
     def size(self) -> int:
         count, stack = 0, [self]

@@ -105,6 +105,16 @@ class TestSelfChecks:
         with pytest.raises(SolverInternalError):
             decide_rational(_atoms(le(LinearTerm.of(X), 0), le(-LinearTerm.of(X), -1)))
 
+    def test_invalid_certificate_raises_on_the_tableau_path(self, monkeypatch):
+        # x <= y, y <= 0, x >= 1: no two kept forms are opposite, so the
+        # refutation is the simplex's and its own gate must raise
+        calls = _count_simplex(monkeypatch)
+        monkeypatch.setattr(FarkasCertificate, "is_valid", lambda self: False)
+        t = LinearTerm.of
+        with pytest.raises(SolverInternalError, match="simplex certificate"):
+            decide_rational(_atoms(le(t(X) - t(Y), 0), le(t(Y), 0), le(-t(X), -1)))
+        assert calls == [3]
+
     def test_bad_model_raises(self, monkeypatch):
         monkeypatch.setattr(lp, "_simplex", lambda kept: Sat({X: Fraction(2)}))
         with pytest.raises(SolverInternalError):
@@ -141,6 +151,152 @@ class TestTightestAtom:
         res = decide_rational(atoms)
         assert isinstance(res, Unsat) and res.certificate.strict
         assert {res.certificate.origins[i] for i, _ in res.certificate.multipliers} == {1, 2}
+
+
+def _count_simplex(monkeypatch) -> list:
+    """Patch lp._simplex to record the number of atoms of each call."""
+    calls = []
+    simplex = lp._simplex
+
+    def counting(split):
+        calls.append(len(split))
+        return simplex(split)
+
+    monkeypatch.setattr(lp, "_simplex", counting)
+    return calls
+
+
+@pytest.fixture
+def no_tableau(monkeypatch):
+    def refuse(split):
+        raise AssertionError("a crossing bound pair reached the simplex")
+
+    monkeypatch.setattr(lp, "_simplex", refuse)
+
+
+def _real_atom(coeffs, const, rel=LE):
+    return LinearAtom(LinearTerm.make(coeffs, const), rel)
+
+
+A, B = Var("a", REAL), Var("b", REAL)
+
+
+class TestBoundPair:
+    """Kept atoms on a form and on its exact negation whose bounds cross are
+    refuted by their sum, before any tableau is built."""
+
+    def _assert_pair(self, res, origins, strict=False):
+        assert isinstance(res, Unsat)
+        cert = res.certificate
+        assert cert.is_valid() and cert.strict == strict
+        assert [lam for _, lam in cert.multipliers] == [1, 1]
+        assert sorted(cert.origins[i] for i, _ in cert.multipliers) == sorted(origins)
+        return cert
+
+    def test_crossing_le_bounds(self, no_tableau):
+        # a - b <= 2 and b - a <= -5, so a - b >= 5
+        atoms = [_real_atom({A: 1, B: -1}, -2), _real_atom({A: -1, B: 1}, 5)]
+        cert = self._assert_pair(decide_rational(atoms), [0, 1])
+        assert cert.atoms == tuple(atoms) and cert.origins == (0, 1)
+        assert cert.multipliers == ((0, 1), (1, 1))
+        assert cert.weighted_sum().constant == 3
+
+    def test_touching_bounds_are_sat(self):
+        # a - b <= 3 and a - b >= 3 meet at a - b = 3
+        atoms = [_real_atom({A: 1, B: -1}, -3), _real_atom({A: -1, B: 1}, 3)]
+        res = decide_rational(atoms)
+        assert isinstance(res, Sat)
+        assert all(a.holds(res.model) for a in atoms)
+        assert res.model[A] - res.model[B] == 3
+
+    @pytest.mark.parametrize("strict_first", [True, False])
+    def test_touching_bounds_with_a_strict_atom(self, no_tableau, strict_first):
+        atoms = [_real_atom({A: 1, B: -1}, -3, LT if strict_first else LE),
+                 _real_atom({A: -1, B: 1}, 3, LE if strict_first else LT)]
+        cert = self._assert_pair(decide_rational(atoms), [0, 1], strict=True)
+        assert cert.weighted_sum().constant == 0
+
+    def test_fractional_constants(self, no_tableau):
+        # a/2 + 2b/3 <= 1/3 and a/2 + 2b/3 >= 1/2
+        coeffs = {A: Fraction(1, 2), B: Fraction(2, 3)}
+        neg = {v: -c for v, c in coeffs.items()}
+        atoms = [_real_atom(coeffs, Fraction(-1, 3)), _real_atom(neg, Fraction(1, 2))]
+        cert = self._assert_pair(decide_rational(atoms), [0, 1])
+        assert cert.weighted_sum().constant == Fraction(1, 6)
+
+    def test_fractional_touching_bounds_are_sat(self):
+        coeffs = {A: Fraction(1, 2), B: Fraction(2, 3)}
+        neg = {v: -c for v, c in coeffs.items()}
+        atoms = [_real_atom(coeffs, Fraction(-1, 3)), _real_atom(neg, Fraction(1, 3))]
+        res = decide_rational(atoms)
+        assert isinstance(res, Sat) and all(a.holds(res.model) for a in atoms)
+
+    def test_equality_halves_cross(self, no_tableau):
+        # x = 1 and x = 2: the kept halves are x - 1 <= 0 and -x + 2 <= 0
+        atoms = _atoms(eq(LinearTerm.of(X), 1), eq(LinearTerm.of(X), 2))
+        cert = self._assert_pair(decide_rational(atoms), [0, 1])
+        assert len(cert.atoms) == 2
+        assert {(a.term.constant, o) for a, o in zip(cert.atoms, cert.origins)} == \
+            {(-1, 0), (2, 1)}
+
+    def test_crossing_after_the_tightest_atom_merge(self, no_tableau):
+        # x <= 5 and x >= 3 do not cross; the later x <= 1 is kept and does
+        t = LinearTerm.of
+        atoms = _atoms(le(t(X), 5), ge(t(X), 3), le(t(X) + t(Y), 4), le(t(X), 1))
+        cert = self._assert_pair(decide_rational(atoms), [1, 3])
+        assert len(cert.atoms) == 3
+
+    def test_only_crossing_inputs_skip_the_tableau(self, monkeypatch):
+        calls = _count_simplex(monkeypatch)
+        t = LinearTerm.of
+        assert isinstance(decide_rational(_atoms(le(t(X), 0), le(-t(X), -1))), Unsat)
+        assert calls == []
+        res = decide_rational(_atoms(le(t(X) - t(Y), 0), le(t(Y), 0), le(-t(X), -1)))
+        assert isinstance(res, Unsat) and res.certificate.is_valid()
+        assert len(res.certificate.multipliers) == 3
+        assert calls == [3]
+        assert isinstance(decide_rational(_atoms(le(t(X), 1), le(-t(X), 0))), Sat)
+        assert calls == [3, 2]
+
+    def test_agrees_with_simplex_and_fm_on_opposite_forms(self, monkeypatch):
+        # every atom is one of a few forms or its negation, so bound pairs
+        # cross, touch and miss in one corpus; _simplex is the unpatched one
+        calls = _count_simplex(monkeypatch)
+        rng = random.Random(83)
+        paths = {"pair": 0, "tableau": 0, "sat": 0}
+        for trial in range(600):
+            pool = [Var(f"o{i}", rng.choice([INT, REAL])) for i in range(3)]
+            forms = [{v: Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+                      for v in rng.sample(pool, rng.randint(1, 3))}
+                     for _ in range(rng.randint(2, 3))]
+            # the sum of two forms makes three-atom refutations that no
+            # bound pair finds
+            total = dict(forms[0])
+            for v, c in forms[1].items():
+                total[v] = total.get(v, 0) + c
+            forms.append({v: c for v, c in total.items() if c})
+            atoms = []
+            for _ in range(rng.randint(3, 7)):
+                coeffs = rng.choice(forms)
+                if rng.random() < 0.3:
+                    coeffs = {v: -c for v, c in coeffs.items()}
+                atoms.append(_real_atom(coeffs, Fraction(rng.randint(-4, 4), rng.choice([1, 2])),
+                                        rng.choice([LE, LE, LT, EQ])))
+            split = split_equalities(atoms)
+            before = len(calls)
+            res = decide_rational(atoms)
+            assert type(res) is type(_simplex(split)) is type(_reference_fm(split)), \
+                (trial, atoms)
+            if isinstance(res, Sat):
+                paths["sat"] += 1
+                model = dict(res.model)
+                for v in pool:
+                    model.setdefault(v, Fraction(0))
+                assert all(a.holds(model) for a in atoms), (trial, atoms)
+            else:
+                assert res.certificate.is_valid(), (trial, atoms)
+                paths["tableau" if len(calls) > before else "pair"] += 1
+        assert min(paths.values()) > 30, paths
 
 
 class TestBackendAgreement:

@@ -1,6 +1,7 @@
 """End-to-end solving: dispatch, interpolation sweeps, expansion oracle."""
 
 import random
+from dataclasses import make_dataclass
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,7 @@ from hornitp.problems import (
 )
 from hornitp.solver import (
     Counterexample,
+    DerivationTree,
     Solved,
     SolverOptions,
     body_disjoint_transform,
@@ -466,6 +468,57 @@ class TestCounterexampleFromModel:
             (t,) = t.children
             steps.append(t.clause)
         assert steps == [hc.clauses[6], hc.clauses[4], hc.clauses[2], hc.clauses[0]]
+
+
+def _rebuilt(tree, cls=DerivationTree, clause_of=lambda t: t.clause):
+    """A node-by-node copy of ``tree`` as ``cls`` instances, node t getting
+    the clause ``clause_of(t)``; built bottom-up, without recursion."""
+    order, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        stack += t.children
+    built: dict = {}
+    for t in reversed(order):
+        built[id(t)] = cls(clause_of(t), tuple(built[id(c)] for c in t.children))
+    return built[id(tree)]
+
+
+class TestDerivationTree:
+    """repr, hash and == of a DerivationTree do not recurse per tree level
+    and give what the generated dataclass methods give."""
+
+    def test_long_chain_tree(self):
+        # 1,202 nested nodes under the default recursion limit
+        hc = chain_clauses(1200, unsat=True)
+        tree = solve(hc).tree
+        copy = _rebuilt(tree)
+        assert copy is not tree and copy.children[0] is not tree.children[0]
+        assert copy == tree and not copy != tree
+        assert hash(copy) == hash(tree)
+        text = repr(tree)
+        assert text == repr(copy) and text.count("DerivationTree(clause=") == 1202
+        # the same tree but for its deepest leaf
+        other = _rebuilt(tree, clause_of=lambda t: t.clause if t.children else hc.clauses[1])
+        assert other != tree and tree != other
+        assert len({tree, copy, other}) == 2
+
+    def test_small_trees_match_the_generated_methods(self):
+        generated = make_dataclass("DerivationTree", [("clause", object), ("children", tuple)],
+                                   frozen=True)
+        for hc in (_duplicated_cone(), chain_clauses(2, unsat=True)):
+            tree = solve(hc).tree
+            ref = _rebuilt(tree, generated)
+            assert repr(tree) == repr(ref) and hash(tree) == hash(ref)
+            assert tree == _rebuilt(tree) and tree != ref
+
+    def test_unequal_shapes(self):
+        hc = _duplicated_cone()
+        tree = solve(hc).tree
+        pruned = DerivationTree(tree.clause, tree.children[:1])
+        assert tree != pruned and pruned != tree
+        assert tree.children[0] != tree.children[1]
+        assert DerivationTree(tree.clause, tree.children[::-1]) != tree
 
 
 def _recursive_enumerate_cones(comp, limit):
