@@ -68,7 +68,7 @@ def _decide(atoms, depth):
     if frac is None:
         return res
     if depth <= 0:
-        raise UnknownResult("integer branching depth exhausted")
+        raise UnknownResult("integer branching depth exhausted (--branch-depth)")
     for cut in _branch_cuts(*frac):
         sub = _decide(atoms + [cut], depth - 1)
         if isinstance(sub, Sat):
@@ -155,7 +155,8 @@ def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, leaves)
     if frac is None:
         raise NotUnsat(res.model)
     if depth <= 0:
-        raise UnknownResult("integer branching depth exhausted during interpolation")
+        raise UnknownResult("integer branching depth exhausted during interpolation "
+                            "(--branch-depth)")
     v, val = frac
     s = next(i for i, c in enumerate(nodes) if v in c.vars)
     branches = []

@@ -10,20 +10,20 @@ class SortMismatch(HornitpError):
 
 
 class CubeLimitExceeded(HornitpError):
-    def __init__(self, limit):
-        super().__init__(f"DNF conversion would exceed {limit} cubes")
+    """More than ``limit`` (the CLI's --cube-limit) of ``counted`` would be
+    built."""
+
+    def __init__(self, limit, counted="cubes of a DNF conversion"):
+        super().__init__(f"{counted} would exceed {limit} (--cube-limit)")
         self.limit = limit
 
 
 class ExpansionLimitExceeded(HornitpError):
-    def __init__(self, limit):
-        super().__init__(f"derivation expansion exceeded the budget of {limit} nodes")
-        self.limit = limit
+    """More than ``limit`` (the CLI's --expansion-limit) of ``counted`` were
+    built."""
 
-
-class PathLimitExceeded(HornitpError):
-    def __init__(self, limit):
-        super().__init__(f"DAG path enumeration exceeded the budget of {limit} paths")
+    def __init__(self, limit, counted="derivation nodes of the expansion"):
+        super().__init__(f"{counted} exceeded {limit} (--expansion-limit)")
         self.limit = limit
 
 

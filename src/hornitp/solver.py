@@ -17,8 +17,7 @@ backend labels node by node.  An unsolvable set makes its encoding
 satisfiable, and the model is read back as the counterexample: a derivation
 of false whose clause constraints all hold under it, over the input
 clauses, with its accumulated constraint evaluated under the model before
-it is returned.  find_counterexample, a second search over derivations, is
-not on this path."""
+it is returned."""
 
 from __future__ import annotations
 
@@ -44,7 +43,6 @@ from .errors import (
     CubeLimitExceeded,
     ExpansionLimitExceeded,
     NotUnsat,
-    PathLimitExceeded,
     RecursiveSystem,
     SolverInternalError,
     SubsetLimitExceeded,
@@ -84,8 +82,7 @@ from .terms import (
 )
 
 DEFAULT_EXPANSION_LIMIT = 100_000
-DEFAULT_SUBSET_LIMIT = 4096
-DEFAULT_PATH_LIMIT = 10_000
+DEFAULT_SUBSET_LIMIT = 4096  # derivation cones per component
 
 # When set to a list by tests or diagnostics consumers, every tree
 # interpolation performed by this module appends a record with the problem,
@@ -95,11 +92,11 @@ tree_log: Optional[list] = None
 
 @dataclass
 class SolverOptions:
+    """Budgets, the CLI's --branch-depth, --cube-limit and --expansion-limit."""
+
     branch_depth: int = DEFAULT_BRANCH_DEPTH
     cube_limit: int = DEFAULT_CUBE_LIMIT
     expansion_limit: int = DEFAULT_EXPANSION_LIMIT
-    subset_limit: int = DEFAULT_SUBSET_LIMIT
-    path_limit: int = DEFAULT_PATH_LIMIT
     # binary interpolation entry point; replaced when an external backend
     # is configured
     interpolate: Callable = None  # (A, B, branch_depth, cube_limit) -> Interpolant
@@ -186,18 +183,12 @@ class _Budget:
     def __init__(self, limit):
         self.limit = limit
         self.used = 0
-        self.fresh = 0
 
-    def spend(self):
+    def rename(self, h: HornClause):
         self.used += 1
         if self.used > self.limit:
             raise ExpansionLimitExceeded(self.limit)
-
-    def rename(self, h: HornClause):
-        self.spend()
-        self.fresh += 1
-        k = self.fresh
-        ren = {v: Var(f"{v.name}~{k}", v.sort) for v in sorted(h.vars)}
+        ren = {v: Var(f"{v.name}~{self.used}", v.sort) for v in sorted(h.vars)}
         sigma = {v: LinearTerm.of(w) for v, w in ren.items()}
 
         def ratom(a: RelationAtom) -> RelationAtom:
@@ -242,42 +233,6 @@ def expand(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT) -> Constraint:
             constraint, body, _ = budget.rename(h)
             disjuncts.append(cand(constraint, *(derive(b) for b in body)))
     return cor(*disjuncts)
-
-
-def find_counterexample(hc: ClauseSet, options: SolverOptions) -> Optional[Counterexample]:
-    """First derivation of false whose accumulated constraint is satisfiable."""
-    _check_recursion_free(hc)
-    budget = _Budget(options.expansion_limit)
-    by_head: dict = {}
-    for h in hc.clauses:
-        if h.head is not None:
-            by_head.setdefault(h.head.symbol, []).append(h)
-
-    def derivations(atom: RelationAtom):
-        for h in by_head.get(atom.symbol, ()):
-            constraint, body, head = budget.rename(h)
-            binds = cand(constraint, *(eq(s, t) for s, t in zip(head.args, atom.args)))
-            for subtrees, subconstraint in body_derivations(body):
-                yield DerivationTree(h, subtrees), cand(binds, subconstraint)
-
-    def body_derivations(body):
-        if not body:
-            yield (), TRUE
-            return
-        first, rest = body[0], body[1:]
-        for tree, c in derivations(first):
-            for trees, c2 in body_derivations(rest):
-                yield (tree,) + trees, cand(c, c2)
-
-    for h in hc.clauses:
-        if h.head is None:
-            constraint, body, _ = budget.rename(h)
-            for subtrees, subconstraint in body_derivations(body):
-                total = cand(constraint, subconstraint)
-                res = sat(total, options.branch_depth, options.cube_limit)
-                if isinstance(res, Sat):
-                    return Counterexample(DerivationTree(h, subtrees), res.model, total)
-    return None
 
 
 def _derivation_of_false(nhc: NormalizedClauseSet, model: Mapping) -> Optional[dict]:
@@ -424,7 +379,7 @@ def _certificate_labels(tp: TreeProblem, order: list, options: SolverOptions):
             parent[c] = i
     cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in order]
     if prod(len(cs) for cs in cubes) > options.cube_limit:
-        raise CubeLimitExceeded(options.cube_limit)
+        raise CubeLimitExceeded(options.cube_limit, "cube choices across a tree's node labels")
     leaves: list = []
     itps = label_tree(cubes, kids, options.branch_depth, leaves)
     certified = []  # per certificate: (labels, subtree sums, remaining-atom sums)
@@ -536,8 +491,8 @@ def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
             guard = cand(dp.edge_labels[e], cnot(lw))
             if guard is not FALSE:
                 parts.append(guard)
-            if len(parts) > options.path_limit:
-                raise PathLimitExceeded(options.path_limit)
+            if len(parts) > options.cube_limit:  # each part is a disjunct of v's B side
+                raise CubeLimitExceeded(options.cube_limit, "path suffixes from one DAG node")
         suffix[v] = parts
     labels = {dp.entry: TRUE}
     entry_b = cand(dp.node_labels[dp.entry], cor(*suffix[dp.entry]))
@@ -642,7 +597,7 @@ def _cone_labels(nhc: NormalizedClauseSet, comp: ClauseSet, options: SolverOptio
     false-head clause has no cone and gets an empty map.
     """
     per_cone: list = []  # (cone, labels dict, subcone map)
-    for cone in _enumerate_cones(comp, options.subset_limit):
+    for cone in _enumerate_cones(comp, DEFAULT_SUBSET_LIMIT):
         cone_set = ClauseSet.make([comp.clauses[i] for i in sorted(cone)])
         sub_nhc = NormalizedClauseSet(cone_set, nhc.arg_vectors)
         problems = tree_problem_from_treelike(sub_nhc)
@@ -731,7 +686,8 @@ def body_disjoint_transform(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT)
                                               mapped(d.head)))
                     origins.append(origins[di])
                     if len(clauses) > limit:
-                        raise ExpansionLimitExceeded(limit)
+                        raise ExpansionLimitExceeded(
+                            limit, "clauses after duplicating derivation cones")
     return ClauseSet.make(clauses), copies, origins
 
 
@@ -818,3 +774,9 @@ def solve(hc: ClauseSet, options: SolverOptions = None):
         raise SolverInternalError(
             f"computed solution failed verification on clause: {verdict.clause!r}")
     return Solved(sol)
+
+
+def find_counterexample(hc: ClauseSet, options: SolverOptions = None) -> Optional[Counterexample]:
+    """solve's Counterexample for ``hc``, or None when ``hc`` is solvable."""
+    res = solve(hc, options)
+    return res if isinstance(res, Counterexample) else None

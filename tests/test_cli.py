@@ -2,6 +2,7 @@
 
 import shlex
 import sys
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +10,7 @@ from hornitp import chc, cli
 from hornitp.cli import main
 from hornitp.horn import verify_solution
 from hornitp.sexpr import parse_all, parse_one
+from hornitp.solver import SolverOptions
 
 TREELIKE = "tests/data/increment_treelike.chc"
 RECURSIVE = "tests/data/increment_recursive.chc"
@@ -19,6 +21,15 @@ UNSOLVABLE = """(set-logic HORN)
 (declare-fun p (Int) Bool)
 (assert (forall ((x Int)) (=> (<= 0 x) (p x))))
 (assert (forall ((x Int)) (=> (and (p x) (<= 5 x)) false)))
+(check-sat)
+"""
+
+# p(x) <- x = 2y; false <- p(x), x = 2z + 1: no interpolant without
+# divisibility, so branching runs out of depth
+PARITY = """(set-logic HORN)
+(declare-fun p (Int) Bool)
+(assert (forall ((x Int) (y Int)) (=> (= x (* 2 y)) (p x))))
+(assert (forall ((x Int) (z Int)) (=> (and (p x) (= x (+ (* 2 z) 1))) false)))
 (check-sat)
 """
 
@@ -134,6 +145,23 @@ class TestSolve:
         code, out, _ = run(capsys, "--cube-limit", "0", "solve", TREELIKE)
         assert code == 2 and out.startswith("(error")
 
+    def test_every_budget_is_a_flag(self):
+        budgets = [f.name for f in fields(SolverOptions) if f.name != "interpolate"]
+        assert budgets
+        for k, name in enumerate(budgets):
+            value = 7 + k
+            args = cli._build_parser().parse_args(
+                [f"--{name.replace('_', '-')}", str(value), "solve", TREELIKE])
+            assert getattr(cli._budgets(args), name) == value
+
+    def test_branch_depth_fault_names_its_flag(self, capsys, tmp_path):
+        path = tmp_path / "parity.chc"
+        path.write_text(PARITY)
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2 and "UnknownResult" in err
+        (line,) = out.splitlines()
+        assert line.startswith("(error") and "(--branch-depth)" in line
+
 
 class TestBackendLifetime:
     @staticmethod
@@ -190,7 +218,7 @@ class TestVerify:
         code, out, err = run(capsys, "--cube-limit", "1", "verify", UNWOUND,
                              "--solution", "tests/data/increment_unwound.sol")
         assert code == 2 and out.startswith("(error")
-        assert "CubeLimitExceeded" in err
+        assert "CubeLimitExceeded" in err and "(--cube-limit)" in out
 
 
 class TestExpand:
@@ -202,6 +230,7 @@ class TestExpand:
     def test_expansion_limit_fault(self, capsys):
         code, out, err = run(capsys, "--expansion-limit", "3", "expand", TREELIKE)
         assert code == 2 and "ExpansionLimitExceeded" in err
+        assert "(--expansion-limit)" in out
 
 
 class TestEncode:

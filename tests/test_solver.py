@@ -107,7 +107,7 @@ class TestFindCounterexample:
         assert cx.tree.size() == 2
 
     def test_solvable_set_yields_none(self):
-        assert find_counterexample(PE.treelike_clauses(), SolverOptions()) is None
+        assert find_counterexample(PE.treelike_clauses()) is None
 
 
 class TestTreeInterpolate:
@@ -166,6 +166,9 @@ class TestDagInterpolate:
                          "b": frozenset({X}), "ex": frozenset()})
         labels = dag_interpolate(dp)
         assert check_dag(dp, labels) == []
+        # two suffixes from the entry, each one B-side cube
+        with pytest.raises(CubeLimitExceeded, match=r"^path suffixes .*\(--cube-limit\)$"):
+            dag_interpolate(dp, SolverOptions(cube_limit=1))
 
     def test_feasible_path_raises_not_unsat(self):
         nodes = ("en", "a", "ex")
@@ -424,12 +427,16 @@ class TestCounterexampleFromModel:
 
     def test_branching_model_is_a_counterexample(self):
         # draw 722 of this stream: label_tree's branch and bound reaches an
-        # integral model, where a second search ran out of branch depth
+        # integral model, where a search over derivations ran out of branch
+        # depth; find_counterexample returns solve's
         rng = random.Random(2)
         for _ in range(722):
             random_clause_set(rng)
         hc = random_clause_set(rng)
         cx = solve(hc)
+        assert isinstance(cx, Counterexample)
+        _assert_checked(cx, hc)
+        cx = find_counterexample(hc, SolverOptions())
         assert isinstance(cx, Counterexample)
         _assert_checked(cx, hc)
 
@@ -442,6 +449,9 @@ class TestCounterexampleFromModel:
         _assert_checked(cx, hc)
         assert len(cx.model) == 2 * n + 2
         assert cx.tree.size() == n + 2
+        cx = find_counterexample(hc, SolverOptions())
+        assert isinstance(cx, Counterexample)
+        _assert_checked(cx, hc)
 
     @pytest.mark.parametrize("build", [_duplicated_cone, lambda: _shared(3, ge(TX, 6)),
                                        lambda: _shared(3, lt(TX, 0))],
@@ -788,5 +798,5 @@ class TestCertificateLabels:
     def test_cube_product_over_limit(self):
         # five labels of two cubes each: 32 choices
         tp = _path_tree([ne(TX, i) for i in range(5)] + [eq(TX, 0)])
-        with pytest.raises(CubeLimitExceeded):
+        with pytest.raises(CubeLimitExceeded, match=r"^cube choices .*\(--cube-limit\)$"):
             tree_interpolate(tp, SolverOptions(cube_limit=20))
