@@ -28,8 +28,12 @@ class ExpansionLimitExceeded(HornitpError):
 
 
 class SubsetLimitExceeded(HornitpError):
+    """More than ``limit`` (a fixed budget, no CLI flag) derivation cones of
+    false were found below one false-head clause."""
+
     def __init__(self, limit):
-        super().__init__(f"tree-like subset enumeration exceeded the budget of {limit}")
+        super().__init__(f"derivation cones of false below one query clause exceeded {limit}"
+                         " (fixed budget)")
         self.limit = limit
 
 

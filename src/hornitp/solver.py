@@ -5,8 +5,9 @@ two paths, then verify the combined solution.  A linear component that is
 not tree-like is a restricted DAG interpolation problem.  Every other
 component is solved through its derivation cones of false (one defining
 clause per symbol met): a component that is not body-disjoint is first made
-so by duplicating derivation cones, each cone is one tree interpolation
-problem, and the per-cone labels combine into a positive Boolean
+so by duplicating derivation cones, one walk over its clauses builds each
+cone's tree interpolation problem and each symbol's derivation key, and the
+per-cone labels combine, grouped by key, into a positive Boolean
 combination per symbol.  Sequences are the trees that are paths, and a
 tree-like component has exactly one cone.  Trees are labeled from Farkas
 certificates by engine.label_tree, the routine binary interpolation uses
@@ -34,10 +35,7 @@ from .analysis import (
     dependence_graph,
     normalize,
 )
-from .encodings import (
-    dag_problem_from_linear,
-    tree_problem_from_treelike,
-)
+from .encodings import FALSE_NODE, dag_problem_from_linear
 from .engine import DEFAULT_BRANCH_DEPTH, binary_interpolant, label_tree, sat
 from .errors import (
     CubeLimitExceeded,
@@ -82,7 +80,7 @@ from .terms import (
 )
 
 DEFAULT_EXPANSION_LIMIT = 100_000
-DEFAULT_SUBSET_LIMIT = 4096  # derivation cones per component
+DEFAULT_SUBSET_LIMIT = 4096  # derivation cones below one false-head clause
 
 # When set to a list by tests or diagnostics consumers, every tree
 # interpolation performed by this module appends a record with the problem,
@@ -210,29 +208,34 @@ def expand(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT) -> Constraint:
     constraints and argument-binding equalities, variables fresh per node.
 
     The clause set is solvable exactly when this constraint is
-    unsatisfiable.
+    unsatisfiable.  Clause instances are numbered in pre-order, each atom's
+    defining clauses in order, by a walk with an explicit stack, and the
+    constraint is built bottom-up from them.
     """
     _check_recursion_free(hc)
     budget = _Budget(limit)
     by_head: dict = {}
     for h in hc.clauses:
-        if h.head is not None:
-            by_head.setdefault(h.head.symbol, []).append(h)
-
-    def derive(atom: RelationAtom) -> Constraint:
-        options = []
-        for h in by_head.get(atom.symbol, ()):
-            constraint, body, head = budget.rename(h)
-            binds = [eq(s, t) for s, t in zip(head.args, atom.args)]
-            options.append(cand(constraint, *binds, *(derive(b) for b in body)))
-        return cor(*options)
-
-    disjuncts = []
-    for h in hc.clauses:
-        if h.head is None:
-            constraint, body, _ = budget.rename(h)
-            disjuncts.append(cand(constraint, *(derive(b) for b in body)))
-    return cor(*disjuncts)
+        by_head.setdefault(h.head.symbol if h.head is not None else None, []).append(h)
+    # the clause instances in pre-order, each as its conjuncts and, per body
+    # atom, the numbers of the instances that derive it
+    instances: list = []
+    roots: list = []
+    stack = [(None, h, roots) for h in reversed(by_head.get(None, ()))]
+    while stack:
+        a, h, derivers = stack.pop()
+        derivers.append(len(instances))
+        constraint, body, head = budget.rename(h)
+        binds = [eq(s, t) for s, t in zip(head.args, a.args)] if a is not None else []
+        slots = [[] for _ in body]
+        instances.append(([constraint, *binds], slots))
+        for b, slot in zip(reversed(body), reversed(slots)):
+            stack += [(b, d, slot) for d in reversed(by_head.get(b.symbol, ()))]
+    built: dict = {}
+    for k in reversed(range(len(instances))):  # every instance after its parent
+        parts, slots = instances[k]
+        built[k] = cand(*parts, *(cor(*(built.pop(j) for j in slot)) for slot in slots))
+    return cor(*(built.pop(j) for j in roots))
 
 
 def _derivation_of_false(nhc: NormalizedClauseSet, model: Mapping) -> Optional[dict]:
@@ -520,102 +523,84 @@ def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_cones(comp: ClauseSet, limit: int) -> list:
-    """All derivation cones of false: clause-index sets fixing one defining
-    clause per symbol encountered.  Requires a body-disjoint component."""
+def _derivation_cones(comp: ClauseSet, limit: int) -> list:
+    """(TreeProblem, derivation keys) per derivation cone of false of
+    ``comp``, a connected body-disjoint component.
+
+    A cone fixes one defining clause per symbol met below the false-head
+    clause.  Its tree's nodes are FALSE_NODE and the symbols met, each
+    labeled by its chosen clause's constraint, or false when no clause
+    defines it; a symbol's key is the clause-index set of its derivation
+    inside the cone.  One walk with an explicit stack: symbols are met
+    breadth-first, and cones come depth-first over the choices, the first
+    defining clause first, so the choice at a symbol met earlier changes
+    more slowly.  Finding more than ``limit`` + 1 cones raises
+    SubsetLimitExceeded before any is returned.
+    """
     clauses = comp.clauses
     false_idx = [i for i, h in enumerate(clauses) if h.head is None]
     if not false_idx:
         return []
     assert len(false_idx) == 1, \
         "a connected body-disjoint component has at most one false-head clause"
+    query = clauses[false_idx[0]]
     by_head: dict = {}
     for i, h in enumerate(clauses):
         if h.head is not None:
             by_head.setdefault(h.head.symbol, []).append(i)
-    cones: dict = {}  # insertion-ordered set: first occurrences in order
-    found = 0
-    # depth-first over (symbols still to derive, clauses chosen so far); the
-    # alternatives are pushed in reverse so the first defining clause is
-    # explored first
-    stack = [(tuple(b.symbol for b in clauses[false_idx[0]].body),
-              frozenset({false_idx[0]}))]
-    while stack:
-        if found > limit:
+    met = [(FALSE_NODE, b.symbol) for b in query.body]  # (parent node, symbol)
+    # per symbol met: the position of its chosen clause in by_head[s], and
+    # len(met) before that clause's body was met
+    chosen: list = []
+    cones: list = []
+    while True:
+        while len(chosen) < len(met):
+            s = met[len(chosen)][1]
+            chosen.append((0, len(met)))
+            if s in by_head:
+                met += [(s, b.symbol) for b in clauses[by_head[s][0]].body]
+        if len(cones) > limit:
             raise SubsetLimitExceeded(limit)
-        pending, chosen = stack.pop()
-        if not pending:
-            found += 1
-            cones[chosen] = None
-            continue
-        s, rest = pending[0], pending[1:]
-        defining = by_head.get(s)
-        if not defining:
-            stack.append((rest, chosen))  # underivable symbol: nothing to choose
-            continue
-        for ci in reversed(defining):
-            stack.append((rest + tuple(b.symbol for b in clauses[ci].body), chosen | {ci}))
-    return list(cones)
-
-
-def _subcones(comp: ClauseSet, cone: frozenset) -> dict:
-    """Per symbol: the clause-index set of its derivation inside the cone."""
-    head_of: dict = {}
-    for i in cone:
-        h = comp.clauses[i]
-        if h.head is not None:
-            head_of[h.head.symbol] = i
-    memo: dict = {}
-    symbols = set()
-    for i in cone:
-        symbols |= comp.clauses[i].symbols
-    for p in symbols:
-        stack = [p]
-        while stack:
-            q = stack[-1]
-            if q in memo:
-                stack.pop()
-            elif q not in head_of:
-                memo[stack.pop()] = frozenset()
+        labels = {FALSE_NODE: query.constraint}
+        keys: dict = {}
+        for (_, s), (k, _) in zip(reversed(met), reversed(chosen)):  # children first
+            if s in by_head:
+                ci = by_head[s][k]
+                labels[s] = clauses[ci].constraint
+                keys[s] = frozenset({ci}).union(*(keys[b.symbol] for b in clauses[ci].body))
             else:
-                body = [b.symbol for b in comp.clauses[head_of[q]].body]
-                missing = [b for b in body if b not in memo]
-                if missing:
-                    stack.append(missing[0])  # derive body symbols in order
-                else:
-                    memo[stack.pop()] = frozenset({head_of[q]}).union(*(memo[b] for b in body))
-    return memo
+                labels[s], keys[s] = FALSE, frozenset()
+        nodes = (FALSE_NODE, *(s for _, s in met))
+        cones.append((TreeProblem(nodes, frozenset(met), labels, FALSE_NODE), keys))
+        # the next cone: the last symbol met with a defining clause left
+        # takes the next one, and the symbols met after it are met again
+        while chosen and chosen[-1][0] + 1 >= len(by_head.get(met[len(chosen) - 1][1], ())):
+            chosen.pop()
+        if not chosen:
+            return cones
+        k, mark = chosen[-1]
+        chosen[-1] = (k + 1, mark)
+        s = met[len(chosen) - 1][1]
+        del met[mark:]
+        met += [(s, b.symbol) for b in clauses[by_head[s][k + 1]].body]
 
 
-def _cone_labels(nhc: NormalizedClauseSet, comp: ClauseSet, options: SolverOptions) -> dict:
+def _cone_labels(comp: ClauseSet, options: SolverOptions) -> dict:
     """Symbol->Constraint map of ``comp``, a connected body-disjoint
-    component of the normalized set ``nhc``.
+    component of a normalized set.
 
     Each derivation cone of false is one tree problem.  A symbol's solution
     disjoins, over the groups of cones that derive the symbol by the same
-    clauses, the conjunction of the group's labels.  A component without a
-    false-head clause has no cone and gets an empty map.
+    clauses (the same key), the conjunction of the group's labels, groups
+    and labels in cone order.  A component without a false-head clause has
+    no cone and gets an empty map.
     """
-    per_cone: list = []  # (cone, labels dict, subcone map)
-    for cone in _enumerate_cones(comp, DEFAULT_SUBSET_LIMIT):
-        cone_set = ClauseSet.make([comp.clauses[i] for i in sorted(cone)])
-        sub_nhc = NormalizedClauseSet(cone_set, nhc.arg_vectors)
-        problems = tree_problem_from_treelike(sub_nhc)
-        assert len(problems) == 1, "a derivation cone is one connected tree"
-        per_cone.append((cone, tree_interpolate(problems[0], options),
-                         _subcones(comp, cone)))
-    assignment: dict = {}
-    symbols = sorted({s for cone, _, _ in per_cone
-                      for i in cone for s in comp.clauses[i].symbols})
-    for p in symbols:
-        groups: dict = {}
-        for cone, labels, subs in per_cone:
-            if p not in labels:
-                continue
-            groups.setdefault(subs.get(p, frozenset()), []).append(labels[p])
-        if groups:
-            assignment[p] = cor(*(cand(*g) for g in groups.values()))
-    return assignment
+    groups: dict = {}  # symbol -> derivation key -> labels
+    for tp, keys in _derivation_cones(comp, DEFAULT_SUBSET_LIMIT):  # all before any LP
+        labels = tree_interpolate(tp, options)
+        for p, key in keys.items():
+            groups.setdefault(p, {}).setdefault(key, []).append(labels[p])
+    return {p: cor(*(cand(*g) for g in groups[p].values())) for p in sorted(groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -700,14 +685,15 @@ def _solve_component(comp: ClauseSet, options: SolverOptions):
     """Symbol->Constraint map over normalized argument vectors, or a
     Counterexample; second return value is the argument-vector map.
 
-    A linear set that is not tree-like is solved as a DAG problem.  Every
-    other set is solved through derivation cones: it is made body-disjoint
-    by body_disjoint_transform when it is not already, normalized, and each
-    of its connected components (copies of an underivable symbol can split
-    it) labeled by _cone_labels; an original symbol's solution conjoins
-    those of its copies.  A tree-like set is the one-cone case, and the
-    symbols of a set without a false-head clause are left to be assigned
-    true.
+    ``comp`` is classified once.  A linear set that is not tree-like is
+    solved as a DAG problem.  Every other set is solved through derivation
+    cones: it is made body-disjoint by body_disjoint_transform when it is
+    not already, normalized, and each of its connected components (copies
+    of an underivable symbol can split it) labeled by _cone_labels, whose
+    walk builds every cone's tree without classifying or splitting again;
+    an original symbol's solution conjoins those of its copies.  A
+    tree-like set is the one-cone case, and the symbols of a set without a
+    false-head clause are left to be assigned true.
 
     When a DAG problem, a cone's tree or a backend's first binary problem
     (the whole tree) is satisfiable, its model gives the Counterexample:
@@ -732,7 +718,7 @@ def _solve_component(comp: ClauseSet, options: SolverOptions):
             return assignment, nhc.arg_vectors
         collected: dict = {}
         for sub in connected_components(nhc.clause_set):
-            collected.update(_cone_labels(nhc, sub, options))
+            collected.update(_cone_labels(sub, options))
     except NotUnsat as exc:
         return _counterexample_from_model(comp, origins, nhc, exc.model), nhc.arg_vectors
     for p in sorted(comp.relations):

@@ -6,6 +6,7 @@ from dataclasses import fields
 
 import pytest
 
+from generators import chain_clauses
 from hornitp import chc, cli
 from hornitp.cli import main
 from hornitp.horn import verify_solution
@@ -154,6 +155,25 @@ class TestSolve:
                 [f"--{name.replace('_', '-')}", str(value), "solve", TREELIKE])
             assert getattr(cli._budgets(args), name) == value
 
+    def test_cone_budget_fault_says_what_it_counted(self, capsys, tmp_path):
+        # one query over 13 symbols with two facts each: 2^13 derivation cones
+        n = 13
+        xs = " ".join(f"(x{i} Int)" for i in range(n))
+        facts = [f"(assert (forall ((x Int)) (=> (= x {v}) (q{i} x))))"
+                 for i in range(n) for v in (0, 1)]
+        body = " ".join(f"(q{i} x{i})" for i in range(n))
+        path = tmp_path / "cones.chc"
+        path.write_text("\n".join([
+            "(set-logic HORN)",
+            *(f"(declare-fun q{i} (Int) Bool)" for i in range(n)),
+            *facts,
+            f"(assert (forall ({xs}) (=> (and {body} (< x0 0)) false)))",
+            "(check-sat)"]) + "\n")
+        code, out, err = run(capsys, "solve", str(path))
+        assert code == 2 and "SubsetLimitExceeded" in err
+        assert out == ('(error "SubsetLimitExceeded: derivation cones of false below'
+                       ' one query clause exceeded 4096 (fixed budget)")\n')
+
     def test_branch_depth_fault_names_its_flag(self, capsys, tmp_path):
         path = tmp_path / "parity.chc"
         path.write_text(PARITY)
@@ -225,6 +245,13 @@ class TestExpand:
     def test_expansion_is_constraint(self, capsys):
         code, out, _ = run(capsys, "expand", TREELIKE)
         assert code == 0
+        parse_one(out)
+
+    def test_long_chain(self, capsys, tmp_path):
+        path = tmp_path / "chain.chc"
+        path.write_text(chc.print_chc(chain_clauses(1200, unsat=True)))
+        code, out, _ = run(capsys, "expand", str(path))
+        assert code == 0 and "y~1201" in out
         parse_one(out)
 
     def test_expansion_limit_fault(self, capsys):

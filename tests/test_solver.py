@@ -10,7 +10,7 @@ import worked_examples as PE
 from generators import chain_clauses, random_clause_set, random_cube
 from hornitp import engine, solver
 from hornitp import chc
-from hornitp.analysis import classify, connected_components, normalize
+from hornitp.analysis import NormalizedClauseSet, classify, connected_components, normalize
 from hornitp.encodings import tree_problem_from_treelike
 from hornitp.engine import binary_interpolant, sat
 from hornitp.errors import (
@@ -76,7 +76,66 @@ X = Var("x", INT)
 TX = LinearTerm.of(X)
 
 
+def _recursive_expand(hc, limit=solver.DEFAULT_EXPANSION_LIMIT):
+    """solver.expand as a recursion per derivation level."""
+    solver._check_recursion_free(hc)
+    budget = solver._Budget(limit)
+    by_head: dict = {}
+    for h in hc.clauses:
+        if h.head is not None:
+            by_head.setdefault(h.head.symbol, []).append(h)
+
+    def derive(atom):
+        options = []
+        for h in by_head.get(atom.symbol, ()):
+            constraint, body, head = budget.rename(h)
+            binds = [eq(s, t) for s, t in zip(head.args, atom.args)]
+            options.append(cand(constraint, *binds, *(derive(b) for b in body)))
+        return cor(*options)
+
+    disjuncts = []
+    for h in hc.clauses:
+        if h.head is None:
+            constraint, body, _ = budget.rename(h)
+            disjuncts.append(cand(constraint, *(derive(b) for b in body)))
+    return cor(*disjuncts)
+
+
+def _data_sets() -> list:
+    """The recursion-free clause sets of tests/data."""
+    sets = []
+    for name in ("increment_treelike", "increment_unwound"):
+        with open(f"tests/data/{name}.chc") as fh:
+            sets.append(chc.parse_chc(fh.read()))
+    return sets
+
+
 class TestExpand:
+    def test_iterative_matches_recursive(self):
+        """The same constraint, instances numbered alike, and the budget
+        exceeded at the same instance."""
+        rng = random.Random(17)
+        sets = _data_sets() + [random_clause_set(rng) for _ in range(300)]
+        limited = 0
+        for hc in sets:
+            for limit in (0, 1, 2, 3, 5, 8, 100_000):
+                try:
+                    expected = _recursive_expand(hc, limit)
+                except ExpansionLimitExceeded:
+                    limited += 1
+                    with pytest.raises(ExpansionLimitExceeded):
+                        expand(hc, limit)
+                else:
+                    assert expand(hc, limit) == expected
+        assert limited >= 100
+
+    def test_long_chain(self):
+        # 1,202 instances nested 1,201 deep, past the default recursion limit
+        expansion = expand(chain_clauses(1200, unsat=True))
+        fvs = free_vars(expansion)
+        # x in the query and the fact, x and y in each step
+        assert len(fvs) == 2402 and {Var("x~1", INT), Var("y~1201", INT)} <= fvs
+
     def test_treelike_subset_expansion_unsat(self):
         assert isinstance(sat(expand(PE.treelike_clauses())), Unsat)
 
@@ -532,7 +591,8 @@ class TestDerivationTree:
 
 
 def _recursive_enumerate_cones(comp, limit):
-    """solver._enumerate_cones as a recursive depth-first search."""
+    """The clause-index sets of solver._derivation_cones, in order, by a
+    recursive depth-first search over a queue of symbols to derive."""
     clauses = comp.clauses
     false_idx = [i for i, h in enumerate(clauses) if h.head is None]
     if not false_idx:
@@ -566,7 +626,8 @@ def _recursive_enumerate_cones(comp, limit):
 
 
 def _recursive_subcones(comp, cone):
-    """solver._subcones as a memoized recursion."""
+    """The derivation keys of solver._derivation_cones for ``cone``, as a
+    memoized recursion."""
     head_of = {comp.clauses[i].head.symbol: i for i in cone
                if comp.clauses[i].head is not None}
     memo: dict = {}
@@ -589,14 +650,18 @@ def _recursive_subcones(comp, cone):
     return memo
 
 
+def _cone_of(comp, keys) -> frozenset:
+    """The clause-index set of the cone of ``comp`` whose derivation keys
+    are ``keys``: its false-head clause and every key."""
+    query = next(i for i, h in enumerate(comp.clauses) if h.head is None)
+    return frozenset({query}).union(*keys.values())
+
+
 class TestDerivationCones:
     def _components(self):
         """Normalized body-disjoint components: the tests/data sets, seeded
         random sets, and random sets made body-disjoint by the transform."""
-        sets = []
-        for name in ("increment_treelike", "increment_unwound"):
-            with open(f"tests/data/{name}.chc") as fh:
-                sets.append(chc.parse_chc(fh.read()))
+        sets = _data_sets()
         rng = random.Random(41)
         while len(sets) < 120:
             hc = random_clause_set(rng)
@@ -609,13 +674,24 @@ class TestDerivationCones:
     def test_iterative_matches_recursive(self):
         several = 0
         for comp in self._components():
-            cones = solver._enumerate_cones(comp, 4096)
-            assert cones == _recursive_enumerate_cones(comp, 4096)
+            cones = solver._derivation_cones(comp, 4096)
+            assert ([_cone_of(comp, keys) for _, keys in cones]
+                    == _recursive_enumerate_cones(comp, 4096))
             several += len(cones) > 1
-            for cone in cones:
-                subs = solver._subcones(comp, cone)
-                assert list(subs.items()) == list(_recursive_subcones(comp, cone).items())
+            for _, keys in cones:
+                assert keys == _recursive_subcones(comp, _cone_of(comp, keys))
         assert several >= 5
+
+    def test_trees_match_tree_problem_from_treelike(self):
+        """Each cone's tree is the one tree_problem_from_treelike reads off
+        the cone's clauses; the walk lists the same nodes in its own order."""
+        for comp in self._components():
+            for tp, keys in solver._derivation_cones(comp, 4096):
+                cone = ClauseSet.make([comp.clauses[i] for i in sorted(_cone_of(comp, keys))])
+                (ref,) = tree_problem_from_treelike(NormalizedClauseSet(cone, {}))
+                assert (tp.edges, tp.labels, tp.root) == (ref.edges, ref.labels, ref.root)
+                assert len(tp.nodes) == len(ref.nodes) and set(tp.nodes) == set(ref.nodes)
+                assert set(keys) == set(tp.nodes) - {tp.root}
 
     def test_subset_limit_matches_recursive(self):
         comps = [c for c in self._components()
@@ -626,18 +702,19 @@ class TestDerivationCones:
                     expected = _recursive_enumerate_cones(comp, limit)
                 except SubsetLimitExceeded:
                     with pytest.raises(SubsetLimitExceeded):
-                        solver._enumerate_cones(comp, limit)
+                        solver._derivation_cones(comp, limit)
                 else:
-                    assert solver._enumerate_cones(comp, limit) == expected
+                    cones = solver._derivation_cones(comp, limit)
+                    assert [_cone_of(comp, keys) for _, keys in cones] == expected
 
     def test_long_chain(self):
         n = 3000
         comp = normalize(chain_clauses(n)).clause_set
-        (cone,) = solver._enumerate_cones(comp, 4096)
-        assert cone == frozenset(range(n + 2))
-        subs = solver._subcones(comp, cone)
+        ((tp, keys),) = solver._derivation_cones(comp, 4096)
+        assert _cone_of(comp, keys) == frozenset(range(n + 2))
+        assert len(tp.nodes) == n + 2 and tp.post_order()[-1] == tp.root
         # p_i is derived by the fact and the first i steps
-        assert sorted(len(s) for s in subs.values()) == list(range(1, n + 2))
+        assert sorted(len(s) for s in keys.values()) == list(range(1, n + 2))
 
 
 def _path_tree(labels):
