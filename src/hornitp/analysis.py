@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotLinear
 from .horn import ClauseSet, HornClause, RelationAtom, RelationSymbol
-from .terms import LinearTerm, Var, cand, cor, eq, substitute
+from .terms import EQ, LinearTerm, Var, atom, cand, cor, rename_injective, weighted_sum
 
 
 @dataclass(frozen=True)
@@ -109,26 +109,29 @@ class FragmentReport:
 def classify(hc: ClauseSet) -> FragmentReport:
     recursion_free = dependence_graph(hc).is_acyclic()
     linear = all(len(h.body) <= 1 for h in hc.clauses)
-    body_count: dict = {}
-    body_disjoint = True
-    for h in hc.clauses:
-        seen_here: dict = {}
-        for b in h.body:
-            seen_here[b.symbol] = seen_here.get(b.symbol, 0) + 1
-            if seen_here[b.symbol] > 1:
-                body_disjoint = False
-        for s in seen_here:
-            body_count[s] = body_count.get(s, 0) + 1
-            if body_count[s] > 1:
-                body_disjoint = False
-    head_count: dict = {}
-    for h in hc.clauses:
-        if h.head is not None:
-            head_count[h.head.symbol] = head_count.get(h.head.symbol, 0) + 1
-    head_disjoint = all(n <= 1 for n in head_count.values())
+    body_disjoint, head_disjoint = _disjointness(hc)
     tree_like = body_disjoint and head_disjoint
     return FragmentReport(recursion_free, linear, body_disjoint, head_disjoint,
                           tree_like, linear and tree_like)
+
+
+def is_tree_like(hc: ClauseSet) -> bool:
+    """classify(hc).tree_like, without the dependence graph."""
+    return all(_disjointness(hc))
+
+
+def _disjointness(hc: ClauseSet) -> tuple:
+    """(body-disjoint, head-disjoint): no symbol occurs in two body atoms,
+    and no symbol is the head of two clauses."""
+    body_seen: set = set()
+    body_disjoint = True
+    for h in hc.clauses:
+        for b in h.body:
+            if b.symbol in body_seen:
+                body_disjoint = False
+            body_seen.add(b.symbol)
+    heads = [h.head.symbol for h in hc.clauses if h.head is not None]
+    return body_disjoint, len(set(heads)) == len(heads)
 
 
 def connected_components(hc: ClauseSet) -> list:
@@ -151,20 +154,17 @@ def connected_components(hc: ClauseSet) -> list:
 
     for p in hc.relations:
         parent[p] = p
-    for h in hc.clauses:
-        syms = sorted(h.symbols)
-        for s in syms[1:]:
-            union(syms[0], s)
-    groups: dict = {}
-    order: list = []
-    for idx, h in enumerate(hc.clauses):
-        syms = sorted(h.symbols)
-        key = ("clause", idx) if not syms else ("sym", find(syms[0]))
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(h)
-    return [ClauseSet.make(groups[k]) for k in order]
+    symbols = [h.symbols for h in hc.clauses]
+    for syms in symbols:
+        for s in syms:
+            union(s, next(iter(syms)))
+    groups: dict = {}  # key -> (clauses, symbols)
+    for idx, (h, syms) in enumerate(zip(hc.clauses, symbols)):
+        key = ("clause", idx) if not syms else ("sym", find(next(iter(syms))))
+        clauses, group_syms = groups.setdefault(key, ([], set()))
+        clauses.append(h)
+        group_syms |= syms
+    return [ClauseSet(frozenset(syms), tuple(clauses)) for clauses, syms in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -200,8 +200,14 @@ def normalize(hc: ClauseSet) -> NormalizedClauseSet:
     variable in a Real slot.  Every other variable v of clause idx becomes
     ``v@idx``.  A symbol occurring again in one clause gets a fresh copy
     ``~idx.n`` of its vector.  The per-clause maps from original to
-    normalized variables are kept as ``renamings``."""
+    normalized variables are kept as ``renamings``.
+
+    Each clause's renaming is injective and keeps sorts, so its constraint
+    is renamed by terms.rename_injective, with no atom canonicalised again,
+    and each symbol's atom on its own vector is built once."""
     arg_vectors = {p: _fresh_vector(p) for p in sorted(hc.relations)}
+    own = {p: RelationAtom(p, tuple([LinearTerm.of(x) for x in vec]))
+           for p, vec in arg_vectors.items()}
     reserved = {v for vec in arg_vectors.values() for v in vec}
     new_clauses, renamings = [], []
     for idx, h in enumerate(hc.clauses):
@@ -224,14 +230,17 @@ def normalize(hc: ClauseSet) -> NormalizedClauseSet:
             nv = Var(f"{v.name}@{idx}", v.sort)
             assert nv not in reserved
             renaming[v] = nv
-        sigma = {v: LinearTerm.of(w) for v, w in renaming.items()}
-        bindings = [eq(x, t.substituted(sigma))
+        # eq(x, t) with the renamed t, built in one pass
+        bindings = [atom(weighted_sum(((LinearTerm.of(x), 1), (t.renamed(renaming), -1))), EQ)
                     for a, vec in zip(atoms, vectors)
                     for x, t in zip(vec, a.args) if x not in aliased]
-        new_atoms = [RelationAtom(a.symbol, tuple(LinearTerm.of(x) for x in vec))
+        new_atoms = [own[a.symbol] if vec is arg_vectors[a.symbol] else
+                     RelationAtom(a.symbol, tuple([LinearTerm.of(x) for x in vec]))
                      for a, vec in zip(atoms, vectors)]
         head = new_atoms.pop(0) if h.head is not None else None
-        constraint = cand(substitute(h.constraint, sigma), *bindings)
+        constraint = rename_injective(h.constraint, renaming)
+        if bindings:
+            constraint = cand(constraint, *bindings)
         new_clauses.append(HornClause(constraint, tuple(new_atoms), head))
         renamings.append(renaming)
     return NormalizedClauseSet(ClauseSet(hc.relations, tuple(new_clauses)), arg_vectors,

@@ -28,27 +28,30 @@ from .errors import MalformedProblem, ParseError, SortError, SortMismatch, Undec
 from .horn import ClauseSet, HornClause, RelationAtom, RelationSymbol, Solution
 from .problems import DagProblem, SequenceProblem, TreeProblem
 from .sexpr import (
-    SNode,
+    Misread,
+    node_str,
     constraint_str,
-    parse_all,
-    parse_constraint,
-    parse_sort,
-    parse_term,
-    parse_var_decls,
+    head_name,
+    parse_with,
+    read_constraint,
+    read_sort,
+    read_term,
+    read_var_decls,
     sort_str,
     term_str,
 )
-from .terms import TRUE, cand
+from .terms import cand
+
+# Each reader below takes its node as ``(parent, index)``, the node being
+# ``parent[index]`` in the nested lists that sexpr.parse_with reads, and
+# reports an error as a sexpr.Misread about the node it is at.
 
 
-def _expect_list(node: SNode, what: str) -> list:
-    if node.is_atom:
-        raise ParseError(f"expected {what}", node.line, node.col)
-    return node.items
-
-
-def _head_name(node: SNode) -> str | None:
-    return node.items[0].value if node.items else None  # a list's value is None
+def _expect_list(parent: list, index: int, what: str) -> list:
+    node = parent[index]
+    if type(node) is str:
+        raise Misread(ParseError, f"expected {what}", parent, index)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -57,84 +60,92 @@ def _head_name(node: SNode) -> str | None:
 
 
 def parse_chc(text: str) -> ClauseSet:
+    return parse_with(text, _clause_set)
+
+
+def _clause_set(forms: list) -> ClauseSet:
     relations: dict = {}
     clauses: list = []
-    for form in parse_all(text):
-        items = _expect_list(form, "a top-level command")
-        if not items or not items[0].is_atom:
-            raise ParseError("expected a command", form.line, form.col)
-        cmd = items[0].value
-        if cmd == "set-logic":
+    for j in range(len(forms)):
+        form = _expect_list(forms, j, "a top-level command")
+        if not form or type(form[0]) is not str:
+            raise Misread(ParseError, "expected a command", forms, j)
+        cmd = form[0]
+        if cmd == "assert":
+            if len(form) != 2:
+                raise Misread(ParseError, "malformed assert", forms, j)
+            clauses.append(_clause(form, 1, relations))
             continue
-        if cmd == "check-sat" or cmd == "exit" or cmd == "get-model":
+        if cmd in ("set-logic", "check-sat", "exit", "get-model"):
             continue
         if cmd == "declare-fun":
-            if len(items) != 4 or not items[1].is_atom:
-                raise ParseError("malformed declare-fun", form.line, form.col)
-            name = items[1].value
-            sorts = tuple(parse_sort(s) for s in _expect_list(items[2], "argument sorts"))
-            if not (items[3].is_atom and items[3].value == "Bool"):
-                raise ParseError("relation result sort must be Bool",
-                                 items[3].line, items[3].col)
+            if len(form) != 4 or type(form[1]) is not str:
+                raise Misread(ParseError, "malformed declare-fun", forms, j)
+            name = form[1]
+            sorts = _expect_list(form, 2, "argument sorts")
+            sorts = tuple(read_sort(sorts, i) for i in range(len(sorts)))
+            if form[3] != "Bool":
+                raise Misread(ParseError, "relation result sort must be Bool", form, 3)
             if name in relations:
-                raise ParseError(f"duplicate declaration of {name!r}",
-                                 items[1].line, items[1].col)
+                raise Misread(ParseError, f"duplicate declaration of {name!r}", form, 1)
             relations[name] = RelationSymbol(name, sorts)
             continue
-        if cmd == "assert":
-            if len(items) != 2:
-                raise ParseError("malformed assert", form.line, form.col)
-            clauses.append(_parse_clause(items[1], relations))
-            continue
-        raise ParseError(f"unknown command {cmd!r}", form.line, form.col)
+        raise Misread(ParseError, f"unknown command {cmd!r}", forms, j)
     return ClauseSet.make(clauses, relations.values())
 
 
-def _parse_clause(node: SNode, relations: dict) -> HornClause:
+def _clause(parent: list, index: int, relations: dict) -> HornClause:
     variables: dict = {}
-    body_node = node
-    if _head_name(node) == "forall":
-        if len(node.items) != 3:
-            raise ParseError("malformed forall", node.line, node.col)
-        variables = parse_var_decls(node.items[1])
-        body_node = node.items[2]
-    if _head_name(body_node) == "=>":
-        if len(body_node.items) != 3:
-            raise ParseError("'=>' takes a body and a head", body_node.line, body_node.col)
-        premise, conclusion = body_node.items[1], body_node.items[2]
+    node = parent[index]
+    if head_name(node) == "forall":
+        if len(node) != 3:
+            raise Misread(ParseError, "malformed forall", parent, index)
+        variables = read_var_decls(node, 1)
+        parent, index = node, 2
+        node = node[2]
+    if head_name(node) == "=>":
+        if len(node) != 3:
+            raise Misread(ParseError, "'=>' takes a body and a head", parent, index)
+        # the premise's parts: an (and ...)'s arguments, or the premise
+        if head_name(node[1]) == "and":
+            parts, first, last = node[1], 1, len(node[1])
+        else:
+            parts, first, last = node, 1, 2
+        parent, index = node, 2
     else:
-        premise, conclusion = None, body_node
+        parts, first, last = None, 0, 0
     atoms: list = []
     constraints: list = []
-    if premise is not None:
-        parts = (premise.items[1:] if _head_name(premise) == "and" else [premise])
-        for p in parts:
-            name = p.value if p.items is None else _head_name(p)
-            if name in relations:
-                atoms.append(_parse_rel_atom(p, relations, variables))
-            else:
-                constraints.append(parse_constraint(p, variables))
+    for i in range(first, last):
+        p = parts[i]
+        if (p if type(p) is str else head_name(p)) in relations:
+            atoms.append(_rel_atom(parts, i, relations, variables))
+        else:
+            constraints.append(read_constraint(parts, i, variables))
     head = None
-    if not (conclusion.is_atom and conclusion.value == "false"):
-        name = conclusion.value if conclusion.is_atom else _head_name(conclusion)
+    conclusion = parent[index]
+    if conclusion != "false":
+        name = conclusion if type(conclusion) is str else head_name(conclusion)
         if name is None or name not in relations:
-            where = conclusion if conclusion.is_atom else conclusion.items[0]
-            raise ParseError(
-                f"clause head must be a declared relation atom or 'false', got {name or conclusion!r}",
-                where.line, where.col)
-        head = _parse_rel_atom(conclusion, relations, variables)
-    return HornClause(cand(*constraints) if constraints else TRUE, tuple(atoms), head)
+            got = repr(name) if name is not None else node_str(conclusion)
+            at = (conclusion, 0) if type(conclusion) is list and conclusion else (parent, index)
+            raise Misread(ParseError, "clause head must be a declared relation atom or"
+                          f" 'false', got {got}", *at)
+        head = _rel_atom(parent, index, relations, variables)
+    # cand of one constraint is that constraint
+    constraint = constraints[0] if len(constraints) == 1 else cand(*constraints)
+    return HornClause(constraint, tuple(atoms), head)
 
 
-def _parse_rel_atom(node: SNode, relations: dict, variables: dict) -> RelationAtom:
-    if node.is_atom:
-        return RelationAtom(relations[node.value], ())
-    sym = relations[node.items[0].value]
-    args = tuple([parse_term(a, variables) for a in node.items[1:]])
+def _rel_atom(parent: list, index: int, relations: dict, variables: dict) -> RelationAtom:
+    node = parent[index]
+    if type(node) is str:
+        return RelationAtom(relations[node], ())
+    args = tuple([read_term(node, i, variables) for i in range(1, len(node))])
     try:
-        return RelationAtom(sym, args)
+        return RelationAtom(relations[node[0]], args)
     except SortMismatch as exc:
-        raise SortError(str(exc), node.line, node.col) from None
+        raise Misread(SortError, str(exc), parent, index) from None
 
 
 def _clause_str(h: HornClause) -> str:
@@ -173,27 +184,26 @@ def print_chc(hc: ClauseSet) -> str:
 
 def parse_solution(text: str, hc: ClauseSet) -> Solution:
     by_name = {sym.name: sym for sym in hc.relations}
+    return parse_with(text, lambda forms: _solution(forms, by_name))
+
+
+def _solution(forms: list, by_name: dict) -> Solution:
     assignment: dict = {}
-    for form in parse_all(text):
-        items = _expect_list(form, "a define-rel")
-        if len(items) != 4 or not items[0].is_atom or items[0].value != "define-rel":
-            raise ParseError("expected (define-rel name params constraint)",
-                             form.line, form.col)
-        name = items[1].value if items[1].is_atom else None
+    for j in range(len(forms)):
+        form = _expect_list(forms, j, "a define-rel")
+        if len(form) != 4 or form[0] != "define-rel":
+            raise Misread(ParseError, "expected (define-rel name params constraint)", forms, j)
+        name = form[1] if type(form[1]) is str else None
         if name not in by_name:
-            raise UndeclaredSymbol(f"undeclared relation {name!r}", items[1].line, items[1].col)
+            raise Misread(UndeclaredSymbol, f"undeclared relation {name!r}", form, 1)
         sym = by_name[name]
-        params = parse_var_decls(items[2])
+        params = read_var_decls(form, 2)
         if tuple(v.sort for v in params.values()) != sym.arg_sorts:
-            raise SortError(f"parameter sorts of {name!r} do not match its declaration",
-                            items[2].line, items[2].col)
+            raise Misread(SortError, f"parameter sorts of {name!r} do not match its declaration",
+                          form, 2)
         if sym in assignment:
-            raise ParseError(f"duplicate definition of {name!r}", items[1].line, items[1].col)
-        body = parse_constraint(items[3], params)
-        try:
-            assignment[sym] = (list(params.values()), body)
-        except SortMismatch as exc:
-            raise SortError(str(exc), form.line, form.col) from None
+            raise Misread(ParseError, f"duplicate definition of {name!r}", form, 1)
+        assignment[sym] = (list(params.values()), read_constraint(form, 3, params))
     try:
         return Solution(assignment)
     except SortMismatch as exc:
@@ -214,48 +224,51 @@ def print_solution(sol: Solution) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sections(items: list) -> dict:
+def _sections(form: list, start: int) -> dict:
+    """Key -> index in ``form`` of each (key ...) section from ``start`` on."""
     out = {}
-    for it in items:
-        key = _head_name(it)
+    for i in range(start, len(form)):
+        key = head_name(form[i])
         if key is None:
-            raise ParseError("expected a (key ...) section", it.line, it.col)
+            raise Misread(ParseError, "expected a (key ...) section", form, i)
         if key in out:
-            raise ParseError(f"duplicate section {key!r}", it.line, it.col)
-        out[key] = it
+            raise Misread(ParseError, f"duplicate section {key!r}", form, i)
+        out[key] = i
     return out
 
 
-def _section(sec: dict, key: str, form: SNode) -> SNode:
+def _section(sec: dict, key: str, forms: list) -> int:
     if key not in sec:
-        raise ParseError(f"problem needs a ({key} ...) section", form.line, form.col)
+        raise Misread(ParseError, f"problem needs a ({key} ...) section", forms, 0)
     return sec[key]
 
 
-def _declared(node: SNode, table: dict, what: str) -> str:
+def _declared(parent: list, index: int, table: dict, what: str) -> str:
     """The name an atom gives, which must be a key of ``table``."""
-    if not node.is_atom or node.value not in table:
-        raise ParseError(f"undeclared {what} {str(node)!r}", node.line, node.col)
-    return node.value
+    node = parent[index]
+    if type(node) is not str or node not in table:
+        raise Misread(ParseError, f"undeclared {what} {node_str(node)!r}", parent, index)
+    return node
 
 
-def _named_node(sec: dict, key: str, form: SNode, nodes: dict) -> str:
+def _named_node(sec: dict, key: str, forms: list, nodes: dict) -> str:
     """The declared node of a (key name) section."""
-    node = _section(sec, key, form)
-    if len(node.items) != 2:
-        raise ParseError(f"expected ({key} name)", node.line, node.col)
-    return _declared(node.items[1], nodes, "node")
+    form = forms[0]
+    i = _section(sec, key, forms)
+    if len(form[i]) != 2:
+        raise Misread(ParseError, f"expected ({key} name)", form, i)
+    return _declared(form[i], 1, nodes, "node")
 
 
-def _named_constraints(node: SNode, variables: dict) -> dict:
+def _named_constraints(node: list, variables: dict) -> dict:
     out = {}
-    for it in node.items[1:]:
-        items = _expect_list(it, "a (name constraint) pair")
-        if len(items) != 2 or not items[0].is_atom:
-            raise ParseError("expected (name constraint)", it.line, it.col)
-        if items[0].value in out:
-            raise ParseError(f"duplicate node {items[0].value!r}", it.line, it.col)
-        out[items[0].value] = parse_constraint(items[1], variables)
+    for i in range(1, len(node)):
+        item = _expect_list(node, i, "a (name constraint) pair")
+        if len(item) != 2 or type(item[0]) is not str:
+            raise Misread(ParseError, "expected (name constraint)", node, i)
+        if item[0] in out:
+            raise Misread(ParseError, f"duplicate node {item[0]!r}", node, i)
+        out[item[0]] = read_constraint(item, 1, variables)
     return out
 
 
@@ -264,93 +277,95 @@ def parse_problem(text: str):
     DagProblem according to the leading keyword.  A problem whose shape
     breaks its definition (a node with two parents, an edge into a DAG's
     entry, a cycle, ...) is a ParseError at the offending part."""
-    form = parse_all(text)
-    if len(form) != 1:
+    return parse_with(text, _problem)
+
+
+def _problem(forms: list):
+    if len(forms) != 1:
         raise ParseError("expected a single problem expression", 1, 1)
-    items = _expect_list(form[0], "a problem")
-    kind = _head_name(form[0])
-    body = items[1:]
-    if not body or _head_name(body[0]) != "vars":
-        raise ParseError("problem must start with a (vars ...) declaration",
-                         form[0].line, form[0].col)
-    variables = parse_var_decls(
-        SNode(None, body[0].items[1:], body[0].offset, body[0].source))
-    rest = body[1:]
+    form = _expect_list(forms, 0, "a problem")
+    kind = head_name(form)
+    if len(form) < 2 or head_name(form[1]) != "vars":
+        raise Misread(ParseError, "problem must start with a (vars ...) declaration", forms, 0)
+    variables = read_var_decls(form, 1, 1)
     if kind == "binary":
-        sec = _sections(rest)
+        sec = _sections(form, 2)
         for key in ("A", "B"):
-            if key not in sec or len(sec[key].items) != 2:
-                raise ParseError(f"binary problem needs ({key} <constraint>)",
-                                 form[0].line, form[0].col)
-        return ("binary", (parse_constraint(sec["A"].items[1], variables),
-                           parse_constraint(sec["B"].items[1], variables)))
+            if key not in sec or len(form[sec[key]]) != 2:
+                raise Misread(ParseError, f"binary problem needs ({key} <constraint>)",
+                              forms, 0)
+        return ("binary", (read_constraint(form[sec["A"]], 1, variables),
+                           read_constraint(form[sec["B"]], 1, variables)))
     if kind == "sequence":
-        if not rest:
-            raise ParseError("sequence problem needs at least one part",
-                             form[0].line, form[0].col)
-        return SequenceProblem(tuple(parse_constraint(p, variables) for p in rest))
+        if len(form) == 2:
+            raise Misread(ParseError, "sequence problem needs at least one part", forms, 0)
+        return SequenceProblem(tuple(read_constraint(form, i, variables)
+                                     for i in range(2, len(form))))
     if kind == "tree":
-        sec = _sections(rest)
-        nodes = _section(sec, "nodes", form[0])
-        labels = _named_constraints(nodes, variables)
-        root = _named_node(sec, "root", form[0], labels)
-        edges = _section(sec, "edges", form[0])
+        sec = _sections(form, 2)
+        nodes = _section(sec, "nodes", forms)
+        labels = _named_constraints(form[nodes], variables)
+        root = _named_node(sec, "root", forms, labels)
+        edges = form[_section(sec, "edges", forms)]
         parent = {}
-        for e in edges.items[1:]:
-            pair = _expect_list(e, "an edge (parent child)")
+        for i in range(1, len(edges)):
+            pair = _expect_list(edges, i, "an edge (parent child)")
             if len(pair) != 2:
-                raise ParseError("expected (parent child)", e.line, e.col)
-            p, c = (_declared(x, labels, "node") for x in pair)
+                raise Misread(ParseError, "expected (parent child)", edges, i)
+            p, c = _declared(pair, 0, labels, "node"), _declared(pair, 1, labels, "node")
             if c == root:
-                raise ParseError(f"edge into the root {c!r}", e.line, e.col)
+                raise Misread(ParseError, f"edge into the root {c!r}", edges, i)
             if c in parent:
-                raise ParseError(f"node {c!r} has two parents", e.line, e.col)
+                raise Misread(ParseError, f"node {c!r} has two parents", edges, i)
             parent[c] = p
         for v in labels:
             if v != root and v not in parent:
-                raise ParseError(f"node {v!r} has no parent", nodes.line, nodes.col)
+                raise Misread(ParseError, f"node {v!r} has no parent", form, nodes)
         tp = TreeProblem(tuple(labels), frozenset((p, c) for c, p in parent.items()),
                          labels, root)
         # one parent per node but the root: what the root misses is a cycle
         if len(tp.post_order()) != len(labels):
-            raise ParseError("edges form a cycle", edges.line, edges.col)
+            raise Misread(ParseError, "edges form a cycle", form, sec["edges"])
         return tp
     if kind == "dag":
-        sec = _sections(rest)
-        nodes = _section(sec, "nodes", form[0])
+        sec = _sections(form, 2)
+        nodes = form[_section(sec, "nodes", forms)]
         node_labels = _named_constraints(nodes, variables)
-        entry = _named_node(sec, "entry", form[0], node_labels)
-        exit_ = _named_node(sec, "exit", form[0], node_labels)
-        edges = _section(sec, "edges", form[0])
+        entry = _named_node(sec, "entry", forms, node_labels)
+        exit_ = _named_node(sec, "exit", forms, node_labels)
+        edges = form[_section(sec, "edges", forms)]
         edge_labels = {}
-        for e in edges.items[1:]:
-            triple = _expect_list(e, "an edge (u v constraint)")
+        for i in range(1, len(edges)):
+            triple = _expect_list(edges, i, "an edge (u v constraint)")
             if len(triple) != 3:
-                raise ParseError("expected (u v constraint)", e.line, e.col)
-            key = (_declared(triple[0], node_labels, "node"),
-                   _declared(triple[1], node_labels, "node"))
+                raise Misread(ParseError, "expected (u v constraint)", edges, i)
+            key = (_declared(triple, 0, node_labels, "node"),
+                   _declared(triple, 1, node_labels, "node"))
             if key[1] == entry:
-                raise ParseError(f"edge into the entry {entry!r}", e.line, e.col)
+                raise Misread(ParseError, f"edge into the entry {entry!r}", edges, i)
             if key[0] == exit_:
-                raise ParseError(f"edge out of the exit {exit_!r}", e.line, e.col)
+                raise Misread(ParseError, f"edge out of the exit {exit_!r}", edges, i)
             if key in edge_labels:
-                raise ParseError(f"duplicate edge {key[0]!r} -> {key[1]!r}", e.line, e.col)
-            edge_labels[key] = parse_constraint(triple[2], variables)
+                raise Misread(ParseError, f"duplicate edge {key[0]!r} -> {key[1]!r}", edges, i)
+            edge_labels[key] = read_constraint(triple, 2, variables)
         allowed = None
         if "allowed" in sec:
             allowed = {v: frozenset() for v in node_labels}
-            for a in sec["allowed"].items[1:]:
-                items_a = _expect_list(a, "an allowed set (node var ...)")
-                if not items_a:
-                    raise ParseError("expected (node var ...)", a.line, a.col)
-                allowed[_declared(items_a[0], node_labels, "node")] = frozenset(
-                    variables[_declared(v, variables, "variable")] for v in items_a[1:])
+            sets = form[sec["allowed"]]
+            for i in range(1, len(sets)):
+                names = _expect_list(sets, i, "an allowed set (node var ...)")
+                if not names:
+                    raise Misread(ParseError, "expected (node var ...)", sets, i)
+                allowed[_declared(names, 0, node_labels, "node")] = frozenset(
+                    variables[_declared(names, k, variables, "variable")]
+                    for k in range(1, len(names)))
         try:
             dp = DagProblem(tuple(node_labels), tuple(edge_labels), entry, exit_,
                             edge_labels, node_labels, allowed)
             dp.topological_order()
         except MalformedProblem as exc:
-            at = next((it for it in nodes.items[1:] if it.items[0].value == exc.node), edges)
-            raise ParseError(str(exc), at.line, at.col) from None
+            at = next(((nodes, i) for i in range(1, len(nodes)) if nodes[i][0] == exc.node),
+                      (form, sec["edges"]))
+            raise Misread(ParseError, str(exc), *at) from None
         return dp
-    raise ParseError(f"unknown problem kind {kind!r}", form[0].line, form[0].col)
+    raise Misread(ParseError, f"unknown problem kind {kind!r}", forms, 0)

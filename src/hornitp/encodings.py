@@ -222,30 +222,34 @@ def dag_problem_from_linear(nhc: NormalizedClauseSet) -> list:
     report = classify(nhc.clause_set)
     if not report.recursion_free or not report.linear:
         raise WrongFragment("DAG extraction needs a recursion-free linear set")
-    out = []
-    for comp in _component_normalized(nhc):
-        merged = merge_linear_duplicates(comp.clause_set)
-        symbols = sorted(merged.relations & frozenset(
-            s for h in merged.clauses for s in h.symbols))
-        nodes = [ENTRY_NODE] + symbols + [EXIT_NODE]
-        edges = []
-        edge_labels: dict = {}
-        for h in merged.clauses:
-            if h.body and h.head is not None:
-                e = (h.body[0].symbol, h.head.symbol)
-            elif h.head is not None:
-                e = (ENTRY_NODE, h.head.symbol)
-            elif h.body:
-                e = (h.body[0].symbol, EXIT_NODE)
-            else:
-                e = (ENTRY_NODE, EXIT_NODE)
-            assert e not in edge_labels, "duplicate edges survived merging"
-            edges.append(e)
-            edge_labels[e] = h.constraint
-        allowed = {ENTRY_NODE: frozenset(), EXIT_NODE: frozenset()}
-        for p in symbols:
-            allowed[p] = frozenset(nhc.arg_vectors[p])
-        dp = DagProblem(tuple(nodes), tuple(edges), ENTRY_NODE, EXIT_NODE,
-                        edge_labels, {v: TRUE for v in nodes}, allowed)
-        out.append((dp, symbols))
-    return out
+    return [dag_problem_from_merged(merge_linear_duplicates(comp.clause_set), nhc.arg_vectors)
+            for comp in _component_normalized(nhc)]
+
+
+def dag_problem_from_merged(merged: ClauseSet, arg_vectors: dict) -> tuple:
+    """The (DagProblem, symbols) of dag_problem_from_linear for one
+    connected, recursion-free, linear set of normalized clauses whose
+    duplicates are merged already, its argument vectors given."""
+    symbols = sorted(merged.relations & frozenset(
+        s for h in merged.clauses for s in h.symbols))
+    nodes = [ENTRY_NODE] + symbols + [EXIT_NODE]
+    edges = []
+    edge_labels: dict = {}
+    for h in merged.clauses:
+        if h.body and h.head is not None:
+            e = (h.body[0].symbol, h.head.symbol)
+        elif h.head is not None:
+            e = (ENTRY_NODE, h.head.symbol)
+        elif h.body:
+            e = (h.body[0].symbol, EXIT_NODE)
+        else:
+            e = (ENTRY_NODE, EXIT_NODE)
+        assert e not in edge_labels, "duplicate edges survived merging"
+        edges.append(e)
+        edge_labels[e] = h.constraint
+    allowed = {ENTRY_NODE: frozenset(), EXIT_NODE: frozenset()}
+    for p in symbols:
+        allowed[p] = frozenset(arg_vectors[p])
+    dp = DagProblem(tuple(nodes), tuple(edges), ENTRY_NODE, EXIT_NODE,
+                    edge_labels, {v: TRUE for v in nodes}, allowed)
+    return dp, symbols

@@ -13,12 +13,18 @@ Between tokens the reader skips whitespace and ``;`` comments that run to
 the end of the line.  A string is ``"..."`` with ``""`` for one quote, as in
 SMT-LIB 2.6, and may span lines.
 
-:func:`parse_all` reads a text in one pass of one regular expression,
-which resumes after each string.  Each node keeps its character offset in
-the text; its ``line`` and ``col`` are counted from the text only when asked
-for, which in practice means when an error is reported.  Terms and
-constraints are read with explicit stacks, so their nesting depth is not
-limited by the recursion limit.
+The reader is one ``findall`` scan of one regular expression into plain
+nested lists: a list is a Python list, and every other token stays the
+``str`` it was read as, so a text costs one object per list, and no
+positions are kept.  A text with strings is scanned token by token instead,
+each string read by ``str.find``.  A reading error names its node as
+``(parent, index)`` in a :class:`Misread`; :func:`parse_with` turns it into
+its error class at the node's line and column, found only then by a second
+scan that walks the lists in step with the text's tokens.  :func:`parse_all`
+and :func:`parse_one` give :class:`SNode` views of the lists, with
+positions, and the public ``parse_*`` functions read such views.  Terms
+and constraints are read with explicit stacks, so their nesting depth is
+not limited by the recursion limit.
 """
 
 from __future__ import annotations
@@ -86,72 +92,121 @@ class SNode:
         return self.items is None
 
     def __repr__(self):
-        out = []
-        stack: list = [self]  # nodes, and the text between them
-        while stack:
-            node = stack.pop()
-            if type(node) is str:
-                out.append(node)
-            elif node.items is None:
-                out.append(node.value)
-            else:
-                out.append("(")
-                stack.append(")")
-                for i, item in enumerate(reversed(node.items)):
-                    if i:
-                        stack.append(" ")
-                    stack.append(item)
-        return "".join(out)
+        return node_str(_unview(self)[0][0])
 
 
-# One token per match.  Whitespace matches no alternative, so ``finditer``
-# skips it; every other character starts a match.  A string is read from its
-# opening quote by ``_string_end``, and the scan goes on after it.
+# One token per match.  Whitespace matches no alternative, so the scan
+# skips it; every other character starts a match.  A quote starts a string,
+# which _scan reads by str.find.
 _TOKEN = re.compile(r'[^\s();"][^\s();]*|[()]|;[^\n]*|"')
 
 
-def _string_end(text: str, start: int) -> int:
-    """Index of the quote that closes the string opened at ``start``: the
-    first one not followed by another, since ``""`` is one escaped quote."""
-    end = text.find('"', start + 1)
-    while end >= 0 and text.startswith('"', end + 1):
-        end = text.find('"', end + 2)
-    if end < 0:
-        raise ParseError("unterminated string", *_position(text, start))
-    return end
+def _read(text: str) -> list:
+    """The top-level s-expressions of the text as nested lists of tokens,
+    strings unescaped.  A text without strings is one ``findall``."""
+    stack: list = []  # the enclosing lists of the open lists
+    top: list = []
+    tokens = _TOKEN.findall(text) if '"' not in text else (tok for _, tok in _scan(text))
+    for tok in tokens:
+        if tok == "(":
+            node: list = []
+            top.append(node)
+            stack.append(top)
+            top = node
+        elif tok == ")":
+            if not stack:
+                _unbalanced(text)
+            top = stack.pop()
+        elif tok[0] not in '";':
+            top.append(tok)
+        elif tok[0] == '"':
+            top.append('"' + tok[1:-1].replace('""', '"') + '"')
+    if stack:
+        _unbalanced(text)
+    return top
+
+
+def _scan(text: str):
+    """(offset, token) of every token but comments, in text order; a string
+    is one token, from its opening quote to the first quote not followed by
+    another, since ``""`` is one escaped quote."""
+    pos = 0
+    while pos is not None:  # one pass, resumed after each string
+        matches, pos = _TOKEN.finditer(text, pos), None
+        for m in matches:
+            tok, start = m[0], m.start()
+            if tok == '"':
+                end = text.find('"', start + 1)
+                while end >= 0 and text.startswith('"', end + 1):
+                    end = text.find('"', end + 2)
+                if end < 0:
+                    raise ParseError("unterminated string", *_position(text, start))
+                yield start, text[start:end + 1]
+                pos = end + 1
+                break
+            if tok[0] != ";":
+                yield start, tok
+
+
+def _unbalanced(text: str):
+    """Raise the first unbalanced parenthesis of a text that has one."""
+    opened: list = []  # offsets of the open lists
+    for offset, tok in _scan(text):
+        if tok == "(":
+            opened.append(offset)
+        elif tok == ")":
+            if not opened:
+                raise ParseError("unbalanced ')'", *_position(text, offset))
+            opened.pop()
+    raise ParseError("unbalanced '('", *_position(text, opened[-1]))
+
+
+class Misread(Exception):
+    """``Misread(cls, message, parent, index)``: a reading error of class
+    ``cls`` about the node ``parent[index]``, placed when it is reported."""
+
+
+def _placed(forms: list, text: str):
+    """(parent, index, offset) of every node of the forms read from the
+    text, in text order."""
+    offsets = iter([offset for offset, _ in _scan(text)])
+    stack: list = [(forms, i) for i in reversed(range(len(forms)))]
+    while stack:
+        parent, index = stack.pop()
+        offset = next(offsets)
+        if parent is not None:  # else a list's ')'
+            yield parent, index, offset
+            node = parent[index]
+            if type(node) is list:
+                stack.append((None, 0))
+                stack += [(node, i) for i in reversed(range(len(node)))]
+
+
+def parse_with(text: str, build):
+    """``build(forms)`` on the top-level forms of the text, read as nested
+    lists; a Misread it raises becomes its error class at the line and
+    column of its node."""
+    forms = _read(text)
+    try:
+        return build(forms)
+    except Misread as exc:
+        cls, message, parent, index = exc.args
+        offset = next(o for p, i, o in _placed(forms, text) if p is parent and i == index)
+        raise cls(message, *_position(text, offset)) from None
 
 
 def parse_all(text: str) -> list:
-    """All top-level s-expressions in the text."""
-    stack: list = []  # the enclosing lists of the open list nodes
-    top: list = []
-    pos = 0
-    while pos is not None:  # one pass, resumed after each string
-        tokens, pos = _TOKEN.finditer(text, pos), None
-        for m in tokens:
-            tok = m[0]
-            if tok == "(":
-                node = SNode(None, [], m.start(), text)
-                top.append(node)
-                stack.append(top)
-                top = node.items
-            elif tok == ")":
-                if not stack:
-                    raise ParseError("unbalanced ')'", *_position(text, m.start()))
-                top = stack.pop()
-            elif tok == '"':
-                start = m.start()
-                end = _string_end(text, start)
-                top.append(SNode('"' + text[start + 1:end].replace('""', '"') + '"',
-                                 None, start, text))
-                pos = end + 1
-                break
-            elif tok[0] != ";":
-                top.append(SNode(tok, None, m.start(), text))
-    if stack:
-        node = stack[-1][-1]  # the innermost open list
-        raise ParseError("unbalanced '('", node.line, node.col)
-    return top
+    """All top-level s-expressions in the text, as SNode views."""
+    forms = _read(text)
+    views = {id(forms): []}  # id of a list -> the items of its view
+    for parent, index, offset in _placed(forms, text):
+        node = parent[index]
+        view = SNode(node, None, offset, text) if type(node) is str else \
+            SNode(None, [], offset, text)
+        views[id(parent)].append(view)
+        if type(node) is list:
+            views[id(node)] = view.items
+    return views[id(forms)]
 
 
 def parse_one(text: str) -> SNode:
@@ -161,24 +216,84 @@ def parse_one(text: str) -> SNode:
     return nodes[0]
 
 
+def _unview(node: SNode) -> tuple:
+    """([the node as nested lists], views), where views maps (id of a list,
+    index) to the view of the node read there."""
+    root: list = []
+    views: dict = {}
+    stack = [(node, root)]
+    while stack:
+        view, parent = stack.pop()
+        views[id(parent), len(parent)] = view
+        if view.items is None:
+            parent.append(view.value)
+        else:
+            items: list = []
+            parent.append(items)
+            stack += [(item, items) for item in reversed(view.items)]
+    return root, views
+
+
+def _on_view(read, node: SNode, *args):
+    """``read(parent, index, *args)`` on the node as nested lists; a Misread
+    becomes its error class at the position of the view it names."""
+    root, views = _unview(node)
+    try:
+        return read(root, 0, *args)
+    except Misread as exc:
+        cls, message, parent, index = exc.args
+        at = views[id(parent), index]
+        raise cls(message, at.line, at.col) from None
+
+
+def node_str(node) -> str:
+    """A node read as nested lists, written back on one line."""
+    out = []
+    stack: list = [node]  # nodes, and (text,) for the text between them
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            out.append(node[0])
+        elif type(node) is str:
+            out.append(node)
+        else:
+            out.append("(")
+            stack.append((")",))
+            for i, item in enumerate(reversed(node)):
+                if i:
+                    stack.append((" ",))
+                stack.append(item)
+    return "".join(out)
+
+
+def head_name(node):
+    """The first token of a list node that starts with one, else None."""
+    return node[0] if type(node) is list and node and type(node[0]) is str else None
+
+
 # ---------------------------------------------------------------------------
 # numbers, sorts, variables
 # ---------------------------------------------------------------------------
 
 
+def _number(parent: list, index: int) -> int | Fraction:
+    tok = parent[index]
+    if type(tok) is not str:
+        raise Misread(ParseError, "expected a number", parent, index)
+    try:
+        if "/" in tok:
+            num, den = tok.split("/", 1)
+            return _rat(Fraction(int(num), int(den)))
+        if "." in tok:
+            return _rat(Fraction(tok))
+        return int(tok)
+    except (ValueError, ZeroDivisionError):
+        raise Misread(ParseError, f"malformed number {tok!r}", parent, index) from None
+
+
 def parse_number(node: SNode) -> int | Fraction:
     """An int for an integral literal, else a Fraction (never a float)."""
-    if not node.is_atom:
-        raise ParseError("expected a number", node.line, node.col)
-    try:
-        if "/" in node.value:
-            num, den = node.value.split("/", 1)
-            return _rat(Fraction(int(num), int(den)))
-        if "." in node.value:
-            return _rat(Fraction(node.value))
-        return int(node.value)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed number {node.value!r}", node.line, node.col) from None
+    return _on_view(_number, node)
 
 
 def number_str(q: int | Fraction) -> str:
@@ -189,10 +304,11 @@ def number_str(q: int | Fraction) -> str:
 _SORTS = {"Int": INT, "Real": REAL}
 
 
-def parse_sort(node: SNode):
-    sort = _SORTS.get(node.value)  # a list's value is None
+def read_sort(parent: list, index: int):
+    node = parent[index]
+    sort = _SORTS.get(node) if type(node) is str else None
     if sort is None:
-        raise ParseError(f"unknown sort {node!r}", node.line, node.col)
+        raise Misread(ParseError, f"unknown sort {node_str(node)}", parent, index)
     return sort
 
 
@@ -211,69 +327,75 @@ def _is_number_token(s: str) -> bool:
 
 
 def _collect(stack: list, acc: dict, variables: dict):
-    """Adds k * t to the coefficient dict ``acc`` for every (t, k) on
-    ``stack`` and returns the sum of their constants.  Subterms are read
-    left to right, so the first error raised is the first in the text."""
+    """Adds k * t to the coefficient dict ``acc`` for every (parent, index,
+    k) on ``stack``, t being ``parent[index]``, and returns the sum of their
+    constants.  Subterms are read left to right, so the first error raised
+    is the first in the text."""
     const = 0
     while stack:
-        node, k = stack.pop()
+        parent, index, k = stack.pop()
         if k is None:  # a malformed factor, reported once its term is read
-            raise node
-        items = node.items
-        if items is None:
-            tok = node.value
-            v = variables.get(tok)
+            raise parent
+        node = parent[index]
+        if type(node) is str:
+            v = variables.get(node)
             # a number token reads as a number even where a variable has its
             # name; a token that starts with a letter is no number token
-            if v is not None and (tok[0].isalpha() or not _is_number_token(tok)):
+            if v is not None and (node[0].isalpha() or not _is_number_token(node)):
                 acc[v] = acc.get(v, 0) + k
-            elif _is_number_token(tok):
-                const += k * parse_number(node)
+            elif _is_number_token(node):
+                const += k * _number(parent, index)
             else:
-                raise UndeclaredSymbol(f"undeclared variable {tok!r}", node.line, node.col)
+                raise Misread(UndeclaredSymbol, f"undeclared variable {node!r}", parent, index)
             continue
-        if not items or items[0].items is not None:
-            raise ParseError("malformed term", node.line, node.col)
-        op = items[0].value
+        if not node or type(node[0]) is not str:
+            raise Misread(ParseError, "malformed term", parent, index)
+        op = node[0]
+        n = len(node)
         if op == "+":
-            stack += [(a, k) for a in reversed(items[1:])]
+            stack += [(node, i, k) for i in range(n - 1, 0, -1)]
         elif op == "-":
-            if len(items) == 1:
-                raise ParseError("'-' needs arguments", node.line, node.col)
-            if len(items) == 2:
-                stack.append((items[1], -k))
+            if n == 1:
+                raise Misread(ParseError, "'-' needs arguments", parent, index)
+            if n == 2:
+                stack.append((node, 1, -k))
             else:
-                stack += [(a, -k) for a in reversed(items[2:])]
-                stack.append((items[1], k))
+                stack += [(node, i, -k) for i in range(n - 1, 1, -1)]
+                stack.append((node, 1, k))
         elif op == "*":
-            if len(items) != 3:
-                raise ParseError("'*' takes a constant and a term", node.line, node.col)
-            _, factor, term = items
-            if not (factor.items is None and _is_number_token(factor.value)):
-                factor, term = term, factor
-                if not (factor.items is None and _is_number_token(factor.value)):
-                    raise ParseError("'*' needs a constant factor", node.line, node.col)
+            if n != 3:
+                raise Misread(ParseError, "'*' takes a constant and a term", parent, index)
+            factor, term = 1, 2
+            if not (type(node[1]) is str and _is_number_token(node[1])):
+                factor, term = 2, 1
+                if not (type(node[2]) is str and _is_number_token(node[2])):
+                    raise Misread(ParseError, "'*' needs a constant factor", parent, index)
             try:
-                q = parse_number(factor)
-            except ParseError as exc:
-                stack.append((exc, None))
+                q = _number(node, factor)
+            except Misread as exc:
+                stack.append((exc, 0, None))
                 q = 0
-            stack.append((term, k * q))
+            stack.append((node, term, k * q))
         else:
-            raise ParseError(f"unknown term operator {op!r}", node.line, node.col)
+            raise Misread(ParseError, f"unknown term operator {op!r}", parent, index)
     return const
 
 
-def parse_term(node: SNode, variables: dict) -> LinearTerm:
-    """``variables`` maps names to Var; unknown names raise."""
-    tok = node.value
-    if tok is not None and tok[0].isalpha():  # the common case: a variable
+def read_term(parent: list, index: int, variables: dict) -> LinearTerm:
+    """The term ``parent[index]``; ``variables`` maps names to Var."""
+    tok = parent[index]
+    if type(tok) is str and tok[0].isalpha():  # the common case: a variable
         v = variables.get(tok)
         if v is not None:
             return LinearTerm(((v, 1),), 0)
     acc: dict = {}
-    const = _collect([(node, 1)], acc, variables)
+    const = _collect([(parent, index, 1)], acc, variables)
     return LinearTerm(_clean(acc), _rat(const))
+
+
+def parse_term(node: SNode, variables: dict) -> LinearTerm:
+    """``variables`` maps names to Var; unknown names raise."""
+    return _on_view(read_term, node, variables)
 
 
 def term_str(t: LinearTerm) -> str:
@@ -290,46 +412,50 @@ _REL_OPS = {"<=": (LE, 1), "<": (LT, 1), "=": (EQ, 1), ">=": (LE, -1), ">": (LT,
 _CONSTANTS = {"true": TRUE, "false": FALSE}
 
 
-def parse_constraint(node: SNode, variables: dict) -> Constraint:
+def read_constraint(parent: list, index: int, variables: dict) -> Constraint:
+    """The constraint ``parent[index]``."""
     done: list = []  # the constraints read so far, in text order
-    stack: list = [node]  # nodes to read, and (combine, n) for the last n done
+    # (parent, index) of the nodes to read, and (combine, n) for the last n done
+    stack: list = [(parent, index)]
     while stack:
-        node = stack.pop()
-        if type(node) is tuple:
-            combine, n = node
-            args = done[len(done) - n:]
-            del done[len(done) - n:]
-            done.append(combine(*args))
+        parent, index = stack.pop()
+        if type(parent) is not list:
+            args = done[len(done) - index:]
+            del done[len(done) - index:]
+            done.append(parent(*args))
             continue
-        items = node.items
-        if items is None:
-            c = _CONSTANTS.get(node.value)
+        node = parent[index]
+        if type(node) is str:
+            c = _CONSTANTS.get(node)
             if c is None:
-                raise ParseError(f"unexpected constraint atom {node.value!r}",
-                                 node.line, node.col)
+                raise Misread(ParseError, f"unexpected constraint atom {node!r}", parent, index)
             done.append(c)
             continue
-        if not items or items[0].items is not None:
-            raise ParseError("malformed constraint", node.line, node.col)
-        op = items[0].value
+        if not node or type(node[0]) is not str:
+            raise Misread(ParseError, "malformed constraint", parent, index)
+        op = node[0]
         if op == "and" or op == "or":
-            stack.append((cand if op == "and" else cor, len(items) - 1))
-            stack += reversed(items[1:])
+            stack.append((cand if op == "and" else cor, len(node) - 1))
+            stack += [(node, i) for i in range(len(node) - 1, 0, -1)]
         elif op == "not":
-            if len(items) != 2:
-                raise ParseError("'not' takes one argument", node.line, node.col)
+            if len(node) != 2:
+                raise Misread(ParseError, "'not' takes one argument", parent, index)
             stack.append((cnot, 1))
-            stack.append(items[1])
+            stack.append((node, 1))
         elif op in _REL_OPS:
-            if len(items) != 3:
-                raise ParseError(f"{op!r} takes two terms", node.line, node.col)
+            if len(node) != 3:
+                raise Misread(ParseError, f"{op!r} takes two terms", parent, index)
             rel, sign = _REL_OPS[op]
             acc: dict = {}
-            const = _collect([(items[2], -sign), (items[1], sign)], acc, variables)
+            const = _collect([(node, 2, -sign), (node, 1, sign)], acc, variables)
             done.append(atom(LinearTerm(_clean(acc), _rat(const)), rel))
         else:
-            raise ParseError(f"unknown constraint operator {op!r}", node.line, node.col)
+            raise Misread(ParseError, f"unknown constraint operator {op!r}", parent, index)
     return done[0]
+
+
+def parse_constraint(node: SNode, variables: dict) -> Constraint:
+    return _on_view(read_constraint, node, variables)
 
 
 def _atom_str(a) -> str:
@@ -347,20 +473,27 @@ def constraint_str(c: Constraint) -> str:
 # ---------------------------------------------------------------------------
 
 
+def read_var_decls(parent: list, index: int, start: int = 0) -> dict:
+    """The declarations ``(x Int) (y Real) ...`` from position ``start`` of
+    the list ``parent[index]``, as an ordered name-to-Var map."""
+    node = parent[index]
+    if type(node) is str:
+        raise Misread(ParseError, "expected a variable declaration list", parent, index)
+    out: dict = {}
+    for i in range(start, len(node)):
+        d = node[i]
+        if type(d) is str or len(d) != 2 or type(d[0]) is not str:
+            raise Misread(ParseError, "malformed variable declaration", node, i)
+        name = d[0]
+        if name in out:
+            raise Misread(ParseError, f"duplicate variable {name!r}", node, i)
+        out[name] = Var(name, read_sort(d, 1))
+    return out
+
+
 def parse_var_decls(node: SNode) -> dict:
     """``((x Int) (y Real) ...)`` -> ordered name-to-Var map."""
-    if node.is_atom:
-        raise ParseError("expected a variable declaration list", node.line, node.col)
-    out: dict = {}
-    for d in node.items:
-        items = d.items
-        if items is None or len(items) != 2 or items[0].items is not None:
-            raise ParseError("malformed variable declaration", d.line, d.col)
-        name = items[0].value
-        if name in out:
-            raise ParseError(f"duplicate variable {name!r}", d.line, d.col)
-        out[name] = Var(name, parse_sort(items[1]))
-    return out
+    return _on_view(read_var_decls, node)
 
 
 def var_decls_str(variables) -> str:
@@ -373,14 +506,19 @@ def model_str(model: dict) -> str:
     return f"(model {entries})"
 
 
-def parse_model(node: SNode, variables: dict) -> dict:
-    if node.is_atom or not node.items or node.items[0].value != "model":
-        raise ParseError("expected (model ...)", node.line, node.col)
+def _model(parent: list, index: int, variables: dict) -> dict:
+    node = parent[index]
+    if type(node) is str or not node or node[0] != "model":
+        raise Misread(ParseError, "expected (model ...)", parent, index)
     out = {}
-    for e in node.items[1:]:
-        if e.is_atom or len(e.items) != 2 or not e.items[0].is_atom:
-            raise ParseError("malformed model entry", e.line, e.col)
-        name = e.items[0].value
-        v = variables.get(name, Var(name, INT))
-        out[v] = Fraction(parse_number(e.items[1]))
+    for i in range(1, len(node)):
+        e = node[i]
+        if type(e) is str or len(e) != 2 or type(e[0]) is not str:
+            raise Misread(ParseError, "malformed model entry", node, i)
+        v = variables.get(e[0], Var(e[0], INT))
+        out[v] = Fraction(_number(e, 1))
     return out
+
+
+def parse_model(node: SNode, variables: dict) -> dict:
+    return _on_view(_model, node, variables)

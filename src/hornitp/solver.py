@@ -1,9 +1,11 @@
 """End-to-end solving of recursion-free Horn clause sets.
 
-Pipeline: classify each weakly-connected component and solve it on one of
-two paths, then verify the combined solution.  A linear component that is
-not tree-like is a restricted DAG interpolation problem.  Every other
-component is solved through its derivation cones of false (one defining
+Pipeline: split the set into its weakly-connected components, classify
+each once, solve each on one of two paths, then verify the combined
+solution.  A linear component that is not tree-like has its duplicate
+clauses merged first, and if it is still not tree-like it is a restricted
+DAG interpolation problem.  Every other component, merged ones included,
+is solved through its derivation cones of false (one defining
 clause per symbol met): a component that is not body-disjoint is first made
 so by duplicating derivation cones, one walk over its clauses builds each
 cone's tree interpolation problem and each symbol's derivation key, and the
@@ -29,13 +31,16 @@ from math import prod
 from typing import Callable, Mapping, Optional
 
 from .analysis import (
+    FragmentReport,
     NormalizedClauseSet,
     classify,
     connected_components,
     dependence_graph,
+    is_tree_like,
+    merge_linear_duplicates,
     normalize,
 )
-from .encodings import FALSE_NODE, dag_problem_from_linear
+from .encodings import FALSE_NODE, dag_problem_from_merged
 from .engine import DEFAULT_BRANCH_DEPTH, binary_interpolant, label_tree, sat
 from .errors import (
     CubeLimitExceeded,
@@ -74,7 +79,7 @@ from .terms import (
     cor,
     eq,
     evaluate,
-    rename_vars,
+    rename_injective,
     to_dnf,
     weighted_sum,
 )
@@ -187,12 +192,11 @@ class _Budget:
         if self.used > self.limit:
             raise ExpansionLimitExceeded(self.limit)
         ren = {v: Var(f"{v.name}~{self.used}", v.sort) for v in sorted(h.vars)}
-        sigma = {v: LinearTerm.of(w) for v, w in ren.items()}
 
         def ratom(a: RelationAtom) -> RelationAtom:
-            return RelationAtom(a.symbol, tuple(t.substituted(sigma) for t in a.args))
+            return RelationAtom(a.symbol, tuple(t.renamed(ren) for t in a.args))
 
-        return (rename_vars(h.constraint, ren),
+        return (rename_injective(h.constraint, ren),
                 tuple(ratom(b) for b in h.body),
                 ratom(h.head) if h.head is not None else None)
 
@@ -210,7 +214,7 @@ def expand(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT) -> Constraint:
     The clause set is solvable exactly when this constraint is
     unsatisfiable.  Clause instances are numbered in pre-order, each atom's
     defining clauses in order, by a walk with an explicit stack, and the
-    constraint is built bottom-up from them.
+    constraint is built bottom-up from them, in time linear in its size.
     """
     _check_recursion_free(hc)
     budget = _Budget(limit)
@@ -231,10 +235,26 @@ def expand(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT) -> Constraint:
         instances.append(([constraint, *binds], slots))
         for b, slot in zip(reversed(body), reversed(slots)):
             stack += [(b, d, slot) for d in reversed(by_head.get(b.symbol, ()))]
+    # The one instance deriving an atom adds its conjuncts to its parent's
+    # conjunction, where cand would flatten them anyway.  So only the other
+    # instances build a conjunction, gathering in pre-order the conjuncts of
+    # the instances added to it, and no conjunct is copied twice.
+    inlined = {slot[0] for _, slots in instances for slot in slots if len(slot) == 1}
     built: dict = {}
     for k in reversed(range(len(instances))):  # every instance after its parent
-        parts, slots = instances[k]
-        built[k] = cand(*parts, *(cor(*(built.pop(j) for j in slot)) for slot in slots))
+        if k in inlined:
+            continue
+        conjuncts: list = []
+        todo: list = [k]  # instances to add, and the slots of several derivers
+        while todo:
+            item = todo.pop()
+            if type(item) is list:
+                conjuncts.append(cor(*(built.pop(j) for j in item)))
+                continue
+            parts, slots = instances[item]
+            conjuncts += parts
+            todo += [slot[0] if len(slot) == 1 else slot for slot in reversed(slots)]
+        built[k] = cand(*conjuncts)
     return cor(*(built.pop(j) for j in roots))
 
 
@@ -311,13 +331,13 @@ def _counterexample_from_model(comp: ClauseSet, origins, nhc: NormalizedClauseSe
         for v, w in nhc.renamings[ci].items():
             ren[v] = fresh = Var(f"{v.name}~{k}", v.sort)
             values[fresh] = model[w]
-        parts.append(rename_vars(h.constraint, ren))
+        parts.append(rename_injective(h.constraint, ren))
         if binding:  # eq(s, t), built in one pass
-            parts += [atom(weighted_sum(((_renamed(s, ren), 1), (t, -1))), EQ)
+            parts += [atom(weighted_sum(((s.renamed(ren), 1), (t, -1))), EQ)
                       for s, t in zip(h.head.args, binding)]
         nodes.append((h, len(h.body)))
         for b, nb in reversed(list(zip(h.body, nhc.clauses[ci].body))):
-            stack.append((choice[nb.symbol], [_renamed(t, ren) for t in b.args]))
+            stack.append((choice[nb.symbol], [t.renamed(ren) for t in b.args]))
     built: list = []
     for h, n in reversed(nodes):
         built.append(DerivationTree(h, tuple(built.pop() for _ in range(n))))
@@ -326,11 +346,6 @@ def _counterexample_from_model(comp: ClauseSet, origins, nhc: NormalizedClauseSe
             v.sort == INT and type(x) is not int for v, x in values.items()):
         raise SolverInternalError("counterexample model fails its derivation's constraint")
     return Counterexample(built[0], {v: Fraction(x) for v, x in values.items()}, total)
-
-
-def _renamed(t: LinearTerm, ren: dict) -> LinearTerm:
-    """t with its variables renamed by the injective map ``ren``."""
-    return LinearTerm(tuple(sorted([(ren[v], c) for v, c in t.coeffs])), t.constant)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +549,7 @@ def _derivation_cones(comp: ClauseSet, limit: int) -> list:
     inside the cone.  One walk with an explicit stack: symbols are met
     breadth-first, and cones come depth-first over the choices, the first
     defining clause first, so the choice at a symbol met earlier changes
-    more slowly.  Finding more than ``limit`` + 1 cones raises
+    more slowly.  Finding more than ``limit`` cones raises
     SubsetLimitExceeded before any is returned.
     """
     clauses = comp.clauses
@@ -559,7 +574,7 @@ def _derivation_cones(comp: ClauseSet, limit: int) -> list:
             chosen.append((0, len(met)))
             if s in by_head:
                 met += [(s, b.symbol) for b in clauses[by_head[s][0]].body]
-        if len(cones) > limit:
+        if len(cones) == limit:
             raise SubsetLimitExceeded(limit)
         labels = {FALSE_NODE: query.constraint}
         keys: dict = {}
@@ -681,43 +696,51 @@ def body_disjoint_transform(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT)
 # ---------------------------------------------------------------------------
 
 
-def _solve_component(comp: ClauseSet, options: SolverOptions):
+def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOptions):
     """Symbol->Constraint map over normalized argument vectors, or a
     Counterexample; second return value is the argument-vector map.
 
-    ``comp`` is classified once.  A linear set that is not tree-like is
-    solved as a DAG problem.  Every other set is solved through derivation
-    cones: it is made body-disjoint by body_disjoint_transform when it is
-    not already, normalized, and each of its connected components (copies
-    of an underivable symbol can split it) labeled by _cone_labels, whose
-    walk builds every cone's tree without classifying or splitting again;
-    an original symbol's solution conjoins those of its copies.  A
-    tree-like set is the one-cone case, and the symbols of a set without a
-    false-head clause are left to be assigned true.
+    ``report`` is classify(comp).  A linear set is normalized, and when it
+    is not tree-like its duplicate clauses (the same body atom and head)
+    are merged into one by disjoining their constraints; a merged set that
+    is still not tree-like is solved as a DAG problem.  Every other set is
+    solved through derivation cones: a set that is not body-disjoint is
+    made so by body_disjoint_transform, normalized, and split into its
+    connected components (copies of an underivable symbol can split it);
+    each component is labeled by _cone_labels, whose walk builds every
+    cone's tree without classifying or splitting again, and an original
+    symbol's solution conjoins those of its copies.  A tree-like set is the
+    one-cone case, and the symbols of a set without a false-head clause are
+    left to be assigned true.
 
     When a DAG problem, a cone's tree or a backend's first binary problem
     (the whole tree) is satisfiable, its model gives the Counterexample:
-    _counterexample_from_model walks the normalized set for a derivation of
-    false that the model satisfies and maps it back to the clauses of
-    ``comp`` through the copies' origins and normalize's renamings.
+    _counterexample_from_model walks the normalized set before any merge
+    for a derivation of false that the model satisfies, and maps it back to
+    the clauses of ``comp`` through the copies' origins and normalize's
+    renamings.
     """
-    report = classify(comp)
-    dag = report.linear and not report.tree_like
     copies: dict = {}
     disjoint, origins = comp, range(len(comp.clauses))
-    if not (dag or report.body_disjoint):
+    if not (report.linear or report.body_disjoint):
         disjoint, copies, origins = body_disjoint_transform(comp, options.expansion_limit)
     nhc = normalize(disjoint)
+    # a normalized component stays connected; only copies can split it
+    subsets = connected_components(nhc.clause_set) if copies else [nhc.clause_set]
+    dag = False
+    if report.linear and not report.tree_like:
+        subsets = [merge_linear_duplicates(nhc.clause_set)]
+        dag = not is_tree_like(subsets[0])
     assignment: dict = {}
     try:
         if dag:
-            for dp, symbols in dag_problem_from_linear(nhc):
-                labels = dag_interpolate(dp, options)
-                for p in symbols:
-                    assignment[p] = labels[p]
+            dp, symbols = dag_problem_from_merged(subsets[0], nhc.arg_vectors)
+            labels = dag_interpolate(dp, options)
+            for p in symbols:
+                assignment[p] = labels[p]
             return assignment, nhc.arg_vectors
         collected: dict = {}
-        for sub in connected_components(nhc.clause_set):
+        for sub in subsets:
             collected.update(_cone_labels(sub, options))
     except NotUnsat as exc:
         return _counterexample_from_model(comp, origins, nhc, exc.model), nhc.arg_vectors
@@ -727,7 +750,7 @@ def _solve_component(comp: ClauseSet, options: SolverOptions):
             if c in collected:
                 label = collected[c]
                 if c != p:
-                    label = rename_vars(label, dict(zip(nhc.arg_vectors[c], nhc.arg_vectors[p])))
+                    label = rename_injective(label, dict(zip(nhc.arg_vectors[c], nhc.arg_vectors[p])))
                 parts.append(label)
         if parts:
             assignment[p] = cand(*parts)
@@ -736,12 +759,24 @@ def _solve_component(comp: ClauseSet, options: SolverOptions):
 
 def solve(hc: ClauseSet, options: SolverOptions = None):
     """Solution (verified) or Counterexample (model-checked) for a
-    recursion-free clause set; raises RecursiveSystem otherwise."""
+    recursion-free clause set; raises RecursiveSystem otherwise.
+
+    The set is split into its connected components and each is classified
+    once; a dependence cycle lies inside one component, so their reports
+    say whether the set is recursive, and only then is the whole set's
+    dependence graph searched for the cycle to name.  Every component is
+    solved before the first Counterexample, in component order, is
+    returned; otherwise the combined solution is verified against ``hc``.
+    """
     options = options or SolverOptions()
-    _check_recursion_free(hc)
+    components = connected_components(hc)
+    reports = [classify(comp) for comp in components]
+    if not all(report.recursion_free for report in reports):
+        _check_recursion_free(hc)
     assignment_formulas: dict = {}
     vectors: dict = {}
-    results = [_solve_component(comp, options) for comp in connected_components(hc)]
+    results = [_solve_component(comp, report, options)
+               for comp, report in zip(components, reports)]
     for result, arg_vectors in results:
         if isinstance(result, Counterexample):
             return result

@@ -137,6 +137,15 @@ class LinearTerm(NamedTuple):
             pairs.append((repl, c))
         return weighted_sum(pairs)
 
+    def renamed(self, ren: Mapping[Var, Var], positive_lead: bool = False) -> "LinearTerm":
+        """self with every variable v replaced by ``ren[v]``, where ``ren``
+        maps each of them injectively; with ``positive_lead``, negated when
+        the leading coefficient turns negative."""
+        coeffs = sorted([(ren[v], c) for v, c in self.coeffs])
+        if positive_lead and coeffs[0][1] < 0:
+            return LinearTerm(tuple([(v, -c) for v, c in coeffs]), -self.constant)
+        return LinearTerm(tuple(coeffs), self.constant)
+
     def __repr__(self):
         if not self.coeffs:
             return str(self.constant)
@@ -432,16 +441,19 @@ def implies(lhs: Constraint, rhs: Constraint) -> Constraint:
 
 
 def free_vars(c: Constraint) -> frozenset:
-    if c is TRUE or c is FALSE:
-        return frozenset()
-    if isinstance(c, CAtom):
+    if type(c) is CAtom:
         return c.atom.vars
-    if isinstance(c, CNot):
-        return free_vars(c.arg)
-    out: frozenset = frozenset()
-    for a in c.args:
-        out |= free_vars(a)
-    return out
+    out: set = set()
+    stack = [c]  # explicit, so the nesting depth is not limited
+    while stack:
+        c = stack.pop()
+        if type(c) is CAtom:
+            out.update([v for v, _ in c.atom.term.coeffs])
+        elif type(c) is CNot:
+            stack.append(c.arg)
+        elif c is not TRUE and c is not FALSE:
+            stack += c.args
+    return frozenset(out)
 
 
 def substitute(c: Constraint, sigma: Mapping[Var, LinearTerm]) -> Constraint:
@@ -456,8 +468,36 @@ def substitute(c: Constraint, sigma: Mapping[Var, LinearTerm]) -> Constraint:
     return cand(*parts) if isinstance(c, CAnd) else cor(*parts)
 
 
-def rename_vars(c: Constraint, mapping: Mapping[Var, Var]) -> Constraint:
-    return substitute(c, {v: LinearTerm.of(w) for v, w in mapping.items()})
+def rename_injective(c: Constraint, ren: Mapping[Var, Var]) -> Constraint:
+    """c with every variable v replaced by ``ren[v]``.
+
+    ``ren`` must map every variable of c, injectively and each onto a
+    variable of its own sort, and c must be built by cand, cor and cnot.
+    Such a renaming keeps each canonical atom canonical up to the order of
+    its coefficients and, for = and !=, the sign of the leading one, so
+    atoms are re-sorted and flipped, not canonicalised again, and no
+    and/or/not simplifies: this gives what ``substitute`` gives for such a
+    renaming, by a walk with an explicit stack."""
+    done: list = []  # the renamed constraints so far
+    stack: list = [c]  # constraints to rename, and (class, n) for the last n done
+    while stack:
+        c = stack.pop()
+        if type(c) is tuple:
+            cls, n = c
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(cls(args[0]) if cls is CNot else cls(args))
+        elif type(c) is CAtom:
+            a = c.atom
+            done.append(CAtom(LinearAtom(a.term.renamed(ren, a.rel == EQ or a.rel == NE), a.rel)))
+        elif type(c) is CNot:
+            stack += ((CNot, 1), c.arg)
+        elif c is TRUE or c is FALSE:
+            done.append(c)
+        else:
+            stack.append((type(c), len(c.args)))
+            stack += reversed(c.args)
+    return done[0]
 
 
 def evaluate(c: Constraint, model: Mapping[Var, Fraction]) -> bool:

@@ -48,9 +48,9 @@ class TestBinaryToHorn:
         assert isinstance(res, Solved)
         ((params, formula),) = [res.solution.assignment[s] for s in hc.relations]
         from hornitp.engine import check_interpolant
-        from hornitp.terms import rename_vars
+        from hornitp.terms import rename_injective
 
-        itp = rename_vars(formula, {params[0]: X})
+        itp = rename_injective(formula, {params[0]: X})
         assert check_interpolant(a, b, itp) == []
 
 

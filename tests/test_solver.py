@@ -604,9 +604,9 @@ def _recursive_enumerate_cones(comp, limit):
     cones: list = []
 
     def go(pending, chosen):
-        if len(cones) > limit:
-            raise SubsetLimitExceeded(limit)
         if not pending:
+            if len(cones) == limit:
+                raise SubsetLimitExceeded(limit)
             cones.append(chosen)
             return
         s, rest = pending[0], pending[1:]
