@@ -26,6 +26,7 @@ from .terms import (
     LinearTerm,
     atom,
     cand,
+    cnot,
     cor,
     free_vars,
     to_dnf,
@@ -79,8 +80,9 @@ def _decide(atoms, depth):
 def sat_cube(c: Cube, branch_depth: int = DEFAULT_BRANCH_DEPTH) -> Sat | Unsat:
     """Decide one conjunction of atoms; Sat models give Int vars integers.
 
-    decide_rational has checked a Sat model against every atom.  The certificate is None when unsatisfiability holds over the integers
-    but not the rationals (no multiplier combination can witness it).
+    decide_rational has checked a Sat model against every atom.  The
+    certificate is None when unsatisfiability holds over the integers but
+    not the rationals (no multiplier combination can witness it).
     """
     res = _decide(list(c.atoms), branch_depth)
     if isinstance(res, Sat):
@@ -94,12 +96,11 @@ def sat_cube(c: Cube, branch_depth: int = DEFAULT_BRANCH_DEPTH) -> Sat | Unsat:
 def sat(c: Constraint, branch_depth: int = DEFAULT_BRANCH_DEPTH,
         cube_limit: int = DEFAULT_CUBE_LIMIT) -> Sat | Unsat:
     """DNF lift of sat_cube; the Unsat result carries no certificate."""
-    fv = free_vars(c)
     for cube in to_dnf(c, cube_limit):
         res = sat_cube(cube, branch_depth)
         if isinstance(res, Sat):
             model = dict(res.model)
-            for v in fv:
+            for v in free_vars(c):
                 model.setdefault(v, Fraction(0))
             return Sat(model)
     return Unsat(None)
@@ -107,8 +108,6 @@ def sat(c: Constraint, branch_depth: int = DEFAULT_BRANCH_DEPTH,
 
 def entails(premises, goal: Constraint, branch_depth: int = DEFAULT_BRANCH_DEPTH,
             cube_limit: int = DEFAULT_CUBE_LIMIT) -> bool:
-    from .terms import cnot  # local import keeps the top-of-file list short
-
     body = cand(*premises, cnot(goal))
     return isinstance(sat(body, branch_depth, cube_limit), Unsat)
 
@@ -203,7 +202,7 @@ def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH
                    for nodes in product(*cubes)]
     except NotUnsat as exc:
         model = dict(exc.model)  # completed to every cube's variables
-        for v in frozenset().union(*(c.vars for cs in cubes for c in cs)):
+        for v in frozenset().union(*[c.vars for cs in cubes for c in cs]):
             model.setdefault(v, Fraction(0))
         raise NotUnsat(model) from None
     if len(choices) == 1:

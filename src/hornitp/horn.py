@@ -24,6 +24,7 @@ from .terms import (
     cand,
     cnot,
     free_vars,
+    rename_injective,
     substitute,
 )
 
@@ -139,9 +140,25 @@ class Solution:
                     f"solution body for {sym.name} uses variables outside its parameters")
 
     def applied(self, a: RelationAtom) -> Constraint:
+        """The body with each parameter replaced by its argument: renamed
+        when the arguments are distinct variables of the parameters' sorts,
+        substituted otherwise."""
         if a.symbol not in self.assignment:
             raise MissingSymbol(a.symbol)
         params, body = self.assignment[a.symbol]
+        ren = {}
+        for p, t in zip(params, a.args):
+            if t.constant != 0 or len(t.coeffs) != 1 or t.coeffs[0][1] != 1:
+                break
+            v = t.coeffs[0][0]
+            if v.sort != p.sort:
+                break
+            ren[p] = v
+        else:
+            if not ren:
+                return body
+            if len(set(ren.values())) == len(ren):
+                return rename_injective(body, ren)
         return substitute(body, {p: t for p, t in zip(params, a.args)})
 
     def symbols(self):

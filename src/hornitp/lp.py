@@ -56,15 +56,32 @@ class FarkasCertificate:
         return weighted_sum((self.atoms[i].term, lam) for i, lam in self.multipliers)
 
     def is_valid(self) -> bool:
-        if any(lam < 0 for _, lam in self.multipliers):
+        """Whether no multiplier is negative, the weighted sum has only zero
+        variable coefficients, ``strict`` says whether a strict atom has a
+        positive multiplier, and the constant contradicts.  The sum is taken
+        in one dict, over the multipliers scaled by the lcm of their
+        denominators, which keeps every one of these facts."""
+        den = None  # None while every multiplier is an int
+        for _, lam in self.multipliers:
+            if lam < 0:
+                return False
+            if type(lam) is not int:
+                den = lam.denominator if den is None else lcm(den, lam.denominator)
+        acc: dict = {}
+        const = 0
+        strict = False
+        for i, lam in self.multipliers:
+            if den is not None:
+                lam = lam.numerator * (den // lam.denominator)
+            a = self.atoms[i]
+            const += a.term.constant * lam
+            for v, c in a.term.coeffs:
+                acc[v] = acc.get(v, 0) + c * lam
+            if a.rel == LT and lam > 0:
+                strict = True
+        if any(acc.values()) or strict != self.strict:
             return False
-        total = self.weighted_sum()
-        if total.coeffs:
-            return False
-        strict = any(self.atoms[i].rel == LT and lam > 0 for i, lam in self.multipliers)
-        if strict != self.strict:
-            return False
-        return total.constant > 0 or (total.constant == 0 and strict)
+        return const > 0 or (const == 0 and strict)
 
 
 class Sat(NamedTuple):
@@ -126,10 +143,10 @@ def _bound_pair(split: list, i: int, j: int) -> Unsat:
     exact negation, whose bounds cross: their sum with multipliers (1, 1)
     is a constant contradiction."""
     cert = FarkasCertificate(
-        tuple(a for a, _ in split),
+        tuple([a for a, _ in split]),
         ((min(i, j), 1), (max(i, j), 1)),
         split[i][0].rel == LT or split[j][0].rel == LT,
-        tuple(o for _, o in split),
+        tuple([o for _, o in split]),
     )
     if not cert.is_valid():
         raise SolverInternalError("bound-pair certificate is not a contradiction")
@@ -140,7 +157,7 @@ def _holds_all(atoms, model: dict) -> bool:
     """Whether every <=, < or = atom holds under the model, summed over ints:
     with the model scaled by its common denominator D > 0 to ints D*x, the
     sign of D*t(x) = sum c_v * (D*x_v) + D*c decides each atom."""
-    den = lcm(*(q.denominator for q in model.values()))
+    den = lcm(*[q.denominator for q in model.values()])
     num = {v: q.numerator * (den // q.denominator) for v, q in model.items()}
     for a in atoms:
         t = a.term
@@ -156,28 +173,24 @@ def _holds_all(atoms, model: dict) -> bool:
 # Simplex over eps-rationals (Dutertre/de Moura style bounds tableau), on ints
 #
 # An atom t + c <= 0 (or < 0) gets a slack s = D*t, where D is the lcm of
-# every denominator of the atom, constant included.  Its row starts as
-# (1, {var: int}) and its upper bound is the int pair (-D*c, -D if strict
-# else 0), read as a + b*eps for an infinitesimal eps > 0; problem variables
-# have no bounds.  A basic row is kept
+# every denominator of the atom, constant included (1 for an all-int atom).
+# Its row starts as (1, {var: int}) and its upper bound is the int pair
+# (-D*c, -D if strict else 0), read as a + b*eps for an infinitesimal
+# eps > 0; problem variables have no bounds.  A basic row is kept
 # fraction-free as (d, {j: a_j}), meaning d * x_s = sum a_j * x_j with d > 0
 # and gcd(d, a_j...) = 1.  A pivot cross-multiplies rows and divides out the
 # gcd.  A nonbasic variable is either a slack sitting at its bound (it left
 # the basis there) or a problem variable still at 0, so d * x_s is the int
-# pair sum a_j * bound_j.  A pivot changes the value of no row but those that
-# hold the entering variable and the entering variable's own, which is below
-# its bound; only the former are re-summed and re-checked against the set of
-# violated rows.  Fractions are built once, when eps is concretised.
+# pair sum a_j * bound_j; every row starts at (0, 0).  A pivot changes the
+# value of no row but those that hold the entering variable and the
+# entering variable's own, which is below its bound; the former get their
+# new value from their old one and the entering row's, and are re-checked
+# against the set of violated rows.  Only slacks leave the basis and only
+# slack rows choose pivots, so a problem variable's row is kept as it was
+# when the variable entered: it still holds for the final values, which are
+# read off it only when the tableau is feasible.  Fractions are built once,
+# when eps is concretised.
 # ---------------------------------------------------------------------------
-
-
-def _row_value(r: dict, ub_a: list, ub_b: list) -> tuple:
-    """d * x_s as an int pair (a, b) for the basic row d * x_s = sum r_j * x_j."""
-    p = q = 0
-    for j, a in r.items():
-        p += a * ub_a[j]
-        q += a * ub_b[j]
-    return p, q
 
 
 def _simplex(split) -> Sat | Unsat:
@@ -186,24 +199,33 @@ def _simplex(split) -> Sat | Unsat:
     vidx = {v: i for i, v in enumerate(pvars)}
     # variable indices: 0..nvars-1 problem vars, then one slack per atom.
     # ub_a/ub_b hold each slack's upper bound and, for a problem variable,
-    # its value 0 while it is nonbasic; scale holds each slack's D.
+    # its value 0 while it is nonbasic; scale holds each slack's D.  A slack
+    # row is (d, {j: a_j}, p, q) with d * x_s = (p, q).
     ub_a = [0] * nvars
     ub_b = [0] * nvars
     scale = []
     rows: dict = {}
-    for k, (a, _) in enumerate(split):
+    violated = set()  # rows whose value is above their bound
+    entered = {}  # basic problem variable -> its (d, row) when it entered the basis
+    for s, (a, _) in enumerate(split, nvars):
         t = a.term
-        d = lcm(t.constant.denominator, *(c.denominator for _, c in t.coeffs))
-        rows[nvars + k] = (1, {vidx[v]: c.numerator * (d // c.denominator) for v, c in t.coeffs})
-        ub_a.append(-t.constant.numerator * (d // t.constant.denominator))
+        k = t.constant
+        if t.ints_only():
+            d = 1
+            rows[s] = (1, {vidx[v]: c for v, c in t.coeffs}, 0, 0)
+        else:
+            d = lcm(k.denominator, *(c.denominator for _, c in t.coeffs))
+            rows[s] = (1, {vidx[v]: c.numerator * (d // c.denominator) for v, c in t.coeffs}, 0, 0)
+            k = k.numerator * (d // k.denominator)
+        ub_a.append(-k)
         ub_b.append(-d if a.rel == LT else 0)
         scale.append(d)
-    # every nonbasic variable starts at 0, so every basic one does too
-    violated = {s for s in rows if (0, 0) > (ub_a[s], ub_b[s])}
+        if k > 0 or (k == 0 and a.rel == LT):
+            violated.add(s)
 
     while violated:
         bad = min(violated)
-        d, row = rows[bad]
+        d, row, _, _ = rows[bad]
         # row[j] > 0: decreasing j decreases bad, and nothing has a lower
         # bound; row[j] < 0: j needs room to increase, which only a problem
         # variable has, since a nonbasic slack sits at its upper bound
@@ -212,8 +234,8 @@ def _simplex(split) -> Sat | Unsat:
             # every coefficient is negative, on a slack pinned at its upper
             # bound: d * s_bad = sum a_j * s_j is a Farkas contradiction, and
             # D_bad * d and -a_j * D_j are its multipliers on the atoms
-            atoms = tuple(a for a, _ in split)
-            origins = tuple(o for _, o in split)
+            atoms = tuple([a for a, _ in split])
+            origins = tuple([o for _, o in split])
             mults = {bad - nvars: d * scale[bad - nvars]}
             for j, a in row.items():
                 mults[j - nvars] = -a * scale[j - nvars]
@@ -227,8 +249,8 @@ def _simplex(split) -> Sat | Unsat:
             if not cert.is_valid():
                 raise SolverInternalError("simplex certificate is not a contradiction")
             return Unsat(cert)
-        # pivot bad <-> enter: d_e * x_enter = sum erow_j * x_j, with bad
-        # now nonbasic at its upper bound
+        # pivot bad <-> enter: d_e * x_enter = sum erow_j * x_j, which is
+        # (p_e, q_e) once bad is nonbasic at its upper bound
         a_e = row.pop(enter)
         sign = 1 if a_e > 0 else -1
         d_e = a_e * sign
@@ -238,9 +260,14 @@ def _simplex(split) -> Sat | Unsat:
         if g != 1:
             d_e //= g
             erow = {j: a // g for j, a in erow.items()}
+        p_e = q_e = 0
+        for j, a in erow.items():
+            p_e += a * ub_a[j]
+            q_e += a * ub_b[j]
         del rows[bad]
         violated.discard(bad)
-        for s, (d_s, r) in rows.items():
+        a_enter, b_enter = ub_a[enter], ub_b[enter]  # the entering variable's old value
+        for s, (d_s, r, p, q) in rows.items():
             r_e = r.pop(enter, 0)
             if not r_e:
                 continue
@@ -254,34 +281,49 @@ def _simplex(split) -> Sat | Unsat:
                 else:
                     del r[j]
             d_s *= d_e
+            p = d_e * (p - r_e * a_enter) + r_e * p_e
+            q = d_e * (q - r_e * b_enter) + r_e * q_e
             g = gcd(d_s, *r.values())
             if g != 1:
                 d_s //= g
+                p //= g
+                q //= g
                 for j in r:
                     r[j] //= g
-            rows[s] = (d_s, r)
-            if s >= nvars:
-                if _row_value(r, ub_a, ub_b) > (d_s * ub_a[s], d_s * ub_b[s]):
-                    violated.add(s)
-                else:
-                    violated.discard(s)
-        # an entering slack had a positive coefficient in bad's row, so
-        # moving bad down onto its bound moves it strictly below its own
-        rows[enter] = (d_e, erow)
+            rows[s] = (d_s, r, p, q)
+            if (p, q) > (d_s * ub_a[s], d_s * ub_b[s]):
+                violated.add(s)
+            else:
+                violated.discard(s)
+        if enter < nvars:
+            entered[enter] = (d_e, erow)
+        else:
+            # an entering slack had a positive coefficient in bad's row, so
+            # moving bad down onto its bound moves it strictly below its own
+            rows[enter] = (d_e, erow, p_e, q_e)
 
     # feasible: concretise eps at half the least cap (d * ub_s - a) / b over
     # the basic slacks with d * x_s = (a, b) and b > 0; a nonbasic slack
     # sits at its bound, whose eps part is not positive
-    caps = []
-    for s, (d, r) in rows.items():
-        if s >= nvars:
-            p, q = _row_value(r, ub_a, ub_b)
-            if q > 0:
-                caps.append(Fraction(d * ub_a[s] - p, q))
+    caps = [Fraction(d * ub_a[s] - p, q) for s, (d, _, p, q) in rows.items() if q > 0]
     eps = min(caps) / 2 if caps else Fraction(1)
-    model = {}
-    for v in pvars:
-        d, r = rows.get(vidx[v], (1, {}))
-        p, q = _row_value(r, ub_a, ub_b)
-        model[v] = Fraction(p * eps.denominator + q * eps.numerator, d * eps.denominator)
-    return Sat(model)
+    e_num, e_den = eps.numerator, eps.denominator
+    # values as int pairs (n, m) for n / m: a problem variable's row from its
+    # entry names only variables that were nonbasic then, that is slacks and
+    # problem variables that entered later
+    value = {}
+    for x, (d, r) in reversed(entered.items()):
+        tn, td = 0, 1
+        for j, a in r.items():
+            v = value.get(j)
+            if v is None:
+                # a basic slack's value, or a nonbasic variable's bound or 0
+                d_j, _, p, q = rows.get(j, (1, None, ub_a[j], ub_b[j]))
+                v = (p * e_den + q * e_num, d_j * e_den)
+            m = lcm(td, v[1])
+            tn = tn * (m // td) + a * v[0] * (m // v[1])
+            td = m
+        g = gcd(tn, td * d)
+        value[x] = (tn // g, td * d // g)
+    return Sat({v: Fraction(*value[i]) if i in value else Fraction(0)
+                for i, v in enumerate(pvars)})

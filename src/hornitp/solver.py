@@ -340,7 +340,7 @@ def _counterexample_from_model(comp: ClauseSet, origins, nhc: NormalizedClauseSe
             stack.append((choice[nb.symbol], [t.renamed(ren) for t in b.args]))
     built: list = []
     for h, n in reversed(nodes):
-        built.append(DerivationTree(h, tuple(built.pop() for _ in range(n))))
+        built.append(DerivationTree(h, tuple([built.pop() for _ in range(n)])))
     total = cand(*parts)
     if not evaluate(total, values) or any(
             v.sort == INT and type(x) is not int for v, x in values.items()):
@@ -434,8 +434,8 @@ def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) 
             a = label.atom
             weighted.append((a, Fraction(sums[w].coeffs[0][1], a.term.coeffs[0][1])))
     weighted.append((rest, 1))
-    atoms = tuple(a for a, _ in weighted)
-    mults = tuple((j, lam) for j, (_, lam) in enumerate(weighted))
+    atoms = tuple([a for a, _ in weighted])
+    mults = tuple([(j, lam) for j, (_, lam) in enumerate(weighted)])
     strict = any(a.rel == LT and lam > 0 for a, lam in weighted)
     return FarkasCertificate(atoms, mults, strict, tuple(range(len(atoms)))).is_valid()
 
@@ -750,7 +750,8 @@ def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOpt
             if c in collected:
                 label = collected[c]
                 if c != p:
-                    label = rename_injective(label, dict(zip(nhc.arg_vectors[c], nhc.arg_vectors[p])))
+                    ren = dict(zip(nhc.arg_vectors[c], nhc.arg_vectors[p]))
+                    label = rename_injective(label, ren)
                 parts.append(label)
         if parts:
             assignment[p] = cand(*parts)

@@ -86,6 +86,10 @@ class LinearTerm(NamedTuple):
     def all_int_sorted(self) -> bool:
         return all(v.sort == INT for v, _ in self.coeffs)
 
+    def ints_only(self) -> bool:
+        """Whether every coefficient and the constant is an int."""
+        return type(self.constant) is int and all([type(c) is int for _, c in self.coeffs])
+
     def scale(self, k) -> "LinearTerm":
         k = _rat(k)
         if k == 0:
@@ -105,7 +109,8 @@ class LinearTerm(NamedTuple):
         return self.__add__(other)
 
     def __neg__(self):
-        return self.scale(-1)
+        # negation keeps every int an int and every proper Fraction proper
+        return LinearTerm(tuple([(v, -c) for v, c in self.coeffs]), -self.constant)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -206,8 +211,15 @@ class LinearAtom(NamedTuple):
         return self.term.vars
 
     def negated(self) -> "LinearAtom | bool":
-        return _canonical_atom(-self.term if self.rel in (LE, LT) else self.term,
-                               _NEGATED[self.rel])
+        """The canonical atom of ``not self``.  With int coefficients and an
+        int constant it is built directly: = and != swap, t < 0 becomes
+        -t <= 0 and t <= 0 becomes -t < 0."""
+        t, rel = self.term, self.rel
+        if t.ints_only():
+            if rel == EQ or rel == NE:
+                return LinearAtom(t, NE if rel == EQ else EQ)
+            return LinearAtom(-t, LE) if rel == LT else _int_lt(-t)
+        return _canonical_atom(-t if rel == LE or rel == LT else t, _NEGATED[rel])
 
     def holds(self, model) -> bool:
         val = self.term.evaluate(model)
@@ -221,6 +233,14 @@ class LinearAtom(NamedTuple):
 
     def __repr__(self):
         return f"({self.term} {self.rel} 0)"
+
+
+def _int_lt(t: LinearTerm) -> LinearAtom:
+    """The canonical atom t < 0, for t with coprime int coefficients and an
+    int constant: t + 1 <= 0 when every variable is Int-sorted."""
+    if t.all_int_sorted():
+        return LinearAtom(LinearTerm(t.coeffs, t.constant + 1), LE)
+    return LinearAtom(t, LT)
 
 
 def _canonical_atom(term: LinearTerm, rel: str):
@@ -501,17 +521,38 @@ def rename_injective(c: Constraint, ren: Mapping[Var, Var]) -> Constraint:
 
 
 def evaluate(c: Constraint, model: Mapping[Var, Fraction]) -> bool:
-    if c is TRUE:
-        return True
-    if c is FALSE:
-        return False
-    if isinstance(c, CAtom):
-        return c.atom.holds(model)
-    if isinstance(c, CNot):
-        return not evaluate(c.arg, model)
-    if isinstance(c, CAnd):
-        return all(evaluate(a, model) for a in c.args)
-    return any(evaluate(a, model) for a in c.args)
+    """Whether c holds under the model.  An and/or reads its arguments in
+    order up to the first false/true one, as all() and any() would, by a
+    walk with an explicit stack, so the nesting depth is not limited."""
+    frames: list = []  # (remaining arguments, deciding value) per and/or; (None, None) per not
+    while True:
+        if type(c) is CAtom:
+            value = c.atom.holds(model)
+        elif type(c) is CNot:
+            frames.append((None, None))
+            c = c.arg
+            continue
+        elif c is TRUE or c is FALSE:
+            value = c is TRUE
+        else:
+            decides = type(c) is not CAnd
+            rest = iter(c.args)
+            c = next(rest, None)
+            if c is not None:
+                frames.append((rest, decides))
+                continue
+            value = not decides  # all(()) and any(())
+        while frames:
+            rest, decides = frames[-1]
+            if rest is None:
+                value = not value
+            elif value != decides:
+                c = next(rest, None)
+                if c is not None:
+                    break
+            frames.pop()
+        else:
+            return value
 
 
 # ---------------------------------------------------------------------------
@@ -546,80 +587,96 @@ class Cube:
 
 
 def _nnf(c: Constraint, neg: bool) -> Constraint:
-    if c is TRUE:
-        return FALSE if neg else TRUE
-    if c is FALSE:
-        return TRUE if neg else FALSE
-    if isinstance(c, CNot):
-        return _nnf(c.arg, not neg)
-    if isinstance(c, CAtom):
-        if not neg:
-            return c
-        na = c.atom.negated()
-        if na is True:
-            return TRUE
-        if na is False:
-            return FALSE
-        return CAtom(na)
-    parts = [_nnf(a, neg) for a in c.args]
-    if isinstance(c, CAnd):
-        return cor(*parts) if neg else cand(*parts)
-    return cand(*parts) if neg else cor(*parts)
+    """Negation normal form of c, or of not c when ``neg``: negations are
+    pushed onto the atoms, and and/or are rebuilt by cand and cor.  Walks
+    with an explicit stack, so the nesting depth is not limited."""
+    # per open and/or: [arguments, index of the next one, negated?, cand or
+    # cor, the finished parts]; the first frame holds c alone
+    frames: list = [[(c,), 0, neg, None, []]]
+    while True:
+        f = frames[-1]
+        args, i, neg, build, parts = f
+        while i < len(args):
+            a = args[i]
+            i += 1
+            a_neg = neg
+            while type(a) is CNot:
+                a = a.arg
+                a_neg = not a_neg
+            if type(a) is CAtom:
+                if a_neg:
+                    na = a.atom.negated()
+                    a = TRUE if na is True else FALSE if na is False else CAtom(na)
+                parts.append(a)
+            elif a is TRUE or a is FALSE:
+                parts.append((FALSE if a is TRUE else TRUE) if a_neg else a)
+            else:
+                f[1] = i
+                frames.append([a.args, 0, a_neg, cor if (type(a) is CAnd) == a_neg else cand, []])
+                break
+        else:
+            frames.pop()
+            if not frames:
+                return parts[0]
+            frames[-1][4].append(build(*parts))
 
 
 def _atom_cubes(a: LinearAtom) -> list:
-    """Atom as a list of alternative atom-lists (the != split happens here)."""
-    if a.rel == NE:
-        lo = _canonical_atom(a.term, LT)
-        hi = _canonical_atom(-a.term, LT)
-        out = []
-        for alt in (lo, hi):
-            if alt is True:
-                return [[]]
-            if alt is not False:
-                out.append([alt])
-        return out
-    if a.rel == EQ:
-        lo = _canonical_atom(a.term, LE)
-        hi = _canonical_atom(-a.term, LE)
-        cube = []
-        for half in (lo, hi):
-            if half is False:
-                return []
-            if half is not True:
-                cube.append(half)
-        return [cube]
-    return [[a]]
+    """Atom as a list of alternative atom-lists (the != split happens here).
+    The halves t <= 0 and -t <= 0 of t = 0, and t < 0 and -t < 0 of t != 0,
+    are built directly when t has int coefficients and an int constant."""
+    rel = a.rel
+    if rel == LE or rel == LT:
+        return [[a]]
+    t = a.term
+    if not t.ints_only():
+        half = LT if rel == NE else LE
+        lo, hi = _canonical_atom(t, half), _canonical_atom(-t, half)
+    elif rel == EQ:
+        lo, hi = LinearAtom(t, LE), LinearAtom(-t, LE)
+    else:
+        lo, hi = _int_lt(t), _int_lt(-t)
+    if rel == NE:
+        return [[]] if lo is True or hi is True else [[h] for h in (lo, hi) if h is not False]
+    return [] if lo is False or hi is False else [[h for h in (lo, hi) if h is not True]]
 
 
 def to_dnf(c: Constraint, limit: int = DEFAULT_CUBE_LIMIT) -> list:
     """Equivalent disjunction of cubes (over the Int/Real structure).
 
-    Raises CubeLimitExceeded once more than ``limit`` cubes would be built.
+    The negation normal form is expanded by a walk with an explicit stack:
+    an or concatenates its arguments' cube lists, an and multiplies them out
+    one argument at a time.  Raises CubeLimitExceeded once more than
+    ``limit`` cubes would be built.
     """
-    nnf = _nnf(c, False)
-
-    def go(c: Constraint) -> list:
-        if c is TRUE:
-            return [[]]
-        if c is FALSE:
-            return []
-        if isinstance(c, CAtom):
-            return _atom_cubes(c.atom)
-        if isinstance(c, COr):
-            out = []
-            for a in c.args:
-                out.extend(go(a))
-                if len(out) > limit:
+    c = _nnf(c, False)
+    frames: list = []  # [and?, arguments, index of the next one, cube lists so far]
+    while True:
+        if type(c) is CAtom:
+            cubes = _atom_cubes(c.atom)
+        elif c is TRUE or c is FALSE:
+            cubes = [[]] if c is TRUE else []
+        else:
+            is_and = type(c) is CAnd
+            frames.append([is_and, c.args, 1, [[]] if is_and else []])
+            c = c.args[0]
+            continue
+        while frames:
+            f = frames[-1]
+            acc = f[3]
+            if f[0]:
+                if len(acc) * len(cubes) > limit:
                     raise CubeLimitExceeded(limit)
-            return out
-        assert isinstance(c, CAnd)
-        acc = [[]]
-        for a in c.args:
-            alts = go(a)
-            if len(acc) * len(alts) > limit:
-                raise CubeLimitExceeded(limit)
-            acc = [x + y for x in acc for y in alts]
-        return acc
-
-    return [Cube(tuple(dict.fromkeys(raw))) for raw in go(nnf)]
+                acc = f[3] = [x + y for x in acc for y in cubes]
+            else:
+                acc.extend(cubes)
+                if len(acc) > limit:
+                    raise CubeLimitExceeded(limit)
+            if f[2] < len(f[1]):
+                c = f[1][f[2]]
+                f[2] += 1
+                break
+            frames.pop()
+            cubes = acc
+        else:
+            return [Cube(tuple(dict.fromkeys(raw))) for raw in cubes]

@@ -387,6 +387,18 @@ class TestFaults:
             assert out.count("(and (x - ") == 125
 
     @pytest.mark.parametrize("mode", ["human", "sexpr"])
+    def test_and_or_nested_600_deep_prints_its_verdict(self, capsys, tmp_path, mode):
+        # past the recursion limit of a recursive negation normal form,
+        # expansion to cubes or evaluation under the counterexample's model
+        path = tmp_path / "deep600.chc"
+        path.write_text(deep_query(300))
+        code, out, _ = run(capsys, "--output", mode, "solve", str(path))
+        assert code == 1
+        assert out.startswith("unsat\n") and "(error" not in out
+        if mode == "human":
+            assert out.count("(and (x - ") == 300
+
+    @pytest.mark.parametrize("mode", ["human", "sexpr"])
     def test_deeply_nested_negation_prints_its_verdict(self, capsys, tmp_path, mode):
         # 3,000 levels: far past the recursion limit of a recursive reader
         path = tmp_path / "deep_not.chc"
