@@ -13,7 +13,6 @@ from .analysis import (
     NormalizedClauseSet,
     classify,
     connected_components,
-    dependence_graph,
     merge_linear_duplicates,
 )
 from .errors import WrongFragment
@@ -190,14 +189,23 @@ def tree_problem_from_treelike(nhc: NormalizedClauseSet) -> list:
     return out
 
 
+def dag_node_symbols(dp: DagProblem) -> dict:
+    """Per node v of ``dp``: the relation symbol that stands for v in
+    dag_problem_to_horn, and its argument vector sorted(dp.allowed_vars(v))."""
+    out = {}
+    for v in dp.nodes:
+        vector = sorted(dp.allowed_vars(v))
+        out[v] = (_symbol_for(f"p_{v}", vector), vector)
+    return out
+
+
 def dag_problem_to_horn(dp: DagProblem) -> ClauseSet:
     """Linear clauses per edge (plus a node-label guard clause when the
     target node label is nontrivial), entry fact, and exit query."""
-    vectors = {v: sorted(dp.allowed_vars(v)) for v in dp.nodes}
-    symbols = {v: _symbol_for(f"p_{v}", vectors[v]) for v in dp.nodes}
+    nodes = dag_node_symbols(dp)
 
     def at(v):
-        return _atom_on(symbols[v], vectors[v])
+        return _atom_on(*nodes[v])
 
     clauses = [HornClause(TRUE, (), at(dp.entry))]
     for (v, w) in dp.edges:
@@ -211,7 +219,7 @@ def dag_problem_to_horn(dp: DagProblem) -> ClauseSet:
 
 
 def dag_problem_from_linear(nhc: NormalizedClauseSet) -> list:
-    """One (DagProblem, symbol map) per connected component.
+    """One (DagProblem, symbols) per connected component.
 
     Nodes are the component's relation symbols plus fresh entry/exit
     sentinels; fact clauses become entry edges, false-head clauses exit
@@ -222,34 +230,24 @@ def dag_problem_from_linear(nhc: NormalizedClauseSet) -> list:
     report = classify(nhc.clause_set)
     if not report.recursion_free or not report.linear:
         raise WrongFragment("DAG extraction needs a recursion-free linear set")
-    return [dag_problem_from_merged(merge_linear_duplicates(comp.clause_set), nhc.arg_vectors)
-            for comp in _component_normalized(nhc)]
-
-
-def dag_problem_from_merged(merged: ClauseSet, arg_vectors: dict) -> tuple:
-    """The (DagProblem, symbols) of dag_problem_from_linear for one
-    connected, recursion-free, linear set of normalized clauses whose
-    duplicates are merged already, its argument vectors given."""
-    symbols = sorted(merged.relations & frozenset(
-        s for h in merged.clauses for s in h.symbols))
-    nodes = [ENTRY_NODE] + symbols + [EXIT_NODE]
-    edges = []
-    edge_labels: dict = {}
-    for h in merged.clauses:
-        if h.body and h.head is not None:
-            e = (h.body[0].symbol, h.head.symbol)
-        elif h.head is not None:
-            e = (ENTRY_NODE, h.head.symbol)
-        elif h.body:
-            e = (h.body[0].symbol, EXIT_NODE)
-        else:
-            e = (ENTRY_NODE, EXIT_NODE)
-        assert e not in edge_labels, "duplicate edges survived merging"
-        edges.append(e)
-        edge_labels[e] = h.constraint
-    allowed = {ENTRY_NODE: frozenset(), EXIT_NODE: frozenset()}
-    for p in symbols:
-        allowed[p] = frozenset(arg_vectors[p])
-    dp = DagProblem(tuple(nodes), tuple(edges), ENTRY_NODE, EXIT_NODE,
-                    edge_labels, {v: TRUE for v in nodes}, allowed)
-    return dp, symbols
+    out = []
+    for comp in connected_components(nhc.clause_set):
+        merged = merge_linear_duplicates(comp)
+        symbols = sorted(merged.relations & frozenset(
+            s for h in merged.clauses for s in h.symbols))
+        nodes = [ENTRY_NODE] + symbols + [EXIT_NODE]
+        edges = []
+        edge_labels: dict = {}
+        for h in merged.clauses:
+            e = (h.body[0].symbol if h.body else ENTRY_NODE,
+                 h.head.symbol if h.head is not None else EXIT_NODE)
+            assert e not in edge_labels, "duplicate edges survived merging"
+            edges.append(e)
+            edge_labels[e] = h.constraint
+        allowed = {ENTRY_NODE: frozenset(), EXIT_NODE: frozenset()}
+        for p in symbols:
+            allowed[p] = frozenset(nhc.arg_vectors[p])
+        dp = DagProblem(tuple(nodes), tuple(edges), ENTRY_NODE, EXIT_NODE,
+                        edge_labels, {v: TRUE for v in nodes}, allowed)
+        out.append((dp, symbols))
+    return out

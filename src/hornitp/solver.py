@@ -1,14 +1,13 @@
 """End-to-end solving of recursion-free Horn clause sets.
 
 Pipeline: split the set into its weakly-connected components, classify
-each once, solve each on one of two paths, then verify the combined
-solution.  A linear component that is not tree-like has its duplicate
-clauses merged first, and if it is still not tree-like it is a restricted
-DAG interpolation problem.  Every other component, merged ones included,
-is solved through its derivation cones of false (one defining
-clause per symbol met): a component that is not body-disjoint is first made
-so by duplicating derivation cones, one walk over its clauses builds each
-cone's tree interpolation problem and each symbol's derivation key, and the
+each once, solve each through its derivation cones of false (one
+false-head clause and one defining clause per symbol met), then verify the
+combined solution.  A linear component that is not tree-like has its
+duplicate clauses merged first, and each of its cones is a path.  Any
+other component that is not body-disjoint is first made so by duplicating
+derivation cones.  One walk over a component's clauses builds each cone's
+tree interpolation problem and each symbol's derivation key, and the
 per-cone labels combine, grouped by key, into a positive Boolean
 combination per symbol.  Sequences are the trees that are paths, and a
 tree-like component has exactly one cone.  Trees are labeled from Farkas
@@ -16,11 +15,12 @@ certificates by engine.label_tree, the routine binary interpolation uses
 too: one rational LP per choice of one DNF cube per node label and of each
 integer case split, each certificate labeling every node at once by the
 weighted sum of its subtree's atoms.  Only an external interpolation
-backend labels node by node.  An unsolvable set makes its encoding
-satisfiable, and the model is read back as the counterexample: a derivation
-of false whose clause constraints all hold under it, over the input
-clauses, with its accumulated constraint evaluated under the model before
-it is returned."""
+backend labels node by node.  An unsolvable set makes one of its cones'
+trees satisfiable, and the model is read back as the counterexample: a
+derivation of false whose clause constraints all hold under it, over the
+input clauses, with its accumulated constraint evaluated under the model
+before it is returned.  A restricted DAG interpolation problem is solved
+as its Horn encoding, a linear set."""
 
 from __future__ import annotations
 
@@ -36,11 +36,10 @@ from .analysis import (
     classify,
     connected_components,
     dependence_graph,
-    is_tree_like,
     merge_linear_duplicates,
     normalize,
 )
-from .encodings import FALSE_NODE, dag_problem_from_merged
+from .encodings import FALSE_NODE, dag_node_symbols, dag_problem_to_horn
 from .engine import DEFAULT_BRANCH_DEPTH, binary_interpolant, label_tree, sat
 from .errors import (
     CubeLimitExceeded,
@@ -75,7 +74,6 @@ from .terms import (
     Var,
     atom,
     cand,
-    cnot,
     cor,
     eq,
     evaluate,
@@ -486,47 +484,21 @@ def sequence_interpolants(sp: SequenceProblem, options: SolverOptions = None) ->
 
 
 def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
-    """Restricted DAG interpolant via a topological sweep.
-
-    For node v, the left side disjoins the incoming-edge situations
-    (predecessor label, node label, edge label), the right side disjoins
-    all path-suffix constraints from v to the exit (including the prefixes
-    that violate a node label); their interpolant is I(v).  The labeling is
-    checked against the DAG interpolant conditions before being returned.
-    """
-    options = options or SolverOptions()
-    order = dp.topological_order()
-    suffix: dict = {dp.exit: [TRUE]}
-    for v in reversed(order):
-        if v == dp.exit:
-            continue
-        parts: list = []
-        for e in dp.outgoing(v):
-            w = e[1]
-            lw = dp.node_labels[w]
-            for s in suffix[w]:
-                parts.append(cand(dp.edge_labels[e], lw, s))
-            guard = cand(dp.edge_labels[e], cnot(lw))
-            if guard is not FALSE:
-                parts.append(guard)
-            if len(parts) > options.cube_limit:  # each part is a disjunct of v's B side
-                raise CubeLimitExceeded(options.cube_limit, "path suffixes from one DAG node")
-        suffix[v] = parts
-    labels = {dp.entry: TRUE}
-    entry_b = cand(dp.node_labels[dp.entry], cor(*suffix[dp.entry]))
-    res = sat(entry_b, options.branch_depth, options.cube_limit)
-    if isinstance(res, Sat):
-        raise NotUnsat(res.model, "a complete entry-to-exit path is satisfiable")
-    for v in order:
-        if v == dp.entry:
-            continue
-        if v == dp.exit:
-            labels[v] = FALSE
-            continue
-        a_side = cor(*(cand(labels[e[0]], dp.node_labels[e[0]], dp.edge_labels[e])
-                       for e in dp.incoming(v)))
-        b_side = cand(dp.node_labels[v], cor(*suffix[v]))
-        labels[v] = options.itp(a_side, b_side)
+    """Restricted DAG interpolant of ``dp`` from the solution of its Horn
+    encoding, encodings.dag_problem_to_horn: node v is labeled by its
+    symbol's formula over sorted(dp.allowed_vars(v)), and the labeling must
+    pass check_dag.  Raises MalformedProblem when the edges form a cycle,
+    and NotUnsat, with the counterexample's model, when the encoding has a
+    counterexample, so that no restricted DAG interpolant exists."""
+    dp.topological_order()
+    res = solve(dag_problem_to_horn(dp), options)
+    if isinstance(res, Counterexample):
+        raise NotUnsat(res.model, "no restricted DAG interpolant exists:"
+                                  " its Horn encoding has a counterexample")
+    labels = {}
+    for v, (symbol, vector) in dag_node_symbols(dp).items():
+        params, formula = res.solution.assignment[symbol]
+        labels[v] = rename_injective(formula, dict(zip(params, vector)))
     failures = check_dag(dp, labels)
     if failures:
         raise SolverInternalError(f"DAG labeling rejected: {failures}")
@@ -534,75 +506,76 @@ def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Derivation cones (body-disjoint sets)
+# Derivation cones (body-disjoint or linear sets)
 # ---------------------------------------------------------------------------
 
 
 def _derivation_cones(comp: ClauseSet, limit: int) -> list:
     """(TreeProblem, derivation keys) per derivation cone of false of
-    ``comp``, a connected body-disjoint component.
+    ``comp``, a connected set that is body-disjoint or linear, so that no
+    cone meets a symbol twice.
 
-    A cone fixes one defining clause per symbol met below the false-head
-    clause.  Its tree's nodes are FALSE_NODE and the symbols met, each
-    labeled by its chosen clause's constraint, or false when no clause
+    A cone fixes one false-head clause and one defining clause per symbol
+    met below it.  Its tree's nodes are FALSE_NODE and the symbols met,
+    each labeled by its chosen clause's constraint, or false when no clause
     defines it; a symbol's key is the clause-index set of its derivation
-    inside the cone.  One walk with an explicit stack: symbols are met
-    breadth-first, and cones come depth-first over the choices, the first
-    defining clause first, so the choice at a symbol met earlier changes
-    more slowly.  Finding more than ``limit`` cones raises
+    inside the cone.  The false-head clauses are taken in order, each by
+    one walk with an explicit stack: symbols are met breadth-first, and
+    cones come depth-first over the choices, the first defining clause
+    first, so the choice at a symbol met earlier changes more slowly.
+    Finding more than ``limit`` cones below one false-head clause raises
     SubsetLimitExceeded before any is returned.
     """
     clauses = comp.clauses
-    false_idx = [i for i, h in enumerate(clauses) if h.head is None]
-    if not false_idx:
-        return []
-    assert len(false_idx) == 1, \
-        "a connected body-disjoint component has at most one false-head clause"
-    query = clauses[false_idx[0]]
     by_head: dict = {}
     for i, h in enumerate(clauses):
         if h.head is not None:
             by_head.setdefault(h.head.symbol, []).append(i)
-    met = [(FALSE_NODE, b.symbol) for b in query.body]  # (parent node, symbol)
-    # per symbol met: the position of its chosen clause in by_head[s], and
-    # len(met) before that clause's body was met
-    chosen: list = []
     cones: list = []
-    while True:
-        while len(chosen) < len(met):
-            s = met[len(chosen)][1]
-            chosen.append((0, len(met)))
-            if s in by_head:
-                met += [(s, b.symbol) for b in clauses[by_head[s][0]].body]
-        if len(cones) == limit:
-            raise SubsetLimitExceeded(limit)
-        labels = {FALSE_NODE: query.constraint}
-        keys: dict = {}
-        for (_, s), (k, _) in zip(reversed(met), reversed(chosen)):  # children first
-            if s in by_head:
-                ci = by_head[s][k]
-                labels[s] = clauses[ci].constraint
-                keys[s] = frozenset({ci}).union(*(keys[b.symbol] for b in clauses[ci].body))
-            else:
-                labels[s], keys[s] = FALSE, frozenset()
-        nodes = (FALSE_NODE, *(s for _, s in met))
-        cones.append((TreeProblem(nodes, frozenset(met), labels, FALSE_NODE), keys))
-        # the next cone: the last symbol met with a defining clause left
-        # takes the next one, and the symbols met after it are met again
-        while chosen and chosen[-1][0] + 1 >= len(by_head.get(met[len(chosen) - 1][1], ())):
-            chosen.pop()
-        if not chosen:
-            return cones
-        k, mark = chosen[-1]
-        chosen[-1] = (k + 1, mark)
-        s = met[len(chosen) - 1][1]
-        del met[mark:]
-        met += [(s, b.symbol) for b in clauses[by_head[s][k + 1]].body]
+    for query in clauses:
+        if query.head is not None:
+            continue
+        met = [(FALSE_NODE, b.symbol) for b in query.body]  # (parent node, symbol)
+        # per symbol met: the position of its chosen clause in by_head[s], and
+        # len(met) before that clause's body was met
+        chosen: list = []
+        budget = len(cones) + limit
+        while True:
+            while len(chosen) < len(met):
+                s = met[len(chosen)][1]
+                chosen.append((0, len(met)))
+                if s in by_head:
+                    met += [(s, b.symbol) for b in clauses[by_head[s][0]].body]
+            if len(cones) == budget:
+                raise SubsetLimitExceeded(limit)
+            labels = {FALSE_NODE: query.constraint}
+            keys: dict = {}
+            for (_, s), (k, _) in zip(reversed(met), reversed(chosen)):  # children first
+                if s in by_head:
+                    ci = by_head[s][k]
+                    labels[s] = clauses[ci].constraint
+                    keys[s] = frozenset({ci}).union(*(keys[b.symbol] for b in clauses[ci].body))
+                else:
+                    labels[s], keys[s] = FALSE, frozenset()
+            nodes = (FALSE_NODE, *(s for _, s in met))
+            cones.append((TreeProblem(nodes, frozenset(met), labels, FALSE_NODE), keys))
+            # the next cone: the last symbol met with a defining clause left
+            # takes the next one, and the symbols met after it are met again
+            while chosen and chosen[-1][0] + 1 >= len(by_head.get(met[len(chosen) - 1][1], ())):
+                chosen.pop()
+            if not chosen:
+                break
+            k, mark = chosen[-1]
+            chosen[-1] = (k + 1, mark)
+            s = met[len(chosen) - 1][1]
+            del met[mark:]
+            met += [(s, b.symbol) for b in clauses[by_head[s][k + 1]].body]
+    return cones
 
 
 def _cone_labels(comp: ClauseSet, options: SolverOptions) -> dict:
-    """Symbol->Constraint map of ``comp``, a connected body-disjoint
-    component of a normalized set.
+    """Symbol->Constraint map of ``comp``, a connected component of a
+    normalized set that is body-disjoint or linear.
 
     Each derivation cone of false is one tree problem.  A symbol's solution
     disjoins, over the groups of cones that derive the symbol by the same
@@ -700,21 +673,21 @@ def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOpt
     """Symbol->Constraint map over normalized argument vectors, or a
     Counterexample; second return value is the argument-vector map.
 
-    ``report`` is classify(comp).  A linear set is normalized, and when it
-    is not tree-like its duplicate clauses (the same body atom and head)
-    are merged into one by disjoining their constraints; a merged set that
-    is still not tree-like is solved as a DAG problem.  Every other set is
-    solved through derivation cones: a set that is not body-disjoint is
-    made so by body_disjoint_transform, normalized, and split into its
-    connected components (copies of an underivable symbol can split it);
-    each component is labeled by _cone_labels, whose walk builds every
-    cone's tree without classifying or splitting again, and an original
-    symbol's solution conjoins those of its copies.  A tree-like set is the
-    one-cone case, and the symbols of a set without a false-head clause are
-    left to be assigned true.
+    ``report`` is classify(comp).  Every set is solved through its
+    derivation cones of false.  A linear set is normalized, and when it is
+    not tree-like its duplicate clauses (the same body atom and head) are
+    merged into one by disjoining their constraints; each of its cones is
+    a path, whether or not the merged set is body-disjoint.  Any other set
+    that is not body-disjoint is made so by body_disjoint_transform,
+    normalized, and split into its connected components (copies of an
+    underivable symbol can split it).  Each component is labeled by
+    _cone_labels, whose walk builds every cone's tree without classifying
+    or splitting again, and an original symbol's solution conjoins those of
+    its copies.  A tree-like set is the one-cone case, and the symbols of a
+    set without a false-head clause are left to be assigned true.
 
-    When a DAG problem, a cone's tree or a backend's first binary problem
-    (the whole tree) is satisfiable, its model gives the Counterexample:
+    When a cone's tree or a backend's first binary problem (the whole tree)
+    is satisfiable, its model gives the Counterexample:
     _counterexample_from_model walks the normalized set before any merge
     for a derivation of false that the model satisfies, and maps it back to
     the clauses of ``comp`` through the copies' origins and normalize's
@@ -727,23 +700,15 @@ def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOpt
     nhc = normalize(disjoint)
     # a normalized component stays connected; only copies can split it
     subsets = connected_components(nhc.clause_set) if copies else [nhc.clause_set]
-    dag = False
     if report.linear and not report.tree_like:
         subsets = [merge_linear_duplicates(nhc.clause_set)]
-        dag = not is_tree_like(subsets[0])
-    assignment: dict = {}
+    collected: dict = {}
     try:
-        if dag:
-            dp, symbols = dag_problem_from_merged(subsets[0], nhc.arg_vectors)
-            labels = dag_interpolate(dp, options)
-            for p in symbols:
-                assignment[p] = labels[p]
-            return assignment, nhc.arg_vectors
-        collected: dict = {}
         for sub in subsets:
             collected.update(_cone_labels(sub, options))
     except NotUnsat as exc:
         return _counterexample_from_model(comp, origins, nhc, exc.model), nhc.arg_vectors
+    assignment: dict = {}
     for p in sorted(comp.relations):
         parts = []
         for c in copies.get(p, [p]):

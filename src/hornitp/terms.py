@@ -477,15 +477,30 @@ def free_vars(c: Constraint) -> frozenset:
 
 
 def substitute(c: Constraint, sigma: Mapping[Var, LinearTerm]) -> Constraint:
-    """Simultaneous substitution of terms for variables."""
-    if not sigma or c is TRUE or c is FALSE:
+    """Simultaneous substitution of terms for variables, rebuilt by atom,
+    cand, cor and cnot, so it simplifies as it goes, by a walk with an
+    explicit stack."""
+    if not sigma:
         return c
-    if isinstance(c, CAtom):
-        return atom(c.atom.term.substituted(sigma), c.atom.rel)
-    if isinstance(c, CNot):
-        return cnot(substitute(c.arg, sigma))
-    parts = [substitute(a, sigma) for a in c.args]
-    return cand(*parts) if isinstance(c, CAnd) else cor(*parts)
+    done: list = []  # the substituted constraints so far
+    stack: list = [c]  # constraints to substitute, and (builder, n) for the last n done
+    while stack:
+        c = stack.pop()
+        if type(c) is tuple:
+            build, n = c
+            args = done[len(done) - n:]
+            del done[len(done) - n:]
+            done.append(build(*args))
+        elif c is TRUE or c is FALSE:
+            done.append(c)
+        elif isinstance(c, CAtom):
+            done.append(atom(c.atom.term.substituted(sigma), c.atom.rel))
+        elif isinstance(c, CNot):
+            stack += ((cnot, 1), c.arg)
+        else:
+            stack.append((cand if isinstance(c, CAnd) else cor, len(c.args)))
+            stack += reversed(c.args)
+    return done[0]
 
 
 def rename_injective(c: Constraint, ren: Mapping[Var, Var]) -> Constraint:

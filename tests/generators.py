@@ -4,7 +4,7 @@ import random
 
 from hornitp.horn import ClauseSet, HornClause, RelationSymbol, rel_atom
 from hornitp.lp import Unsat
-from hornitp.terms import INT, LinearTerm, Var, cand, cnot, cor, eq, ge, le, lt, ne
+from hornitp.terms import INT, TRUE, LinearTerm, Var, cand, cnot, cor, eq, ge, le, lt, ne
 
 
 def random_term(rng: random.Random, variables, max_vars: int = 2,
@@ -80,6 +80,28 @@ def chain_clauses(n: int, name=lambda i: f"p{i}", unsat: bool = False) -> Clause
                                   rel_atom(symbols[i + 1], ty)))
     query = ge(tx, n) if unsat else lt(tx, 0)
     clauses.append(HornClause(query, (rel_atom(symbols[n], tx),), None))
+    return ClauseSet.make(clauses)
+
+
+def ladder(n: int, unsafe: bool = False) -> ClauseSet:
+    """Linear set with 2^n derivations of false: x = 0 -> p0(x); step i
+    has a_i(y) <- p(i-1)(x) and y = x + 1, b_i(y) <- p(i-1)(x) and
+    y = x + 2, p_i(x) <- a_i(x) and p_i(x) <- b_i(x); the query is
+    p_n(x) and x < 0 -> false, or x >= 2n with ``unsafe``, which the
+    all-b derivation reaches.  It stays not tree-like after merging
+    duplicate clauses."""
+    x, y = Var("x", INT), Var("y", INT)
+    tx, ty = LinearTerm.of(x), LinearTerm.of(y)
+    p = [RelationSymbol(f"p{i}", (INT,)) for i in range(n + 1)]
+    clauses = [HornClause(eq(tx, 0), (), rel_atom(p[0], tx))]
+    for i in range(1, n + 1):
+        for step, name in ((1, "a"), (2, "b")):
+            s = RelationSymbol(f"{name}{i}", (INT,))
+            clauses.append(HornClause(eq(ty, tx + step), (rel_atom(p[i - 1], tx),),
+                                      rel_atom(s, ty)))
+            clauses.append(HornClause(TRUE, (rel_atom(s, tx),), rel_atom(p[i], tx)))
+    query = ge(tx, 2 * n) if unsafe else lt(tx, 0)
+    clauses.append(HornClause(query, (rel_atom(p[n], tx),), None))
     return ClauseSet.make(clauses)
 
 

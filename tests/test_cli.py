@@ -221,6 +221,31 @@ class TestVerify:
         assert out.splitlines()[0] == "invalid"
         assert "failing clause" in out and "countermodel" in out
 
+    @pytest.mark.parametrize("mode", ["human", "sexpr"])
+    def test_solution_nested_600_deep_on_a_compound_argument(self, capsys, tmp_path, mode):
+        # p's body nests and/or 600 deep; p(x + 1) is a compound argument,
+        # so it is substituted, past the recursion limit of a recursive walk
+        nest = "(<= x 0)"
+        for k in range(1, 301):
+            nest = f"(and (<= x {k}) (or (>= x {-k}) {nest}))"
+        sol = tmp_path / "deep.sol"
+        sol.write_text(f"(define-rel p ((x Int)) {nest})\n")
+        for bound, expected in ((">= x 300", 0), (">= x 0", 1)):
+            path = tmp_path / "deep_verify.chc"
+            path.write_text("(set-logic HORN)\n(declare-fun p (Int) Bool)\n"
+                            "(assert (forall ((x Int)) (=> (= x 0) (p x))))\n"
+                            f"(assert (forall ((x Int)) (=> (and (p (+ x 1)) ({bound})) false)))\n"
+                            "(check-sat)\n")
+            code, out, _ = run(capsys, "--output", mode, "verify", str(path),
+                               "--solution", str(sol))
+            assert code == expected and "(error" not in out
+            if expected == 0:
+                assert out == "valid\n"
+            elif mode == "sexpr":
+                assert out.startswith("invalid\n(failing-clause 2 ")
+            else:
+                assert out.startswith("invalid\n; failing clause 2: ")
+
     def test_budget_flags_reach_verify_solution(self, capsys, monkeypatch):
         seen = {}
 

@@ -7,15 +7,23 @@ from fractions import Fraction
 import pytest
 
 import worked_examples as PE
-from generators import chain_clauses, random_clause_set, random_cube
+from generators import chain_clauses, ladder, random_clause_set, random_cube
 from hornitp import engine, solver
 from hornitp import chc
-from hornitp.analysis import NormalizedClauseSet, classify, connected_components, normalize
-from hornitp.encodings import tree_problem_from_treelike
+from hornitp.analysis import (
+    NormalizedClauseSet,
+    classify,
+    connected_components,
+    is_tree_like,
+    merge_linear_duplicates,
+    normalize,
+)
+from hornitp.encodings import dag_problem_from_linear, tree_problem_from_treelike
 from hornitp.engine import binary_interpolant, sat
 from hornitp.errors import (
     CubeLimitExceeded,
     ExpansionLimitExceeded,
+    MalformedProblem,
     NotUnsat,
     RecursiveSystem,
     SolverInternalError,
@@ -65,6 +73,7 @@ from hornitp.terms import (
     evaluate,
     free_vars,
     ge,
+    gt,
     le,
     lt,
     ne,
@@ -211,10 +220,24 @@ class TestSequenceInterpolants:
         assert check_sequence(sp, labels) == []
 
 
+def _dag_shaped_sets(seed: int, count: int) -> list:
+    """The first ``count`` random_clause_set draws of ``seed`` with a
+    component that is linear and, normalized with its duplicate clauses
+    merged, still not tree-like: a restricted DAG interpolation problem."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        hc = random_clause_set(rng)
+        for comp in connected_components(hc):
+            if classify(comp).linear and not is_tree_like(
+                    merge_linear_duplicates(normalize(comp).clause_set)):
+                out.append(hc)
+                break
+    return out
+
+
 class TestDagInterpolate:
     def test_diamond_labels_pass_checks(self):
-        y = Var("y", INT)
-        ty = LinearTerm.of(y)
         nodes = ("en", "a", "b", "ex")
         edges = (("en", "a"), ("en", "b"), ("a", "ex"), ("b", "ex"))
         edge_labels = {("en", "a"): ge(TX, 0), ("en", "b"): ge(TX, 2),
@@ -225,9 +248,20 @@ class TestDagInterpolate:
                          "b": frozenset({X}), "ex": frozenset()})
         labels = dag_interpolate(dp)
         assert check_dag(dp, labels) == []
-        # two suffixes from the entry, each one B-side cube
-        with pytest.raises(CubeLimitExceeded, match=r"^path suffixes .*\(--cube-limit\)$"):
-            dag_interpolate(dp, SolverOptions(cube_limit=1))
+
+    def test_cone_budget_bounds_a_linear_dag_before_any_lp(self, monkeypatch):
+        # 2^13 derivations of false, one cone each, as a clause set and as
+        # the DAG problem read off it
+        def no_lp(atoms):
+            raise AssertionError("an LP was solved")
+
+        hc = ladder(13)
+        ((dp, _),) = dag_problem_from_linear(normalize(hc))
+        monkeypatch.setattr(engine, "decide_rational", no_lp)
+        with pytest.raises(SubsetLimitExceeded):
+            solve(hc)
+        with pytest.raises(SubsetLimitExceeded):
+            dag_interpolate(dp)
 
     def test_feasible_path_raises_not_unsat(self):
         nodes = ("en", "a", "ex")
@@ -239,6 +273,96 @@ class TestDagInterpolate:
                          "ex": frozenset()})
         with pytest.raises(NotUnsat):
             dag_interpolate(dp)
+
+    def test_no_restricted_interpolant_raises_not_unsat(self):
+        # every path is infeasible, but x may not pass through a or b
+        nodes = ("en", "a", "b", "ex")
+        edges = (("en", "a"), ("a", "b"), ("b", "ex"))
+        edge_labels = {("en", "a"): ge(TX, 0), ("a", "b"): TRUE, ("b", "ex"): lt(TX, 0)}
+        dp = DagProblem(nodes, edges, "en", "ex", edge_labels, {v: TRUE for v in nodes})
+        assert dp.allowed_vars("a") == dp.allowed_vars("b") == frozenset()
+        with pytest.raises(NotUnsat, match="no restricted DAG interpolant exists") as info:
+            dag_interpolate(dp)
+        assert "entry-to-exit path is satisfiable" not in str(info.value)
+        # two instances of x, one for each edge
+        assert sorted(info.value.model.values()) == [-1, 0]
+
+    def test_cyclic_problem_is_malformed(self):
+        nodes = ("en", "a", "b", "ex")
+        edges = (("en", "a"), ("a", "b"), ("b", "a"), ("b", "ex"))
+        dp = DagProblem(nodes, edges, "en", "ex", dict.fromkeys(edges, TRUE),
+                        {v: TRUE for v in nodes})
+        with pytest.raises(MalformedProblem, match="cycle"):
+            dag_interpolate(dp)
+
+    def test_each_linear_component_as_a_dag_problem(self):
+        solved = refuted = 0
+        for hc in _dag_shaped_sets(17, 40):
+            for comp in connected_components(hc):
+                if not classify(comp).linear:
+                    continue
+                ((dp, _),) = dag_problem_from_linear(normalize(comp))
+                oracle_unsat = isinstance(sat(expand(comp)), Unsat)
+                try:
+                    labels = dag_interpolate(dp)
+                except NotUnsat:
+                    assert not oracle_unsat
+                    refuted += 1
+                else:
+                    assert oracle_unsat and check_dag(dp, labels) == []
+                    solved += 1
+        assert solved >= 10 and refuted >= 10
+
+
+class TestLinearDagRoute:
+    """Linear components that stay not tree-like after merging go through
+    the derivation cones, one path each."""
+
+    def test_verdicts_match_expansion(self):
+        verdicts = set()
+        undecided = 0  # the oracle's integer branching gives up
+        for hc in _dag_shaped_sets(11, 60):
+            res = solve(hc)
+            try:
+                oracle_unsat = isinstance(sat(expand(hc)), Unsat)
+            except UnknownResult:
+                undecided += 1
+                continue
+            assert isinstance(res, Solved) == oracle_unsat
+            if isinstance(res, Solved):
+                assert verify_solution(res.solution, hc)
+            verdicts.add(type(res))
+        assert verdicts == {Solved, Counterexample} and undecided <= 2
+
+    def test_ladder(self):
+        hc = ladder(4)
+        report = classify(hc)
+        assert report.linear and not report.tree_like
+        assert not is_tree_like(merge_linear_duplicates(normalize(hc).clause_set))
+        res = solve(hc)
+        assert isinstance(res, Solved) and verify_solution(res.solution, hc)
+        res = solve(ladder(4, unsafe=True))
+        assert isinstance(res, Counterexample)
+        # the all-b derivation: x = 2 * 4 at the query
+        assert res.tree.size() == 2 + 2 * 4
+
+    def test_one_cone_per_path_below_every_query(self):
+        # two queries on one linear DAG, each counted against its own budget
+        p, q, r = (RelationSymbol(n, (INT,)) for n in "pqr")
+        hc = ClauseSet.make([
+            HornClause(eq(TX, 0), (), rel_atom(p, X)),
+            HornClause(eq(TX, 1), (), rel_atom(p, X)),
+            HornClause(TRUE, (rel_atom(p, X),), rel_atom(q, X)),
+            HornClause(TRUE, (rel_atom(p, X),), rel_atom(r, X)),
+            HornClause(lt(TX, 0), (rel_atom(q, X),), None),
+            HornClause(gt(TX, 1), (rel_atom(r, X),), None),
+        ])
+        comp = normalize(hc).clause_set
+        assert len(solver._derivation_cones(comp, 2)) == 4
+        with pytest.raises(SubsetLimitExceeded):
+            solver._derivation_cones(comp, 1)
+        res = solve(hc)
+        assert isinstance(res, Solved) and verify_solution(res.solution, hc)
 
 
 class TestBodyDisjointTransform:

@@ -172,6 +172,83 @@ class TestFreeVarsSubstitute:
         assert substitute(substitute(c, s1), s2) == substitute(c, combined)
 
 
+def _recursive_substitute(c, sigma):
+    """terms.substitute as a recursion over the constraint."""
+    if not sigma or c is TRUE or c is FALSE:
+        return c
+    if isinstance(c, CAtom):
+        return atom(c.atom.term.substituted(sigma), c.atom.rel)
+    if isinstance(c, CNot):
+        return cnot(_recursive_substitute(c.arg, sigma))
+    parts = [_recursive_substitute(a, sigma) for a in c.args]
+    return cand(*parts) if isinstance(c, CAnd) else cor(*parts)
+
+
+class TestSubstituteIterative:
+    POOL = [X, Y, RES, Var("r", REAL)]
+
+    def _sigma(self, rng):
+        """Terms for some pool variables: constants that fold atoms to true
+        or false, sums and renamings, now and then a Real term for an Int."""
+        sigma = {}
+        for v in rng.sample(self.POOL, rng.randint(0, len(self.POOL))):
+            kind = rng.random()
+            if kind < 0.3:
+                sigma[v] = LinearTerm.const(rng.randint(-2, 2))
+            elif kind < 0.95:
+                w = rng.choice([X, Y, RES])
+                sigma[v] = LinearTerm.of(w).scale(rng.choice([1, -1, 2])) + rng.randint(-1, 1)
+            else:
+                sigma[v] = LinearTerm.of(self.POOL[3]) + 1
+        return sigma
+
+    def _raw(self, rng, depth):
+        """A constraint built with the constructors, so true, false,
+        repeated and same-kind arguments survive until substitute rebuilds it."""
+        k = rng.random()
+        if depth == 0 or k < 0.3:
+            return rng.choice([TRUE, FALSE, random_constraint(rng, self.POOL[:3], 1)])
+        if k < 0.45:
+            return CNot(self._raw(rng, depth - 1))
+        args = [self._raw(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            args.append(args[0])
+        return (CAnd if k < 0.75 else COr)(tuple(args))
+
+    def _outcome(self, fn, c, sigma):
+        try:
+            return fn(c, sigma)
+        except SortMismatch as exc:
+            return ("SortMismatch", str(exc))
+
+    def test_matches_recursive(self):
+        rng = random.Random(23)
+        for i in range(3000):
+            c = (random_constraint(rng, self.POOL, rng.randint(0, 4)) if i % 2
+                 else self._raw(rng, rng.randint(0, 4)))
+            sigma = self._sigma(rng)
+            expected = self._outcome(_recursive_substitute, c, sigma)
+            out = self._outcome(substitute, c, sigma)
+            assert out == expected
+            if expected is TRUE or expected is FALSE:
+                assert out is expected
+
+    def test_deep_nest(self):
+        # and/or 6,000 deep: past the recursion limit for a recursive walk
+        c = le(TX, 0)
+        for k in range(1, 3001):
+            c = cand(le(TX, k), cor(ge(TX, -k), c))
+        out = substitute(c, {X: TY + 1})
+        assert free_vars(out) == {Y}
+        for y in (-3002, -3001, -1, 0, 2999, 3000):
+            assert evaluate(out, {Y: Fraction(y)}) == evaluate(c, {X: Fraction(y + 1)})
+        # 3,000 negations built directly; cnot cancels them pairwise
+        c = le(TX, 0)
+        for _ in range(3000):
+            c = CNot(c)
+        assert substitute(c, {X: TY + 1}) == le(TY + 1, 0)
+
+
 class TestToDnf:
     def test_single_atom(self):
         cubes = to_dnf(ge(TX, 0))
