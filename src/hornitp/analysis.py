@@ -17,17 +17,14 @@ from .terms import EQ, LinearTerm, Var, atom, cand, cor, rename_injective, weigh
 
 @dataclass(frozen=True)
 class DependenceGraph:
-    nodes: frozenset  # of RelationSymbol
-    edges: frozenset  # of (head symbol, body symbol)
-
-    def successors(self, p):
-        return sorted(q for (h, q) in self.edges if h == p)
+    nodes: frozenset  # of RelationSymbol, or of any other sortable node
+    edges: frozenset  # of (head, body)
 
     def is_acyclic(self) -> bool:
         return self.find_cycle() is None
 
     def find_cycle(self):
-        """A list of symbols forming a dependence cycle, or None."""
+        """A list of nodes forming a dependence cycle, or None."""
         succ: dict = {p: [] for p in self.nodes}
         for h, q in sorted(self.edges):
             succ[h].append(q)
@@ -52,28 +49,6 @@ class DependenceGraph:
                     state[path.pop()] = 1
                     todo.pop()
         return None
-
-    def topological_order(self) -> list:
-        """Symbols ordered so heads come before their body dependencies."""
-        succ: dict = {p: [] for p in self.nodes}
-        indeg = {p: 0 for p in self.nodes}
-        for h, q in sorted(self.edges):
-            succ[h].append(q)
-            indeg[q] += 1
-        import heapq
-
-        ready = sorted(p for p in self.nodes if indeg[p] == 0)
-        heapq.heapify(ready)
-        out = []
-        while ready:
-            p = heapq.heappop(ready)
-            out.append(p)
-            for q in succ[p]:
-                indeg[q] -= 1
-                if indeg[q] == 0:
-                    heapq.heappush(ready, q)
-        assert len(out) == len(self.nodes), "topological order requires an acyclic graph"
-        return out
 
 
 def dependence_graph(hc: ClauseSet) -> DependenceGraph:
@@ -113,11 +88,6 @@ def classify(hc: ClauseSet) -> FragmentReport:
     tree_like = body_disjoint and head_disjoint
     return FragmentReport(recursion_free, linear, body_disjoint, head_disjoint,
                           tree_like, linear and tree_like)
-
-
-def is_tree_like(hc: ClauseSet) -> bool:
-    """classify(hc).tree_like, without the dependence graph."""
-    return all(_disjointness(hc))
 
 
 def _disjointness(hc: ClauseSet) -> tuple:

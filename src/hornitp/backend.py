@@ -12,8 +12,10 @@ answered by exactly one of
     (error "<message>")
 
 Constraints use the s-expression grammar of :mod:`hornitp.sexpr`.  Every
-answer is re-verified locally before being accepted, so a buggy backend can
-cause VerificationFailed but never an unsound result.  A handle owns its
+answer is re-verified locally before being accepted: an interpolant by
+check_interpolant, a model by evaluating A and B under it, a missing
+variable reading 0.  So a buggy backend can cause VerificationFailed but
+never an unsound result.  A handle owns its
 process and serves one request at a time; threads sharing a handle take
 turns, each holding it from writing its request until its reply is read.
 """
@@ -25,11 +27,21 @@ import selectors
 import shlex
 import subprocess
 import threading
+from fractions import Fraction
 
 from .engine import Interpolant, check_interpolant
 from .errors import BackendError, NotUnsat, ParseError, UndeclaredSymbol, VerificationFailed
-from .sexpr import constraint_str, parse_constraint, parse_model, parse_one, var_decls_str
-from .terms import Constraint, free_vars
+from .sexpr import (
+    constraint_str,
+    node_str,
+    number_str,
+    parse_one,
+    parse_with,
+    read_constraint,
+    read_model,
+    var_decls_str,
+)
+from .terms import INT, Constraint, cand, evaluate, free_vars
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -122,30 +134,39 @@ def external_interpolant(a: Constraint, b: Constraint, backend: Backend) -> Inte
         node = parse_one(reply)
     except ParseError as exc:
         raise BackendError(f"unparsable backend reply: {exc}") from None
-    if node.is_atom or not node.items or not node.items[0].is_atom:
+    if type(node) is str or not node or type(node[0]) is not str:
         raise BackendError(f"malformed backend reply: {reply!r}")
-    kind = node.items[0].value
+    kind = node[0]
     if kind == "error":
-        detail = " ".join(repr(x) for x in node.items[1:])
+        detail = " ".join(node_str(x) for x in node[1:])
         raise BackendError(f"backend reported an error: {detail}")
+    if kind not in ("sat", "interpolant"):
+        raise BackendError(f"unknown backend reply kind {kind!r}")
+    if len(node) != 2:
+        raise BackendError(f"malformed {kind} reply: {reply!r}")
     if kind == "sat":
-        if len(node.items) != 2:
-            raise BackendError(f"malformed sat reply: {reply!r}")
-        model = parse_model(node.items[1], variables)
-        raise NotUnsat(model, "backend found the conjunction satisfiable")
-    if kind == "interpolant":
-        if len(node.items) != 2:
-            raise BackendError(f"malformed interpolant reply: {reply!r}")
         try:
-            formula = parse_constraint(node.items[1], variables)
-        except UndeclaredSymbol as exc:
-            raise VerificationFailed(
-                f"backend interpolant uses an undeclared variable: {exc}") from None
+            model = parse_with(reply, lambda forms: read_model(forms[0], 1, variables))
         except ParseError as exc:
-            raise BackendError(f"unparsable backend interpolant: {exc}") from None
-        failures = check_interpolant(a, b, formula)
-        if failures:
-            raise VerificationFailed(
-                "backend interpolant rejected: " + ", ".join(failures))
-        return Interpolant(formula)
-    raise BackendError(f"unknown backend reply kind {kind!r}")
+            raise BackendError(f"malformed sat reply: {exc}") from None
+        model = {v: Fraction(0) for v in variables.values()} | model  # a missing variable reads 0
+        for v in variables.values():
+            if v.sort is INT and model[v].denominator != 1:
+                raise VerificationFailed(
+                    f"backend model rejected: Int variable {v.name} "
+                    f"has the non-integral value {number_str(model[v])}")
+        if not evaluate(cand(a, b), model):
+            raise VerificationFailed("backend model rejected: it does not satisfy A and B")
+        raise NotUnsat(model, "backend found the conjunction satisfiable")
+    try:
+        formula = parse_with(reply, lambda forms: read_constraint(forms[0], 1, variables))
+    except UndeclaredSymbol as exc:
+        raise VerificationFailed(
+            f"backend interpolant uses an undeclared variable: {exc}") from None
+    except ParseError as exc:
+        raise BackendError(f"unparsable backend interpolant: {exc}") from None
+    failures = check_interpolant(a, b, formula)
+    if failures:
+        raise VerificationFailed(
+            "backend interpolant rejected: " + ", ".join(failures))
+    return Interpolant(formula)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .analysis import DependenceGraph
 from .errors import ParseError
 
 
@@ -146,25 +147,13 @@ def rename(cs: PropClauseSet, r: Renaming) -> PropClauseSet:
 def prop_dependence_acyclic(cs: PropClauseSet) -> bool:
     """Acyclicity of the variable dependence relation of a Horn set
     (head variable depends on each negated body variable)."""
-    succ: dict = {v: set() for v in range(1, cs.num_vars + 1)}
+    edges: set = set()
     for c in cs.clauses:
         heads = [l for l in c if l > 0]
-        if len(heads) != 1:
-            continue
-        for l in c:
-            if l < 0:
-                succ[heads[0]].add(-l)
-    state: dict = {}
-
-    def visit(v):
-        state[v] = 0
-        for w in succ[v]:
-            if state.get(w) == 0 or (w not in state and visit(w)):
-                return True
-        state[v] = 1
-        return False
-
-    return not any(visit(v) for v in succ if v not in state)
+        if len(heads) == 1:
+            edges.update((heads[0], -l) for l in c if l < 0)
+    nodes = frozenset(range(1, cs.num_vars + 1))
+    return DependenceGraph(nodes, frozenset(edges)).is_acyclic()
 
 
 # ---------------------------------------------------------------------------

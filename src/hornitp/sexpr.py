@@ -14,17 +14,16 @@ the end of the line.  A string is ``"..."`` with ``""`` for one quote, as in
 SMT-LIB 2.6, and may span lines.
 
 The reader is one ``findall`` scan of one regular expression into plain
-nested lists: a list is a Python list, and every other token stays the
-``str`` it was read as, so a text costs one object per list, and no
-positions are kept.  A text with strings is scanned token by token instead,
-each string read by ``str.find``.  A reading error names its node as
-``(parent, index)`` in a :class:`Misread`; :func:`parse_with` turns it into
-its error class at the node's line and column, found only then by a second
-scan that walks the lists in step with the text's tokens.  :func:`parse_all`
-and :func:`parse_one` give :class:`SNode` views of the lists, with
-positions, and the public ``parse_*`` functions read such views.  Terms
-and constraints are read with explicit stacks, so their nesting depth is
-not limited by the recursion limit.
+nested lists, the one parsed form: a list is a Python list, and every other
+token stays the ``str`` it was read as, so a text costs one object per list.
+A text with strings is scanned token by token instead, each string read by
+``str.find``.  No positions are kept.  The ``read_*`` functions read the node
+``parent[index]``, and a reading error names its node as ``(parent, index)``
+in a :class:`Misread`; :func:`parse_with` turns it into its error class at
+the node's line and column, computed only then, by a second scan that walks
+the lists in step with the text's tokens.  Terms and constraints are read
+with explicit stacks, so their nesting depth is not limited by the recursion
+limit.
 """
 
 from __future__ import annotations
@@ -61,47 +60,13 @@ def _position(text: str, offset: int) -> tuple:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-class SNode:
-    """Parsed s-expression: either an atom or a list, with a position.
-
-    A node read from a text holds the text and its offset in it; ``line``
-    and ``col`` are computed from them on demand.  A node built by hand may
-    give ``line`` and ``col`` directly instead."""
-
-    __slots__ = ("value", "items", "offset", "source", "_line", "_col")
-
-    def __init__(self, value=None, items=None, offset=0, source=None, line=0, col=0):
-        self.value = value  # str for atoms, None for lists
-        self.items = items  # list of SNode for lists, None for atoms
-        self.offset = offset
-        self.source = source  # the text read, or None for a given position
-        if source is None:
-            self._line = line
-            self._col = col
-
-    @property
-    def line(self) -> int:
-        return self._line if self.source is None else _position(self.source, self.offset)[0]
-
-    @property
-    def col(self) -> int:
-        return self._col if self.source is None else _position(self.source, self.offset)[1]
-
-    @property
-    def is_atom(self):
-        return self.items is None
-
-    def __repr__(self):
-        return node_str(_unview(self)[0][0])
-
-
 # One token per match.  Whitespace matches no alternative, so the scan
 # skips it; every other character starts a match.  A quote starts a string,
 # which _scan reads by str.find.
 _TOKEN = re.compile(r'[^\s();"][^\s();]*|[()]|;[^\n]*|"')
 
 
-def _read(text: str) -> list:
+def parse_all(text: str) -> list:
     """The top-level s-expressions of the text as nested lists of tokens,
     strings unescaped.  A text without strings is one ``findall``."""
     stack: list = []  # the enclosing lists of the open lists
@@ -186,7 +151,7 @@ def parse_with(text: str, build):
     """``build(forms)`` on the top-level forms of the text, read as nested
     lists; a Misread it raises becomes its error class at the line and
     column of its node."""
-    forms = _read(text)
+    forms = parse_all(text)
     try:
         return build(forms)
     except Misread as exc:
@@ -195,55 +160,11 @@ def parse_with(text: str, build):
         raise cls(message, *_position(text, offset)) from None
 
 
-def parse_all(text: str) -> list:
-    """All top-level s-expressions in the text, as SNode views."""
-    forms = _read(text)
-    views = {id(forms): []}  # id of a list -> the items of its view
-    for parent, index, offset in _placed(forms, text):
-        node = parent[index]
-        view = SNode(node, None, offset, text) if type(node) is str else \
-            SNode(None, [], offset, text)
-        views[id(parent)].append(view)
-        if type(node) is list:
-            views[id(node)] = view.items
-    return views[id(forms)]
-
-
-def parse_one(text: str) -> SNode:
-    nodes = parse_all(text)
-    if len(nodes) != 1:
-        raise ParseError(f"expected one expression, found {len(nodes)}", 1, 1)
-    return nodes[0]
-
-
-def _unview(node: SNode) -> tuple:
-    """([the node as nested lists], views), where views maps (id of a list,
-    index) to the view of the node read there."""
-    root: list = []
-    views: dict = {}
-    stack = [(node, root)]
-    while stack:
-        view, parent = stack.pop()
-        views[id(parent), len(parent)] = view
-        if view.items is None:
-            parent.append(view.value)
-        else:
-            items: list = []
-            parent.append(items)
-            stack += [(item, items) for item in reversed(view.items)]
-    return root, views
-
-
-def _on_view(read, node: SNode, *args):
-    """``read(parent, index, *args)`` on the node as nested lists; a Misread
-    becomes its error class at the position of the view it names."""
-    root, views = _unview(node)
-    try:
-        return read(root, 0, *args)
-    except Misread as exc:
-        cls, message, parent, index = exc.args
-        at = views[id(parent), index]
-        raise cls(message, at.line, at.col) from None
+def parse_one(text: str):
+    forms = parse_all(text)
+    if len(forms) != 1:
+        raise ParseError(f"expected one expression, found {len(forms)}", 1, 1)
+    return forms[0]
 
 
 def node_str(node) -> str:
@@ -276,7 +197,8 @@ def head_name(node):
 # ---------------------------------------------------------------------------
 
 
-def _number(parent: list, index: int) -> int | Fraction:
+def read_number(parent: list, index: int) -> int | Fraction:
+    """An int for an integral literal, else a Fraction (never a float)."""
     tok = parent[index]
     if type(tok) is not str:
         raise Misread(ParseError, "expected a number", parent, index)
@@ -289,11 +211,6 @@ def _number(parent: list, index: int) -> int | Fraction:
         return int(tok)
     except (ValueError, ZeroDivisionError):
         raise Misread(ParseError, f"malformed number {tok!r}", parent, index) from None
-
-
-def parse_number(node: SNode) -> int | Fraction:
-    """An int for an integral literal, else a Fraction (never a float)."""
-    return _on_view(_number, node)
 
 
 def number_str(q: int | Fraction) -> str:
@@ -344,7 +261,7 @@ def _collect(stack: list, acc: dict, variables: dict):
             if v is not None and (node[0].isalpha() or not _is_number_token(node)):
                 acc[v] = acc.get(v, 0) + k
             elif _is_number_token(node):
-                const += k * _number(parent, index)
+                const += k * read_number(parent, index)
             else:
                 raise Misread(UndeclaredSymbol, f"undeclared variable {node!r}", parent, index)
             continue
@@ -371,7 +288,7 @@ def _collect(stack: list, acc: dict, variables: dict):
                 if not (type(node[2]) is str and _is_number_token(node[2])):
                     raise Misread(ParseError, "'*' needs a constant factor", parent, index)
             try:
-                q = _number(node, factor)
+                q = read_number(node, factor)
             except Misread as exc:
                 stack.append((exc, 0, None))
                 q = 0
@@ -391,11 +308,6 @@ def read_term(parent: list, index: int, variables: dict) -> LinearTerm:
     acc: dict = {}
     const = _collect([(parent, index, 1)], acc, variables)
     return LinearTerm(_clean(acc), _rat(const))
-
-
-def parse_term(node: SNode, variables: dict) -> LinearTerm:
-    """``variables`` maps names to Var; unknown names raise."""
-    return _on_view(read_term, node, variables)
 
 
 def term_str(t: LinearTerm) -> str:
@@ -454,10 +366,6 @@ def read_constraint(parent: list, index: int, variables: dict) -> Constraint:
     return done[0]
 
 
-def parse_constraint(node: SNode, variables: dict) -> Constraint:
-    return _on_view(read_constraint, node, variables)
-
-
 def _atom_str(a) -> str:
     if a.rel == NE:
         return f"(not (= {term_str(a.term)} 0))"
@@ -491,11 +399,6 @@ def read_var_decls(parent: list, index: int, start: int = 0) -> dict:
     return out
 
 
-def parse_var_decls(node: SNode) -> dict:
-    """``((x Int) (y Real) ...)`` -> ordered name-to-Var map."""
-    return _on_view(read_var_decls, node)
-
-
 def var_decls_str(variables) -> str:
     return "(" + " ".join(f"({v.name} {sort_str(v.sort)})" for v in variables) + ")"
 
@@ -506,7 +409,9 @@ def model_str(model: dict) -> str:
     return f"(model {entries})"
 
 
-def _model(parent: list, index: int, variables: dict) -> dict:
+def read_model(parent: list, index: int, variables: dict) -> dict:
+    """The model ``(model (x 1) (y 1/2) ...)``; a name not in ``variables``
+    reads as an Int variable."""
     node = parent[index]
     if type(node) is str or not node or node[0] != "model":
         raise Misread(ParseError, "expected (model ...)", parent, index)
@@ -516,9 +421,5 @@ def _model(parent: list, index: int, variables: dict) -> dict:
         if type(e) is str or len(e) != 2 or type(e[0]) is not str:
             raise Misread(ParseError, "malformed model entry", node, i)
         v = variables.get(e[0], Var(e[0], INT))
-        out[v] = Fraction(_number(e, 1))
+        out[v] = Fraction(read_number(e, 1))
     return out
-
-
-def parse_model(node: SNode, variables: dict) -> dict:
-    return _on_view(_model, node, variables)

@@ -588,12 +588,6 @@ class Cube:
             out |= a.vars
         return out
 
-    def as_constraint(self) -> Constraint:
-        return cand(*(CAtom(a) for a in self.atoms))
-
-    def holds(self, model) -> bool:
-        return all(a.holds(model) for a in self.atoms)
-
     def __iter__(self):
         return iter(self.atoms)
 

@@ -4,19 +4,23 @@ import sys
 
 from hornitp.engine import binary_interpolant
 from hornitp.errors import NotUnsat
-from hornitp.sexpr import constraint_str, model_str, parse_constraint, parse_one, parse_var_decls
+from hornitp.sexpr import constraint_str, model_str, parse_with, read_constraint, read_var_decls
+
+
+def read_request(forms):
+    """(A, B) of the request ``(interpolate (vars ...) (A c) (B c))``."""
+    node = forms[0]
+    at = {node[i][0]: i for i in range(1, len(node))}
+    variables = read_var_decls(node, at["vars"], 1)
+    return (read_constraint(node[at["A"]], 1, variables),
+            read_constraint(node[at["B"]], 1, variables))
 
 
 def main():
     for line in sys.stdin:
         if not line.strip():
             continue
-        node = parse_one(line)
-        sections = {item.items[0].value: item for item in node.items[1:]}
-        variables = parse_var_decls(
-            type(node)(items=sections["vars"].items[1:], line=0, col=0))
-        a = parse_constraint(sections["A"].items[1], variables)
-        b = parse_constraint(sections["B"].items[1], variables)
+        a, b = parse_with(line, read_request)
         try:
             itp = binary_interpolant(a, b)
             print(f"(interpolant {constraint_str(itp.formula)})", flush=True)

@@ -26,8 +26,8 @@ class TestRequestFormat:
         b = le(TX, -1)
         line, variables = interpolation_request(a, b)
         node = parse_one(line)
-        assert node.items[0].value == "interpolate"
-        assert {i.items[0].value for i in node.items[1:]} == {"vars", "A", "B"}
+        assert node[0] == "interpolate"
+        assert {item[0] for item in node[1:]} == {"vars", "A", "B"}
         assert set(variables) == {"x"}
         assert "\n" not in line
 
@@ -78,6 +78,58 @@ class TestGoodBackend:
         finally:
             sys.setswitchinterval(switch)
         assert errors == []
+
+
+# one case per branch of external_interpolant, against x >= 0 and x <= -1
+REPLIES = [
+    ("(a", BackendError, "unparsable backend reply: parse error at 1:1: unbalanced '('"),
+    ("(a) (b)", BackendError,
+     "unparsable backend reply: parse error at 1:1: expected one expression, found 2"),
+    ("hello", BackendError, "malformed backend reply: 'hello'"),
+    ("()", BackendError, "malformed backend reply: '()'"),
+    ("((x) 1)", BackendError, "malformed backend reply: '((x) 1)'"),
+    ('(error "boom" 3)', BackendError, 'backend reported an error: "boom" 3'),
+    ("(what)", BackendError, "unknown backend reply kind 'what'"),
+    ("(sat)", BackendError, "malformed sat reply: '(sat)'"),
+    ("(sat (foo))", BackendError, "malformed sat reply: parse error at 1:6: expected (model ...)"),
+    ("(sat (model (x 1/0)))", BackendError,
+     "malformed sat reply: parse error at 1:16: malformed number '1/0'"),
+    ("(sat (model (x 5)))", VerificationFailed,
+     "backend model rejected: it does not satisfy A and B"),
+    ("(sat (model))", VerificationFailed, "backend model rejected: it does not satisfy A and B"),
+    ("(interpolant)", BackendError, "malformed interpolant reply: '(interpolant)'"),
+    ("(interpolant (<= x))", BackendError,
+     "unparsable backend interpolant: parse error at 1:14: '<=' takes two terms"),
+    ("(interpolant (<= zz 0))", VerificationFailed,
+     "backend interpolant uses an undeclared variable: "
+     "parse error at 1:18: undeclared variable 'zz'"),
+]
+
+
+class TestReplyContract:
+    @pytest.mark.parametrize("reply, cls, message", REPLIES, ids=[r for r, _, _ in REPLIES])
+    def test_reply_is_rejected(self, reply, cls, message):
+        with Backend(f"{_stub('reply_backend')} {shlex.quote(reply)}") as be:
+            with pytest.raises(cls) as exc:
+                be.interpolate(ge(TX, 0), le(TX, -1))
+        assert type(exc.value) is cls
+        assert str(exc.value) == message
+
+
+class TestSatReplies:
+    def test_missing_variable_reads_zero(self):
+        with Backend(f"{_stub('reply_backend')} '(sat (model (y 7)))'") as be:
+            with pytest.raises(NotUnsat) as exc:
+                be.interpolate(ge(TX, 0), le(TX, 0))
+        assert exc.value.model[X] == 0
+
+    def test_non_integral_int_value_is_rejected(self):
+        # x = 1/2 satisfies 2x >= 1 and 2x <= 1 over the rationals only
+        with Backend(f"{_stub('reply_backend')} '(sat (model (x 1/2)))'") as be:
+            with pytest.raises(VerificationFailed) as exc:
+                be.interpolate(ge(TX.scale(2), 1), le(TX.scale(2), 1))
+        assert str(exc.value) == \
+            "backend model rejected: Int variable x has the non-integral value 1/2"
 
 
 class TestFaultyBackends:

@@ -72,8 +72,7 @@ class TestClassify:
     def test_sexpr_report_parses(self, capsys):
         code, out, _ = run(capsys, "--output", "sexpr", "classify", TREELIKE)
         assert code == 0
-        node = parse_one(out)
-        assert node.items[0].value == "classification"
+        assert parse_one(out)[0] == "classification"
 
 
 class TestSolve:
@@ -101,15 +100,15 @@ class TestSolve:
         code, out, _ = run(capsys, "--output", "sexpr", "solve", str(path))
         assert code == 1
         node = parse_one(out.splitlines()[1])
-        assert node.items[0].value == "counterexample"
+        assert node[0] == "counterexample"
 
         def clause_labels(n):
-            if n.is_atom:
+            if type(n) is str:
                 return set()
             found = set()
-            if n.items and n.items[0].is_atom and n.items[0].value == "clause":
-                found.add(int(n.items[1].value))
-            for item in n.items:
+            if n and n[0] == "clause":
+                found.add(int(n[1]))
+            for item in n:
                 found |= clause_labels(item)
             return found
 
@@ -351,8 +350,7 @@ class TestRenameHorn:
     def test_sexpr_output(self, capsys):
         code, out, _ = run(capsys, "--output", "sexpr", "rename-horn", CNF)
         assert code == 0
-        node = parse_one(out.splitlines()[0])
-        assert node.items[0].value == "terminating"
+        assert parse_one(out.splitlines()[0])[0] == "terminating"
 
     def test_nonterminating_exit_one(self, capsys, tmp_path):
         path = tmp_path / "cyc.cnf"
@@ -382,8 +380,8 @@ class TestFaults:
         code, out, err = run(capsys, "solve", str(path))
         assert code == 2
         (node,) = parse_all(out)
-        assert node.items[0].value == "error" and len(node.items) == 2
-        message = node.items[1].value[1:-1]
+        assert node[0] == "error" and len(node) == 2
+        message = node[1][1:-1]
         assert message.startswith("parse error at 3:") and """'|a"b|'""" in message
         assert err == message + "\n"
 

@@ -5,7 +5,8 @@ The reference below is the reader that built one positioned node per token
 reading that walked those nodes.  On the clause files of the repository and
 on seeded token mutants of them, ``parse_chc`` must give an equal clause set
 or raise the same error class with the same message, line and column, and
-``parse_all`` must give the same nodes at the same positions.
+``parse_all`` must give the same nodes, which ``sexpr._placed`` must place
+at the same positions.
 """
 
 import pathlib
@@ -17,7 +18,14 @@ import pytest
 from hornitp.chc import parse_chc
 from hornitp.errors import HornitpError, ParseError, SortError, SortMismatch
 from hornitp.horn import ClauseSet, HornClause, RelationAtom, RelationSymbol
-from hornitp.sexpr import parse_all, parse_constraint, parse_term, parse_var_decls
+from hornitp.sexpr import (
+    Misread,
+    _placed,
+    parse_all,
+    read_constraint,
+    read_term,
+    read_var_decls,
+)
 from hornitp.terms import INT, REAL, TRUE, cand
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -93,6 +101,28 @@ def _reference_parse_all(text):
     return top
 
 
+def _reference_read(read, node, *args):
+    """``read`` on the reference node as nested lists; a Misread is raised
+    as its error class at the reference node it names."""
+    root, refs = [], {}  # (id of a list, index) -> the reference node read there
+    stack = [(node, root)]
+    while stack:
+        ref, parent = stack.pop()
+        refs[id(parent), len(parent)] = ref
+        if ref.items is None:
+            parent.append(ref.value)
+        else:
+            items = []
+            parent.append(items)
+            stack += [(item, items) for item in reversed(ref.items)]
+    try:
+        return read(root, 0, *args)
+    except Misread as exc:
+        cls, message, parent, index = exc.args
+        ref = refs[id(parent), index]
+        raise cls(message, ref.line, ref.col) from None
+
+
 def _head_name(node):
     return node.items[0].value if node.items else None
 
@@ -146,7 +176,7 @@ def _reference_clause(node, relations):
     if _head_name(node) == "forall":
         if len(node.items) != 3:
             raise ParseError("malformed forall", node.line, node.col)
-        variables = parse_var_decls(node.items[1])
+        variables = _reference_read(read_var_decls, node.items[1])
         body_node = node.items[2]
     if _head_name(body_node) == "=>":
         if len(body_node.items) != 3:
@@ -162,7 +192,7 @@ def _reference_clause(node, relations):
             if name in relations:
                 atoms.append(_reference_rel_atom(p, relations, variables))
             else:
-                constraints.append(parse_constraint(p, variables))
+                constraints.append(_reference_read(read_constraint, p, variables))
     head = None
     if not (conclusion.is_atom and conclusion.value == "false"):
         name = conclusion.value if conclusion.is_atom else _head_name(conclusion)
@@ -181,7 +211,7 @@ def _reference_rel_atom(node, relations, variables):
     if node.is_atom:
         return RelationAtom(relations[node.value], ())
     sym = relations[node.items[0].value]
-    args = tuple([parse_term(a, variables) for a in node.items[1:]])
+    args = tuple([_reference_read(read_term, a, variables) for a in node.items[1:]])
     try:
         return RelationAtom(sym, args)
     except SortMismatch as exc:
@@ -204,6 +234,14 @@ def _nodes(nodes):
         if n.items is not None:
             stack.extend(reversed(n.items))
     return out
+
+
+def _placed_nodes(text):
+    """(value, or "(" for a list; line; col) of every node that parse_all
+    reads, in text order, placed by sexpr._placed."""
+    forms = parse_all(text)
+    return [("(" if type(parent[index]) is list else parent[index], *_position(text, offset))
+            for parent, index, offset in _placed(forms, text)]
 
 
 def _files() -> list:
@@ -246,7 +284,7 @@ class TestReaderMatchesReference:
     def test_files(self):
         for text in _files():
             assert parse_chc(text) == _reference_parse_chc(text)
-            assert _nodes(parse_all(text)) == _nodes(_reference_parse_all(text))
+            assert _placed_nodes(text) == _nodes(_reference_parse_all(text))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_token_mutants(self, seed):
@@ -256,7 +294,7 @@ class TestReaderMatchesReference:
             assert got == _outcome(_reference_parse_chc, text), text
             kinds.add(got[0])
             if i % 4 == 0:  # every node's position, on a quarter of them
-                nodes = _outcome(lambda t: _nodes(parse_all(t)), text)
+                nodes = _outcome(_placed_nodes, text)
                 assert nodes == _outcome(lambda t: _nodes(_reference_parse_all(t)), text), text
         # the mutants reach the reader, the clause reader and the terms
         assert {"read", "ParseError", "UndeclaredSymbol"} <= kinds

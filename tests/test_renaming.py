@@ -97,6 +97,15 @@ class TestTerminationProperty:
             terminating = bool(has_termination_property(cs))
             assert terminating == prop_dependence_acyclic(cs)
 
+    def test_long_horn_chain_dependence(self):
+        # (n) and (i or not i+1): a dependence path through all 3,000
+        # variables, walked without recursion; closing it with (n or not 1)
+        # makes it one cycle
+        n = 3000
+        chain = [[n]] + [[i, -(i + 1)] for i in range(1, n)]
+        assert prop_dependence_acyclic(PropClauseSet.make(chain, n))
+        assert not prop_dependence_acyclic(PropClauseSet.make(chain[1:] + [[n, -1]], n))
+
 
 class TestComputeRenaming:
     def test_example_renaming_set(self):

@@ -8,16 +8,19 @@ import pytest
 from generators import random_constraint
 from hornitp.errors import ParseError, UndeclaredSymbol
 from hornitp.sexpr import (
+    _placed,
+    _position,
     constraint_str,
     model_str,
     number_str,
     parse_all,
-    parse_constraint,
-    parse_model,
-    parse_number,
     parse_one,
-    parse_term,
-    parse_var_decls,
+    parse_with,
+    read_constraint,
+    read_model,
+    read_number,
+    read_term,
+    read_var_decls,
     term_str,
 )
 from hornitp.terms import (
@@ -42,11 +45,22 @@ Y = Var("y", REAL)
 VARS = {"x": X, "y": Y}
 
 
+def _read(read, text, *args):
+    """``read`` on the first node of the text; parse_with places its errors."""
+    return parse_with(text, lambda forms: read(forms, 0, *args))
+
+
+def _preorder(text):
+    """(token, or "(" for a list; line; col) of every node of the text, in
+    text order, placed by sexpr._placed."""
+    forms = parse_all(text)
+    return [("(" if type(parent[index]) is list else parent[index], *_position(text, offset))
+            for parent, index, offset in _placed(forms, text)]
+
+
 class TestParser:
     def test_nested_lists(self):
-        node = parse_one("(a (b c) d)")
-        assert not node.is_atom and len(node.items) == 3
-        assert node.items[1].items[0].value == "b"
+        assert parse_one("(a (b c) d)") == ["a", ["b", "c"], "d"]
 
     def test_unbalanced_rejected_with_position(self):
         with pytest.raises(ParseError):
@@ -57,10 +71,8 @@ class TestParser:
     def test_positions_after_multiline_string(self):
         # a string literal that spans a newline moves later tokens to the
         # next line, with columns counted from that line's start
-        node = parse_one('(a "x\ny" b)')
-        assert [(n.line, n.col) for n in node.items] == [(1, 2), (1, 4), (2, 4)]
-        nodes = parse_all('(a "x\n\ny")\n(b)')
-        assert (nodes[1].line, nodes[1].col) == (4, 1)
+        assert [at[1:] for at in _preorder('(a "x\ny" b)')[1:]] == [(1, 2), (1, 4), (2, 4)]
+        assert _preorder('(a "x\n\ny")\n(b)')[3] == ("(", 4, 1)
 
     def test_parse_error_position_after_multiline_string(self):
         with pytest.raises(ParseError) as err:
@@ -68,9 +80,9 @@ class TestParser:
         assert (err.value.line, err.value.col) == (2, 5)
 
     def test_doubled_quote_in_string(self):
-        node = parse_one('(error "say ""hi"" (twice)" x)')
-        assert [n.value for n in node.items] == ["error", '"say "hi" (twice)"', "x"]
-        assert (node.items[2].line, node.items[2].col) == (1, 29)
+        text = '(error "say ""hi"" (twice)" x)'
+        assert parse_one(text) == ["error", '"say "hi" (twice)"', "x"]
+        assert _preorder(text)[3] == ("x", 1, 29)
         with pytest.raises(ParseError):
             parse_all('(a "unterminated "" b)')
 
@@ -78,22 +90,10 @@ class TestParser:
         assert len(parse_all("; note\n(a) ; trailing\n(b)")) == 2
 
     def test_numbers(self):
-        assert parse_number(parse_one("-7")) == -7
-        assert parse_number(parse_one("2/3")) == Fraction(2, 3)
+        assert _read(read_number, "-7") == -7
+        assert _read(read_number, "2/3") == Fraction(2, 3)
         with pytest.raises(ParseError):
-            parse_number(parse_one("1/0"))
-
-
-def _preorder(nodes):
-    """(value, or "(" for a list; line; col) of every node, in text order."""
-    out = []
-    stack = list(reversed(nodes))
-    while stack:
-        n = stack.pop()
-        out.append(("(" if n.items is not None else n.value, n.line, n.col))
-        if n.items is not None:
-            stack.extend(reversed(n.items))
-    return out
+            _read(read_number, "1/0")
 
 
 # every whitespace character str.isspace accepts separates tokens and counts
@@ -126,7 +126,7 @@ UNREADABLE = [
 class TestReaderPositions:
     @pytest.mark.parametrize("text,expected", READ)
     def test_every_node_position(self, text, expected):
-        assert _preorder(parse_all(text)) == expected
+        assert _preorder(text) == expected
 
     @pytest.mark.parametrize("text,message,line,col", UNREADABLE)
     def test_error_message_and_position(self, text, message, line, col):
@@ -138,38 +138,38 @@ class TestReaderPositions:
 class TestTerms:
     def test_round_trip(self):
         t = LinearTerm.of(X).scale(3) + LinearTerm.of(Y).scale(Fraction(-1, 2)) + 5
-        assert parse_term(parse_one(term_str(t)), VARS) == t
+        assert _read(read_term, term_str(t), VARS) == t
 
     def test_minus_accepted_on_input(self):
-        t = parse_term(parse_one("(- x 1)"), VARS)
+        t = _read(read_term, "(- x 1)", VARS)
         assert t == LinearTerm.of(X) - 1
 
     def test_undeclared_variable(self):
         with pytest.raises(UndeclaredSymbol):
-            parse_term(parse_one("z"), VARS)
+            _read(read_term, "z", VARS)
 
     def test_undeclared_variable_reports_its_position(self):
         with pytest.raises(UndeclaredSymbol) as err:
-            parse_term(parse_one("(+ x\n   (* 2 z))"), VARS)
+            _read(read_term, "(+ x\n   (* 2 z))", VARS)
         assert str(err.value) == "parse error at 2:9: undeclared variable 'z'"
         assert (err.value.line, err.value.col) == (2, 9)
 
 
 class TestConstraints:
     def test_true_false(self):
-        assert parse_constraint(parse_one("true"), VARS) is TRUE
-        assert parse_constraint(parse_one("false"), VARS) is FALSE
+        assert _read(read_constraint, "true", VARS) is TRUE
+        assert _read(read_constraint, "false", VARS) is FALSE
         assert constraint_str(TRUE) == "true"
 
     def test_comparison_directions(self):
-        assert parse_constraint(parse_one("(>= x 1)"), VARS) == \
-            parse_constraint(parse_one("(<= 1 x)"), VARS)
+        assert _read(read_constraint, "(>= x 1)", VARS) == \
+            _read(read_constraint, "(<= 1 x)", VARS)
 
     def test_disequality_as_negated_equality(self):
         c = ne(LinearTerm.of(X), 1)
         out = constraint_str(c)
         assert out.startswith("(not (=")
-        reparsed = parse_constraint(parse_one(out), VARS)
+        reparsed = _read(read_constraint, out, VARS)
         for v in (0, 1, 2):
             m = {X: Fraction(v)}
             assert evaluate(reparsed, m) == evaluate(c, m)
@@ -180,8 +180,8 @@ class TestConstraints:
         names = {v.name: v for v in pool}
         for _ in range(200):
             c = random_constraint(rng, pool)
-            c1 = parse_constraint(parse_one(constraint_str(c)), names)
-            c2 = parse_constraint(parse_one(constraint_str(c1)), names)
+            c1 = _read(read_constraint, constraint_str(c), names)
+            c2 = _read(read_constraint, constraint_str(c1), names)
             assert c2 == c1
             for _ in range(10):
                 m = {v: Fraction(rng.randint(-4, 4)) for v in pool}
@@ -189,22 +189,22 @@ class TestConstraints:
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ParseError):
-            parse_constraint(parse_one("(xor x 1)"), VARS)
+            _read(read_constraint, "(xor x 1)", VARS)
 
 
 class TestDeclsAndModels:
     def test_var_decls(self):
-        decls = parse_var_decls(parse_one("((a Int) (b Real))"))
+        decls = _read(read_var_decls, "((a Int) (b Real))")
         assert decls["a"].sort == INT and decls["b"].sort == REAL
 
     def test_duplicate_decl_rejected(self):
         with pytest.raises(ParseError):
-            parse_var_decls(parse_one("((a Int) (a Int))"))
+            _read(read_var_decls, "((a Int) (a Int))")
 
     def test_model_round_trip(self):
         model = {X: Fraction(3), Y: Fraction(-1, 2)}
         out = model_str(model)
-        assert parse_model(parse_one(out), VARS) == model
+        assert _read(read_model, out, VARS) == model
 
     def test_number_str(self):
         assert number_str(Fraction(4, 2)) == "2"

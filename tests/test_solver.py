@@ -14,7 +14,6 @@ from hornitp.analysis import (
     NormalizedClauseSet,
     classify,
     connected_components,
-    is_tree_like,
     merge_linear_duplicates,
     normalize,
 )
@@ -229,8 +228,8 @@ def _dag_shaped_sets(seed: int, count: int) -> list:
     while len(out) < count:
         hc = random_clause_set(rng)
         for comp in connected_components(hc):
-            if classify(comp).linear and not is_tree_like(
-                    merge_linear_duplicates(normalize(comp).clause_set)):
+            if classify(comp).linear and not classify(
+                    merge_linear_duplicates(normalize(comp).clause_set)).tree_like:
                 out.append(hc)
                 break
     return out
@@ -338,7 +337,7 @@ class TestLinearDagRoute:
         hc = ladder(4)
         report = classify(hc)
         assert report.linear and not report.tree_like
-        assert not is_tree_like(merge_linear_duplicates(normalize(hc).clause_set))
+        assert not classify(merge_linear_duplicates(normalize(hc).clause_set)).tree_like
         res = solve(hc)
         assert isinstance(res, Solved) and verify_solution(res.solution, hc)
         res = solve(ladder(4, unsafe=True))

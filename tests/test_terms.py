@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from generators import random_constraint
 from hornitp.errors import CubeLimitExceeded, SortMismatch
-from hornitp.sexpr import parse_constraint, parse_number, parse_one
+from hornitp.sexpr import parse_with, read_constraint, read_number
 from hornitp.terms import (
     EQ,
     FALSE,
@@ -413,10 +413,10 @@ class TestIntegerRepresentation:
 
     def test_parsed_numbers_are_ints_where_integral(self):
         for text, value in (("3", 3), ("-4", -4), ("6/3", 2), ("2.0", 2), ("0", 0)):
-            got = parse_number(parse_one(text))
+            got = parse_with(text, lambda forms: read_number(forms, 0))
             assert type(got) is int and got == value, text
         for text, value in (("1/2", Fraction(1, 2)), ("-0.25", Fraction(-1, 4))):
-            got = parse_number(parse_one(text))
+            got = parse_with(text, lambda forms: read_number(forms, 0))
             assert type(got) is Fraction and got == value, text
 
     def test_parsed_constraints_keep_ints_and_proper_fractions(self):
@@ -425,7 +425,7 @@ class TestIntegerRepresentation:
                  "(< (- (* 3 x) (* 2/3 r) 7) 1/3)", "(and (<= 0 x) (< (* 4/2 y) 10))"]
         seen = 0
         for text in texts:
-            c = parse_constraint(parse_one(text), variables)
+            c = parse_with(text, lambda forms: read_constraint(forms, 0, variables))
             for cube in to_dnf(c):
                 for a in cube.atoms:
                     _assert_representation(a.term)
