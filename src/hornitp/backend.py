@@ -29,7 +29,7 @@ import subprocess
 import threading
 from fractions import Fraction
 
-from .engine import Interpolant, check_interpolant
+from .engine import DEFAULT_BRANCH_DEPTH, Interpolant, check_interpolant
 from .errors import BackendError, NotUnsat, ParseError, UndeclaredSymbol, VerificationFailed
 from .sexpr import (
     constraint_str,
@@ -41,7 +41,7 @@ from .sexpr import (
     read_model,
     var_decls_str,
 )
-from .terms import INT, Constraint, cand, evaluate, free_vars
+from .terms import DEFAULT_CUBE_LIMIT, INT, Constraint, cand, evaluate, free_vars
 
 DEFAULT_TIMEOUT = 60.0
 
@@ -125,9 +125,11 @@ def interpolation_request(a: Constraint, b: Constraint) -> tuple:
     return line, {v.name: v for v in variables}
 
 
-def external_interpolant(a: Constraint, b: Constraint, backend: Backend) -> Interpolant:
+def external_interpolant(a: Constraint, b: Constraint, backend: Backend,
+                         branch_depth: int = DEFAULT_BRANCH_DEPTH,
+                         cube_limit: int = DEFAULT_CUBE_LIMIT) -> Interpolant:
     """Same contract as binary_interpolant, answered by the backend process
-    and re-verified locally."""
+    and re-verified locally within the budgets."""
     line, variables = interpolation_request(a, b)
     reply = backend.request(line)
     try:
@@ -165,7 +167,7 @@ def external_interpolant(a: Constraint, b: Constraint, backend: Backend) -> Inte
             f"backend interpolant uses an undeclared variable: {exc}") from None
     except ParseError as exc:
         raise BackendError(f"unparsable backend interpolant: {exc}") from None
-    failures = check_interpolant(a, b, formula)
+    failures = check_interpolant(a, b, formula, branch_depth, cube_limit)
     if failures:
         raise VerificationFailed(
             "backend interpolant rejected: " + ", ".join(failures))

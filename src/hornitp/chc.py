@@ -321,12 +321,11 @@ def _problem(forms: list):
         for v in labels:
             if v != root and v not in parent:
                 raise Misread(ParseError, f"node {v!r} has no parent", form, nodes)
-        tp = TreeProblem(tuple(labels), frozenset((p, c) for c, p in parent.items()),
-                         labels, root)
-        # one parent per node but the root: what the root misses is a cycle
-        if len(tp.post_order()) != len(labels):
-            raise Misread(ParseError, "edges form a cycle", form, sec["edges"])
-        return tp
+        try:  # what is left to find is a cycle
+            return TreeProblem(tuple(labels), frozenset((p, c) for c, p in parent.items()),
+                               labels, root)
+        except MalformedProblem as exc:
+            raise Misread(ParseError, str(exc), form, sec["edges"]) from None
     if kind == "dag":
         sec = _sections(form, 2)
         nodes = form[_section(sec, "nodes", forms)]

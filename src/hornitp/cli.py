@@ -94,7 +94,7 @@ def _options(args):
             handle = stack.enter_context(Backend(backend_cmd))
 
             def delegated(a, b, branch_depth, cube_limit):
-                return external_interpolant(a, b, handle)
+                return external_interpolant(a, b, handle, branch_depth, cube_limit)
 
             options.interpolate = delegated
         yield options

@@ -48,19 +48,11 @@ def binary_to_horn(a: Constraint, b: Constraint) -> ClauseSet:
 def sequence_to_horn(sp: SequenceProblem) -> ClauseSet:
     """Chain p0 -> ... -> pn with the i-th part on the i-th link; solutions
     are exactly the inductive interpolant sequences of the parts."""
-    n = len(sp.parts)
-    fvs = [free_vars(t) for t in sp.parts]
-    vectors = []
-    for i in range(n + 1):
-        prefix = frozenset().union(*fvs[:i], frozenset())
-        suffix = frozenset().union(*fvs[i:], frozenset())
-        vectors.append(sorted(prefix & suffix))
-    symbols = [_symbol_for(f"p{i}", vectors[i]) for i in range(n + 1)]
-    atoms = [_atom_on(symbols[i], vectors[i]) for i in range(n + 1)]
+    vectors = [sorted(xs) for xs in sp.shared]
+    atoms = [_atom_on(_symbol_for(f"p{i}", vec), vec) for i, vec in enumerate(vectors)]
     clauses = [HornClause(TRUE, (), atoms[0])]
-    for i in range(1, n + 1):
-        clauses.append(HornClause(sp.parts[i - 1], (atoms[i - 1],), atoms[i]))
-    clauses.append(HornClause(TRUE, (atoms[n],), None))
+    clauses += [HornClause(t, (atoms[i],), atoms[i + 1]) for i, t in enumerate(sp.parts)]
+    clauses.append(HornClause(TRUE, (atoms[-1],), None))
     return ClauseSet.make(clauses)
 
 
@@ -111,39 +103,16 @@ def sequence_from_linear_treelike(nhc: NormalizedClauseSet) -> list:
 
 def tree_problem_to_horn(tp: TreeProblem) -> ClauseSet:
     """One clause per node plus a root-to-false clause; tree-like by
-    construction, with argument vectors given by the subtree/context
-    shared-variable sets.
-
-    A variable is shared at v when it occurs both inside and outside the
-    subtree of v.  Subtrees are post-order intervals, so the nodes that
-    share it are those met walking up from each node where it occurs,
-    stopping at the first subtree that holds all of its occurrences."""
-    kids = tp.child_map()
-    order = tp.post_order()
-    pos = {v: i for i, v in enumerate(order)}
-    first = {}  # subtree(v) is order[first[v]..pos[v]]
-    parent = {}
-    occurs: dict = {}  # variable -> its nodes, in post order
-    for i, v in enumerate(order):
-        first[v] = first[kids[v][0]] if kids[v] else i
-        for c in kids[v]:
-            parent[c] = v
-        for x in free_vars(tp.labels[v]):
-            occurs.setdefault(x, []).append(v)
-    shared: dict = {v: set() for v in order}
-    for x, at in occurs.items():
-        lo, hi = pos[at[0]], pos[at[-1]]
-        for u in at:
-            while not (first[u] <= lo and hi <= pos[u]) and x not in shared[u]:
-                shared[u].add(x)
-                u = parent[u]
-    vectors = {v: sorted(xs) for v, xs in shared.items()}
-    symbols = {v: _symbol_for(f"p_{v}", vectors[v]) for v in order}
+    construction, node v's argument vector given by tp.shared, the
+    variables that occur both inside and outside the subtree of v."""
+    vectors = [sorted(xs) for xs in tp.shared]
+    atoms = [_atom_on(_symbol_for(f"p_{v}", vectors[i]), vectors[i])
+             for i, v in enumerate(tp.order)]
     clauses = []
     for v in sorted(tp.nodes, key=str):
-        body = tuple(_atom_on(symbols[c], vectors[c]) for c in kids[v])
-        clauses.append(HornClause(tp.labels[v], body, _atom_on(symbols[v], vectors[v])))
-    clauses.append(HornClause(TRUE, (_atom_on(symbols[tp.root], vectors[tp.root]),), None))
+        i = tp.index[v]
+        clauses.append(HornClause(tp.labels[v], tuple(atoms[c] for c in tp.kids[i]), atoms[i]))
+    clauses.append(HornClause(TRUE, (atoms[-1],), None))  # the root is last
     return ClauseSet.make(clauses)
 
 
@@ -191,11 +160,12 @@ def tree_problem_from_treelike(nhc: NormalizedClauseSet) -> list:
 
 def dag_node_symbols(dp: DagProblem) -> dict:
     """Per node v of ``dp``: the relation symbol that stands for v in
-    dag_problem_to_horn, and its argument vector sorted(dp.allowed_vars(v))."""
+    dag_problem_to_horn, named p<i> by v's position i in dp.nodes, and its
+    argument vector sorted(dp.allowed_vars(v))."""
     out = {}
-    for v in dp.nodes:
+    for i, v in enumerate(dp.nodes):
         vector = sorted(dp.allowed_vars(v))
-        out[v] = (_symbol_for(f"p_{v}", vector), vector)
+        out[v] = (_symbol_for(f"p{i}", vector), vector)
     return out
 
 

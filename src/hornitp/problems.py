@@ -10,13 +10,14 @@ checkers are the authority every solver result must pass.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .engine import entails, sat
+from .engine import DEFAULT_BRANCH_DEPTH, entails, sat
 from .errors import MalformedProblem
 from .lp import Sat
-from .terms import FALSE, TRUE, Constraint, cand, free_vars
+from .terms import DEFAULT_CUBE_LIMIT, cand, free_vars
 
 
 def _require(ok: bool, message: str):
@@ -33,12 +34,25 @@ class SequenceProblem:
     def __post_init__(self):
         _require(len(self.parts) >= 1, "a sequence problem needs at least one part")
 
+    @cached_property
+    def shared(self) -> tuple:
+        """Per i in 0..n: the variables of T1..Ti that T(i+1)..Tn also have,
+        which are interpolant i's variable condition and the argument vector
+        of its symbol in the Horn encoding.  A variable is shared from its
+        first occurrence up to its last."""
+        fvs = [free_vars(t) for t in self.parts]
+        last = {x: i for i, fv in enumerate(fvs) for x in fv}
+        shared = [frozenset()]
+        for i, fv in enumerate(fvs):
+            shared.append((shared[-1] | fv).difference([x for x in fv if last[x] == i]))
+        return tuple(shared)
+
 
 def check_sequence(sp: SequenceProblem, labels) -> list:
     """Violations of the inductive-sequence conditions (empty = valid).
 
     ``labels`` is I0..In with n = len(parts); requires I0 = true, In = false,
-    each step entailment, and the prefix/suffix shared-variable condition.
+    each step entailment, and the variable condition sp.shared.
     """
     n = len(sp.parts)
     failures = []
@@ -51,101 +65,107 @@ def check_sequence(sp: SequenceProblem, labels) -> list:
     for i in range(1, n + 1):
         if not entails([labels[i - 1], sp.parts[i - 1]], labels[i]):
             failures.append(f"step-entailment-{i}")
-        prefix = frozenset().union(*(free_vars(t) for t in sp.parts[:i]))
-        suffix = frozenset().union(*(free_vars(t) for t in sp.parts[i:]), frozenset())
-        if not free_vars(labels[i]) <= (prefix & suffix if i < n else prefix):
+        if not free_vars(labels[i]) <= sp.shared[i]:
             failures.append(f"variable-condition-{i}")
     return failures
 
 
 @dataclass(frozen=True)
 class TreeProblem:
-    """Directed tree with constraint-labeled nodes; edges point to children."""
+    """Directed tree with constraint-labeled nodes; edges point to children.
+
+    Construction checks the shape and lays the tree out once, by position
+    in ``order``, a post order: each child's subtree, children in str order,
+    then the node.  ``index`` maps a node to its position; per position i,
+    ``kids[i]`` holds the children's positions in str order, ``first[i]``
+    starts i's subtree (the interval first[i]..i) and ``parent[i]`` is the
+    parent's position, len(order) for the root.
+    """
 
     nodes: tuple
     edges: frozenset  # of (parent, child)
     labels: dict  # node -> Constraint
     root: object
+    order: tuple = field(init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
+    kids: tuple = field(init=False, repr=False, compare=False)
+    first: tuple = field(init=False, repr=False, compare=False)
+    parent: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        children: dict = {v: [] for v in self.nodes}
         parents: dict = {}
         for p, c in self.edges:
-            _require(c not in parents, f"node {c!r} has two parents")
+            if p not in children or c not in children:
+                raise MalformedProblem(f"edge {p!r} -> {c!r} names an undeclared node")
+            if c in parents:
+                raise MalformedProblem(f"node {c!r} has two parents", c)
             parents[c] = p
-        _require(self.root in self.nodes, f"root {self.root!r} is not a node")
+            children[p].append(c)
+        _require(self.root in children, f"root {self.root!r} is not a node")
         _require(self.root not in parents, f"root {self.root!r} has a parent")
         _require(all(v in self.labels for v in self.nodes), "a node has no label")
         _require(all(v == self.root or v in parents for v in self.nodes),
                  "a node other than the root has no parent")
-
-    def children(self, v) -> list:
-        return sorted((c for p, c in self.edges if p == v), key=str)
-
-    def subtree(self, v) -> frozenset:
-        """Nodes reachable from v including v (the reflexive-transitive
-        closure of the child relation)."""
-        out = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for c in self.children(u):
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        return frozenset(out)
-
-    def child_map(self) -> dict:
-        """Every node's children, in the order of :meth:`children`."""
-        kids: dict = {v: [] for v in self.nodes}
-        for p, c in self.edges:
-            kids[p].append(c)
-        for cs in kids.values():
-            cs.sort(key=str)
-        return kids
-
-    def post_order(self) -> list:
-        """Children strictly before parents (an inverse topological order):
-        each child's subtree in :meth:`children` order, then the node."""
-        kids = self.child_map()
-        out = []
+        order = []
         stack = [(self.root, False)]
         while stack:
             v, expanded = stack.pop()
             if expanded:
-                out.append(v)
+                order.append(v)
             else:
+                children[v].sort(key=str)
                 stack.append((v, True))
-                stack.extend((c, False) for c in reversed(kids[v]))
-        return out
+                stack.extend((c, False) for c in reversed(children[v]))
+        # every node but the root has one parent: what the walk misses is a cycle
+        _require(len(order) == len(self.nodes), "edges form a cycle")
+        index = {v: i for i, v in enumerate(order)}
+        kids = tuple([tuple([index[c] for c in children[v]]) for v in order])
+        first, parent = [], [len(order)] * len(order)
+        for i, cs in enumerate(kids):
+            first.append(first[cs[0]] if cs else i)
+            for c in cs:
+                parent[c] = i
+        for name, value in (("order", tuple(order)), ("index", index), ("kids", kids),
+                            ("first", tuple(first)), ("parent", tuple(parent))):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def shared(self) -> tuple:
+        """Per position i: the variables that occur both inside and outside
+        i's subtree, which are i's variable condition and the argument
+        vector of its symbol in the Horn encoding.
+
+        Subtrees are intervals of positions, so the positions that share a
+        variable are those met walking up from each node where it occurs,
+        stopping at the first subtree that holds all of its occurrences."""
+        occurs: dict = {}  # variable -> ascending positions of its nodes
+        for i, v in enumerate(self.order):
+            for x in free_vars(self.labels[v]):
+                occurs.setdefault(x, []).append(i)
+        shared: list = [set() for _ in self.order]
+        for x, at in occurs.items():
+            lo, hi = at[0], at[-1]
+            for u in at:
+                while not (self.first[u] <= lo and hi <= u) and x not in shared[u]:
+                    shared[u].add(x)
+                    u = self.parent[u]
+        return tuple([frozenset(xs) for xs in shared])
 
 
-def check_tree(tp: TreeProblem, labels: dict) -> list:
+def check_tree(tp: TreeProblem, labels: dict, branch_depth: int = DEFAULT_BRANCH_DEPTH,
+               cube_limit: int = DEFAULT_CUBE_LIMIT) -> list:
     """Violations of the tree-interpolant conditions (empty = valid)."""
     failures = []
-    if isinstance(sat(labels[tp.root]), Sat):
+    if isinstance(sat(labels[tp.root], branch_depth, cube_limit), Sat):
         failures.append("root-label-not-false")
-    kids = tp.child_map()
-    order = tp.post_order()
-    pos = {v: i for i, v in enumerate(order)}
-    first = {}  # subtree(v) is order[first[v]..pos[v]]
-    occurs: dict = {}  # variable -> ascending post-order positions of its nodes
-    for i, v in enumerate(order):
-        first[v] = first[kids[v][0]] if kids[v] else i
-        for x in free_vars(tp.labels[v]):
-            occurs.setdefault(x, []).append(i)
     for v in tp.nodes:
-        premises = [tp.labels[v]] + [labels[c] for c in kids[v]]
-        if not entails(premises, labels[v]):
+        i = tp.index[v]
+        premises = [tp.labels[v]] + [labels[tp.order[c]] for c in tp.kids[i]]
+        if not entails(premises, labels[v], branch_depth, cube_limit):
             failures.append(f"node-entailment-{v}")
-        lo, hi = first[v], pos[v]
-        for x in free_vars(labels[v]):
-            at = occurs.get(x, [])
-            k = bisect_left(at, lo)
-            below = k < len(at) and at[k] <= hi
-            above = bool(at) and (at[0] < lo or at[-1] > hi)
-            if not (below and above):
-                failures.append(f"variable-condition-{v}")
-                break
+        if not free_vars(labels[v]) <= tp.shared[i]:
+            failures.append(f"variable-condition-{v}")
     return failures
 
 
@@ -174,56 +194,66 @@ class DagProblem:
     def __post_init__(self):
         _require(self.entry in self.nodes and self.exit in self.nodes,
                  "entry and exit must be nodes")
-        _require(not any(v == self.entry for _, v in self.edges), "the entry has an incoming edge")
-        _require(not any(u == self.exit for u, _ in self.edges), "the exit has an outgoing edge")
-        touched = {self.entry, self.exit}.union(*self.edges)
+        ins: dict = {v: [] for v in self.nodes}
+        outs: dict = {v: [] for v in self.nodes}
+        for e in self.edges:
+            u, v = e
+            if u not in outs or v not in ins:
+                raise MalformedProblem(f"edge {u!r} -> {v!r} names an undeclared node")
+            outs[u].append(e)
+            ins[v].append(e)
+        _require(not ins[self.entry], "the entry has an incoming edge")
+        _require(not outs[self.exit], "the exit has an outgoing edge")
         for v in self.nodes:
-            if v not in touched:
+            if not (ins[v] or outs[v] or v in (self.entry, self.exit)):
                 raise MalformedProblem(f"node {v!r} touches no edge", v)
+        object.__setattr__(self, "_ins", ins)
+        object.__setattr__(self, "_outs", outs)
 
     def incoming(self, v) -> list:
-        return [e for e in self.edges if e[1] == v]
+        return self._ins[v]
 
     def outgoing(self, v) -> list:
-        return [e for e in self.edges if e[0] == v]
+        return self._outs[v]
 
     def allowed_vars(self, v) -> frozenset:
         if self.allowed is not None:
             return self.allowed[v]
-        inc = frozenset().union(
-            *(free_vars(self.edge_labels[e]) for e in self.incoming(v)), frozenset())
-        out = frozenset().union(
-            *(free_vars(self.edge_labels[e]) for e in self.outgoing(v)), frozenset())
+        inc = frozenset().union(*(free_vars(self.edge_labels[e]) for e in self._ins[v]))
+        out = frozenset().union(*(free_vars(self.edge_labels[e]) for e in self._outs[v]))
         return inc & out
 
     def topological_order(self) -> list:
-        indeg = {v: 0 for v in self.nodes}
-        for _, v in self.edges:
-            indeg[v] += 1
+        """Kahn's order, the ready node least by str first, ties by the
+        order in which nodes became ready (``nodes`` order at the start)."""
+        indeg = {v: len(es) for v, es in self._ins.items()}
+        ready = [(str(v), k, v) for k, v in enumerate(self.nodes) if not indeg[v]]
+        heapq.heapify(ready)
         order = []
-        ready = sorted((v for v in self.nodes if indeg[v] == 0), key=str)
+        k = len(self.nodes)
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)[2]
             order.append(v)
-            for _, w in self.outgoing(v):
+            for _, w in self._outs[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
-                    ready.append(w)
-            ready.sort(key=str)
+                    heapq.heappush(ready, (str(w), k, w))
+                    k += 1
         _require(len(order) == len(self.nodes), "the edge relation has a cycle")
         return order
 
 
-def check_dag(dp: DagProblem, labels: dict) -> list:
+def check_dag(dp: DagProblem, labels: dict, branch_depth: int = DEFAULT_BRANCH_DEPTH,
+              cube_limit: int = DEFAULT_CUBE_LIMIT) -> list:
     """Violations of the restricted-DAG-interpolant conditions."""
     failures = []
-    if not entails([], labels[dp.entry]):
+    if not entails([], labels[dp.entry], branch_depth, cube_limit):
         failures.append("entry-label-not-true")
-    if isinstance(sat(labels[dp.exit]), Sat):
+    if isinstance(sat(labels[dp.exit], branch_depth, cube_limit), Sat):
         failures.append("exit-label-not-false")
     for (u, v) in dp.edges:
         premises = [labels[u], dp.node_labels[u], dp.edge_labels[(u, v)]]
-        if not entails(premises, cand(labels[v], dp.node_labels[v])):
+        if not entails(premises, cand(labels[v], dp.node_labels[v]), branch_depth, cube_limit):
             failures.append(f"edge-entailment-{u}->{v}")
     for v in dp.nodes:
         if not free_vars(labels[v]) <= dp.allowed_vars(v):

@@ -100,14 +100,24 @@ def has_termination_property(cs: PropClauseSet) -> Terminating | NonTerminating:
                 heapq.heappush(ready, (_literal_key(m), m))
     if len(order) == len(succ):
         return Terminating(tuple(order))
-    # extract a cycle: trim leftover nodes with no successor still left over
-    # (they hang off a cycle), then walk until a literal repeats
-    leftover = {l for l in succ if l not in set(order)}
-    while True:
-        dead = {l for l in leftover if not (succ[l] & leftover)}
-        if not dead:
-            break
-        leftover -= dead
+    # extract a cycle: trim the leftover literals with no successor left
+    # over (they hang off a cycle), by one reverse-Kahn pass, then walk
+    # until a literal repeats
+    leftover = {l for l in succ if indeg[l]}  # the literals never ready
+    preds: dict = {l: [] for l in leftover}
+    outdeg = dict.fromkeys(leftover, 0)
+    for l in leftover:
+        for m in succ[l] & leftover:
+            preds[m].append(l)
+            outdeg[l] += 1
+    dead = [l for l in leftover if not outdeg[l]]
+    while dead:
+        m = dead.pop()
+        leftover.discard(m)
+        for l in preds[m]:
+            outdeg[l] -= 1
+            if not outdeg[l]:
+                dead.append(l)
     path, seen = [], {}
     l = min(leftover, key=_literal_key)
     while l not in seen:

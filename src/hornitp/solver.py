@@ -369,10 +369,9 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
     when the conjunction of all node labels is satisfiable.
     """
     options = options or SolverOptions()
-    order = tp.post_order()
     sweep = _certificate_labels if options.interpolate is None else _node_by_node_labels
-    labels, invariant_checks = sweep(tp, order, options)
-    failures = check_tree(tp, labels)
+    labels, invariant_checks = sweep(tp, options)
+    failures = check_tree(tp, labels, options.branch_depth, options.cube_limit)
     if tree_log is not None:
         tree_log.append({"problem": tp, "labels": labels,
                          "invariant_checks": invariant_checks,
@@ -382,22 +381,15 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
     return labels
 
 
-def _certificate_labels(tp: TreeProblem, order: list, options: SolverOptions):
+def _certificate_labels(tp: TreeProblem, options: SolverOptions):
     """(labels, frontier checks) from engine.label_tree, with the frontier
     checked against every certificate it read."""
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    child_map = tp.child_map()
-    kids = [[pos[c] for c in child_map[v]] for v in order]
-    parent = [n] * n  # the root's parent is never processed
-    for i, cs in enumerate(kids):
-        for c in cs:
-            parent[c] = i
-    cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in order]
+    n = len(tp.order)
+    cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in tp.order]
     if prod(len(cs) for cs in cubes) > options.cube_limit:
         raise CubeLimitExceeded(options.cube_limit, "cube choices across a tree's node labels")
     leaves: list = []
-    itps = label_tree(cubes, kids, options.branch_depth, leaves)
+    itps = label_tree(cubes, tp.kids, options.branch_depth, leaves)
     certified = []  # per certificate: (labels, subtree sums, remaining-atom sums)
     for own, strict, sums, leaf_itps in leaves:
         # rest[i]: the certificate atoms of the nodes from i on, summed into
@@ -407,15 +399,13 @@ def _certificate_labels(tp: TreeProblem, order: list, options: SolverOptions):
             rest[i] = LinearAtom(weighted_sum(own[i] + [(rest[i + 1].term, 1)]),
                                  LT if i in strict or rest[i + 1].rel == LT else LE)
         certified.append((leaf_itps, sums, rest))
-    invariant_checks = 0
     frontier: list = []
-    for i in range(n):
-        frontier = [w for w in frontier if parent[w] != i] + [i]
+    for i in range(n):  # the root's parent, n, is never processed
+        frontier = [w for w in frontier if tp.parent[w] != i] + [i]
         for leaf_itps, sums, rest in certified:
             if not _frontier_refuted(frontier, leaf_itps, sums, rest[i + 1]):
-                raise SolverInternalError(f"frontier invariant violated after node {order[i]}")
-        invariant_checks += 1
-    return dict(zip(order, itps)), invariant_checks
+                raise SolverInternalError(f"frontier invariant violated after node {tp.order[i]}")
+    return dict(zip(tp.order, itps)), n
 
 
 def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) -> bool:
@@ -438,39 +428,31 @@ def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) 
     return FarkasCertificate(atoms, mults, strict, tuple(range(len(atoms)))).is_valid()
 
 
-def _node_by_node_labels(tp: TreeProblem, order: list, options: SolverOptions):
+def _node_by_node_labels(tp: TreeProblem, options: SolverOptions):
     """(labels, frontier checks) computed leaf-to-root by binary
     interpolation, asserting after every step that the frontier of
     processed-but-unconsumed labels plus the remaining node labels stays
     unsatisfiable."""
-    parent = {c: p for p, c in tp.edges}
-    labels: dict = {}
-    processed: list = []
-    invariant_checks = 0
-    for idx, v in enumerate(order):
-        remaining = order[idx + 1:]
-        children = tp.children(v)
-        a_side = cand(tp.labels[v], *(labels[c] for c in children))
-        frontier_rest = [w for w in processed
-                         if parent.get(w) not in labels and w not in children]
-        b_side = cand(*(labels[w] for w in frontier_rest),
-                      *(tp.labels[u] for u in remaining))
+    labels: list = []  # by position
+    frontier: list = []  # positions whose parent is not yet processed
+    for i, v in enumerate(tp.order):
+        remaining = [tp.labels[u] for u in tp.order[i + 1:]]
+        frontier = [w for w in frontier if tp.parent[w] != i]
+        a_side = cand(tp.labels[v], *(labels[c] for c in tp.kids[i]))
         if v == tp.root:
             res = sat(a_side, options.branch_depth, options.cube_limit)
             if isinstance(res, Sat):
                 # only reachable at the first step (single-node tree):
                 # otherwise the maintained invariant rules it out
                 raise NotUnsat(res.model)
-            labels[v] = FALSE
+            labels.append(FALSE)
         else:
-            labels[v] = options.itp(a_side, b_side)
-        processed.append(v)
-        frontier = [w for w in processed if parent.get(w) not in labels]
-        conj = cand(*(labels[w] for w in frontier), *(tp.labels[u] for u in remaining))
-        invariant_checks += 1
+            labels.append(options.itp(a_side, cand(*(labels[w] for w in frontier), *remaining)))
+        frontier.append(i)
+        conj = cand(*(labels[w] for w in frontier), *remaining)
         if isinstance(sat(conj, options.branch_depth, options.cube_limit), Sat):
             raise SolverInternalError(f"frontier invariant violated after node {v}")
-    return labels, invariant_checks
+    return dict(zip(tp.order, labels)), len(labels)
 
 
 def sequence_interpolants(sp: SequenceProblem, options: SolverOptions = None) -> list:
@@ -490,6 +472,7 @@ def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
     pass check_dag.  Raises MalformedProblem when the edges form a cycle,
     and NotUnsat, with the counterexample's model, when the encoding has a
     counterexample, so that no restricted DAG interpolant exists."""
+    options = options or SolverOptions()
     dp.topological_order()
     res = solve(dag_problem_to_horn(dp), options)
     if isinstance(res, Counterexample):
@@ -499,7 +482,7 @@ def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
     for v, (symbol, vector) in dag_node_symbols(dp).items():
         params, formula = res.solution.assignment[symbol]
         labels[v] = rename_injective(formula, dict(zip(params, vector)))
-    failures = check_dag(dp, labels)
+    failures = check_dag(dp, labels, options.branch_depth, options.cube_limit)
     if failures:
         raise SolverInternalError(f"DAG labeling rejected: {failures}")
     return labels

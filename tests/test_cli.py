@@ -173,6 +173,29 @@ class TestSolve:
         assert out == ('(error "SubsetLimitExceeded: derivation cones of false below'
                        ' one query clause exceeded 4096 (fixed budget)")\n')
 
+    @pytest.mark.parametrize("backend", [None, "(interpolant (>= p#0 0))"],
+                             ids=["engine", "backend"])
+    def test_gates_keep_the_run_cube_limit(self, capsys, tmp_path, backend):
+        # 14 two-way ors in the query: 16,384 cubes, over the default limit
+        # of 10,000; check_tree, and with a backend check_interpolant, must
+        # read the run's limit
+        k = 14
+        ys = " ".join(f"(y{i} Int)" for i in range(k))
+        ors = " ".join(f"(or (<= y{i} 0) (>= y{i} 2))" for i in range(k))
+        path = tmp_path / "ors.chc"
+        path.write_text("\n".join([
+            "(set-logic HORN)",
+            "(declare-fun p (Int) Bool)",
+            "(assert (forall ((x Int)) (=> (>= x 0) (p x))))",
+            f"(assert (forall ((x Int) {ys}) (=> (and {ors} (p x) (< x 0)) false)))",
+            "(check-sat)"]) + "\n")
+        flags = ["--cube-limit", "20000"]
+        if backend is not None:
+            flags += ["--backend", f"{shlex.quote(sys.executable)} tests/backends/reply_backend.py "
+                                   f"{shlex.quote(backend)}"]
+        code, out, err = run(capsys, *flags, "solve", str(path))
+        assert (code, out.splitlines()[0]) == (0, "sat"), err
+
     def test_branch_depth_fault_names_its_flag(self, capsys, tmp_path):
         path = tmp_path / "parity.chc"
         path.write_text(PARITY)

@@ -63,6 +63,24 @@ class TestSequence:
     def test_wrong_length_rejected(self):
         assert check_sequence(self._problem(), [TRUE, FALSE]) != []
 
+    def test_last_label_is_closed(self):
+        # In is over the variables T1..Tn share with no later part: none,
+        # as at the root of a tree and as p3 of the Horn encoding
+        last = cand(le(TX - TY, -1), le(TY - TX, -1))
+        failures = check_sequence(self._problem(), [TRUE, ge(TX, 0), ge(TY, 0), last])
+        assert failures == ["variable-condition-3"]
+
+    def test_shared_is_the_prefix_and_suffix_intersection(self):
+        rng = random.Random(3)
+        pool = [Var(f"u{i}", INT) for i in range(6)]
+        for _ in range(50):
+            parts = tuple(random_cube(rng, pool, max_atoms=2) for _ in range(rng.randint(1, 8)))
+            fvs = [free_vars(t) for t in parts]
+            expected = tuple(frozenset().union(*fvs[:i], frozenset())
+                             & frozenset().union(*fvs[i:], frozenset())
+                             for i in range(len(parts) + 1))
+            assert SequenceProblem(parts).shared == expected
+
 
 class TestTree:
     def _problem(self):
@@ -100,7 +118,7 @@ class TestTree:
 
     def test_post_order_children_first(self):
         tp = self._problem()
-        order = tp.post_order()
+        order = tp.order
         assert order.index("l1") < order.index("root")
         assert order.index("l2") < order.index("root")
 
@@ -108,14 +126,14 @@ class TestTree:
         n = 1200
         tp = TreeProblem(tuple(range(n)), frozenset((i, i + 1) for i in range(n - 1)),
                          {i: TRUE for i in range(n)}, 0)
-        assert tp.post_order() == list(reversed(range(n)))
+        assert list(tp.order) == list(reversed(range(n)))
 
     def test_post_order_matches_recursive_definition(self):
         def recursive(tp):
             out = []
 
             def walk(v):
-                for c in tp.children(v):
+                for c in _children(tp, v):
                     walk(c)
                 out.append(v)
 
@@ -141,7 +159,40 @@ class TestTree:
             problems.append(TreeProblem(tuple(names), edges,
                                         {v: TRUE for v in names}, names[0]))
         for tp in problems:
-            assert tp.post_order() == recursive(tp)
+            assert list(tp.order) == recursive(tp)
+            assert [[tp.order[c] for c in cs] for cs in tp.kids] == [
+                _children(tp, v) for v in tp.order]
+            assert [tp.order[tp.first[i]:i + 1] for i in range(len(tp.order))] == [
+                tuple(w for w in tp.order if w in _subtree(tp, v)) for v in tp.order]
+
+    def test_detached_cycle_rejected(self):
+        # every node but the root has one parent, but a and b only reach
+        # each other: a walk from the root alone finds r's label
+        # satisfiable, though the labels x <= -1 and x >= 0 conflict
+        labels = {"r": le(TX, -1), "a": ge(TX, 0), "b": TRUE}
+        with pytest.raises(MalformedProblem, match="cycle"):
+            TreeProblem(("r", "a", "b"), frozenset({("a", "b"), ("b", "a")}), labels, "r")
+
+    def test_edge_to_undeclared_node_rejected(self):
+        with pytest.raises(MalformedProblem, match="undeclared"):
+            TreeProblem(("r", "a"), frozenset({("r", "a"), ("a", "z")}),
+                        {"r": TRUE, "a": TRUE}, "r")
+
+
+def _children(tp, v):
+    """The children of v in str order, by a scan of the edges."""
+    return sorted((c for p, c in tp.edges if p == v), key=str)
+
+
+def _subtree(tp, v):
+    """The nodes reachable from v, v included."""
+    out, stack = {v}, [v]
+    while stack:
+        for c in _children(tp, stack.pop()):
+            if c not in out:
+                out.add(c)
+                stack.append(c)
+    return frozenset(out)
 
 
 def _reference_check_tree(tp, labels):
@@ -150,10 +201,10 @@ def _reference_check_tree(tp, labels):
     if isinstance(sat(labels[tp.root]), Sat):
         failures.append("root-label-not-false")
     for v in tp.nodes:
-        premises = [tp.labels[v]] + [labels[c] for c in tp.children(v)]
+        premises = [tp.labels[v]] + [labels[c] for c in _children(tp, v)]
         if not entails(premises, labels[v]):
             failures.append(f"node-entailment-{v}")
-        inside = tp.subtree(v)
+        inside = _subtree(tp, v)
         below = frozenset().union(*(free_vars(tp.labels[w]) for w in inside), frozenset())
         above = frozenset().union(
             *(free_vars(tp.labels[w]) for w in tp.nodes if w not in inside), frozenset())
@@ -197,17 +248,21 @@ class TestCheckTreeBookkeeping:
                 cases.append((tp, {**labels, v: change(labels[v])}))
         return cases
 
-    def test_failures_match_the_definition(self, monkeypatch):
+    def test_failures_match_the_definition(self):
         cases = self._cases()
         expected = [_reference_check_tree(tp, labels) for tp, labels in cases]
         assert sum(e == [] for e in expected) >= 23
         assert sum(any(f.startswith("variable-condition") for f in e) for e in expected) >= 10
-
-        def no_edge_scans(self, v):
-            raise AssertionError("check_tree rescanned the edges")
-
-        monkeypatch.setattr(TreeProblem, "children", no_edge_scans)
+        for tp, _ in cases:
+            object.__setattr__(tp, "edges", _NoScans())
         assert [check_tree(tp, labels) for tp, labels in cases] == expected
+
+
+class _NoScans:
+    """An edge set that fails when it is iterated."""
+
+    def __iter__(self):
+        raise AssertionError("check_tree rescanned the edges")
 
 
 class TestDag:

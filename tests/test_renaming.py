@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_prop_clauses
+from hornitp import renaming
 from hornitp.errors import ParseError, WrongFragment
 from hornitp.renaming import (
     NonTerminating,
@@ -105,6 +106,80 @@ class TestTerminationProperty:
         chain = [[n]] + [[i, -(i + 1)] for i in range(1, n)]
         assert prop_dependence_acyclic(PropClauseSet.make(chain, n))
         assert not prop_dependence_acyclic(PropClauseSet.make(chain[1:] + [[n, -1]], n))
+
+
+    def test_cycle_matches_layered_peeling(self):
+        # criterion 9's draws, and chains (i or not i+1) closed by
+        # (n or not n-1), where peeling one layer per pass is quadratic
+        rng = random.Random(7)
+        sets = [PropClauseSet.make(*random_prop_clauses(rng)) for _ in range(400)]
+        sets += [_closed_chain(n) for n in (2, 3, 50, 400)]
+        cycles = 0
+        for cs in sets:
+            result, expected = has_termination_property(cs), _reference_cycle(cs)
+            if expected is None:
+                assert isinstance(result, Terminating)
+            else:
+                assert result == NonTerminating(expected)
+                cycles += 1
+        assert cycles >= 90
+
+    def test_cycle_extraction_is_linear_on_a_closed_chain(self, monkeypatch):
+        # the leftover literals are 1..n, -(n-1) and -n; 1..n-2 hang off the
+        # cycle n-1 -> n -> n-1 in a path, which layered peeling trims one
+        # literal per pass, intersecting every leftover successor set again
+        class Counted(set):
+            def __and__(self, other):
+                calls.append(1)
+                return set(self) & other
+
+        calls = []
+        graph = renaming.literal_graph
+        monkeypatch.setattr(renaming, "literal_graph",
+                            lambda cs: {l: Counted(m) for l, m in graph(cs).items()})
+        n = 400
+        assert has_termination_property(_closed_chain(n)) == NonTerminating((n - 1, n, n - 1))
+        assert len(calls) <= 2 * (n + 2)
+
+
+def _closed_chain(n):
+    return PropClauseSet.make([[i, -(i + 1)] for i in range(1, n)] + [[n, -(n - 1)]], n)
+
+
+def _reference_cycle(cs):
+    """The literal cycle has_termination_property names, or None when the
+    literal graph is acyclic: the leftover of Kahn's order is peeled one
+    layer of literals without a leftover successor per pass."""
+    succ = literal_graph(cs)
+    indeg = {l: 0 for l in succ}
+    for outs in succ.values():
+        for m in outs:
+            indeg[m] += 1
+    ready = [l for l in succ if indeg[l] == 0]
+    done = set()
+    while ready:
+        l = ready.pop()
+        done.add(l)
+        for m in succ[l]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                ready.append(m)
+    leftover = set(succ) - done
+    if not leftover:
+        return None
+    while True:
+        dead = {l for l in leftover if not (succ[l] & leftover)}
+        if not dead:
+            break
+        leftover -= dead
+    key = lambda l: (abs(l), 0 if l > 0 else 1)  # noqa: E731
+    path, seen = [], {}
+    l = min(leftover, key=key)
+    while l not in seen:
+        seen[l] = len(path)
+        path.append(l)
+        l = min(succ[l] & leftover, key=key)
+    return tuple(path[seen[l]:] + [l])
 
 
 class TestComputeRenaming:

@@ -294,6 +294,26 @@ class TestDagInterpolate:
         with pytest.raises(MalformedProblem, match="cycle"):
             dag_interpolate(dp)
 
+    @pytest.mark.parametrize("fact, solvable", [(TRUE, False), (FALSE, True)],
+                             ids=["refuted", "solved"])
+    def test_symbol_named_like_the_entry_keeps_its_own_node(self, fact, solvable):
+        # en <- false, q <- en, q <- true (or false), false <- q: the symbol
+        # en and the entry sentinel "en" print alike, but are two nodes
+        en, q = RelationSymbol("en", ()), RelationSymbol("q", ())
+        hc = ClauseSet.make([
+            HornClause(FALSE, (), rel_atom(en)),
+            HornClause(TRUE, (rel_atom(en),), rel_atom(q)),
+            HornClause(fact, (), rel_atom(q)),
+            HornClause(TRUE, (rel_atom(q),), None),
+        ])
+        ((dp, _),) = dag_problem_from_linear(normalize(hc))
+        assert "en" in dp.nodes and en in dp.nodes
+        if solvable:
+            assert check_dag(dp, dag_interpolate(dp)) == []
+        else:
+            with pytest.raises(NotUnsat, match="no restricted DAG interpolant exists"):
+                dag_interpolate(dp)
+
     def test_each_linear_component_as_a_dag_problem(self):
         solved = refuted = 0
         for hc in _dag_shaped_sets(17, 40):
@@ -835,7 +855,7 @@ class TestDerivationCones:
         comp = normalize(chain_clauses(n)).clause_set
         ((tp, keys),) = solver._derivation_cones(comp, 4096)
         assert _cone_of(comp, keys) == frozenset(range(n + 2))
-        assert len(tp.nodes) == n + 2 and tp.post_order()[-1] == tp.root
+        assert len(tp.nodes) == n + 2 and tp.order[-1] == tp.root
         # p_i is derived by the fact and the first i steps
         assert sorted(len(s) for s in keys.values()) == list(range(1, n + 2))
 
