@@ -103,10 +103,12 @@ def sequence_from_linear_treelike(nhc: NormalizedClauseSet) -> list:
 
 def tree_problem_to_horn(tp: TreeProblem) -> ClauseSet:
     """One clause per node plus a root-to-false clause; tree-like by
-    construction, node v's argument vector given by tp.shared, the
+    construction.  Node v's symbol is named p<i> by v's position i in
+    tp.nodes, and its argument vector is given by tp.shared, the
     variables that occur both inside and outside the subtree of v."""
+    number = {v: i for i, v in enumerate(tp.nodes)}
     vectors = [sorted(xs) for xs in tp.shared]
-    atoms = [_atom_on(_symbol_for(f"p_{v}", vectors[i]), vectors[i])
+    atoms = [_atom_on(_symbol_for(f"p{number[v]}", vectors[i]), vectors[i])
              for i, v in enumerate(tp.order)]
     clauses = []
     for v in sorted(tp.nodes, key=str):

@@ -6,15 +6,17 @@ false-head clause and one defining clause per symbol met), then verify the
 combined solution.  A linear component that is not tree-like has its
 duplicate clauses merged first, and each of its cones is a path.  Any
 other component that is not body-disjoint is first made so by duplicating
-derivation cones.  One walk over a component's clauses builds each cone's
-tree interpolation problem and each symbol's derivation key, and the
-per-cone labels combine, grouped by key, into a positive Boolean
-combination per symbol.  Sequences are the trees that are paths, and a
-tree-like component has exactly one cone.  Trees are labeled from Farkas
-certificates by engine.label_tree, the routine binary interpolation uses
-too: one rational LP per choice of one DNF cube per node label and of each
-integer case split, each certificate labeling every node at once by the
-weighted sum of its subtree's atoms.  Only an external interpolation
+derivation cones in one top-down walk: a symbol's first body occurrence
+keeps its name, and every later one becomes a fresh copy ``s~k`` defined by
+copies of the symbol's clauses.  One walk over a component's clauses
+builds each cone's tree interpolation problem and each symbol's derivation
+key, and the per-cone labels combine, grouped by key, into a positive
+Boolean combination per symbol.  Sequences are the trees that are paths,
+and a tree-like component has exactly one cone.  Trees are labeled from
+Farkas certificates by engine.label_tree, the routine binary interpolation
+uses too: one rational LP per choice of one DNF cube per node label and of
+each integer case split, each certificate labeling every node at once by
+the weighted sum of its subtree's atoms.  Only an external interpolation
 backend labels node by node.  An unsolvable set makes one of its cones'
 trees satisfiable, and the model is read back as the counterexample: a
 derivation of false whose clause constraints all hold under it, over the
@@ -571,7 +573,7 @@ def _cone_labels(comp: ClauseSet, options: SolverOptions) -> dict:
         labels = tree_interpolate(tp, options)
         for p, key in keys.items():
             groups.setdefault(p, {}).setdefault(key, []).append(labels[p])
-    return {p: cor(*(cand(*g) for g in groups[p].values())) for p in sorted(groups)}
+    return {p: cor(*[cand(*g) for g in groups[p].values()]) for p in sorted(groups)}
 
 
 # ---------------------------------------------------------------------------
@@ -583,68 +585,52 @@ def body_disjoint_transform(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT)
     """Duplicate derivation cones until every symbol occurs in at most one
     clause body at most once.
 
+    One top-down walk over a work list of (clause index in ``hc``, head
+    copy) pairs that grows as it is walked.  It starts with the input
+    clauses in order, heads kept.  The first body occurrence of a symbol
+    keeps its name.  Every later one, and so every one in a copied clause,
+    becomes a fresh copy ``s~k``, k counting up from the last copy and
+    skipping names that ``hc`` already uses, and each clause defining ``s``
+    is queued again with ``s~k`` as its head.
+
     Returns (clause set, copy map, origins) where the copy map lists, per
-    original symbol, all symbols standing for it (itself included), and
+    original symbol, all symbols standing for it (itself first), and
     origins[i] is the index in ``hc`` of the clause that clause i copies.
     A solution of the result maps back by conjoining the copies' formulas
     per original symbol.
     """
     _check_recursion_free(hc)
-    clauses = list(hc.clauses)
-    origins = list(range(len(clauses)))
-    root_of = {s: s for s in hc.relations}
+    defining: dict = {}
+    for i, h in enumerate(hc.clauses):
+        if h.head is not None:
+            defining.setdefault(h.head.symbol, []).append(i)
     copies: dict = {s: [s] for s in hc.relations}
+    taken = {s.name for s in hc.relations}
+    seen: set = set()
+    work = [(i, None) for i in range(len(hc.clauses))]
+    clauses = []
     counter = 0
-
-    def cone_symbols(p) -> set:
-        out = {p}
-        stack = [p]
-        while stack:
-            s = stack.pop()
-            for h in clauses:
-                if h.head is not None and h.head.symbol == s:
-                    for b in h.body:
-                        if b.symbol not in out:
-                            out.add(b.symbol)
-                            stack.append(b.symbol)
-        return out
-
-    while True:
-        occurrences: dict = {}
-        for ci, h in enumerate(clauses):
-            for pos, b in enumerate(h.body):
-                occurrences.setdefault(b.symbol, []).append((ci, pos))
-        shared = sorted((s for s, occ in occurrences.items() if len(occ) > 1),
-                        key=lambda s: s.name)
-        if not shared:
-            break
-        p = shared[0]
-        for ci, pos in occurrences[p][1:]:
-            counter += 1
-            cone = cone_symbols(p)
-            sigma = {s: RelationSymbol(f"{s.name}~{counter}", s.arg_sorts) for s in cone}
-            for s in cone:
-                root = root_of[s]
-                root_of[sigma[s]] = root
-                copies[root].append(sigma[s])
-
-            def mapped(a: RelationAtom) -> RelationAtom:
-                return RelationAtom(sigma.get(a.symbol, a.symbol), a.args)
-
-            h = clauses[ci]
-            body = list(h.body)
-            body[pos] = mapped(body[pos])
-            clauses[ci] = HornClause(h.constraint, tuple(body), h.head)
-            for di, d in enumerate(list(clauses)):
-                if d.head is not None and d.head.symbol in cone:
-                    clauses.append(HornClause(d.constraint,
-                                              tuple(mapped(b) for b in d.body),
-                                              mapped(d.head)))
-                    origins.append(origins[di])
-                    if len(clauses) > limit:
-                        raise ExpansionLimitExceeded(
-                            limit, "clauses after duplicating derivation cones")
-    return ClauseSet.make(clauses), copies, origins
+    for ci, copy in work:  # copies are queued while the list is walked
+        h = hc.clauses[ci]
+        body = []
+        for b in h.body:
+            s = b.symbol
+            if s in seen:
+                counter += 1
+                while f"{s.name}~{counter}" in taken:
+                    counter += 1
+                c = RelationSymbol(f"{s.name}~{counter}", s.arg_sorts)
+                copies[s].append(c)
+                work += [(di, c) for di in defining.get(s, ())]
+                if len(work) > limit:
+                    raise ExpansionLimitExceeded(
+                        limit, "clauses after duplicating derivation cones")
+                b = RelationAtom(c, b.args)
+            seen.add(s)
+            body.append(b)
+        head = h.head if copy is None else RelationAtom(copy, h.head.args)
+        clauses.append(HornClause(h.constraint, tuple(body), head))
+    return ClauseSet.make(clauses), copies, [ci for ci, _ in work]
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +647,12 @@ def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOpt
     not tree-like its duplicate clauses (the same body atom and head) are
     merged into one by disjoining their constraints; each of its cones is
     a path, whether or not the merged set is body-disjoint.  Any other set
-    that is not body-disjoint is made so by body_disjoint_transform,
-    normalized, and split into its connected components (copies of an
-    underivable symbol can split it).  Each component is labeled by
+    that is not body-disjoint is made so by body_disjoint_transform, one
+    top-down walk that keeps each symbol's first body occurrence and gives
+    every later one a fresh copy ``s~k`` (k counting the copies made) with
+    copies of the clauses below it; the result is normalized and split
+    into its connected components (copies of an underivable symbol can
+    split it).  Each component is labeled by
     _cone_labels, whose walk builds every cone's tree without classifying
     or splitting again, and an original symbol's solution conjoins those of
     its copies.  A tree-like set is the one-cone case, and the symbols of a

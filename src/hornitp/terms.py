@@ -70,12 +70,6 @@ class LinearTerm(NamedTuple):
     def const(x) -> "LinearTerm":
         return LinearTerm((), _rat(x))
 
-    def coeff(self, v: Var):
-        for w, c in self.coeffs:
-            if w == v:
-                return c
-        return 0
-
     @property
     def vars(self) -> frozenset:
         return frozenset(v for v, _ in self.coeffs)

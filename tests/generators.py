@@ -105,6 +105,23 @@ def ladder(n: int, unsafe: bool = False) -> ClauseSet:
     return ClauseSet.make(clauses)
 
 
+def diamond(n: int) -> ClauseSet:
+    """Solvable set that is not body-disjoint, with one derivation of false
+    of 2^(n+1) - 1 clause instances: x = 0 -> p0(x),
+    p(i)(x) and p(i)(y) and z = x + y + 1 -> p(i+1)(z), and
+    p_n(x) and x < 0 -> false."""
+    x, y, z = Var("x", INT), Var("y", INT), Var("z", INT)
+    tx, ty, tz = LinearTerm.of(x), LinearTerm.of(y), LinearTerm.of(z)
+    p = [RelationSymbol(f"p{i}", (INT,)) for i in range(n + 1)]
+    clauses = [HornClause(eq(tx, 0), (), rel_atom(p[0], tx))]
+    for i in range(n):
+        clauses.append(HornClause(eq(tz, tx + ty + 1),
+                                  (rel_atom(p[i], tx), rel_atom(p[i], ty)),
+                                  rel_atom(p[i + 1], tz)))
+    clauses.append(HornClause(lt(tx, 0), (rel_atom(p[n], tx),), None))
+    return ClauseSet.make(clauses)
+
+
 def random_unsat_pair(rng: random.Random, sat_fn):
     """Random (A, B) with A and B individually satisfiable but jointly
     unsatisfiable, over at most 3 shared variables."""

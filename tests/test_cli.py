@@ -318,6 +318,16 @@ class TestEncode:
         code, out, _ = run(capsys, "solve", str(enc))
         assert code == 0 and out.splitlines()[0] == "sat"
 
+    def test_tree_symbols_named_by_node_position(self, capsys, tmp_path):
+        path = tmp_path / "p.tree"
+        path.write_text("(tree (vars (x Int) (y Int)) (nodes (b (>= x 0)) (a (<= (- x y) 0))"
+                        " (r (< y 0))) (edges (r a) (r b)) (root r))")
+        code, out, _ = run(capsys, "encode", str(path), "--kind", "tree")
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("(declare-fun")] == [
+            "(declare-fun p0 (Int) Bool)", "(declare-fun p1 (Int Int) Bool)",
+            "(declare-fun p2 () Bool)"]
+
     def test_kind_mismatch_is_fault(self, capsys, tmp_path):
         path = tmp_path / "p.seq"
         path.write_text(SEQ_PROBLEM)

@@ -117,6 +117,15 @@ class TestTreeProblemToHorn:
         assert len(hc.clauses) == len(tp.nodes) + 1
         assert classify(hc).tree_like
 
+    def test_nodes_that_print_alike_keep_their_own_symbols(self):
+        # the path 0 -> "1" -> 1: symbols named by str(v) merged "1" and 1
+        tp = TreeProblem((0, "1", 1), frozenset({(0, "1"), ("1", 1)}),
+                         {0: le(TX, 5), "1": le(TX, -1), 1: ge(TX, 0)}, 0)
+        solver.tree_interpolate(tp)
+        hc = tree_problem_to_horn(tp)
+        assert sorted(s.name for s in hc.relations) == ["p0", "p1", "p2"]
+        assert isinstance(solve(hc), Solved)
+
 
 def _children(tp, v):
     """The children of v in str order, by a scan of the edges."""
@@ -140,13 +149,13 @@ def _reference_tree_problem_to_horn(tp):
     vectors = {}
     symbols = {}
     all_nodes = set(tp.nodes)
-    for v in tp.nodes:
+    for i, v in enumerate(tp.nodes):
         inside = _subtree(tp, v)
         below = frozenset().union(*(free_vars(tp.labels[w]) for w in inside), frozenset())
         above = frozenset().union(
             *(free_vars(tp.labels[w]) for w in all_nodes - inside), frozenset())
         vectors[v] = sorted(below & above)
-        symbols[v] = _symbol_for(f"p_{v}", vectors[v])
+        symbols[v] = _symbol_for(f"p{i}", vectors[v])
     clauses = []
     for v in sorted(tp.nodes, key=str):
         body = tuple(_atom_on(symbols[c], vectors[c]) for c in _children(tp, v))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import worked_examples as PE
-from generators import chain_clauses, ladder, random_clause_set, random_cube
+from generators import chain_clauses, diamond, ladder, random_clause_set, random_cube
 from hornitp import engine, solver
 from hornitp import chc
 from hornitp.analysis import (
@@ -32,6 +32,7 @@ from hornitp.errors import (
 from hornitp.horn import (
     ClauseSet,
     HornClause,
+    RelationAtom,
     RelationSymbol,
     rel_atom,
     verify_solution,
@@ -407,6 +408,144 @@ class TestBodyDisjointTransform:
         transformed, copies, _ = body_disjoint_transform(hc)
         assert transformed.clauses == hc.clauses
         assert all(copies[s] == [s] for s in hc.relations)
+
+
+def _reference_body_disjoint_transform(hc, limit=solver.DEFAULT_EXPANSION_LIMIT):
+    """The fixpoint transform body_disjoint_transform replaced: copy the
+    cone of the least-named shared body symbol for each of its later
+    occurrences, recount every occurrence, repeat."""
+    solver._check_recursion_free(hc)
+    clauses = list(hc.clauses)
+    origins = list(range(len(clauses)))
+    root_of = {s: s for s in hc.relations}
+    copies: dict = {s: [s] for s in hc.relations}
+    counter = 0
+
+    def cone_symbols(p) -> set:
+        out = {p}
+        stack = [p]
+        while stack:
+            s = stack.pop()
+            for h in clauses:
+                if h.head is not None and h.head.symbol == s:
+                    for b in h.body:
+                        if b.symbol not in out:
+                            out.add(b.symbol)
+                            stack.append(b.symbol)
+        return out
+
+    while True:
+        occurrences: dict = {}
+        for ci, h in enumerate(clauses):
+            for pos, b in enumerate(h.body):
+                occurrences.setdefault(b.symbol, []).append((ci, pos))
+        shared = sorted((s for s, occ in occurrences.items() if len(occ) > 1),
+                        key=lambda s: s.name)
+        if not shared:
+            break
+        p = shared[0]
+        for ci, pos in occurrences[p][1:]:
+            counter += 1
+            cone = cone_symbols(p)
+            sigma = {s: RelationSymbol(f"{s.name}~{counter}", s.arg_sorts) for s in cone}
+            for s in cone:
+                root = root_of[s]
+                root_of[sigma[s]] = root
+                copies[root].append(sigma[s])
+
+            def mapped(a):
+                return RelationAtom(sigma.get(a.symbol, a.symbol), a.args)
+
+            h = clauses[ci]
+            body = list(h.body)
+            body[pos] = mapped(body[pos])
+            clauses[ci] = HornClause(h.constraint, tuple(body), h.head)
+            for di, d in enumerate(list(clauses)):
+                if d.head is not None and d.head.symbol in cone:
+                    clauses.append(HornClause(d.constraint,
+                                              tuple(mapped(b) for b in d.body),
+                                              mapped(d.head)))
+                    origins.append(origins[di])
+                    if len(clauses) > limit:
+                        raise ExpansionLimitExceeded(
+                            limit, "clauses after duplicating derivation cones")
+    return ClauseSet.make(clauses), copies, origins
+
+
+def _verdict_class(hc) -> str:
+    try:
+        return type(solve(hc)).__name__
+    except Exception as exc:  # a budget or an undecided integer problem
+        return type(exc).__name__
+
+
+class TestBodyDisjointWalk:
+    def _duplicating(self) -> list:
+        """The random_clause_set draws of seeds 0-3 (1,500 each) that
+        _solve_component hands to the transform."""
+        sets = []
+        for seed in range(4):
+            rng = random.Random(seed)
+            for _ in range(1500):
+                hc = random_clause_set(rng)
+                report = classify(hc)
+                if not (report.linear or report.body_disjoint):
+                    sets.append(hc)
+        return sets
+
+    def test_matches_fixpoint_reference(self, monkeypatch):
+        sets = self._duplicating()
+        assert len(sets) == 2281
+        verdicts = []
+        for hc in sets:
+            out, copies, origins = body_disjoint_transform(hc)
+            ref, ref_copies, _ = _reference_body_disjoint_transform(hc)
+            assert classify(out).body_disjoint
+            assert len(out.clauses) == len(ref.clauses) == len(origins)
+            assert ({s: len(c) for s, c in copies.items()}
+                    == {s: len(c) for s, c in ref_copies.items()})
+            assert all(copies[s][0] == s for s in copies)
+            assert all(h.constraint == hc.clauses[i].constraint
+                       for h, i in zip(out.clauses, origins))
+            verdicts.append(_verdict_class(hc))
+        monkeypatch.setattr(solver, "body_disjoint_transform", _reference_body_disjoint_transform)
+        assert verdicts == [_verdict_class(hc) for hc in sets]
+        assert {"Solved", "Counterexample"} <= set(verdicts)
+
+    def test_copies_follow_the_walk(self):
+        """The first body occurrence keeps its symbol; later ones and those in
+        copied clauses get copies numbered in work-list order."""
+        hc = diamond(2)
+        out, copies, origins = body_disjoint_transform(hc)
+        names = [(h.head.symbol.name if h.head is not None else None,
+                  [b.symbol.name for b in h.body]) for h in out.clauses]
+        assert names == [("p0", []), ("p1", ["p0", "p0~1"]), ("p2", ["p1", "p1~2"]),
+                         (None, ["p2"]), ("p0~1", []), ("p1~2", ["p0~3", "p0~4"]),
+                         ("p0~3", []), ("p0~4", [])]
+        assert origins == [0, 1, 2, 3, 0, 1, 0, 0]
+        assert [len(copies[s]) for s in sorted(copies)] == [4, 2, 1]
+
+    def test_copies_skip_names_the_input_uses(self):
+        # p~1 is an input symbol; a copy of p named p~1 merged with it, so
+        # q(5) became derivable and solve reported a counterexample
+        hc = chc.parse_chc("""(set-logic HORN)
+            (declare-fun p (Int) Bool) (declare-fun p~1 (Int) Bool) (declare-fun q (Int) Bool)
+            (assert (forall ((x Int)) (=> (= x 0) (p x))))
+            (assert (forall ((x Int)) (=> (= x 5) (p~1 x))))
+            (assert (forall ((x Int) (y Int)) (=> (and (p x) (p y)) (q (+ x y)))))
+            (assert (forall ((x Int) (y Int)) (=> (and (q x) (p~1 y) (>= x 1)) false)))
+            (assert (forall ((x Int)) (=> (and (p~1 x) (< x 0)) false)))""")
+        out, copies, _ = body_disjoint_transform(hc)
+        assert [c.name for c in copies[RelationSymbol("p", (INT,))]] == ["p", "p~2"]
+        assert classify(out).body_disjoint
+        res = solve(hc)
+        assert isinstance(res, Solved) and verify_solution(res.solution, hc)
+
+    def test_expansion_limit_counts_output_clauses(self):
+        hc = diamond(6)  # 2^7 clauses after the transform
+        assert len(body_disjoint_transform(hc, 128)[0].clauses) == 128
+        with pytest.raises(ExpansionLimitExceeded, match="--expansion-limit"):
+            body_disjoint_transform(hc, 127)
 
 
 class TestSolve:
