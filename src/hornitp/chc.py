@@ -83,7 +83,7 @@ def _clause_set(forms: list) -> ClauseSet:
                 raise Misread(ParseError, "malformed declare-fun", forms, j)
             name = form[1]
             sorts = _expect_list(form, 2, "argument sorts")
-            sorts = tuple(read_sort(sorts, i) for i in range(len(sorts)))
+            sorts = tuple([read_sort(sorts, i) for i in range(len(sorts))])
             if form[3] != "Bool":
                 raise Misread(ParseError, "relation result sort must be Bool", form, 3)
             if name in relations:
@@ -198,7 +198,7 @@ def _solution(forms: list, by_name: dict) -> Solution:
             raise Misread(UndeclaredSymbol, f"undeclared relation {name!r}", form, 1)
         sym = by_name[name]
         params = read_var_decls(form, 2)
-        if tuple(v.sort for v in params.values()) != sym.arg_sorts:
+        if tuple([v.sort for v in params.values()]) != sym.arg_sorts:
             raise Misread(SortError, f"parameter sorts of {name!r} do not match its declaration",
                           form, 2)
         if sym in assignment:

@@ -26,11 +26,11 @@ EXIT_NODE = "ex"
 
 
 def _atom_on(symbol: RelationSymbol, variables) -> RelationAtom:
-    return RelationAtom(symbol, tuple(LinearTerm.of(v) for v in variables))
+    return RelationAtom(symbol, tuple([LinearTerm.of(v) for v in variables]))
 
 
 def _symbol_for(name: str, variables) -> RelationSymbol:
-    return RelationSymbol(name, tuple(v.sort for v in variables))
+    return RelationSymbol(name, tuple([v.sort for v in variables]))
 
 
 def binary_to_horn(a: Constraint, b: Constraint) -> ClauseSet:
@@ -113,7 +113,7 @@ def tree_problem_to_horn(tp: TreeProblem) -> ClauseSet:
     clauses = []
     for v in sorted(tp.nodes, key=str):
         i = tp.index[v]
-        clauses.append(HornClause(tp.labels[v], tuple(atoms[c] for c in tp.kids[i]), atoms[i]))
+        clauses.append(HornClause(tp.labels[v], tuple([atoms[c] for c in tp.kids[i]]), atoms[i]))
     clauses.append(HornClause(TRUE, (atoms[-1],), None))  # the root is last
     return ClauseSet.make(clauses)
 

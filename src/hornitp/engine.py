@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import NotUnsat, UnknownResult
+from .errors import CubeLimitExceeded, NotUnsat, UnknownResult
 from .lp import Sat, Unsat, decide_rational
 from .terms import (
     FALSE,
@@ -170,7 +170,7 @@ def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, leaves)
 
 
 def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH,
-               leaves: list = None) -> list:
+               leaves: list = None, cube_limit: int = DEFAULT_CUBE_LIMIT) -> list:
     """Tree interpolant of nodes 0..n-1 in post order (each subtree an
     interval ending at its root, n-1 the root) with DNF cubes cubes[i] and
     children kids[i], in post order too.
@@ -188,9 +188,12 @@ def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH
     per node its (term, multiplier) pairs, the nodes with a strict atom, and
     per non-root node its subtree's sum.  Raises NotUnsat with a model of
     every cube when a choice is satisfiable, UnknownResult when
-    ``branch_depth`` runs out.
+    ``branch_depth`` runs out, and CubeLimitExceeded, before any LP, when
+    there are more than ``cube_limit`` cube choices.
     """
     n = len(cubes)
+    if math.prod(map(len, cubes)) > cube_limit:
+        raise CubeLimitExceeded(cube_limit, "cube choices across a tree's node labels")
     if not all(cubes):
         one = [(LinearTerm.const(1), 1)]
         return _subtree_labels([[] if cs else one for cs in cubes], set(), kids, leaves)
@@ -215,7 +218,7 @@ def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH
         groups: dict = {}
         for sigma, itps in zip(sigmas, choices):
             groups.setdefault(tuple(map(sigma.__getitem__, inside)), []).append(itps[i])
-        labels.append(cor(*(cand(*g) for g in groups.values())))
+        labels.append(cor(*[cand(*g) for g in groups.values()]))
     return labels + [FALSE]
 
 
@@ -223,14 +226,15 @@ def binary_interpolant(A: Constraint, B: Constraint,
                        branch_depth: int = DEFAULT_BRANCH_DEPTH,
                        cube_limit: int = DEFAULT_CUBE_LIMIT) -> Interpolant:
     """Craig interpolant of an unsatisfiable conjunction A and B: the label
-    of A on the tree with child A and root B (only each side's DNF is
-    bounded by ``cube_limit``).
+    of A on the tree with child A and root B.  ``cube_limit`` bounds each
+    side's DNF and the product of their cube counts, the LPs made.
 
     Raises NotUnsat with a witnessing model when A and B are jointly
-    satisfiable, and UnknownResult when integer branching depth runs out.
+    satisfiable, UnknownResult when integer branching depth runs out, and
+    CubeLimitExceeded before any LP when a budget is exceeded.
     """
     cubes = [to_dnf(A, cube_limit), to_dnf(B, cube_limit)]
-    return Interpolant(label_tree(cubes, ([], [0]), branch_depth)[0])
+    return Interpolant(label_tree(cubes, ([], [0]), branch_depth, cube_limit=cube_limit)[0])
 
 
 def check_interpolant(A: Constraint, B: Constraint, formula: Constraint,

@@ -167,7 +167,7 @@ class Solution:
 
 def instantiate(sol: Solution, h: HornClause) -> Constraint:
     """The clause with every relation atom replaced by the solution formula."""
-    premise = cand(h.constraint, *(sol.applied(a) for a in h.body))
+    premise = cand(h.constraint, *[sol.applied(a) for a in h.body])
     conclusion = sol.applied(h.head) if h.head is not None else None
     if conclusion is None:
         return cnot(premise)
@@ -196,7 +196,7 @@ def verify_solution(sol: Solution, hc: ClauseSet,
                     cube_limit: int = DEFAULT_CUBE_LIMIT) -> Valid | Invalid:
     """Check every clause's universal closure; report the first failure."""
     for h in hc.clauses:
-        body = cand(h.constraint, *(sol.applied(a) for a in h.body))
+        body = cand(h.constraint, *[sol.applied(a) for a in h.body])
         if h.head is not None:
             body = cand(body, cnot(sol.applied(h.head)))
         res = sat(body, branch_depth, cube_limit)

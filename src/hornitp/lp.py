@@ -214,7 +214,7 @@ def _simplex(split) -> Sat | Unsat:
             d = 1
             rows[s] = (1, {vidx[v]: c for v, c in t.coeffs}, 0, 0)
         else:
-            d = lcm(k.denominator, *(c.denominator for _, c in t.coeffs))
+            d = lcm(k.denominator, *[c.denominator for _, c in t.coeffs])
             rows[s] = (1, {vidx[v]: c.numerator * (d // c.denominator) for v, c in t.coeffs}, 0, 0)
             k = k.numerator * (d // k.denominator)
         ub_a.append(-k)

@@ -219,8 +219,8 @@ class DagProblem:
     def allowed_vars(self, v) -> frozenset:
         if self.allowed is not None:
             return self.allowed[v]
-        inc = frozenset().union(*(free_vars(self.edge_labels[e]) for e in self._ins[v]))
-        out = frozenset().union(*(free_vars(self.edge_labels[e]) for e in self._outs[v]))
+        inc = frozenset().union(*[free_vars(self.edge_labels[e]) for e in self._ins[v]])
+        out = frozenset().union(*[free_vars(self.edge_labels[e]) for e in self._outs[v]])
         return inc & out
 
     def topological_order(self) -> list:

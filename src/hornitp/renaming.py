@@ -38,7 +38,7 @@ class PropClauseSet:
 
     @staticmethod
     def make(clause_literals, num_vars=None) -> "PropClauseSet":
-        clauses = tuple(PropClause(tuple(c)) for c in clause_literals)
+        clauses = tuple([PropClause(tuple(c)) for c in clause_literals])
         used = max((abs(l) for c in clauses for l in c), default=0)
         return PropClauseSet(clauses, max(used, num_vars or 0))
 
@@ -149,7 +149,7 @@ def compute_renaming(cs: PropClauseSet) -> Renaming:
 def rename(cs: PropClauseSet, r: Renaming) -> PropClauseSet:
     """Complement every literal whose variable is in the renaming set."""
     flipped = tuple(
-        PropClause(tuple(-l if abs(l) in r.variables else l for l in c))
+        PropClause(tuple([-l if abs(l) in r.variables else l for l in c]))
         for c in cs.clauses)
     return PropClauseSet(flipped, cs.num_vars)
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
 from typing import Callable, Mapping, Optional
 
 from .analysis import (
@@ -42,9 +41,8 @@ from .analysis import (
     normalize,
 )
 from .encodings import FALSE_NODE, dag_node_symbols, dag_problem_to_horn
-from .engine import DEFAULT_BRANCH_DEPTH, binary_interpolant, label_tree, sat
+from .engine import DEFAULT_BRANCH_DEPTH, label_tree, sat
 from .errors import (
-    CubeLimitExceeded,
     ExpansionLimitExceeded,
     NotUnsat,
     RecursiveSystem,
@@ -87,26 +85,17 @@ from .terms import (
 DEFAULT_EXPANSION_LIMIT = 100_000
 DEFAULT_SUBSET_LIMIT = 4096  # derivation cones below one false-head clause
 
-# When set to a list by tests or diagnostics consumers, every tree
-# interpolation performed by this module appends a record with the problem,
-# the labeling, and the outcome of the step-invariant and property checks.
-tree_log: Optional[list] = None
-
 
 @dataclass
 class SolverOptions:
-    """Budgets, the CLI's --branch-depth, --cube-limit and --expansion-limit."""
+    """Budgets, the CLI's --branch-depth, --cube-limit and --expansion-limit,
+    and ``interpolate``, an external backend's binary interpolation, set
+    when one is configured: trees are then labeled node by node."""
 
     branch_depth: int = DEFAULT_BRANCH_DEPTH
     cube_limit: int = DEFAULT_CUBE_LIMIT
     expansion_limit: int = DEFAULT_EXPANSION_LIMIT
-    # binary interpolation entry point; replaced when an external backend
-    # is configured
     interpolate: Callable = None  # (A, B, branch_depth, cube_limit) -> Interpolant
-
-    def itp(self, a: Constraint, b: Constraint) -> Constraint:
-        fn = self.interpolate or binary_interpolant
-        return fn(a, b, self.branch_depth, self.cube_limit).formula
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -194,10 +183,10 @@ class _Budget:
         ren = {v: Var(f"{v.name}~{self.used}", v.sort) for v in sorted(h.vars)}
 
         def ratom(a: RelationAtom) -> RelationAtom:
-            return RelationAtom(a.symbol, tuple(t.renamed(ren) for t in a.args))
+            return RelationAtom(a.symbol, tuple([t.renamed(ren) for t in a.args]))
 
         return (rename_injective(h.constraint, ren),
-                tuple(ratom(b) for b in h.body),
+                tuple([ratom(b) for b in h.body]),
                 ratom(h.head) if h.head is not None else None)
 
 
@@ -249,13 +238,13 @@ def expand(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT) -> Constraint:
         while todo:
             item = todo.pop()
             if type(item) is list:
-                conjuncts.append(cor(*(built.pop(j) for j in item)))
+                conjuncts.append(cor(*[built.pop(j) for j in item]))
                 continue
             parts, slots = instances[item]
             conjuncts += parts
             todo += [slot[0] if len(slot) == 1 else slot for slot in reversed(slots)]
         built[k] = cand(*conjuncts)
-    return cor(*(built.pop(j) for j in roots))
+    return cor(*[built.pop(j) for j in roots])
 
 
 def _derivation_of_false(nhc: NormalizedClauseSet, model: Mapping) -> Optional[dict]:
@@ -367,31 +356,29 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
     of the processed nodes whose parent is still unprocessed, together with
     the remaining node labels, must be unsatisfiable; on the certificate
     path that means that for every certificate read they still form one.
-    The final labeling must pass check_tree.  Raises NotUnsat (with a model)
-    when the conjunction of all node labels is satisfiable.
+    The final labeling must pass check_tree, and a violated check raises
+    SolverInternalError.  Raises NotUnsat (with a model) when the
+    conjunction of all node labels is satisfiable.
+
+    The labels solve the tree's Horn encoding, tree_problem_to_horn: symbol
+    p<i> takes the label of v = tp.nodes[i] over sorted(tp.shared[tp.index[v]]).
     """
     options = options or SolverOptions()
     sweep = _certificate_labels if options.interpolate is None else _node_by_node_labels
-    labels, invariant_checks = sweep(tp, options)
+    labels = sweep(tp, options)
     failures = check_tree(tp, labels, options.branch_depth, options.cube_limit)
-    if tree_log is not None:
-        tree_log.append({"problem": tp, "labels": labels,
-                         "invariant_checks": invariant_checks,
-                         "property_failures": list(failures)})
     if failures:
         raise SolverInternalError(f"tree labeling rejected: {failures}")
     return labels
 
 
 def _certificate_labels(tp: TreeProblem, options: SolverOptions):
-    """(labels, frontier checks) from engine.label_tree, with the frontier
-    checked against every certificate it read."""
+    """Labels from engine.label_tree, with the frontier checked against
+    every certificate it read."""
     n = len(tp.order)
     cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in tp.order]
-    if prod(len(cs) for cs in cubes) > options.cube_limit:
-        raise CubeLimitExceeded(options.cube_limit, "cube choices across a tree's node labels")
     leaves: list = []
-    itps = label_tree(cubes, tp.kids, options.branch_depth, leaves)
+    itps = label_tree(cubes, tp.kids, options.branch_depth, leaves, options.cube_limit)
     certified = []  # per certificate: (labels, subtree sums, remaining-atom sums)
     for own, strict, sums, leaf_itps in leaves:
         # rest[i]: the certificate atoms of the nodes from i on, summed into
@@ -407,7 +394,7 @@ def _certificate_labels(tp: TreeProblem, options: SolverOptions):
         for leaf_itps, sums, rest in certified:
             if not _frontier_refuted(frontier, leaf_itps, sums, rest[i + 1]):
                 raise SolverInternalError(f"frontier invariant violated after node {tp.order[i]}")
-    return dict(zip(tp.order, itps)), n
+    return dict(zip(tp.order, itps))
 
 
 def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) -> bool:
@@ -431,16 +418,15 @@ def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) 
 
 
 def _node_by_node_labels(tp: TreeProblem, options: SolverOptions):
-    """(labels, frontier checks) computed leaf-to-root by binary
-    interpolation, asserting after every step that the frontier of
-    processed-but-unconsumed labels plus the remaining node labels stays
-    unsatisfiable."""
+    """Labels computed leaf-to-root by the backend's binary interpolation,
+    asserting after every step that the frontier of processed-but-unconsumed
+    labels plus the remaining node labels stays unsatisfiable."""
     labels: list = []  # by position
     frontier: list = []  # positions whose parent is not yet processed
     for i, v in enumerate(tp.order):
         remaining = [tp.labels[u] for u in tp.order[i + 1:]]
         frontier = [w for w in frontier if tp.parent[w] != i]
-        a_side = cand(tp.labels[v], *(labels[c] for c in tp.kids[i]))
+        a_side = cand(tp.labels[v], *[labels[c] for c in tp.kids[i]])
         if v == tp.root:
             res = sat(a_side, options.branch_depth, options.cube_limit)
             if isinstance(res, Sat):
@@ -449,12 +435,14 @@ def _node_by_node_labels(tp: TreeProblem, options: SolverOptions):
                 raise NotUnsat(res.model)
             labels.append(FALSE)
         else:
-            labels.append(options.itp(a_side, cand(*(labels[w] for w in frontier), *remaining)))
+            b_side = cand(*[labels[w] for w in frontier], *remaining)
+            labels.append(options.interpolate(a_side, b_side, options.branch_depth,
+                                              options.cube_limit).formula)
         frontier.append(i)
-        conj = cand(*(labels[w] for w in frontier), *remaining)
+        conj = cand(*[labels[w] for w in frontier], *remaining)
         if isinstance(sat(conj, options.branch_depth, options.cube_limit), Sat):
             raise SolverInternalError(f"frontier invariant violated after node {v}")
-    return dict(zip(tp.order, labels)), len(labels)
+    return dict(zip(tp.order, labels))
 
 
 def sequence_interpolants(sp: SequenceProblem, options: SolverOptions = None) -> list:
@@ -539,10 +527,10 @@ def _derivation_cones(comp: ClauseSet, limit: int) -> list:
                 if s in by_head:
                     ci = by_head[s][k]
                     labels[s] = clauses[ci].constraint
-                    keys[s] = frozenset({ci}).union(*(keys[b.symbol] for b in clauses[ci].body))
+                    keys[s] = frozenset({ci}).union(*[keys[b.symbol] for b in clauses[ci].body])
                 else:
                     labels[s], keys[s] = FALSE, frozenset()
-            nodes = (FALSE_NODE, *(s for _, s in met))
+            nodes = (FALSE_NODE, *[s for _, s in met])
             cones.append((TreeProblem(nodes, frozenset(met), labels, FALSE_NODE), keys))
             # the next cone: the last symbol met with a defining clause left
             # takes the next one, and the symbols met after it are met again

@@ -1,8 +1,9 @@
 """Shared pytest configuration.
 
 Collects the acceptance gate's per-criterion verdict lines and replays them
-in the terminal summary, where pytest's output capture cannot hide them, and
-builds the corpora that more than one test module reads.
+in the terminal summary, where pytest's output capture cannot hide them,
+builds the corpora that more than one test module reads, and records the
+trees the solver labels.
 """
 
 import random
@@ -10,6 +11,7 @@ import random
 import pytest
 
 from generators import random_unsat_pair
+from hornitp import solver
 from hornitp.engine import sat
 
 acceptance_lines: list = []
@@ -22,6 +24,22 @@ def unsat_pairs() -> tuple:
     ``sat`` calls, so it is built once per session."""
     rng = random.Random(99)
     return tuple(random_unsat_pair(rng, sat) for _ in range(200))
+
+
+@pytest.fixture
+def solved_trees(monkeypatch) -> list:
+    """Every (tree problem, labels) that ``solver.tree_interpolate`` returns
+    during the test, in order; the solver's own calls go through it too."""
+    trees = []
+    tree_interpolate = solver.tree_interpolate
+
+    def recording(tp, options=None):
+        labels = tree_interpolate(tp, options)
+        trees.append((tp, labels))
+        return labels
+
+    monkeypatch.setattr(solver, "tree_interpolate", recording)
+    return trees
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -15,7 +15,7 @@ import conftest
 
 import worked_examples as PE
 from generators import random_clause_set, random_prop_clauses
-from hornitp import chc, solver
+from hornitp import chc
 from hornitp.analysis import classify, normalize
 from hornitp.encodings import (
     binary_to_horn,
@@ -25,9 +25,10 @@ from hornitp.encodings import (
     tree_problem_to_horn,
 )
 from hornitp.engine import binary_interpolant, check_interpolant, sat, sat_cube
-from hornitp.horn import verify_solution
+from hornitp.errors import SortMismatch
+from hornitp.horn import Solution, verify_solution
 from hornitp.lp import Unsat
-from hornitp.problems import DagProblem, SequenceProblem
+from hornitp.problems import DagProblem, SequenceProblem, check_tree
 from hornitp.renaming import (
     PropClauseSet,
     compute_renaming,
@@ -43,15 +44,14 @@ from hornitp.terms import INT, TRUE, LinearTerm, Var, cand, ge, le, lt, to_dnf
 X = Var("x", INT)
 TX = LinearTerm.of(X)
 
-# tree problems produced while solving are recorded here for criterion 7
-TREE_LOG: list = []
+# the trees the solver labels, with their labels, kept for criterion 7
+SOLVED_TREES: list = []
 
 
 @pytest.fixture(autouse=True)
-def _collect_tree_log():
-    solver.tree_log = TREE_LOG
+def _keep_solved_trees(solved_trees):
     yield
-    solver.tree_log = None
+    SOLVED_TREES.extend(solved_trees)
 
 
 def _report(n: int, ok: bool, detail: str):
@@ -156,14 +156,30 @@ def test_criterion_6_interpolant_contracts(unsat_pairs):
                    f"cases; {certs} multiplier certificates recompute exactly")
 
 
+def _horn_encoding_failures(tp, labels) -> list:
+    """Why ``labels`` fail to solve tree_problem_to_horn(tp), symbol p<i>
+    taking the label of node tp.nodes[i] over its argument vector (empty =
+    they solve it): tree interpolants are the solutions of the tree's Horn
+    encoding."""
+    hc = tree_problem_to_horn(tp)
+    symbols = {s.name: s for s in hc.relations}
+    assignment = {symbols[f"p{i}"]: (sorted(tp.shared[tp.index[v]]), labels[v])
+                  for i, v in enumerate(tp.nodes)}
+    try:
+        verdict = verify_solution(Solution(assignment), hc)
+    except SortMismatch as exc:
+        return [f"horn-encoding: {exc}"]
+    return [] if verdict else [f"horn-encoding-clause: {verdict.clause!r}"]
+
+
 def test_criterion_7_tree_interpolant_property_suite():
-    # TREE_LOG accumulated every tree problem solved during criteria 1/3/5
-    checks = sum(r["invariant_checks"] for r in TREE_LOG)
-    complete = all(r["invariant_checks"] == len(r["problem"].nodes)
-                   for r in TREE_LOG)
-    failures = [f for r in TREE_LOG for f in r["property_failures"]]
-    ok = bool(TREE_LOG) and complete and not failures
-    _report(7, ok, f"{len(TREE_LOG)} tree problems, {checks} per-node "
+    # SOLVED_TREES holds every tree labeled during criteria 1/3/5; each is
+    # checked node by node by check_tree and as a Horn clause solution
+    nodes = sum(len(tp.nodes) for tp, _ in SOLVED_TREES)
+    failures = [f for tp, labels in SOLVED_TREES
+                for f in check_tree(tp, labels) + _horn_encoding_failures(tp, labels)]
+    ok = bool(SOLVED_TREES) and not failures
+    _report(7, ok, f"{len(SOLVED_TREES)} tree problems, {nodes} per-node "
                    f"invariant/property checks, {len(failures)} failures")
 
 

@@ -172,18 +172,13 @@ class _NoScans:
 
 
 class TestTreeProblemToHornBookkeeping:
-    def _problems(self):
+    def _problems(self, solved_trees):
         """The trees solved for tests/data, then seeded random trees with
         mixed node names and cube labels over a small shared pool."""
-        log = []
-        solver.tree_log = log
-        try:
-            for name in ("increment_treelike", "increment_unwound"):
-                with open(f"tests/data/{name}.chc") as fh:
-                    solver.solve(chc.parse_chc(fh.read()))
-        finally:
-            solver.tree_log = None
-        problems = [r["problem"] for r in log]
+        for name in ("increment_treelike", "increment_unwound"):
+            with open(f"tests/data/{name}.chc") as fh:
+                solver.solve(chc.parse_chc(fh.read()))
+        problems = [tp for tp, _ in solved_trees]
         assert len(problems) >= 3
         rng = random.Random(31)
         pool = [Var(f"u{i}", INT) for i in range(6)]
@@ -195,8 +190,8 @@ class TestTreeProblemToHornBookkeeping:
             problems.append(TreeProblem(tuple(names), edges, labels, names[0]))
         return problems
 
-    def test_same_clause_set_as_the_definition(self):
-        problems = self._problems()
+    def test_same_clause_set_as_the_definition(self, solved_trees):
+        problems = self._problems(solved_trees)
         expected = [_reference_tree_problem_to_horn(tp) for tp in problems]
         assert sum(any(s.arity for s in hc.relations) for hc in expected) >= 40
         for tp in problems:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from generators import random_unsat_pair
+from hornitp import engine
 from hornitp.engine import (
     DEFAULT_BRANCH_DEPTH,
     _branch_cuts,
@@ -17,7 +18,7 @@ from hornitp.engine import (
     sat,
     sat_cube,
 )
-from hornitp.errors import NotUnsat, UnknownResult
+from hornitp.errors import CubeLimitExceeded, NotUnsat, UnknownResult
 from hornitp.lp import Sat, Unsat, decide_rational
 from hornitp.terms import (
     FALSE,
@@ -235,6 +236,20 @@ class TestLabelTree:
         cubes = to_dnf(ge(TX, 0))
         assert label_tree([[], cubes], ([], [0])) == [FALSE, FALSE]
         assert label_tree([cubes, []], ([], [0])) == [TRUE, FALSE]
+
+    def test_binary_cube_product_over_limit_makes_no_lp(self, monkeypatch):
+        # 128 cubes a side, each within the budget of 200: their 16,384
+        # choices are refused before the first LP
+        xs = [LinearTerm.of(Var(f"x{i}", INT)) for i in range(7)]
+        a = cand(*[cor(le(x, -1), ge(x, 5)) for x in xs])
+        b = cand(*[cor(cand(ge(x, 0), le(x, 1)), cand(ge(x, 3), le(x, 4))) for x in xs])
+        lps, decide = [], engine.decide_rational
+        monkeypatch.setattr(engine, "decide_rational",
+                            lambda atoms: lps.append(atoms) or decide(atoms))
+        with pytest.raises(CubeLimitExceeded,
+                           match=r"^cube choices across a tree's node labels .*\(--cube-limit\)$"):
+            binary_interpolant(a, b, cube_limit=200)
+        assert lps == []
 
     def test_case_split_labels_the_subtrees(self):
         # leaf 0 says x = 2y, leaf 1 bounds x to [0, 2], root 2 says

@@ -128,7 +128,7 @@ class TestTree:
                          {i: TRUE for i in range(n)}, 0)
         assert list(tp.order) == list(reversed(range(n)))
 
-    def test_post_order_matches_recursive_definition(self):
+    def test_post_order_matches_recursive_definition(self, solved_trees):
         def recursive(tp):
             out = []
 
@@ -140,15 +140,10 @@ class TestTree:
             walk(tp.root)
             return out
 
-        trees = []
-        solver.tree_log = trees
-        try:
-            for name in ("increment_treelike", "increment_unwound"):
-                with open(f"tests/data/{name}.chc") as fh:
-                    solver.solve(chc.parse_chc(fh.read()))
-        finally:
-            solver.tree_log = None
-        problems = [r["problem"] for r in trees]
+        for name in ("increment_treelike", "increment_unwound"):
+            with open(f"tests/data/{name}.chc") as fh:
+                solver.solve(chc.parse_chc(fh.read()))
+        problems = [tp for tp, _ in solved_trees]
         assert len(problems) >= 3
         rng = random.Random(5)
         for _ in range(30):
@@ -216,22 +211,18 @@ def _reference_check_tree(tp, labels):
 class TestCheckTreeBookkeeping:
     FOREIGN = LinearTerm.of(Var("foreign", INT))
 
-    def _cases(self):
+    def _cases(self, solved_trees):
         """(problem, labeling): solved tests/data trees and seeded random
         trees, each with its valid labeling, one label weakened to true and
         one label disjoined with an atom over a foreign variable."""
-        log = []
-        solver.tree_log = log
-        try:
-            for name in ("increment_treelike", "increment_unwound"):
-                with open(f"tests/data/{name}.chc") as fh:
-                    solver.solve(chc.parse_chc(fh.read()))
-        finally:
-            solver.tree_log = None
-        solved = [(r["problem"], r["labels"]) for r in log]
+        for name in ("increment_treelike", "increment_unwound"):
+            with open(f"tests/data/{name}.chc") as fh:
+                solver.solve(chc.parse_chc(fh.read()))
+        solved = list(solved_trees)
+        wanted = len(solved) + 20
         rng = random.Random(13)
         pool = [Var(f"u{i}", INT) for i in range(3)]
-        while len(solved) < len(log) + 20:
+        while len(solved) < wanted:
             n = rng.randint(1, 7)
             edges = frozenset((rng.randrange(i), i) for i in range(1, n))
             tp = TreeProblem(tuple(range(n)), edges,
@@ -248,8 +239,8 @@ class TestCheckTreeBookkeeping:
                 cases.append((tp, {**labels, v: change(labels[v])}))
         return cases
 
-    def test_failures_match_the_definition(self):
-        cases = self._cases()
+    def test_failures_match_the_definition(self, solved_trees):
+        cases = self._cases(solved_trees)
         expected = [_reference_check_tree(tp, labels) for tp, labels in cases]
         assert sum(e == [] for e in expected) >= 23
         assert sum(any(f.startswith("variable-condition") for f in e) for e in expected) >= 10

@@ -1,6 +1,7 @@
 """End-to-end solving: dispatch, interpolation sweeps, expansion oracle."""
 
 import random
+from collections import Counter
 from dataclasses import make_dataclass
 from fractions import Fraction
 
@@ -196,18 +197,13 @@ class TestTreeInterpolate:
             tree_interpolate(tp)
         assert evaluate(ge(TX, 0), exc.value.model)
 
-    def test_tree_log_records_checks(self):
+    def test_one_frontier_check_per_node_and_certificate(self, monkeypatch):
         nhc = normalize(PE.treelike_clauses())
         (tp,) = tree_problem_from_treelike(nhc)
-        solver.tree_log = []
-        try:
-            tree_interpolate(tp)
-            assert len(solver.tree_log) == 1
-            record = solver.tree_log[0]
-            assert record["invariant_checks"] == len(tp.nodes)
-            assert record["property_failures"] == []
-        finally:
-            solver.tree_log = None
+        checks = _counting(monkeypatch, "_frontier_refuted")
+        tree_interpolate(tp)
+        per_certificate = _frontier_checks_per_certificate(checks)
+        assert per_certificate and set(per_certificate) == {len(tp.nodes)}
 
 
 class TestSequenceInterpolants:
@@ -1018,6 +1014,12 @@ def _counting(monkeypatch, name, module=solver):
     return calls
 
 
+def _frontier_checks_per_certificate(calls) -> list:
+    """Per certificate read, the number of recorded _frontier_refuted calls
+    made against it, told apart by its labels list."""
+    return list(Counter(id(args[1]) for args in calls).values())
+
+
 class TestCertificateLabels:
     """Labels read off one Farkas certificate per cube choice."""
 
@@ -1035,9 +1037,8 @@ class TestCertificateLabels:
     def test_random_trees_pass_check_tree(self, monkeypatch):
         rng = random.Random(31)
         sweeps = _counting(monkeypatch, "_node_by_node_labels")
+        checks = _counting(monkeypatch, "_frontier_refuted")
         solved = {0: 0, 1: 0, 2: 0}
-        log = []
-        monkeypatch.setattr(solver, "tree_log", log)
         while min(solved.values()) < 15:
             disjunctive = rng.choice(list(solved))
             tp = self._random_tree(rng, disjunctive)
@@ -1048,9 +1049,11 @@ class TestCertificateLabels:
                     and all(isinstance(decide_rational(list(c.atoms)), Unsat)
                             for c in to_dnf(cand(*tp.labels.values())))):
                 continue
+            checks.clear()
             labels = tree_interpolate(tp)
             assert check_tree(tp, labels) == []
-            assert log[-1]["invariant_checks"] == len(tp.nodes)
+            per_certificate = _frontier_checks_per_certificate(checks)
+            assert per_certificate and set(per_certificate) == {len(tp.nodes)}
             solved[disjunctive] += 1
         assert sweeps == []
 
@@ -1064,10 +1067,9 @@ class TestCertificateLabels:
         # each _interpolate_cubes call solves one LP; engine.decide_rational
         # also serves the satisfiability checks of check_tree and check_sequence
         lps = _counting(monkeypatch, "_interpolate_cubes", engine)
-        itps = _counting(monkeypatch, "binary_interpolant")
         labels = sequence_interpolants(sp)
         assert check_sequence(sp, labels) == []
-        assert (len(lps), len(itps)) == (1, 0)
+        assert len(lps) == 1
 
     def test_false_label_needs_no_lp(self, monkeypatch):
         # an underivable symbol gets the label false
@@ -1089,11 +1091,10 @@ class TestCertificateLabels:
         tp = _path_tree([node, eq(TX, LinearTerm.of(z).scale(2) + 1)])
         lps = _counting(monkeypatch, "_interpolate_cubes", engine)
         sweeps = _counting(monkeypatch, "_node_by_node_labels")
-        itps = _counting(monkeypatch, "binary_interpolant")
         labels = tree_interpolate(tp)
         assert check_tree(tp, labels) == []
         assert len(lps) > 1
-        assert (len(sweeps), len(itps)) == (0, 0)
+        assert sweeps == []
 
     def test_label_false_only_after_dnf_is_a_false_label(self, monkeypatch):
         # not true has no cubes but is not the constant FALSE
