@@ -148,10 +148,6 @@ class NormalizedClauseSet:
     def clauses(self):
         return self.clause_set.clauses
 
-    @property
-    def relations(self):
-        return self.clause_set.relations
-
 
 def _fresh_vector(sym: RelationSymbol, suffix: str = "") -> tuple:
     return tuple(Var(f"{sym.name}#{i}{suffix}", sort)

@@ -361,7 +361,6 @@ def _problem(forms: list):
         try:
             dp = DagProblem(tuple(node_labels), tuple(edge_labels), entry, exit_,
                             edge_labels, node_labels, allowed)
-            dp.topological_order()
         except MalformedProblem as exc:
             at = next(((nodes, i) for i in range(1, len(nodes)) if nodes[i][0] == exc.node),
                       (form, sec["edges"]))

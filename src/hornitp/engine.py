@@ -112,6 +112,18 @@ def entails(premises, goal: Constraint, branch_depth: int = DEFAULT_BRANCH_DEPTH
     return isinstance(sat(body, branch_depth, cube_limit), Unsat)
 
 
+def case_split(labels: list, keys: list) -> Constraint:
+    """McMillan's case-split rule (TCS 2005) over one node's labels, one per
+    choice: ``keys[j]`` fixes choice j's cases inside the node's subtree.
+    The result disjoins, over the keys in first-occurrence order, the
+    conjunction of their choices' labels, in order: a case made inside the
+    subtree is one the node may hold in, one made outside must hold in all."""
+    groups: dict = {}
+    for label, key in zip(labels, keys):
+        groups.setdefault(key, []).append(label)
+    return cor(*[cand(*g) for g in groups.values()])
+
+
 def _subtree_labels(own: list, strict: set, kids: list, leaves) -> list:
     """Labels of one certificate from each node's (term, multiplier) pairs
     and the set of nodes with a strict atom."""
@@ -163,8 +175,8 @@ def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, leaves)
         split = list(nodes)
         split[s] = Cube(nodes[s].atoms + (cut,))
         branches.append(_interpolate_cubes(split, kids, first, depth - 1, leaves))
-    # the cut strengthens node s: subtrees holding it are the union of the
-    # two branches, the others must hold in both
+    # case_split in closed form, the cut at node s being the case: subtrees
+    # holding s are the union of the two branches, the others hold in both
     return [cor(left, right) if first[w] <= s <= w else cand(left, right)
             for w, (left, right) in enumerate(zip(*branches))]
 
@@ -180,9 +192,9 @@ def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH
     of subtree(w), strict when one of them is, and the root by false.  A
     fractional Int value x = v is a case split x <= floor(v) or
     x >= floor(v) + 1 at the first node whose atoms mention x.  Branches and
-    cube choices combine by one rule (McMillan, TCS 2005): node w disjoins
-    over those made inside subtree(w) the conjunction over those made
-    outside it.  A node without cubes refutes alone, as 1 <= 0 would.
+    cube choices combine by one rule, case_split: node w disjoins over those
+    made inside subtree(w) the conjunction over those made outside it.  A
+    node without cubes refutes alone, as 1 <= 0 would.
 
     A list ``leaves`` gets (own, strict, sums, labels) per certificate read:
     per node its (term, multiplier) pairs, the nodes with a strict atom, and
@@ -215,10 +227,8 @@ def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH
     labels = []
     for i in range(n - 1):
         inside = [m for m in multi if first[i] <= m <= i]
-        groups: dict = {}
-        for sigma, itps in zip(sigmas, choices):
-            groups.setdefault(tuple(map(sigma.__getitem__, inside)), []).append(itps[i])
-        labels.append(cor(*[cand(*g) for g in groups.values()]))
+        labels.append(case_split([itps[i] for itps in choices],
+                                 [tuple([sigma[m] for m in inside]) for sigma in sigmas]))
     return labels + [FALSE]
 
 

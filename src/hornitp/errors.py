@@ -27,16 +27,6 @@ class ExpansionLimitExceeded(HornitpError):
         self.limit = limit
 
 
-class SubsetLimitExceeded(HornitpError):
-    """More than ``limit`` (a fixed budget, no CLI flag) derivation cones of
-    false were found below one false-head clause."""
-
-    def __init__(self, limit):
-        super().__init__(f"derivation cones of false below one query clause exceeded {limit}"
-                         " (fixed budget)")
-        self.limit = limit
-
-
 class UnknownResult(HornitpError):
     """Integer branching depth was exhausted without a definite answer."""
 

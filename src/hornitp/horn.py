@@ -165,17 +165,6 @@ class Solution:
         return self.assignment.keys()
 
 
-def instantiate(sol: Solution, h: HornClause) -> Constraint:
-    """The clause with every relation atom replaced by the solution formula."""
-    premise = cand(h.constraint, *[sol.applied(a) for a in h.body])
-    conclusion = sol.applied(h.head) if h.head is not None else None
-    if conclusion is None:
-        return cnot(premise)
-    from .terms import implies
-
-    return implies(premise, conclusion)
-
-
 @dataclass(frozen=True)
 class Valid:
     def __bool__(self):

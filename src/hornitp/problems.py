@@ -10,7 +10,6 @@ checkers are the authority every solver result must pass.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,17 +34,21 @@ class SequenceProblem:
         _require(len(self.parts) >= 1, "a sequence problem needs at least one part")
 
     @cached_property
+    def tree(self) -> TreeProblem:
+        """The path tree: node i labeled by Ti, with child i-1, and root n;
+        its post order is 1..n."""
+        n = len(self.parts)
+        nodes = tuple(range(1, n + 1))
+        edges = frozenset([(i + 1, i) for i in range(1, n)])
+        return TreeProblem(nodes, edges, dict(zip(nodes, self.parts)), n)
+
+    @cached_property
     def shared(self) -> tuple:
         """Per i in 0..n: the variables of T1..Ti that T(i+1)..Tn also have,
         which are interpolant i's variable condition and the argument vector
-        of its symbol in the Horn encoding.  A variable is shared from its
-        first occurrence up to its last."""
-        fvs = [free_vars(t) for t in self.parts]
-        last = {x: i for i, fv in enumerate(fvs) for x in fv}
-        shared = [frozenset()]
-        for i, fv in enumerate(fvs):
-            shared.append((shared[-1] | fv).difference([x for x in fv if last[x] == i]))
-        return tuple(shared)
+        of its symbol in the Horn encoding: the path tree's, after none for
+        I0."""
+        return (frozenset(),) + self.tree.shared
 
 
 def check_sequence(sp: SequenceProblem, labels) -> list:
@@ -172,9 +175,9 @@ def check_tree(tp: TreeProblem, labels: dict, branch_depth: int = DEFAULT_BRANCH
 @dataclass(frozen=True)
 class DagProblem:
     """DAG with entry/exit nodes and edge/node constraint labels in which
-    every node but the entry and the exit touches an edge.  It need not be
-    connected: a clause component without facts or queries leaves the entry
-    and the exit apart from the rest.
+    every node but the entry and the exit touches an edge; construction
+    rejects a cycle.  It need not be connected: a clause component without
+    facts or queries leaves the entry and the exit apart from the rest.
 
     ``allowed`` optionally fixes the variables permitted in each node's
     interpolant; when absent, the incoming/outgoing edge-label variable
@@ -207,6 +210,15 @@ class DagProblem:
         for v in self.nodes:
             if not (ins[v] or outs[v] or v in (self.entry, self.exit)):
                 raise MalformedProblem(f"node {v!r} touches no edge", v)
+        # Kahn's count: the nodes a cycle passes never lose all their in-edges
+        indeg = {v: len(es) for v, es in ins.items()}
+        ready = [v for v in self.nodes if not indeg[v]]
+        for v in ready:  # grows as it is walked
+            for _, w in outs[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
+        _require(len(ready) == len(self.nodes), "the edge relation has a cycle")
         object.__setattr__(self, "_ins", ins)
         object.__setattr__(self, "_outs", outs)
 
@@ -222,25 +234,6 @@ class DagProblem:
         inc = frozenset().union(*[free_vars(self.edge_labels[e]) for e in self._ins[v]])
         out = frozenset().union(*[free_vars(self.edge_labels[e]) for e in self._outs[v]])
         return inc & out
-
-    def topological_order(self) -> list:
-        """Kahn's order, the ready node least by str first, ties by the
-        order in which nodes became ready (``nodes`` order at the start)."""
-        indeg = {v: len(es) for v, es in self._ins.items()}
-        ready = [(str(v), k, v) for k, v in enumerate(self.nodes) if not indeg[v]]
-        heapq.heapify(ready)
-        order = []
-        k = len(self.nodes)
-        while ready:
-            v = heapq.heappop(ready)[2]
-            order.append(v)
-            for _, w in self._outs[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    heapq.heappush(ready, (str(w), k, w))
-                    k += 1
-        _require(len(order) == len(self.nodes), "the edge relation has a cycle")
-        return order
 
 
 def check_dag(dp: DagProblem, labels: dict, branch_depth: int = DEFAULT_BRANCH_DEPTH,

@@ -41,13 +41,13 @@ from .analysis import (
     normalize,
 )
 from .encodings import FALSE_NODE, dag_node_symbols, dag_problem_to_horn
-from .engine import DEFAULT_BRANCH_DEPTH, label_tree, sat
+from .engine import DEFAULT_BRANCH_DEPTH, case_split, label_tree, sat
 from .errors import (
+    CubeLimitExceeded,
     ExpansionLimitExceeded,
     NotUnsat,
     RecursiveSystem,
     SolverInternalError,
-    SubsetLimitExceeded,
 )
 from .horn import (
     ClauseSet,
@@ -83,7 +83,6 @@ from .terms import (
 )
 
 DEFAULT_EXPANSION_LIMIT = 100_000
-DEFAULT_SUBSET_LIMIT = 4096  # derivation cones below one false-head clause
 
 
 @dataclass
@@ -446,24 +445,19 @@ def _node_by_node_labels(tp: TreeProblem, options: SolverOptions):
 
 
 def sequence_interpolants(sp: SequenceProblem, options: SolverOptions = None) -> list:
-    """Inductive interpolant sequence I0..In via the degenerate path tree."""
-    n = len(sp.parts)
-    nodes = tuple(range(1, n + 1))
-    edges = frozenset((i + 1, i) for i in range(1, n))
-    tp = TreeProblem(nodes, edges, {i: sp.parts[i - 1] for i in nodes}, n)
-    labels = tree_interpolate(tp, options)
-    return [TRUE] + [labels[i] for i in range(1, n + 1)]
+    """Inductive interpolant sequence I0..In from the path tree sp.tree."""
+    labels = tree_interpolate(sp.tree, options)
+    return [TRUE] + [labels[i] for i in range(1, len(sp.parts) + 1)]
 
 
 def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
     """Restricted DAG interpolant of ``dp`` from the solution of its Horn
     encoding, encodings.dag_problem_to_horn: node v is labeled by its
     symbol's formula over sorted(dp.allowed_vars(v)), and the labeling must
-    pass check_dag.  Raises MalformedProblem when the edges form a cycle,
-    and NotUnsat, with the counterexample's model, when the encoding has a
-    counterexample, so that no restricted DAG interpolant exists."""
+    pass check_dag.  Raises NotUnsat, with the counterexample's model, when
+    the encoding has a counterexample, so that no restricted DAG
+    interpolant exists."""
     options = options or SolverOptions()
-    dp.topological_order()
     res = solve(dag_problem_to_horn(dp), options)
     if isinstance(res, Counterexample):
         raise NotUnsat(res.model, "no restricted DAG interpolant exists:"
@@ -496,8 +490,9 @@ def _derivation_cones(comp: ClauseSet, limit: int) -> list:
     one walk with an explicit stack: symbols are met breadth-first, and
     cones come depth-first over the choices, the first defining clause
     first, so the choice at a symbol met earlier changes more slowly.
-    Finding more than ``limit`` cones below one false-head clause raises
-    SubsetLimitExceeded before any is returned.
+    Each cone is one more case split, so finding more than ``limit`` (the
+    run's cube limit) cones below one false-head clause raises
+    CubeLimitExceeded before any is returned.
     """
     clauses = comp.clauses
     by_head: dict = {}
@@ -520,7 +515,7 @@ def _derivation_cones(comp: ClauseSet, limit: int) -> list:
                 if s in by_head:
                     met += [(s, b.symbol) for b in clauses[by_head[s][0]].body]
             if len(cones) == budget:
-                raise SubsetLimitExceeded(limit)
+                raise CubeLimitExceeded(limit, "derivation cones below one query clause")
             labels = {FALSE_NODE: query.constraint}
             keys: dict = {}
             for (_, s), (k, _) in zip(reversed(met), reversed(chosen)):  # children first
@@ -550,18 +545,22 @@ def _cone_labels(comp: ClauseSet, options: SolverOptions) -> dict:
     """Symbol->Constraint map of ``comp``, a connected component of a
     normalized set that is body-disjoint or linear.
 
-    Each derivation cone of false is one tree problem.  A symbol's solution
-    disjoins, over the groups of cones that derive the symbol by the same
-    clauses (the same key), the conjunction of the group's labels, groups
-    and labels in cone order.  A component without a false-head clause has
-    no cone and gets an empty map.
+    Each derivation cone of false is one tree problem, and one case of a
+    split whose cases inside a symbol's subtree are its derivation keys.  So
+    a symbol's solution is engine.case_split of its labels, in cone order,
+    keyed by its derivation key: it disjoins, over the groups of cones that
+    derive the symbol by the same clauses, the conjunction of the group's
+    labels.  A component without a false-head clause has no cone and gets
+    an empty map.
     """
-    groups: dict = {}  # symbol -> derivation key -> labels
-    for tp, keys in _derivation_cones(comp, DEFAULT_SUBSET_LIMIT):  # all before any LP
+    split: dict = {}  # symbol -> ([label], [derivation key]), one entry per cone
+    for tp, keys in _derivation_cones(comp, options.cube_limit):  # all before any LP
         labels = tree_interpolate(tp, options)
         for p, key in keys.items():
-            groups.setdefault(p, {}).setdefault(key, []).append(labels[p])
-    return {p: cor(*[cand(*g) for g in groups[p].values()]) for p in sorted(groups)}
+            ps, ks = split.setdefault(p, ([], []))
+            ps.append(labels[p])
+            ks.append(key)
+    return {p: case_split(*split[p]) for p in sorted(split)}
 
 
 # ---------------------------------------------------------------------------

@@ -450,10 +450,6 @@ def cnot(a: Constraint) -> Constraint:
     return CNot(a)
 
 
-def implies(lhs: Constraint, rhs: Constraint) -> Constraint:
-    return cor(cnot(lhs), rhs)
-
-
 def free_vars(c: Constraint) -> frozenset:
     if type(c) is CAtom:
         return c.atom.vars
@@ -581,9 +577,6 @@ class Cube:
         for a in self.atoms:
             out |= a.vars
         return out
-
-    def __iter__(self):
-        return iter(self.atoms)
 
     def __len__(self):
         return len(self.atoms)

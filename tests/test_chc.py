@@ -189,6 +189,14 @@ class TestProblems:
         assert isinstance(dp, DagProblem)
         assert dp.allowed_vars("m") == {next(iter(dp.allowed["m"]))}
 
+    def test_dag_cycle_rejected_at_its_edges(self):
+        with pytest.raises(ParseError) as err:
+            parse_problem(
+                "(dag (vars (x Int)) (nodes (en true) (a true) (b true) (ex true))\n"
+                " (edges (en a (<= 0 x)) (a b true) (b a true) (b ex (<= x -1)))\n"
+                " (entry en) (exit ex))")
+        assert str(err.value) == "parse error at 2:2: the edge relation has a cycle"
+
     def test_missing_vars_section_rejected(self):
         with pytest.raises(ParseError):
             parse_problem("(sequence (<= 0 1))")

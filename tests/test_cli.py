@@ -40,6 +40,21 @@ STRAY_DAG_NODE = ("(dag (vars (x Int)) (nodes (s true) (t false) (u true)) "
                   "(edges (s t (<= x 0))) (entry s) (exit t))")
 
 
+def _cones_text(n):
+    """One query over n symbols with two facts each: 2^n derivation cones
+    below one query clause, in a set that is not linear."""
+    xs = " ".join(f"(x{i} Int)" for i in range(n))
+    facts = [f"(assert (forall ((x Int)) (=> (= x {v}) (q{i} x))))"
+             for i in range(n) for v in (0, 1)]
+    body = " ".join(f"(q{i} x{i})" for i in range(n))
+    return "\n".join([
+        "(set-logic HORN)",
+        *(f"(declare-fun q{i} (Int) Bool)" for i in range(n)),
+        *facts,
+        f"(assert (forall ({xs}) (=> (and {body} (< x0 0)) false)))",
+        "(check-sat)"]) + "\n"
+
+
 def deep_query(levels: int) -> str:
     """A satisfiable query whose constraint nests and/or 2 * levels deep."""
     c = "(<= x 0)"
@@ -155,23 +170,25 @@ class TestSolve:
             assert getattr(cli._budgets(args), name) == value
 
     def test_cone_budget_fault_says_what_it_counted(self, capsys, tmp_path):
-        # one query over 13 symbols with two facts each: 2^13 derivation cones
-        n = 13
-        xs = " ".join(f"(x{i} Int)" for i in range(n))
-        facts = [f"(assert (forall ((x Int)) (=> (= x {v}) (q{i} x))))"
-                 for i in range(n) for v in (0, 1)]
-        body = " ".join(f"(q{i} x{i})" for i in range(n))
+        # one query over 14 symbols with two facts each: 2^14 derivation
+        # cones, over the default cube limit of 10,000
         path = tmp_path / "cones.chc"
-        path.write_text("\n".join([
-            "(set-logic HORN)",
-            *(f"(declare-fun q{i} (Int) Bool)" for i in range(n)),
-            *facts,
-            f"(assert (forall ({xs}) (=> (and {body} (< x0 0)) false)))",
-            "(check-sat)"]) + "\n")
+        path.write_text(_cones_text(14))
         code, out, err = run(capsys, "solve", str(path))
-        assert code == 2 and "SubsetLimitExceeded" in err
-        assert out == ('(error "SubsetLimitExceeded: derivation cones of false below'
-                       ' one query clause exceeded 4096 (fixed budget)")\n')
+        assert code == 2 and "CubeLimitExceeded" in err
+        assert out == ('(error "CubeLimitExceeded: derivation cones below one query clause'
+                       ' would exceed 10000 (--cube-limit)")\n')
+
+    def test_cone_budget_follows_the_cube_limit_flag(self, capsys, tmp_path):
+        # 2^2 derivation cones: solved by default, refused over --cube-limit 3
+        path = tmp_path / "cones.chc"
+        path.write_text(_cones_text(2))
+        code, out, _ = run(capsys, "solve", str(path))
+        assert (code, out.splitlines()[0]) == (0, "sat")
+        code, out, err = run(capsys, "--cube-limit", "3", "solve", str(path))
+        assert code == 2 and "CubeLimitExceeded" in err
+        assert out == ('(error "CubeLimitExceeded: derivation cones below one query clause'
+                       ' would exceed 3 (--cube-limit)")\n')
 
     @pytest.mark.parametrize("backend", [None, "(interpolant (>= p#0 0))"],
                              ids=["engine", "backend"])

@@ -14,11 +14,18 @@ from hornitp.horn import (
     Solution,
     Valid,
     clause,
-    instantiate,
     rel_atom,
     verify_solution,
 )
-from hornitp.terms import INT, REAL, TRUE, LinearTerm, Var, eq, evaluate, ge, le
+from hornitp.terms import INT, REAL, TRUE, LinearTerm, Var, cand, cnot, cor, eq, evaluate, ge, le
+
+
+def instantiate(sol: Solution, h: HornClause):
+    """The clause with every relation atom replaced by the solution formula."""
+    premise = cand(h.constraint, *[sol.applied(a) for a in h.body])
+    if h.head is None:
+        return cnot(premise)
+    return cor(cnot(premise), sol.applied(h.head))
 
 
 class TestRelationAtom:

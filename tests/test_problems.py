@@ -81,6 +81,13 @@ class TestSequence:
                              for i in range(len(parts) + 1))
             assert SequenceProblem(parts).shared == expected
 
+    def test_tree_is_the_path(self):
+        sp = self._problem()
+        tp = sp.tree
+        assert tp.order == (1, 2, 3) and tp.root == 3
+        assert tp.edges == {(2, 1), (3, 2)}
+        assert [tp.labels[i] for i in tp.order] == list(sp.parts)
+
 
 class TestTree:
     def _problem(self):
@@ -291,10 +298,12 @@ class TestDag:
         labeling = {"en": TRUE, "a": ge(TX, 0), "b": ge(TX, 1), "ex": TRUE}
         assert "exit-label-not-false" in check_dag(self._problem(), labeling)
 
-    def test_topological_order(self):
-        dp = self._problem()
-        order = dp.topological_order()
-        assert order[0] == "en" and order[-1] == "ex"
+    def test_detached_cycle_rejected(self):
+        # a and b only reach each other, apart from the entry and the exit
+        edges = (("en", "ex"), ("a", "b"), ("b", "a"))
+        with pytest.raises(MalformedProblem, match="the edge relation has a cycle"):
+            DagProblem(("en", "a", "b", "ex"), edges, "en", "ex",
+                       dict.fromkeys(edges, TRUE), dict.fromkeys(("en", "a", "b", "ex"), TRUE))
 
     def test_node_without_edges_rejected(self):
         dp = self._problem()

@@ -27,7 +27,6 @@ from hornitp.errors import (
     NotUnsat,
     RecursiveSystem,
     SolverInternalError,
-    SubsetLimitExceeded,
     UnknownResult,
 )
 from hornitp.horn import (
@@ -246,17 +245,17 @@ class TestDagInterpolate:
         assert check_dag(dp, labels) == []
 
     def test_cone_budget_bounds_a_linear_dag_before_any_lp(self, monkeypatch):
-        # 2^13 derivations of false, one cone each, as a clause set and as
-        # the DAG problem read off it
+        # 2^14 derivations of false, one cone each, as a clause set and as
+        # the DAG problem read off it: over the default cube limit of 10,000
         def no_lp(atoms):
             raise AssertionError("an LP was solved")
 
-        hc = ladder(13)
+        hc = ladder(14)
         ((dp, _),) = dag_problem_from_linear(normalize(hc))
         monkeypatch.setattr(engine, "decide_rational", no_lp)
-        with pytest.raises(SubsetLimitExceeded):
+        with pytest.raises(CubeLimitExceeded, match="derivation cones.*--cube-limit"):
             solve(hc)
-        with pytest.raises(SubsetLimitExceeded):
+        with pytest.raises(CubeLimitExceeded, match="derivation cones.*--cube-limit"):
             dag_interpolate(dp)
 
     def test_feasible_path_raises_not_unsat(self):
@@ -286,10 +285,9 @@ class TestDagInterpolate:
     def test_cyclic_problem_is_malformed(self):
         nodes = ("en", "a", "b", "ex")
         edges = (("en", "a"), ("a", "b"), ("b", "a"), ("b", "ex"))
-        dp = DagProblem(nodes, edges, "en", "ex", dict.fromkeys(edges, TRUE),
-                        {v: TRUE for v in nodes})
         with pytest.raises(MalformedProblem, match="cycle"):
-            dag_interpolate(dp)
+            DagProblem(nodes, edges, "en", "ex", dict.fromkeys(edges, TRUE),
+                       {v: TRUE for v in nodes})
 
     @pytest.mark.parametrize("fact, solvable", [(TRUE, False), (FALSE, True)],
                              ids=["refuted", "solved"])
@@ -375,7 +373,7 @@ class TestLinearDagRoute:
         ])
         comp = normalize(hc).clause_set
         assert len(solver._derivation_cones(comp, 2)) == 4
-        with pytest.raises(SubsetLimitExceeded):
+        with pytest.raises(CubeLimitExceeded):
             solver._derivation_cones(comp, 1)
         res = solve(hc)
         assert isinstance(res, Solved) and verify_solution(res.solution, hc)
@@ -884,7 +882,7 @@ def _recursive_enumerate_cones(comp, limit):
     def go(pending, chosen):
         if not pending:
             if len(cones) == limit:
-                raise SubsetLimitExceeded(limit)
+                raise CubeLimitExceeded(limit, "derivation cones below one query clause")
             cones.append(chosen)
             return
         s, rest = pending[0], pending[1:]
@@ -971,6 +969,28 @@ class TestDerivationCones:
                 assert len(tp.nodes) == len(ref.nodes) and set(tp.nodes) == set(ref.nodes)
                 assert set(keys) == set(tp.nodes) - {tp.root}
 
+    def test_cone_budget_follows_cube_limit(self, monkeypatch):
+        # one query over two symbols with two facts each: 4 cones below one
+        # query clause, and the set is not linear, so no merge makes the
+        # facts one label's cubes
+        q0, q1 = RelationSymbol("q0", (INT,)), RelationSymbol("q1", (INT,))
+        y = Var("y", INT)
+        hc = ClauseSet.make([
+            *(HornClause(eq(TX, v), (), rel_atom(q, X)) for q in (q0, q1) for v in (0, 1)),
+            HornClause(lt(TX, 0), (rel_atom(q0, X), rel_atom(q1, y)), None),
+        ])
+        lps, decide = [], engine.decide_rational
+        monkeypatch.setattr(engine, "decide_rational",
+                            lambda atoms: lps.append(atoms) or decide(atoms))
+        res = solve(hc)
+        assert isinstance(res, Solved) and verify_solution(res.solution, hc) and lps
+        lps.clear()
+        with pytest.raises(CubeLimitExceeded,
+                           match=r"^derivation cones below one query clause would exceed 3"
+                                 r" \(--cube-limit\)$"):
+            solve(hc, SolverOptions(cube_limit=3))
+        assert lps == []
+
     def test_subset_limit_matches_recursive(self):
         comps = [c for c in self._components()
                  if len(_recursive_enumerate_cones(c, 4096)) > 1]
@@ -978,8 +998,8 @@ class TestDerivationCones:
             for limit in range(4):
                 try:
                     expected = _recursive_enumerate_cones(comp, limit)
-                except SubsetLimitExceeded:
-                    with pytest.raises(SubsetLimitExceeded):
+                except CubeLimitExceeded:
+                    with pytest.raises(CubeLimitExceeded):
                         solver._derivation_cones(comp, limit)
                 else:
                     cones = solver._derivation_cones(comp, limit)
