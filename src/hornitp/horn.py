@@ -118,9 +118,6 @@ class ClauseSet:
             syms |= h.symbols
         return ClauseSet(frozenset(syms), clauses)
 
-    def __iter__(self):
-        return iter(self.clauses)
-
     def __len__(self):
         return len(self.clauses)
 

@@ -8,9 +8,11 @@ duplicate clauses merged first, and each of its cones is a path.  Any
 other component that is not body-disjoint is first made so by duplicating
 derivation cones in one top-down walk: a symbol's first body occurrence
 keeps its name, and every later one becomes a fresh copy ``s~k`` defined by
-copies of the symbol's clauses.  One walk over a component's clauses
-builds each cone's tree interpolation problem and each symbol's derivation
-key, and the per-cone labels combine, grouped by key, into a positive
+copies of the symbol's clauses.  One pass over a component's clauses
+counts its cones, so a component over the cube limit stops before any
+cone is built; then one walk builds each cone's tree interpolation problem
+and each symbol's derivation key, one cone at a time, and the per-cone
+labels combine, grouped by key, into a positive
 Boolean combination per symbol.  Sequences are the trees that are paths,
 and a tree-like component has exactly one cone.  Trees are labeled from
 Farkas certificates by engine.label_tree, the routine binary interpolation
@@ -29,6 +31,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Callable, Mapping, Optional
 
 from .analysis import (
@@ -477,8 +480,8 @@ def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_cones(comp: ClauseSet, limit: int) -> list:
-    """(TreeProblem, derivation keys) per derivation cone of false of
+def _derivation_cones(comp: ClauseSet, limit: int):
+    """Yield (TreeProblem, derivation keys) per derivation cone of false of
     ``comp``, a connected set that is body-disjoint or linear, so that no
     cone meets a symbol twice.
 
@@ -490,32 +493,44 @@ def _derivation_cones(comp: ClauseSet, limit: int) -> list:
     one walk with an explicit stack: symbols are met breadth-first, and
     cones come depth-first over the choices, the first defining clause
     first, so the choice at a symbol met earlier changes more slowly.
-    Each cone is one more case split, so finding more than ``limit`` (the
-    run's cube limit) cones below one false-head clause raises
-    CubeLimitExceeded before any is returned.
+    Each cone is one more case split, so a false-head clause with more
+    than ``limit`` (the run's cube limit) cones below it raises
+    CubeLimitExceeded.  The cones are counted before any is built: a
+    symbol's count is the sum, over its defining clauses, of the product
+    of their body symbols' counts, and an undefined symbol counts 1.
     """
     clauses = comp.clauses
     by_head: dict = {}
     for i, h in enumerate(clauses):
         if h.head is not None:
             by_head.setdefault(h.head.symbol, []).append(i)
-    cones: list = []
-    for query in clauses:
-        if query.head is not None:
+    queries = [h for h in clauses if h.head is None]
+    counts: dict = {}  # defined symbol -> its cone count, children first
+    stack = [(b.symbol, False) for h in queries for b in h.body]
+    while stack:
+        s, ready = stack.pop()
+        if s in counts or s not in by_head:
             continue
+        if ready:
+            counts[s] = sum(prod(counts.get(b.symbol, 1) for b in clauses[i].body)
+                            for i in by_head[s])
+        else:
+            stack.append((s, True))
+            stack += [(b.symbol, False) for i in by_head[s] for b in clauses[i].body]
+    for query in queries:
+        if prod(counts.get(b.symbol, 1) for b in query.body) > limit:
+            raise CubeLimitExceeded(limit, "derivation cones below one query clause")
+    for query in queries:
         met = [(FALSE_NODE, b.symbol) for b in query.body]  # (parent node, symbol)
         # per symbol met: the position of its chosen clause in by_head[s], and
         # len(met) before that clause's body was met
         chosen: list = []
-        budget = len(cones) + limit
         while True:
             while len(chosen) < len(met):
                 s = met[len(chosen)][1]
                 chosen.append((0, len(met)))
                 if s in by_head:
                     met += [(s, b.symbol) for b in clauses[by_head[s][0]].body]
-            if len(cones) == budget:
-                raise CubeLimitExceeded(limit, "derivation cones below one query clause")
             labels = {FALSE_NODE: query.constraint}
             keys: dict = {}
             for (_, s), (k, _) in zip(reversed(met), reversed(chosen)):  # children first
@@ -526,7 +541,7 @@ def _derivation_cones(comp: ClauseSet, limit: int) -> list:
                 else:
                     labels[s], keys[s] = FALSE, frozenset()
             nodes = (FALSE_NODE, *[s for _, s in met])
-            cones.append((TreeProblem(nodes, frozenset(met), labels, FALSE_NODE), keys))
+            yield TreeProblem(nodes, frozenset(met), labels, FALSE_NODE), keys
             # the next cone: the last symbol met with a defining clause left
             # takes the next one, and the symbols met after it are met again
             while chosen and chosen[-1][0] + 1 >= len(by_head.get(met[len(chosen) - 1][1], ())):
@@ -538,7 +553,6 @@ def _derivation_cones(comp: ClauseSet, limit: int) -> list:
             s = met[len(chosen) - 1][1]
             del met[mark:]
             met += [(s, b.symbol) for b in clauses[by_head[s][k + 1]].body]
-    return cones
 
 
 def _cone_labels(comp: ClauseSet, options: SolverOptions) -> dict:
@@ -550,11 +564,12 @@ def _cone_labels(comp: ClauseSet, options: SolverOptions) -> dict:
     a symbol's solution is engine.case_split of its labels, in cone order,
     keyed by its derivation key: it disjoins, over the groups of cones that
     derive the symbol by the same clauses, the conjunction of the group's
-    labels.  A component without a false-head clause has no cone and gets
-    an empty map.
+    labels.  The cones are counted before any is built, and each is labeled
+    as it is built.  A component without a false-head clause has no cone and
+    gets an empty map.
     """
     split: dict = {}  # symbol -> ([label], [derivation key]), one entry per cone
-    for tp, keys in _derivation_cones(comp, options.cube_limit):  # all before any LP
+    for tp, keys in _derivation_cones(comp, options.cube_limit):
         labels = tree_interpolate(tp, options)
         for p, key in keys.items():
             ps, ks = split.setdefault(p, ([], []))

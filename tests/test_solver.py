@@ -372,9 +372,9 @@ class TestLinearDagRoute:
             HornClause(gt(TX, 1), (rel_atom(r, X),), None),
         ])
         comp = normalize(hc).clause_set
-        assert len(solver._derivation_cones(comp, 2)) == 4
+        assert len(list(solver._derivation_cones(comp, 2))) == 4
         with pytest.raises(CubeLimitExceeded):
-            solver._derivation_cones(comp, 1)
+            next(solver._derivation_cones(comp, 1))
         res = solve(hc)
         assert isinstance(res, Solved) and verify_solution(res.solution, hc)
 
@@ -950,7 +950,7 @@ class TestDerivationCones:
     def test_iterative_matches_recursive(self):
         several = 0
         for comp in self._components():
-            cones = solver._derivation_cones(comp, 4096)
+            cones = list(solver._derivation_cones(comp, 4096))
             assert ([_cone_of(comp, keys) for _, keys in cones]
                     == _recursive_enumerate_cones(comp, 4096))
             several += len(cones) > 1
@@ -991,6 +991,15 @@ class TestDerivationCones:
             solve(hc, SolverOptions(cube_limit=3))
         assert lps == []
 
+    def test_cones_are_counted_before_any_is_built(self, monkeypatch):
+        # ladder(14): 2^14 cones below its one query clause, over the
+        # default cube limit of 10,000
+        trees = _counting(monkeypatch, "TreeProblem")
+        lps = _counting(monkeypatch, "decide_rational", engine)
+        with pytest.raises(CubeLimitExceeded, match="^derivation cones below one query clause"):
+            solve(ladder(14))
+        assert trees == [] and lps == []
+
     def test_subset_limit_matches_recursive(self):
         comps = [c for c in self._components()
                  if len(_recursive_enumerate_cones(c, 4096)) > 1]
@@ -1000,7 +1009,7 @@ class TestDerivationCones:
                     expected = _recursive_enumerate_cones(comp, limit)
                 except CubeLimitExceeded:
                     with pytest.raises(CubeLimitExceeded):
-                        solver._derivation_cones(comp, limit)
+                        next(solver._derivation_cones(comp, limit))
                 else:
                     cones = solver._derivation_cones(comp, limit)
                     assert [_cone_of(comp, keys) for _, keys in cones] == expected
