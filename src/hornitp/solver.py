@@ -20,11 +20,10 @@ uses too: one rational LP per choice of one DNF cube per node label and of
 each integer case split, each certificate labeling every node at once by
 the weighted sum of its subtree's atoms.  Only an external interpolation
 backend labels node by node.  An unsolvable set makes one of its cones'
-trees satisfiable, and the model is read back as the counterexample: a
-derivation of false whose clause constraints all hold under it, over the
-input clauses, with its accumulated constraint evaluated under the model
-before it is returned.  A restricted DAG interpolation problem is solved
-as its Horn encoding, a linear set."""
+trees satisfiable, and that cone is the counterexample, mapped back to the
+input clauses, with its accumulated constraint evaluated under the tree's
+model before it is returned.  A restricted DAG interpolation problem is
+solved as its Horn encoding, a linear set."""
 
 from __future__ import annotations
 
@@ -249,67 +248,35 @@ def expand(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT) -> Constraint:
     return cor(*[built.pop(j) for j in roots])
 
 
-def _derivation_of_false(nhc: NormalizedClauseSet, model: Mapping) -> Optional[dict]:
-    """Map from each symbol met to the first clause of ``nhc`` that derives
-    it under ``model`` (its constraint holds and its body symbols are
-    derivable), or to None; the key None maps to the first false-head clause
-    that qualifies.  None when no clause derives false.
-
-    Depth-first with an explicit stack and one evaluation per clause.  All
-    clauses share each symbol's argument vector, so taking one clause per
-    symbol gives a derivation that the one model satisfies throughout.
-    """
-    clauses = nhc.clauses
-    by_head: dict = {None: []}
-    for i, h in enumerate(clauses):
-        by_head.setdefault(h.head.symbol if h.head is not None else None, []).append(i)
-    holds: dict = {}  # clause index -> whether its constraint holds
-    choice: dict = {}
-    stack = [[None, 0, 0]]  # symbol, candidate clause, body atoms derived
-    while stack:
-        frame = stack[-1]
-        p, k, j = frame
-        candidates = by_head.get(p, ())
-        if k == len(candidates):
-            choice[p] = None
-            stack.pop()
-            continue
-        ci = candidates[k]
-        if ci not in holds:
-            holds[ci] = evaluate(clauses[ci].constraint, model)
-        body = clauses[ci].body
-        if not holds[ci]:
-            frame[1] += 1
-        elif j == len(body):
-            choice[p] = ci
-            stack.pop()
-        elif body[j].symbol not in choice:
-            stack.append([body[j].symbol, 0, 0])
-        elif choice[body[j].symbol] is None:
-            frame[1], frame[2] = k + 1, 0
-        else:
-            frame[2] += 1
-    return choice if choice[None] is not None else None
-
-
 def _counterexample_from_model(comp: ClauseSet, origins, nhc: NormalizedClauseSet,
-                               model: Mapping) -> Counterexample:
-    """The derivation of false that ``model``, a model of an encoding of
-    ``nhc``, satisfies, as a Counterexample over the clauses of ``comp``.
+                               cones: ClauseSet, choice: dict, model: Mapping) -> Counterexample:
+    """The refuted cone ``choice`` of ``cones``, whose tree ``model``
+    satisfies, as a Counterexample over the clauses of ``comp``.
 
-    ``nhc`` normalizes a copy of ``comp`` whose clause i copies
-    ``comp.clauses[origins[i]]``.  Instances are numbered in pre-order from
-    1 and variable v of instance k becomes ``v~k``, valued as its
-    normalized variable (missing variables read 0).  Raises
-    SolverInternalError when no derivation holds, or when the accumulated
-    constraint is false under the model or an Int value is fractional.
+    ``choice`` maps each symbol met, and None for false, to its clause's
+    index in ``cones``: ``nhc``'s clause set, or its merge_linear_duplicates,
+    where a merged clause stands for the first clause of ``nhc`` with its
+    body atom and head that holds under the model.  ``nhc`` normalizes a
+    copy of ``comp`` whose clause i copies ``comp.clauses[origins[i]]``.
+    Instances are numbered in pre-order from 1 and variable v of instance k
+    becomes ``v~k``, valued as its normalized variable (missing variables
+    read 0).  Raises SolverInternalError when no such clause holds, or when
+    the accumulated constraint is false under the model or an Int value is
+    fractional.
     """
     # integral values as ints, so that evaluating is int arithmetic
     model = defaultdict(int, {v: x.numerator if x.denominator == 1 else x
                               for v, x in model.items()})
-    choice = _derivation_of_false(nhc, model)
-    if choice is None:
-        raise SolverInternalError("satisfiable encoding yielded no counterexample")
+    if cones is not nhc.clause_set:
+        shapes: dict = {}  # (body, head) -> its clauses' indices in nhc
+        for i, h in enumerate(nhc.clauses):
+            shapes.setdefault((h.body, h.head), []).append(i)
+        merged = {p: cones.clauses[ci] for p, ci in choice.items()}
+        choice = {p: next((i for i in shapes[h.body, h.head]
+                           if evaluate(nhc.clauses[i].constraint, model)), None)
+                  for p, h in merged.items()}
+        if None in choice.values():
+            raise SolverInternalError("satisfiable cone yielded no counterexample")
     nodes = []  # pre-order: (input clause, number of body atoms)
     parts = []
     values = {}
@@ -481,18 +448,20 @@ def dag_interpolate(dp: DagProblem, options: SolverOptions = None) -> dict:
 
 
 def _derivation_cones(comp: ClauseSet, limit: int):
-    """Yield (TreeProblem, derivation keys) per derivation cone of false of
-    ``comp``, a connected set that is body-disjoint or linear, so that no
+    """Yield (TreeProblem, derivation keys, choice) per derivation cone of
+    false of ``comp``, a set that is body-disjoint or linear, so that no
     cone meets a symbol twice.
 
     A cone fixes one false-head clause and one defining clause per symbol
-    met below it.  Its tree's nodes are FALSE_NODE and the symbols met,
-    each labeled by its chosen clause's constraint, or false when no clause
-    defines it; a symbol's key is the clause-index set of its derivation
-    inside the cone.  The false-head clauses are taken in order, each by
-    one walk with an explicit stack: symbols are met breadth-first, and
-    cones come depth-first over the choices, the first defining clause
-    first, so the choice at a symbol met earlier changes more slowly.
+    met below it; ``choice`` maps each symbol met that has one to its index,
+    and None to the false-head clause's.  Its tree's nodes are FALSE_NODE
+    and the symbols met, each labeled by its chosen clause's constraint, or
+    false when no clause defines it; a symbol's key is the clause-index set
+    of its derivation inside the cone.  The false-head clauses are taken in
+    order, each by one walk with an explicit stack: symbols are met
+    breadth-first, and cones come depth-first over the choices, the first
+    defining clause first, so the choice at a symbol met earlier changes
+    more slowly.
     Each cone is one more case split, so a false-head clause with more
     than ``limit`` (the run's cube limit) cones below it raises
     CubeLimitExceeded.  The cones are counted before any is built: a
@@ -504,9 +473,9 @@ def _derivation_cones(comp: ClauseSet, limit: int):
     for i, h in enumerate(clauses):
         if h.head is not None:
             by_head.setdefault(h.head.symbol, []).append(i)
-    queries = [h for h in clauses if h.head is None]
+    queries = [i for i, h in enumerate(clauses) if h.head is None]
     counts: dict = {}  # defined symbol -> its cone count, children first
-    stack = [(b.symbol, False) for h in queries for b in h.body]
+    stack = [(b.symbol, False) for qi in queries for b in clauses[qi].body]
     while stack:
         s, ready = stack.pop()
         if s in counts or s not in by_head:
@@ -517,10 +486,11 @@ def _derivation_cones(comp: ClauseSet, limit: int):
         else:
             stack.append((s, True))
             stack += [(b.symbol, False) for i in by_head[s] for b in clauses[i].body]
-    for query in queries:
-        if prod(counts.get(b.symbol, 1) for b in query.body) > limit:
+    for qi in queries:
+        if prod(counts.get(b.symbol, 1) for b in clauses[qi].body) > limit:
             raise CubeLimitExceeded(limit, "derivation cones below one query clause")
-    for query in queries:
+    for qi in queries:
+        query = clauses[qi]
         met = [(FALSE_NODE, b.symbol) for b in query.body]  # (parent node, symbol)
         # per symbol met: the position of its chosen clause in by_head[s], and
         # len(met) before that clause's body was met
@@ -533,15 +503,16 @@ def _derivation_cones(comp: ClauseSet, limit: int):
                     met += [(s, b.symbol) for b in clauses[by_head[s][0]].body]
             labels = {FALSE_NODE: query.constraint}
             keys: dict = {}
+            choice = {None: qi}
             for (_, s), (k, _) in zip(reversed(met), reversed(chosen)):  # children first
                 if s in by_head:
-                    ci = by_head[s][k]
+                    choice[s] = ci = by_head[s][k]
                     labels[s] = clauses[ci].constraint
                     keys[s] = frozenset({ci}).union(*[keys[b.symbol] for b in clauses[ci].body])
                 else:
                     labels[s], keys[s] = FALSE, frozenset()
             nodes = (FALSE_NODE, *[s for _, s in met])
-            yield TreeProblem(nodes, frozenset(met), labels, FALSE_NODE), keys
+            yield TreeProblem(nodes, frozenset(met), labels, FALSE_NODE), keys, choice
             # the next cone: the last symbol met with a defining clause left
             # takes the next one, and the symbols met after it are met again
             while chosen and chosen[-1][0] + 1 >= len(by_head.get(met[len(chosen) - 1][1], ())):
@@ -555,9 +526,11 @@ def _derivation_cones(comp: ClauseSet, limit: int):
             met += [(s, b.symbol) for b in clauses[by_head[s][k + 1]].body]
 
 
-def _cone_labels(comp: ClauseSet, options: SolverOptions) -> dict:
-    """Symbol->Constraint map of ``comp``, a connected component of a
-    normalized set that is body-disjoint or linear.
+def _cone_labels(comp: ClauseSet, options: SolverOptions):
+    """(Symbol->Constraint map, None) for ``comp``, a normalized set that is
+    body-disjoint or linear, or (None, (choice, model)) for its first cone
+    whose tree is satisfiable: _derivation_cones' choice and the NotUnsat
+    model.
 
     Each derivation cone of false is one tree problem, and one case of a
     split whose cases inside a symbol's subtree are its derivation keys.  So
@@ -565,17 +538,20 @@ def _cone_labels(comp: ClauseSet, options: SolverOptions) -> dict:
     keyed by its derivation key: it disjoins, over the groups of cones that
     derive the symbol by the same clauses, the conjunction of the group's
     labels.  The cones are counted before any is built, and each is labeled
-    as it is built.  A component without a false-head clause has no cone and
-    gets an empty map.
+    as it is built.  A set without a false-head clause has no cone and gets
+    an empty map.
     """
     split: dict = {}  # symbol -> ([label], [derivation key]), one entry per cone
-    for tp, keys in _derivation_cones(comp, options.cube_limit):
-        labels = tree_interpolate(tp, options)
+    for tp, keys, choice in _derivation_cones(comp, options.cube_limit):
+        try:
+            labels = tree_interpolate(tp, options)
+        except NotUnsat as exc:
+            return None, (choice, exc.model)
         for p, key in keys.items():
             ps, ks = split.setdefault(p, ([], []))
             ps.append(labels[p])
             ks.append(key)
-    return {p: case_split(*split[p]) for p in sorted(split)}
+    return {p: case_split(*split[p]) for p in sorted(split)}, None
 
 
 # ---------------------------------------------------------------------------
@@ -652,36 +628,30 @@ def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOpt
     that is not body-disjoint is made so by body_disjoint_transform, one
     top-down walk that keeps each symbol's first body occurrence and gives
     every later one a fresh copy ``s~k`` (k counting the copies made) with
-    copies of the clauses below it; the result is normalized and split
-    into its connected components (copies of an underivable symbol can
-    split it).  Each component is labeled by
-    _cone_labels, whose walk builds every cone's tree without classifying
-    or splitting again, and an original symbol's solution conjoins those of
-    its copies.  A tree-like set is the one-cone case, and the symbols of a
-    set without a false-head clause are left to be assigned true.
+    copies of the clauses below it; the result is normalized.  One call
+    of _cone_labels labels the set, whose walk builds every cone's tree
+    without classifying or splitting again, and an original symbol's
+    solution conjoins those of its copies.  A tree-like set is the one-cone
+    case, and the symbols of a set without a false-head clause are left to
+    be assigned true.
 
     When a cone's tree or a backend's first binary problem (the whole tree)
-    is satisfiable, its model gives the Counterexample:
-    _counterexample_from_model walks the normalized set before any merge
-    for a derivation of false that the model satisfies, and maps it back to
-    the clauses of ``comp`` through the copies' origins and normalize's
-    renamings.
+    is satisfiable, that cone is the Counterexample:
+    _counterexample_from_model maps its clauses back to those of ``comp``,
+    a merged clause through the first of its clauses that holds under the
+    model, then through the copies' origins and normalize's renamings.
     """
     copies: dict = {}
     disjoint, origins = comp, range(len(comp.clauses))
     if not (report.linear or report.body_disjoint):
         disjoint, copies, origins = body_disjoint_transform(comp, options.expansion_limit)
     nhc = normalize(disjoint)
-    # a normalized component stays connected; only copies can split it
-    subsets = connected_components(nhc.clause_set) if copies else [nhc.clause_set]
+    cones = nhc.clause_set
     if report.linear and not report.tree_like:
-        subsets = [merge_linear_duplicates(nhc.clause_set)]
-    collected: dict = {}
-    try:
-        for sub in subsets:
-            collected.update(_cone_labels(sub, options))
-    except NotUnsat as exc:
-        return _counterexample_from_model(comp, origins, nhc, exc.model), nhc.arg_vectors
+        cones = merge_linear_duplicates(cones)
+    collected, refuted = _cone_labels(cones, options)
+    if refuted is not None:
+        return _counterexample_from_model(comp, origins, nhc, cones, *refuted), nhc.arg_vectors
     assignment: dict = {}
     for p in sorted(comp.relations):
         parts = []

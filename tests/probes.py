@@ -24,6 +24,7 @@ from pathlib import Path
 sys.path[:0] = [str(Path(__file__).resolve().parents[1] / d) for d in ("perfbench", "tests")]
 
 from generators import diamond, ladder
+from test_planted import planted_verdicts
 from workloads import chain_text, pair_text
 
 from hornitp import (TreeProblem, binary_interpolant, chc, check_interpolant, classify, engine,
@@ -32,8 +33,8 @@ from hornitp.encodings import tree_problem_to_horn
 from hornitp.errors import CubeLimitExceeded, ExpansionLimitExceeded, ParseError, UndeclaredSymbol
 from hornitp.renaming import (PropClauseSet, compute_renaming, is_horn, prop_dependence_acyclic,
                               rename)
-from hornitp.terms import (INT, LinearTerm, Var, cand, cnot, cor, eq, evaluate, free_vars, ge,
-                           le, to_dnf)
+from hornitp.terms import (INT, REAL, LinearTerm, Var, cand, cnot, cor, eq, evaluate, free_vars,
+                           ge, le, to_dnf)
 
 
 def expect(error, call, *args, says=""):
@@ -235,6 +236,20 @@ def bound_pair_fast_path():
     assert 4 * len(tableaus) < len(lps), (len(tableaus), len(lps))
 
 
+def planted_corpus():
+    """1,000 draws each of Int and Real through planted_verdicts in
+    tests/test_planted.py, each a safe set and its unsafe twin: every
+    verdict must be the planted one, or, for Int only, UnknownResult, and
+    every answer must pass its check; one line per sort prints how many
+    verdicts agree and how many were UnknownResult."""
+    for sort in INT, REAL:
+        labeled, unknown = planted_verdicts(sort, 1000)
+        print(f"planted {sort}: {2000 - unknown} of 2000 verdicts are the planted one,"
+              f" {unknown} UnknownResult, {labeled} of 1000 safe draws with a non-trivial"
+              " label", flush=True)
+        assert sort == INT or unknown == 0
+
+
 PROBES = [  # (name, timeout in seconds, function)
     ("long chain, 300 steps", 120, partial(long_chain, 300)),
     ("long chain, 1,200 steps", 300, partial(long_chain, 1200)),
@@ -250,6 +265,7 @@ PROBES = [  # (name, timeout in seconds, function)
     ("propositional chain, hornitp rename-horn", 60 + 10, propositional_chain_cli),
     ("problem shapes", 3 * 60 + 10, problem_shapes),
     ("bound-pair fast path", 60, bound_pair_fast_path),
+    ("planted corpus, 1,000 Int and Real draws", 180, planted_corpus),
 ]
 
 

@@ -77,6 +77,7 @@ from hornitp.terms import (
     le,
     lt,
     ne,
+    rename_injective,
     substitute,
     to_dnf,
 )
@@ -568,15 +569,18 @@ class TestSolve:
         assert evaluate(res.constraint, res.model)
 
     def test_missing_counterexample_is_an_internal_error(self, monkeypatch):
-        # the check must raise, not assert, so that it holds under python -O
-        p = RelationSymbol("p", (INT,))
-        hc = ClauseSet.make([
-            HornClause(ge(TX, 0), (), rel_atom(p, X)),
-            HornClause(ge(TX, 5), (rel_atom(p, X),), None),
-        ])
-        monkeypatch.setattr(solver, "_derivation_of_false", lambda nhc, model: None)
+        # a merged step clause whose two clauses both fail under the model
+        # (every variable 0): the check must raise, not assert or stop an
+        # iteration, so that it holds under python -O
+        cone_labels = solver._cone_labels
+
+        def zero_model(comp, options):
+            labels, (choice, _) = cone_labels(comp, options)
+            return labels, (choice, {})
+
+        monkeypatch.setattr(solver, "_cone_labels", zero_model)
         with pytest.raises(SolverInternalError, match="no counterexample"):
-            solve(hc)
+            solve(_shared(2, ge(TX, 3)))
 
     def test_branching_over_the_whole_tree_finds_a_counterexample(self):
         # draw 48 of this stream: branch and bound over the whole tree's LP
@@ -695,21 +699,19 @@ def _unsolvable() -> ClauseSet:
 
 
 class TestCounterexampleFromModel:
-    """solve builds a Counterexample from the model of the satisfiable
-    encoding, gated by evaluating its accumulated constraint."""
+    """solve builds a Counterexample from the refuted cone and its tree's
+    model, gated by evaluating its accumulated constraint."""
 
     def test_model_failing_the_derivation_is_an_internal_error(self, monkeypatch):
-        # the walk accepts the model, which is then changed under it: the
-        # evaluation gate must raise, not assert (python -O)
-        walk = solver._derivation_of_false
+        # the refuted cone comes back with its model changed: the evaluation
+        # gate must raise, not assert (python -O)
+        cone_labels = solver._cone_labels
 
-        def corrupting(nhc, model):
-            choice = walk(nhc, model)
-            for v in list(model):
-                model[v] = model[v] - 10
-            return choice
+        def corrupting(comp, options):
+            labels, (choice, model) = cone_labels(comp, options)
+            return labels, (choice, {v: x - 10 for v, x in model.items()})
 
-        monkeypatch.setattr(solver, "_derivation_of_false", corrupting)
+        monkeypatch.setattr(solver, "_cone_labels", corrupting)
         with pytest.raises(SolverInternalError, match="fails its derivation"):
             solve(_unsolvable())
 
@@ -798,14 +800,15 @@ class TestCounterexampleFromModel:
         if isinstance(res, Counterexample):
             _assert_checked(res, hc)
 
-    def test_walk_takes_the_clauses_the_model_satisfies(self):
-        # only x = 1 for both copies of p, and only the +2 step everywhere,
-        # reach false; the input clauses come back, not their copies
-        cx = solve(_duplicated_cone())
+    def test_counterexample_is_the_refuted_cone(self):
+        # copies: only x = 1 for both copies of p reaches false, and the cone
+        # gives back p's second input clause object for each copy
         hc = _duplicated_cone()
-        assert [c.clause.constraint for c in cx.tree.children] == \
-            [hc.clauses[2].constraint, hc.clauses[3].constraint]
-        assert all(c.children[0].clause.constraint == eq(TX, 1) for c in cx.tree.children)
+        cx = solve(hc)
+        _assert_checked(cx, hc)
+        assert [c.clause for c in cx.tree.children] == [hc.clauses[2], hc.clauses[3]]
+        assert all(c.children[0].clause is hc.clauses[1] for c in cx.tree.children)
+        # merged steps: only the +2 step everywhere reaches x >= 6
         hc = _shared(3, ge(TX, 6))
         cx = solve(hc)
         t, steps = cx.tree, []
@@ -813,6 +816,64 @@ class TestCounterexampleFromModel:
             (t,) = t.children
             steps.append(t.clause)
         assert steps == [hc.clauses[6], hc.clauses[4], hc.clauses[2], hc.clauses[0]]
+        # several step choices reach x >= 6 in four steps: instance k reports
+        # the first of its step's two clauses that holds on its variables v~k
+        hc = _shared(4, ge(TX, 6))
+        cx = solve(hc)
+        _assert_checked(cx, hc)
+        t, k = cx.tree, 1
+        while t.children:
+            (t,) = t.children
+            k += 1
+            if t.clause.body:
+                twins = [h for h in hc.clauses if h.head == t.clause.head and h.body]
+                ren = {v: Var(f"{v.name}~{k}", v.sort) for v in t.clause.vars}
+                holds = [h for h in twins
+                         if evaluate(rename_injective(h.constraint, ren), cx.model)]
+                assert len(twins) == 2 and t.clause is holds[0]
+
+    def test_first_refuted_cone_in_query_order(self):
+        # q(x) <- p(x) & t(y) and r(x) <- p(x) share the underivable p, so
+        # its copy splits the set in two; both halves reach false, and the
+        # cone below the first query clause (r's, x >= 7) is the one
+        # reported, although q's clauses come first
+        p, q, r, t = (RelationSymbol(n, (INT,)) for n in "pqrt")
+        y = Var("y", INT)
+        hc = ClauseSet.make([
+            HornClause(TRUE, (rel_atom(p, X), rel_atom(t, y)), rel_atom(q, X)),
+            HornClause(TRUE, (rel_atom(p, X),), rel_atom(r, X)),
+            HornClause(ge(TX, 0), (), rel_atom(r, X)),
+            HornClause(ge(TX, 7), (rel_atom(r, X),), None),
+            HornClause(ge(TX, 0), (), rel_atom(q, X)),
+            HornClause(ge(TX, 5), (rel_atom(q, X),), None),
+        ])
+        assert len(connected_components(hc)) == 1
+        assert len(connected_components(normalize(body_disjoint_transform(hc)[0]).clause_set)) == 2
+        cx = solve(hc)
+        _assert_checked(cx, hc)
+        assert cx.tree.clause is hc.clauses[3]
+        assert cx.tree.children[0].clause is hc.clauses[2]
+
+    def test_cone_budget_spans_the_halves_a_copy_splits(self):
+        # the copy of the underivable p splits off an unsafe half (r) and a
+        # half with 4 cones below its query (q, through t's 4 facts); every
+        # query is counted before any cone is built, so a cube limit of 3
+        # stops the run, as it does when the two halves are separate
+        # components of the input, rather than reporting r's counterexample
+        p, q, r, t = (RelationSymbol(n, (INT,)) for n in "pqrt")
+        y = Var("y", INT)
+        hc = ClauseSet.make([
+            HornClause(TRUE, (rel_atom(p, X),), rel_atom(r, X)),
+            HornClause(ge(TX, 0), (), rel_atom(r, X)),
+            HornClause(ge(TX, 7), (rel_atom(r, X),), None),
+            HornClause(TRUE, (rel_atom(p, X), rel_atom(t, y)), rel_atom(q, X)),
+            *[HornClause(eq(LinearTerm.of(y), k), (), rel_atom(t, y)) for k in range(4)],
+            HornClause(ge(TX, 5), (rel_atom(q, X),), None),
+        ])
+        assert len(connected_components(normalize(body_disjoint_transform(hc)[0]).clause_set)) == 2
+        _assert_checked(solve(hc), hc)
+        with pytest.raises(CubeLimitExceeded, match="derivation cones.*--cube-limit"):
+            solve(hc, SolverOptions(cube_limit=3))
 
 
 def _rebuilt(tree, cls=DerivationTree, clause_of=lambda t: t.clause):
@@ -951,18 +1012,22 @@ class TestDerivationCones:
         several = 0
         for comp in self._components():
             cones = list(solver._derivation_cones(comp, 4096))
-            assert ([_cone_of(comp, keys) for _, keys in cones]
+            assert ([_cone_of(comp, keys) for _, keys, _ in cones]
                     == _recursive_enumerate_cones(comp, 4096))
             several += len(cones) > 1
-            for _, keys in cones:
+            for _, keys, choice in cones:
                 assert keys == _recursive_subcones(comp, _cone_of(comp, keys))
+                # the choice is each defined symbol's clause in its key
+                assert comp.clauses[choice.pop(None)].head is None
+                assert choice == {s: ci for s, key in keys.items() for ci in key
+                                  if comp.clauses[ci].head.symbol == s}
         assert several >= 5
 
     def test_trees_match_tree_problem_from_treelike(self):
         """Each cone's tree is the one tree_problem_from_treelike reads off
         the cone's clauses; the walk lists the same nodes in its own order."""
         for comp in self._components():
-            for tp, keys in solver._derivation_cones(comp, 4096):
+            for tp, keys, _ in solver._derivation_cones(comp, 4096):
                 cone = ClauseSet.make([comp.clauses[i] for i in sorted(_cone_of(comp, keys))])
                 (ref,) = tree_problem_from_treelike(NormalizedClauseSet(cone, {}))
                 assert (tp.edges, tp.labels, tp.root) == (ref.edges, ref.labels, ref.root)
@@ -1012,16 +1077,17 @@ class TestDerivationCones:
                         next(solver._derivation_cones(comp, limit))
                 else:
                     cones = solver._derivation_cones(comp, limit)
-                    assert [_cone_of(comp, keys) for _, keys in cones] == expected
+                    assert [_cone_of(comp, keys) for _, keys, _ in cones] == expected
 
     def test_long_chain(self):
         n = 3000
         comp = normalize(chain_clauses(n)).clause_set
-        ((tp, keys),) = solver._derivation_cones(comp, 4096)
+        ((tp, keys, choice),) = solver._derivation_cones(comp, 4096)
         assert _cone_of(comp, keys) == frozenset(range(n + 2))
         assert len(tp.nodes) == n + 2 and tp.order[-1] == tp.root
         # p_i is derived by the fact and the first i steps
         assert sorted(len(s) for s in keys.values()) == list(range(1, n + 2))
+        assert sorted(choice.values()) == list(range(n + 2))
 
 
 def _path_tree(labels):
