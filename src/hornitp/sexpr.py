@@ -8,7 +8,10 @@ subcommand, and solution files::
     t ::= (+ t...) | (- t) | (- t t...) | (* q t) | (* t q)
         | <integer> | <rational n/d> | <decimal> | <variable>
 
-Rationals are written ``n/d``; every emitted expression fits on one line.
+``(not c)`` is accepted on input, and a constraint is read in negation
+normal form.  Printed constraints are in that form too: ``not`` appears only
+as ``(not (= t 0))``, the form of a ``!=`` atom.  Rationals are written
+``n/d``; every emitted expression fits on one line.
 Between tokens the reader skips whitespace and ``;`` comments that run to
 the end of the line.  A string is ``"..."`` with ``""`` for one quote, as in
 SMT-LIB 2.6, and may span lines.
@@ -325,12 +328,16 @@ _CONSTANTS = {"true": TRUE, "false": FALSE}
 
 
 def read_constraint(parent: list, index: int, variables: dict) -> Constraint:
-    """The constraint ``parent[index]``."""
+    """The constraint ``parent[index]``, in negation normal form.  Each node
+    is read in a polarity that ``(not c)`` flips for c: negated, an atom or
+    constant is read as its negation and an and/or as an or/and, so no
+    subtree is negated once built."""
     done: list = []  # the constraints read so far, in text order
-    # (parent, index) of the nodes to read, and (combine, n) for the last n done
-    stack: list = [(parent, index)]
+    # (parent, index, negated?) of the nodes to read, and (combine, n, None)
+    # for the last n done
+    stack: list = [(parent, index, False)]
     while stack:
-        parent, index = stack.pop()
+        parent, index, neg = stack.pop()
         if type(parent) is not list:
             args = done[len(done) - index:]
             del done[len(done) - index:]
@@ -341,26 +348,26 @@ def read_constraint(parent: list, index: int, variables: dict) -> Constraint:
             c = _CONSTANTS.get(node)
             if c is None:
                 raise Misread(ParseError, f"unexpected constraint atom {node!r}", parent, index)
-            done.append(c)
+            done.append(cnot(c) if neg else c)
             continue
         if not node or type(node[0]) is not str:
             raise Misread(ParseError, "malformed constraint", parent, index)
         op = node[0]
         if op == "and" or op == "or":
-            stack.append((cand if op == "and" else cor, len(node) - 1))
-            stack += [(node, i) for i in range(len(node) - 1, 0, -1)]
+            stack.append((cand if (op == "and") != neg else cor, len(node) - 1, None))
+            stack += [(node, i, neg) for i in range(len(node) - 1, 0, -1)]
         elif op == "not":
             if len(node) != 2:
                 raise Misread(ParseError, "'not' takes one argument", parent, index)
-            stack.append((cnot, 1))
-            stack.append((node, 1))
+            stack.append((node, 1, not neg))
         elif op in _REL_OPS:
             if len(node) != 3:
                 raise Misread(ParseError, f"{op!r} takes two terms", parent, index)
             rel, sign = _REL_OPS[op]
             acc: dict = {}
             const = _collect([(node, 2, -sign), (node, 1, sign)], acc, variables)
-            done.append(atom(LinearTerm(_clean(acc), _rat(const)), rel))
+            c = atom(LinearTerm(_clean(acc), _rat(const)), rel)
+            done.append(cnot(c) if neg else c)
         else:
             raise Misread(ParseError, f"unknown constraint operator {op!r}", parent, index)
     return done[0]

@@ -1,12 +1,13 @@
 """Linear-arithmetic formula core.
 
 Variables are Int- or Real-sorted, terms are exact rational linear
-combinations, and constraints are and/or/not trees over atoms of the shape
-``term rel 0``.  Every coefficient and constant is a Python ``int`` when it
-is integral and a :class:`fractions.Fraction` with denominator > 1
-otherwise; canonical atoms have coprime int coefficients, so most term
-arithmetic is plain int arithmetic.  Nothing in this package touches
-floating point.
+combinations, and constraints are and/or trees over atoms of the shape
+``term rel 0``, in negation normal form from the moment they are built:
+:func:`cnot` negates each atom and swaps and/or.  Every coefficient and
+constant is a Python ``int`` when it is integral and a
+:class:`fractions.Fraction` with denominator > 1 otherwise; canonical atoms
+have coprime int coefficients, so most term arithmetic is plain int
+arithmetic.  Nothing in this package touches floating point.
 
 :class:`Var`, :class:`LinearTerm` and :class:`LinearAtom` are immutable
 ``NamedTuple`` values: hashing, equality and ordering are the tuple's own,
@@ -295,7 +296,7 @@ class CAtom(Constraint):
     atom: LinearAtom
 
 
-# CAnd, COr and CNot hash their field at construction, with the value the
+# CAnd and COr hash their field at construction, with the value the
 # generated __hash__ would give; the children's hashes are stored already,
 # so hashing a deep nesting is not recursive.
 @dataclass(frozen=True, repr=False)
@@ -322,21 +323,9 @@ class COr(Constraint):
         return self._hash
 
 
-@dataclass(frozen=True, repr=False)
-class CNot(Constraint):
-    arg: Constraint
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.arg,)))
-
-    def __hash__(self):
-        return self._hash
-
-
 def render(c: Constraint, atom_str) -> str:
-    """c as ``true``, ``false``, ``(and ...)``, ``(or ...)`` and ``(not ...)``
-    around ``atom_str(atom)`` for each atom.  Iterative, so the nesting depth
+    """c as ``true``, ``false``, ``(and ...)`` and ``(or ...)`` around
+    ``atom_str(atom)`` for each atom.  Iterative, so the nesting depth
     is not limited by the recursion limit."""
     out = []
     stack: list = [c]
@@ -348,9 +337,6 @@ def render(c: Constraint, atom_str) -> str:
             out.append("true" if c is TRUE else "false")
         elif isinstance(c, CAtom):
             out.append(atom_str(c.atom))
-        elif isinstance(c, CNot):
-            out.append("(not ")
-            stack += (")", c.arg)
         else:
             out.append("(and " if isinstance(c, CAnd) else "(or ")
             stack.append(")")
@@ -440,14 +426,33 @@ def cor(*args) -> Constraint:
     return COr(tuple(flat))
 
 
-def cnot(a: Constraint) -> Constraint:
-    if a is TRUE:
-        return FALSE
-    if a is FALSE:
-        return TRUE
-    if isinstance(a, CNot):
-        return a.arg
-    return CNot(a)
+def cnot(c: Constraint) -> Constraint:
+    """The negation of c in negation normal form: each atom is negated by
+    LinearAtom.negated, and and/or are swapped and rebuilt by cor and cand.
+    Walks with an explicit stack, so the nesting depth is not limited."""
+    # per open and/or: [arguments, index of the next one, cor or cand, the
+    # negated parts]; the first frame holds c alone
+    frames: list = [[(c,), 0, None, []]]
+    while True:
+        f = frames[-1]
+        args, i, build, parts = f
+        while i < len(args):
+            a = args[i]
+            i += 1
+            if type(a) is CAtom:
+                na = a.atom.negated()
+                parts.append(TRUE if na is True else FALSE if na is False else CAtom(na))
+            elif a is TRUE or a is FALSE:
+                parts.append(FALSE if a is TRUE else TRUE)
+            else:
+                f[1] = i
+                frames.append([a.args, 0, cor if type(a) is CAnd else cand, []])
+                break
+        else:
+            frames.pop()
+            if not frames:
+                return parts[0]
+            frames[-1][3].append(build(*parts))
 
 
 def free_vars(c: Constraint) -> frozenset:
@@ -459,8 +464,6 @@ def free_vars(c: Constraint) -> frozenset:
         c = stack.pop()
         if type(c) is CAtom:
             out.update([v for v, _ in c.atom.term.coeffs])
-        elif type(c) is CNot:
-            stack.append(c.arg)
         elif c is not TRUE and c is not FALSE:
             stack += c.args
     return frozenset(out)
@@ -468,7 +471,7 @@ def free_vars(c: Constraint) -> frozenset:
 
 def substitute(c: Constraint, sigma: Mapping[Var, LinearTerm]) -> Constraint:
     """Simultaneous substitution of terms for variables, rebuilt by atom,
-    cand, cor and cnot, so it simplifies as it goes, by a walk with an
+    cand and cor, so it simplifies as it goes, by a walk with an
     explicit stack."""
     if not sigma:
         return c
@@ -485,8 +488,6 @@ def substitute(c: Constraint, sigma: Mapping[Var, LinearTerm]) -> Constraint:
             done.append(c)
         elif isinstance(c, CAtom):
             done.append(atom(c.atom.term.substituted(sigma), c.atom.rel))
-        elif isinstance(c, CNot):
-            stack += ((cnot, 1), c.arg)
         else:
             stack.append((cand if isinstance(c, CAnd) else cor, len(c.args)))
             stack += reversed(c.args)
@@ -501,7 +502,7 @@ def rename_injective(c: Constraint, ren: Mapping[Var, Var]) -> Constraint:
     Such a renaming keeps each canonical atom canonical up to the order of
     its coefficients and, for = and !=, the sign of the leading one, so
     atoms are re-sorted and flipped, not canonicalised again, and no
-    and/or/not simplifies: this gives what ``substitute`` gives for such a
+    and/or simplifies: this gives what ``substitute`` gives for such a
     renaming, by a walk with an explicit stack."""
     done: list = []  # the renamed constraints so far
     stack: list = [c]  # constraints to rename, and (class, n) for the last n done
@@ -511,12 +512,10 @@ def rename_injective(c: Constraint, ren: Mapping[Var, Var]) -> Constraint:
             cls, n = c
             args = tuple(done[len(done) - n:])
             del done[len(done) - n:]
-            done.append(cls(args[0]) if cls is CNot else cls(args))
+            done.append(cls(args))
         elif type(c) is CAtom:
             a = c.atom
             done.append(CAtom(LinearAtom(a.term.renamed(ren, a.rel == EQ or a.rel == NE), a.rel)))
-        elif type(c) is CNot:
-            stack += ((CNot, 1), c.arg)
         elif c is TRUE or c is FALSE:
             done.append(c)
         else:
@@ -529,14 +528,10 @@ def evaluate(c: Constraint, model: Mapping[Var, Fraction]) -> bool:
     """Whether c holds under the model.  An and/or reads its arguments in
     order up to the first false/true one, as all() and any() would, by a
     walk with an explicit stack, so the nesting depth is not limited."""
-    frames: list = []  # (remaining arguments, deciding value) per and/or; (None, None) per not
+    frames: list = []  # (remaining arguments, deciding value) per and/or
     while True:
         if type(c) is CAtom:
             value = c.atom.holds(model)
-        elif type(c) is CNot:
-            frames.append((None, None))
-            c = c.arg
-            continue
         elif c is TRUE or c is FALSE:
             value = c is TRUE
         else:
@@ -549,9 +544,7 @@ def evaluate(c: Constraint, model: Mapping[Var, Fraction]) -> bool:
             value = not decides  # all(()) and any(())
         while frames:
             rest, decides = frames[-1]
-            if rest is None:
-                value = not value
-            elif value != decides:
+            if value != decides:
                 c = next(rest, None)
                 if c is not None:
                     break
@@ -582,41 +575,6 @@ class Cube:
         return len(self.atoms)
 
 
-def _nnf(c: Constraint, neg: bool) -> Constraint:
-    """Negation normal form of c, or of not c when ``neg``: negations are
-    pushed onto the atoms, and and/or are rebuilt by cand and cor.  Walks
-    with an explicit stack, so the nesting depth is not limited."""
-    # per open and/or: [arguments, index of the next one, negated?, cand or
-    # cor, the finished parts]; the first frame holds c alone
-    frames: list = [[(c,), 0, neg, None, []]]
-    while True:
-        f = frames[-1]
-        args, i, neg, build, parts = f
-        while i < len(args):
-            a = args[i]
-            i += 1
-            a_neg = neg
-            while type(a) is CNot:
-                a = a.arg
-                a_neg = not a_neg
-            if type(a) is CAtom:
-                if a_neg:
-                    na = a.atom.negated()
-                    a = TRUE if na is True else FALSE if na is False else CAtom(na)
-                parts.append(a)
-            elif a is TRUE or a is FALSE:
-                parts.append((FALSE if a is TRUE else TRUE) if a_neg else a)
-            else:
-                f[1] = i
-                frames.append([a.args, 0, a_neg, cor if (type(a) is CAnd) == a_neg else cand, []])
-                break
-        else:
-            frames.pop()
-            if not frames:
-                return parts[0]
-            frames[-1][4].append(build(*parts))
-
-
 def _atom_cubes(a: LinearAtom) -> list:
     """Atom as a list of alternative atom-lists (the != split happens here).
     The halves t <= 0 and -t <= 0 of t = 0, and t < 0 and -t < 0 of t != 0,
@@ -640,18 +598,17 @@ def _atom_cubes(a: LinearAtom) -> list:
 def to_dnf(c: Constraint, limit: int = DEFAULT_CUBE_LIMIT) -> list:
     """Equivalent disjunction of cubes (over the Int/Real structure).
 
-    The negation normal form is expanded by a walk with an explicit stack:
-    an or concatenates its arguments' cube lists, an and multiplies them out
-    one argument at a time.  Raises CubeLimitExceeded once more than
-    ``limit`` cubes would be built.
+    c, in negation normal form as every constraint is, is expanded by a walk
+    with an explicit stack: an or concatenates its arguments' cube lists, an
+    and multiplies them out one argument at a time.  Raises
+    CubeLimitExceeded once more than ``limit`` cubes would be built.
     """
-    c = _nnf(c, False)
     frames: list = []  # [and?, arguments, index of the next one, cube lists so far]
     while True:
         if type(c) is CAtom:
             cubes = _atom_cubes(c.atom)
-        elif c is TRUE or c is FALSE:
-            cubes = [[]] if c is TRUE else []
+        elif c is TRUE or c is FALSE or not c.args:  # an empty and is true, an empty or false
+            cubes = [[]] if c is TRUE or type(c) is CAnd else []
         else:
             is_and = type(c) is CAnd
             frames.append([is_and, c.args, 1, [[]] if is_and else []])

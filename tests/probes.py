@@ -176,6 +176,29 @@ def deep_nests_dnf():
     assert evaluate(c, {x: Fraction(-1501)}) and not evaluate(cnot(c), {x: Fraction(-1501)})
 
 
+def alternating_negation_nest():
+    """A 20,000-level (not (and (<= x k) ...)) nest read by parse_chc: the
+    reader carries each node's polarity down and negates no subtree it has
+    built, so a reader that negates built subtrees shows up here as a
+    timeout; to_dnf expands the negation normal form it reads until the cube
+    budget stops it, and evaluate reads it correctly."""
+    n = 20000
+    nest = "(<= x 0)"
+    for k in range(1, n + 1):
+        nest = f"(not (and (<= x {k}) {nest}))"
+    hc = chc.parse_chc(f"(set-logic HORN)\n(assert (forall ((x Int)) (=> {nest} false)))\n"
+                       "(check-sat)\n")
+    (clause,) = hc.clauses
+    c = clause.constraint
+    expect(CubeLimitExceeded, to_dnf, c, 100)
+    x = Var("x", INT)
+    for value in -1, 0, 1, 10000, n + 1:
+        want = value <= 0
+        for k in range(1, n + 1):
+            want = not (value <= k and want)
+        assert evaluate(c, {x: Fraction(value)}) is want, value
+
+
 def propositional_chain():
     """The 20,000-variable Horn chain of (n) and (i or not i+1), its clauses
     in reverse order: prop_dependence_acyclic walks its 20,000-step
@@ -261,6 +284,7 @@ PROBES = [  # (name, timeout in seconds, function)
     ("reader scan", 60, reader_scan),
     ("deep constraint nests, hornitp solve", 2 * 60 + 10, deep_nests_cli),
     ("deep constraint nests, to_dnf", 120, deep_nests_dnf),
+    ("alternating negation nest", 60, alternating_negation_nest),
     ("propositional chain", 60, propositional_chain),
     ("propositional chain, hornitp rename-horn", 60 + 10, propositional_chain_cli),
     ("problem shapes", 3 * 60 + 10, problem_shapes),

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from generators import random_constraint
+from generators import random_constraint, random_term
+from test_shortcuts import CNot, _ref_nnf
 from hornitp.errors import ParseError, UndeclaredSymbol
 from hornitp.sexpr import (
     _placed,
@@ -186,6 +187,40 @@ class TestConstraints:
             for _ in range(10):
                 m = {v: Fraction(rng.randint(-4, 4)) for v in pool}
                 assert evaluate(c, m) == evaluate(c1, m)
+
+    def test_not_is_read_in_negation_normal_form(self):
+        # the reader before constraints were built in negation normal form
+        # made a CNot node per not, which to_dnf's pass pushed onto the atoms
+        def old_read(node):
+            if type(node) is str or node[0] not in ("and", "or", "not"):
+                return read_constraint([node], 0, names)
+            if node[0] == "not":
+                c = old_read(node[1])
+                return {TRUE: FALSE, FALSE: TRUE}.get(c) or (c.arg if type(c) is CNot else CNot(c))
+            return (cand if node[0] == "and" else cor)(*map(old_read, node[1:]))
+
+        def text(depth):
+            k = rng.random()
+            if depth == 0 or k < 0.25:
+                if k < 0.05:
+                    return rng.choice(["true", "false"])
+                op = rng.choice(["<=", "<", "=", ">=", ">"])
+                lhs, rhs = term_str(random_term(rng, pool)), term_str(random_term(rng, pool))
+                return f"({op} {lhs} {rhs})"
+            if k < 0.5:
+                return f"(not {text(depth - 1)})"
+            args = " ".join(text(depth - 1) for _ in range(rng.randint(0, 3)))
+            return f"({rng.choice(['and', 'or'])} {args})"
+
+        rng = random.Random(23)
+        pool = [X, Var("z", INT), Y]
+        names = {v.name: v for v in pool}
+        for _ in range(500):
+            t = text(5)
+            got = _read(read_constraint, t, names)
+            want = _ref_nnf(old_read(parse_one(t)), False)
+            assert got == want and repr(got) == repr(want), t
+            assert "(not (not" not in constraint_str(got) and "(not (<" not in constraint_str(got)
 
     def test_unknown_operator_rejected(self):
         with pytest.raises(ParseError):

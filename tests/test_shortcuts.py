@@ -1,19 +1,23 @@
 """The decision gates' exact shortcuts, each against a copy of the code it
 replaced kept in this file: canonical negation and the =/!= halves built
-without canonicalising again, the explicit-stack to_dnf and evaluate,
-Solution.applied's renaming and FarkasCertificate.is_valid's one-dict sum."""
+without canonicalising again, the explicit-stack to_dnf and evaluate on
+constraints built in negation normal form, Solution.applied's renaming and
+FarkasCertificate.is_valid's one-dict sum."""
 
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from generators import random_constraint, random_term
 from hornitp import chc
+from hornitp.engine import sat_cube
 from hornitp.errors import CubeLimitExceeded
 from hornitp.horn import RelationSymbol, Solution, rel_atom
-from hornitp.lp import FarkasCertificate, Unsat, decide_rational
+from hornitp.lp import FarkasCertificate, Sat, Unsat, decide_rational
+from hornitp.sexpr import parse_with, read_constraint
 from hornitp.terms import (
     EQ,
     FALSE,
@@ -25,8 +29,8 @@ from hornitp.terms import (
     TRUE,
     CAnd,
     CAtom,
-    CNot,
     COr,
+    Cube,
     LinearTerm,
     Var,
     _atom_cubes,
@@ -63,8 +67,6 @@ def _typed_atoms(c):
         c = stack.pop()
         if type(c) is CAtom:
             out.append(_typed(c.atom))
-        elif type(c) is CNot:
-            stack.append(c.arg)
         elif c is not TRUE and c is not FALSE:
             stack += c.args
     return out
@@ -79,6 +81,14 @@ def _typed_cubes(cubes):
 # ---------------------------------------------------------------------------
 
 _REF_NEGATED = {LE: LT, LT: LE, EQ: NE, NE: EQ}
+
+
+@dataclass(frozen=True)
+class CNot:
+    """The negation node constraints had before cnot built their negation
+    normal form; only the references below read it."""
+
+    arg: object
 
 
 def _ref_negated(a):
@@ -222,34 +232,36 @@ def _deep_nest(levels):
 
 
 def _deep_and_not_nest(levels):
-    """and/not/or/not nested 4 * levels deep whose negation normal form is
-    one conjunction of 2 * levels + 1 atoms."""
-    x, y = LinearTerm.of(POOL[0]), LinearTerm.of(POOL[1])
-    c = le(x, 0)
+    """and/not/or/not nested 4 * levels deep, read from text, whose negation
+    normal form is one conjunction of 2 * levels + 1 atoms."""
+    text = "(<= a 0)"
     for k in range(1, levels + 1):
-        c = cand(le(x, k), cnot(cor(cnot(c), le(y, -k))))
-    return c
+        text = f"(and (<= a {k}) (not (or (not {text}) (<= b {-k}))))"
+    names = {v.name: v for v in POOL}
+    return parse_with(text, lambda forms: read_constraint(forms, 0, names))
 
 
 def _hostile_constraints(rng):
-    """Negation towers, wide disjunctions and and/or nodes built directly,
-    with true, false, repeated and same-kind arguments that cand and cor
-    would have folded away."""
+    """(built, raw): negation towers, deep nests and a wide disjunction
+    built through cand, cor and cnot; and and/or nodes built directly, with
+    true, false, repeated and same-kind arguments that cand and cor would
+    have folded away."""
     atoms = [CAtom(a) for a in _canonical_atoms(rng, 12)]
-    out = [_deep_nest(60), cnot(_deep_nest(40))]
+    built = [_deep_nest(60), cnot(_deep_nest(40))]
     c = atoms[0]
     for k in range(200):
-        c = CNot(c) if k % 3 else CNot(CAnd((c, atoms[k % 12])))
-    out.append(c)
+        c = cnot(c) if k % 3 else cnot(cand(c, atoms[k % 12]))
+    built.append(c)
+    built.append(cor(*(cand(a, b) for a in atoms[:5] for b in atoms[5:9])))
+    raw = []
     for _ in range(60):
         parts = [rng.choice(atoms + [TRUE, FALSE]) for _ in range(rng.randint(0, 4))]
         kind = rng.choice([CAnd, COr])
         node = kind(tuple(parts))
         if rng.random() < 0.5:
             node = kind((node, rng.choice(atoms), node))
-        out.append(rng.choice([node, CNot(node), CAnd((node, COr((node, rng.choice(atoms)))))]))
-    out.append(COr(tuple(CAnd((a, b)) for a in atoms[:5] for b in atoms[5:9])))
-    return out
+        raw.append(rng.choice([node, CAnd((node, COr((node, rng.choice(atoms)))))]))
+    return built, raw
 
 
 def _chc_constraints():
@@ -305,10 +317,12 @@ class TestAtomShortcuts:
 
 class TestToDnf:
     @staticmethod
-    def _agree(c, limits=range(9)):
+    def _agree(c, ref=None, limits=range(9)):
+        """to_dnf(c) gives the reference's cubes for ``ref``, by default c,
+        at each limit, or both raise CubeLimitExceeded."""
         for limit in (*limits, 10_000):
             try:
-                want = _ref_to_dnf(c, limit)
+                want = _ref_to_dnf(c if ref is None else ref, limit)
             except CubeLimitExceeded:
                 with pytest.raises(CubeLimitExceeded):
                     to_dnf(c, limit)
@@ -320,7 +334,7 @@ class TestToDnf:
         assert len(constraints) > 40
         for c in constraints:
             self._agree(c)
-            self._agree(cnot(c))
+            self._agree(cnot(c), CNot(c))
 
     def test_random_stream_sets(self):
         for c in _random_stream_constraints(3, 150):
@@ -332,8 +346,31 @@ class TestToDnf:
             self._agree(random_constraint(rng, POOL[:3] + POOL[3:4], depth=4))
 
     def test_hostile_nests(self):
-        for c in _hostile_constraints(random.Random(13)):
+        rng = random.Random(13)
+        built, raw = _hostile_constraints(rng)
+        for c in built:
             self._agree(c)
+            self._agree(cnot(c), CNot(c))
+        # to_dnf expands a directly built node as it stands, with no rebuild
+        # by cand and cor first: its cubes are equivalent to the reference's,
+        # not equal; cnot rebuilds it, so its negation's cubes are equal
+        seen = {True: 0, False: 0}
+        sat = {True: 0, False: 0}
+        for c in raw:
+            cubes = [cube.atoms for cube in to_dnf(c)]
+            want = _ref_to_dnf(c, 10_000)
+            for _ in range(20):
+                m = {v: Fraction(rng.randint(-8, 8), 1 if v.sort == INT else rng.choice([1, 2, 3]))
+                     for v in POOL}
+                holds = evaluate(c, m)
+                assert any(all(a.holds(m) for a in cube) for cube in cubes) is holds, (c, m)
+                assert any(all(a.holds(m) for a in cube) for cube in want) is holds, (c, m)
+                seen[holds] += 1
+            feasible = any(isinstance(sat_cube(Cube(cube)), Sat) for cube in cubes)
+            assert feasible == any(isinstance(sat_cube(Cube(tuple(cube))), Sat) for cube in want)
+            sat[feasible] += 1
+            self._agree(cnot(c), CNot(c))
+        assert min(seen.values()) > 100 and min(sat.values()) > 5, (seen, sat)
 
     def test_3000_deep_nests_expand_without_recursion(self):
         # the walk reaches the innermost and/or before the cube count grows
@@ -346,15 +383,21 @@ class TestToDnf:
 class TestEvaluate:
     def test_matches_recursive_evaluation(self):
         rng = random.Random(17)
-        constraints = (_hostile_constraints(rng) + _chc_constraints()
-                       + [random_constraint(rng, POOL, depth=4) for _ in range(300)])
+        built, raw = _hostile_constraints(rng)
+        built += _chc_constraints() + [random_constraint(rng, POOL, depth=4) for _ in range(300)]
+        # a built constraint's negation reads its atoms in the same order,
+        # as the reference reads them under CNot; a negated Int atom is the
+        # complement only at integer values, so those models give Int
+        # variables integers
+        pairs = [(c, c) for c in built + raw] + [(cnot(c), CNot(c)) for c in built]
         checked = missing = 0
-        for c in constraints:
+        for c, ref in pairs:
             for _ in range(4):
-                model = {v: Fraction(rng.randint(-8, 8), rng.choice([1, 1, 2])) for v in POOL
-                         if rng.random() < 0.9}
+                model = {v: Fraction(rng.randint(-8, 8),
+                                     rng.choice([1, 1, 2]) if ref is c or v.sort == REAL else 1)
+                         for v in POOL if rng.random() < 0.9}
                 try:
-                    want = _ref_evaluate(c, model)
+                    want = _ref_evaluate(ref, model)
                 except KeyError:
                     # the same atoms are read, in the same order
                     with pytest.raises(KeyError):
@@ -363,7 +406,7 @@ class TestEvaluate:
                     continue
                 assert evaluate(c, model) is want, c
                 checked += 1
-        assert checked > 500 and missing > 50
+        assert checked > 1000 and missing > 100
 
     def test_3000_deep_nest(self):
         c = _deep_nest(1500)

@@ -64,7 +64,7 @@ from hornitp.terms import (
     INT,
     REAL,
     TRUE,
-    CNot,
+    COr,
     LinearTerm,
     Var,
     cand,
@@ -1192,10 +1192,10 @@ class TestCertificateLabels:
         assert sweeps == []
 
     def test_label_false_only_after_dnf_is_a_false_label(self, monkeypatch):
-        # not true has no cubes but is not the constant FALSE
+        # an empty or has no cubes but is not the constant FALSE
         tp = TreeProblem(("a", "b", "c", "root"),
                          frozenset({("root", "a"), ("a", "b"), ("root", "c")}),
-                         {"a": ge(TX, 1), "b": CNot(TRUE), "c": le(TX, 3), "root": TRUE},
+                         {"a": ge(TX, 1), "b": COr(()), "c": le(TX, 3), "root": TRUE},
                          "root")
         sweeps = _counting(monkeypatch, "_node_by_node_labels")
         labels = tree_interpolate(tp)

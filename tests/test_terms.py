@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from generators import random_constraint
+from test_shortcuts import CNot, _chc_constraints, _ref_nnf
 from hornitp.errors import CubeLimitExceeded, SortMismatch
 from hornitp.sexpr import parse_with, read_constraint, read_number
 from hornitp.terms import (
@@ -22,7 +23,6 @@ from hornitp.terms import (
     TRUE,
     CAnd,
     CAtom,
-    CNot,
     COr,
     Cube,
     LinearAtom,
@@ -30,7 +30,6 @@ from hornitp.terms import (
     Var,
     _atom_cubes,
     _canonical_atom,
-    _nnf,
     atom,
     cand,
     cnot,
@@ -42,6 +41,7 @@ from hornitp.terms import (
     le,
     lt,
     ne,
+    rename_injective,
     substitute,
     to_dnf,
     weighted_sum,
@@ -178,8 +178,6 @@ def _recursive_substitute(c, sigma):
         return c
     if isinstance(c, CAtom):
         return atom(c.atom.term.substituted(sigma), c.atom.rel)
-    if isinstance(c, CNot):
-        return cnot(_recursive_substitute(c.arg, sigma))
     parts = [_recursive_substitute(a, sigma) for a in c.args]
     return cand(*parts) if isinstance(c, CAnd) else cor(*parts)
 
@@ -209,7 +207,7 @@ class TestSubstituteIterative:
         if depth == 0 or k < 0.3:
             return rng.choice([TRUE, FALSE, random_constraint(rng, self.POOL[:3], 1)])
         if k < 0.45:
-            return CNot(self._raw(rng, depth - 1))
+            return cnot(self._raw(rng, depth - 1))
         args = [self._raw(rng, depth - 1) for _ in range(rng.randint(1, 3))]
         if rng.random() < 0.3:
             args.append(args[0])
@@ -242,11 +240,14 @@ class TestSubstituteIterative:
         assert free_vars(out) == {Y}
         for y in (-3002, -3001, -1, 0, 2999, 3000):
             assert evaluate(out, {Y: Fraction(y)}) == evaluate(c, {X: Fraction(y + 1)})
-        # 3,000 negations built directly; cnot cancels them pairwise
-        c = le(TX, 0)
-        for _ in range(3000):
-            c = CNot(c)
-        assert substitute(c, {X: TY + 1}) == le(TY + 1, 0)
+        # not/and alternating 6,000 deep, read in negation normal form
+        text = "(<= x 0)"
+        for k in range(1, 3001):
+            text = f"(not (and (<= x {k}) {text}))"
+        c = parse_with(text, lambda forms: read_constraint(forms, 0, {"x": X}))
+        out = substitute(c, {X: TY + 1})
+        for y in (-3002, -1, 0, 1, 3000):
+            assert evaluate(out, {Y: Fraction(y)}) == evaluate(c, {X: Fraction(y + 1)})
 
 
 class TestToDnf:
@@ -272,6 +273,14 @@ class TestToDnf:
             for cube in to_dnf(c):
                 assert all(a.rel in (LE, LT, EQ) for a in cube.atoms)
 
+    def test_empty_and_or_built_directly(self):
+        # an and of nothing is true and an or of nothing false, as evaluate reads them
+        a = le(TX, 0)
+        assert [cube.atoms for cube in to_dnf(CAnd(()))] == [()]
+        assert to_dnf(COr(())) == [] and to_dnf(CAnd((a, COr(())))) == []
+        assert [cube.atoms for cube in to_dnf(COr((CAnd(()), a)))] == [(), (a.atom,)]
+        assert evaluate(CAnd(()), {}) and not evaluate(COr(()), {})
+
     def test_cube_limit(self):
         big = cand(*(cor(le(TX, i), le(TY, i)) for i in range(20)))
         with pytest.raises(CubeLimitExceeded):
@@ -291,6 +300,60 @@ class TestToDnf:
                 # integer tightening may strengthen atoms at non-integer points
                 if all(v.denominator == 1 for v in m.values()):
                     assert got == expected, (c, m)
+
+
+def _assert_nnf(c):
+    """c holds only atoms, and/or nodes and true/false; an and/or has two or
+    more distinct arguments, none of them constant or of its own kind."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        if type(c) is CAtom or c is TRUE or c is FALSE:
+            continue
+        assert type(c) is CAnd or type(c) is COr, c
+        assert len(set(c.args)) == len(c.args) > 1, c
+        assert not any(a is TRUE or a is FALSE or type(a) is type(c) for a in c.args), c
+        stack += c.args
+
+
+class TestNegationNormalForm:
+    """Every constraint is built in negation normal form, which lets to_dnf
+    expand it without rewriting it first."""
+
+    R = Var("r", REAL)
+
+    def _constraints(self, rng):
+        """random_constraint draws, their substitutions and injective
+        renamings, and the constraints read from the repository's .chc files."""
+        ints = [X, Y, RES]
+        out = []
+        for _ in range(400):
+            c = random_constraint(rng, ints + [self.R], depth=4)
+            sigma = {v: LinearTerm.of(rng.choice(ints)).scale(rng.choice([1, -2]))
+                     + rng.randint(-1, 1) for v in rng.sample(ints, 2)}
+            sigma[self.R] = LinearTerm.const(rng.randint(-1, 1)) if rng.random() < 0.5 else TX
+            ren = dict(zip(ints, rng.sample(ints, 3)))
+            ren[self.R] = Var("r2", REAL)
+            out += [c, substitute(c, sigma), rename_injective(c, ren)]
+        return out + _chc_constraints()
+
+    def test_built_constraints_are_in_nnf(self):
+        rng = random.Random(59)
+        constraints = self._constraints(rng)
+        compound = 0
+        for c in constraints:
+            n = cnot(c)
+            _assert_nnf(c)
+            _assert_nnf(n)
+            assert cnot(n) == c, c
+            # the negation pass to_dnf made before each expansion gives cnot's result
+            assert n == _ref_nnf(CNot(c), False), c
+            for _ in range(5):
+                m = {v: Fraction(rng.randint(-6, 6), 1 if v.sort == INT else rng.choice([1, 2, 3]))
+                     for v in free_vars(c)}
+                assert evaluate(n, m) == (not evaluate(c, m)), (c, m)
+            compound += type(c) is CAnd or type(c) is COr
+        assert len(constraints) > 1200 and compound > 250, (len(constraints), compound)
 
 
 @settings(max_examples=200, deadline=None)
@@ -485,7 +548,7 @@ def _ref_raw_cubes(c):
             acc = [x + y for x in acc for y in go(a)]
         return acc
 
-    return go(_nnf(c, False))
+    return go(_ref_nnf(c, False))
 
 
 def _ref_dedup(raw):
@@ -516,15 +579,15 @@ class TestHashDedup:
         assert repeated > 200
 
     def test_deep_nesting_hashes_without_recursion(self):
-        # and/or nested 600 deep, then a not around it: each level's hash is
+        # and/or nested 600 deep, and its negation: each level's hash is
         # stored at construction, with the value the generated __hash__ gives
         c = le(TX, 0)
         for k in range(1, 301):
             c = CAnd((le(TX, k), COr((ge(TX, -k), c))))
-        n = CNot(c)
-        assert hash(c) == hash((c.args,)) and hash(n) == hash((c,))
-        assert cor(n, c, n) == COr((n, c))
-        assert cand(le(TY, 0), c) == CAnd((le(TY, 0),) + c.args)
+        n = cnot(c)
+        assert hash(c) == hash((c.args,)) and hash(n) == hash((n.args,))
+        assert cand(n, c, n) == CAnd((n,) + c.args)
+        assert cor(le(TY, 0), n) == COr((le(TY, 0),) + n.args)
 
     def test_to_dnf_cubes_match_list_dedup_in_order(self):
         rng = random.Random(53)
