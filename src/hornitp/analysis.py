@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import NotLinear
 from .horn import ClauseSet, HornClause, RelationAtom, RelationSymbol
-from .terms import EQ, LinearTerm, Var, atom, cand, cor, rename_injective, weighted_sum
+from .terms import LinearTerm, Var, cand, cor, eq, rename_injective
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,7 @@ def normalize(hc: ClauseSet) -> NormalizedClauseSet:
             nv = Var(f"{v.name}@{idx}", v.sort)
             assert nv not in reserved
             renaming[v] = nv
-        # eq(x, t) with the renamed t, built in one pass
-        bindings = [atom(weighted_sum(((LinearTerm.of(x), 1), (t.renamed(renaming), -1))), EQ)
-                    for a, vec in zip(atoms, vectors)
+        bindings = [eq(x, t.renamed(renaming)) for a, vec in zip(atoms, vectors)
                     for x, t in zip(vec, a.args) if x not in aliased]
         new_atoms = [own[a.symbol] if vec is arg_vectors[a.symbol] else
                      RelationAtom(a.symbol, tuple([LinearTerm.of(x) for x in vec]))

@@ -80,17 +80,13 @@ def _decide(atoms, depth):
 def sat_cube(c: Cube, branch_depth: int = DEFAULT_BRANCH_DEPTH) -> Sat | Unsat:
     """Decide one conjunction of atoms; Sat models give Int vars integers.
 
-    decide_rational has checked a Sat model against every atom.  The
-    certificate is None when unsatisfiability holds over the integers but
-    not the rationals (no multiplier combination can witness it).
+    decide_rational has checked a Sat model against every atom, and values
+    every variable of the atoms it was given, so the model names exactly
+    the cube's variables.  The certificate is None when unsatisfiability
+    holds over the integers but not the rationals (no multiplier
+    combination can witness it).
     """
-    res = _decide(list(c.atoms), branch_depth)
-    if isinstance(res, Sat):
-        model = dict(res.model)
-        for v in c.vars:
-            model.setdefault(v, Fraction(0))
-        return Sat(model)
-    return res
+    return _decide(list(c.atoms), branch_depth)
 
 
 def sat(c: Constraint, branch_depth: int = DEFAULT_BRANCH_DEPTH,

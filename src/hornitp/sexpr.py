@@ -19,14 +19,13 @@ SMT-LIB 2.6, and may span lines.
 The reader is one ``findall`` scan of one regular expression into plain
 nested lists, the one parsed form: a list is a Python list, and every other
 token stays the ``str`` it was read as, so a text costs one object per list.
-A text with strings is scanned token by token instead, each string read by
-``str.find``.  No positions are kept.  The ``read_*`` functions read the node
-``parent[index]``, and a reading error names its node as ``(parent, index)``
-in a :class:`Misread`; :func:`parse_with` turns it into its error class at
-the node's line and column, computed only then, by a second scan that walks
-the lists in step with the text's tokens.  Terms and constraints are read
-with explicit stacks, so their nesting depth is not limited by the recursion
-limit.
+A string is one token of that scan.  No positions are kept.  The
+``read_*`` functions read the node ``parent[index]``, and a reading error
+names its node as ``(parent, index)`` in a :class:`Misread`;
+:func:`parse_with` turns it into its error class at the node's line and
+column, computed only then, by a second scan that walks the lists in step
+with the text's tokens.  Terms and constraints are read with explicit
+stacks, so their nesting depth is not limited by the recursion limit.
 """
 
 from __future__ import annotations
@@ -64,18 +63,19 @@ def _position(text: str, offset: int) -> tuple:
 
 
 # One token per match.  Whitespace matches no alternative, so the scan
-# skips it; every other character starts a match.  A quote starts a string,
-# which _scan reads by str.find.
-_TOKEN = re.compile(r'[^\s();"][^\s();]*|[()]|;[^\n]*|"')
+# skips it; every other character starts a match.  A string runs from its
+# opening quote to the first quote not followed by another, since ``""`` is
+# one escaped quote; a quote that starts no such string is a token of its
+# own, an unterminated string.
+_TOKEN = re.compile(r'[^\s();"][^\s();]*|[()]|;[^\n]*|"(?:[^"]|"")*"(?!")|"')
 
 
 def parse_all(text: str) -> list:
     """The top-level s-expressions of the text as nested lists of tokens,
-    strings unescaped.  A text without strings is one ``findall``."""
+    strings unescaped, read from one ``findall``."""
     stack: list = []  # the enclosing lists of the open lists
     top: list = []
-    tokens = _TOKEN.findall(text) if '"' not in text else (tok for _, tok in _scan(text))
-    for tok in tokens:
+    for tok in _TOKEN.findall(text):
         if tok == "(":
             node: list = []
             top.append(node)
@@ -87,6 +87,8 @@ def parse_all(text: str) -> list:
             top = stack.pop()
         elif tok[0] not in '";':
             top.append(tok)
+        elif tok == '"':
+            list(_scan(text))  # raises the unterminated string at its offset
         elif tok[0] == '"':
             top.append('"' + tok[1:-1].replace('""', '"') + '"')
     if stack:
@@ -95,25 +97,14 @@ def parse_all(text: str) -> list:
 
 
 def _scan(text: str):
-    """(offset, token) of every token but comments, in text order; a string
-    is one token, from its opening quote to the first quote not followed by
-    another, since ``""`` is one escaped quote."""
-    pos = 0
-    while pos is not None:  # one pass, resumed after each string
-        matches, pos = _TOKEN.finditer(text, pos), None
-        for m in matches:
-            tok, start = m[0], m.start()
-            if tok == '"':
-                end = text.find('"', start + 1)
-                while end >= 0 and text.startswith('"', end + 1):
-                    end = text.find('"', end + 2)
-                if end < 0:
-                    raise ParseError("unterminated string", *_position(text, start))
-                yield start, text[start:end + 1]
-                pos = end + 1
-                break
-            if tok[0] != ";":
-                yield start, tok
+    """(offset, token) of every token but comments, in text order; raises
+    ParseError at the opening quote of an unterminated string."""
+    for m in _TOKEN.finditer(text):
+        tok = m[0]
+        if tok == '"':
+            raise ParseError("unterminated string", *_position(text, m.start()))
+        if tok[0] != ";":
+            yield m.start(), tok
 
 
 def _unbalanced(text: str):

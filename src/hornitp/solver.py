@@ -22,8 +22,12 @@ the weighted sum of its subtree's atoms.  Only an external interpolation
 backend labels node by node.  An unsolvable set makes one of its cones'
 trees satisfiable, and that cone is the counterexample, mapped back to the
 input clauses, with its accumulated constraint evaluated under the tree's
-model before it is returned.  A restricted DAG interpolation problem is
-solved as its Horn encoding, a linear set."""
+model before it is returned.  Its clause instances are built, numbered and
+bound as the expansion's are, by one helper, so a set with exactly one
+derivation of false has the expansion as its counterexample's constraint.
+A solution gives every symbol normalize's argument vector as its
+parameters, and true where no component labeled it.  A restricted DAG
+interpolation problem is solved as its Horn encoding, a linear set."""
 
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ from typing import Callable, Mapping, Optional
 from .analysis import (
     FragmentReport,
     NormalizedClauseSet,
+    _fresh_vector,
     classify,
     connected_components,
     dependence_graph,
@@ -64,7 +69,6 @@ from .lp import FarkasCertificate, Sat
 from .problems import DagProblem, SequenceProblem, TreeProblem, check_dag, check_tree
 from .terms import (
     DEFAULT_CUBE_LIMIT,
-    EQ,
     FALSE,
     INT,
     LE,
@@ -74,7 +78,6 @@ from .terms import (
     LinearAtom,
     LinearTerm,
     Var,
-    atom,
     cand,
     cor,
     eq,
@@ -172,23 +175,17 @@ class Counterexample:
 # ---------------------------------------------------------------------------
 
 
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def rename(self, h: HornClause):
-        self.used += 1
-        if self.used > self.limit:
-            raise ExpansionLimitExceeded(self.limit)
-        ren = {v: Var(f"{v.name}~{self.used}", v.sort) for v in sorted(h.vars)}
-
-        def ratom(a: RelationAtom) -> RelationAtom:
-            return RelationAtom(a.symbol, tuple([t.renamed(ren) for t in a.args]))
-
-        return (rename_injective(h.constraint, ren),
-                tuple([ratom(b) for b in h.body]),
-                ratom(h.head) if h.head is not None else None)
+def _instance(h: HornClause, variables, k: int, binding) -> tuple:
+    """Instance k of clause ``h``, each of ``variables`` (those of ``h``)
+    renamed to ``v~k``: the renaming; the conjuncts, ``h``'s constraint and,
+    unless ``binding`` is empty, the equality of each renamed head argument
+    to the parent's renamed body-atom argument in ``binding``; and the
+    renamed arguments of each body atom, as term lists."""
+    ren = {v: Var(f"{v.name}~{k}", v.sort) for v in variables}
+    conjuncts = [rename_injective(h.constraint, ren)]
+    if binding:
+        conjuncts += [eq(s.renamed(ren), t) for s, t in zip(h.head.args, binding)]
+    return ren, conjuncts, [[t.renamed(ren) for t in b.args] for b in h.body]
 
 
 def _check_recursion_free(hc: ClauseSet):
@@ -202,12 +199,12 @@ def expand(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT) -> Constraint:
     constraints and argument-binding equalities, variables fresh per node.
 
     The clause set is solvable exactly when this constraint is
-    unsatisfiable.  Clause instances are numbered in pre-order, each atom's
-    defining clauses in order, by a walk with an explicit stack, and the
-    constraint is built bottom-up from them, in time linear in its size.
+    unsatisfiable.  Clause instances are built by _instance and numbered in
+    pre-order, each atom's defining clauses in order, by a walk with an
+    explicit stack; instance ``limit + 1`` raises ExpansionLimitExceeded.
+    The constraint is built bottom-up from them, in time linear in its size.
     """
     _check_recursion_free(hc)
-    budget = _Budget(limit)
     by_head: dict = {}
     for h in hc.clauses:
         by_head.setdefault(h.head.symbol if h.head is not None else None, []).append(h)
@@ -215,16 +212,17 @@ def expand(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT) -> Constraint:
     # atom, the numbers of the instances that derive it
     instances: list = []
     roots: list = []
-    stack = [(None, h, roots) for h in reversed(by_head.get(None, ()))]
+    stack = [((), h, roots) for h in reversed(by_head.get(None, ()))]
     while stack:
-        a, h, derivers = stack.pop()
+        binding, h, derivers = stack.pop()
+        if len(instances) == limit:
+            raise ExpansionLimitExceeded(limit)
         derivers.append(len(instances))
-        constraint, body, head = budget.rename(h)
-        binds = [eq(s, t) for s, t in zip(head.args, a.args)] if a is not None else []
-        slots = [[] for _ in body]
-        instances.append(([constraint, *binds], slots))
-        for b, slot in zip(reversed(body), reversed(slots)):
-            stack += [(b, d, slot) for d in reversed(by_head.get(b.symbol, ()))]
+        _, conjuncts, args = _instance(h, h.vars, len(instances) + 1, binding)
+        slots = [[] for _ in h.body]
+        instances.append((conjuncts, slots))
+        for b, b_args, slot in zip(reversed(h.body), reversed(args), reversed(slots)):
+            stack += [(b_args, d, slot) for d in reversed(by_head.get(b.symbol, ()))]
     # The one instance deriving an atom adds its conjuncts to its parent's
     # conjunction, where cand would flatten them anyway.  So only the other
     # instances build a conjunction, gathering in pre-order the conjuncts of
@@ -258,9 +256,9 @@ def _counterexample_from_model(comp: ClauseSet, origins, nhc: NormalizedClauseSe
     where a merged clause stands for the first clause of ``nhc`` with its
     body atom and head that holds under the model.  ``nhc`` normalizes a
     copy of ``comp`` whose clause i copies ``comp.clauses[origins[i]]``.
-    Instances are numbered in pre-order from 1 and variable v of instance k
-    becomes ``v~k``, valued as its normalized variable (missing variables
-    read 0).  Raises SolverInternalError when no such clause holds, or when
+    Instances are built by _instance, as expand builds them, numbered in
+    pre-order from 1, and variable v of instance k becomes ``v~k``, valued
+    as its normalized variable (missing variables read 0).  Raises SolverInternalError when no such clause holds, or when
     the accumulated constraint is false under the model or an Int value is
     fractional.
     """
@@ -283,19 +281,15 @@ def _counterexample_from_model(comp: ClauseSet, origins, nhc: NormalizedClauseSe
     stack = [(choice[None], ())]  # clause index, the parent's renamed body atom args
     while stack:
         ci, binding = stack.pop()
-        k = len(nodes) + 1
         h = comp.clauses[origins[ci]]
-        ren = {}
-        for v, w in nhc.renamings[ci].items():
-            ren[v] = fresh = Var(f"{v.name}~{k}", v.sort)
-            values[fresh] = model[w]
-        parts.append(rename_injective(h.constraint, ren))
-        if binding:  # eq(s, t), built in one pass
-            parts += [atom(weighted_sum(((s.renamed(ren), 1), (t, -1))), EQ)
-                      for s, t in zip(h.head.args, binding)]
+        renaming = nhc.renamings[ci]
+        ren, conjuncts, args = _instance(h, renaming, len(nodes) + 1, binding)
+        for v, w in renaming.items():
+            values[ren[v]] = model[w]
+        parts += conjuncts
         nodes.append((h, len(h.body)))
-        for b, nb in reversed(list(zip(h.body, nhc.clauses[ci].body))):
-            stack.append((choice[nb.symbol], [t.renamed(ren) for t in b.args]))
+        for nb, b_args in reversed(list(zip(nhc.clauses[ci].body, args))):
+            stack.append((choice[nb.symbol], b_args))
     built: list = []
     for h, n in reversed(nodes):
         built.append(DerivationTree(h, tuple([built.pop() for _ in range(n)])))
@@ -617,8 +611,8 @@ def body_disjoint_transform(hc: ClauseSet, limit: int = DEFAULT_EXPANSION_LIMIT)
 
 
 def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOptions):
-    """Symbol->Constraint map over normalized argument vectors, or a
-    Counterexample; second return value is the argument-vector map.
+    """Symbol->Constraint map over normalize's argument vectors, or a
+    Counterexample.
 
     ``report`` is classify(comp).  Every set is solved through its
     derivation cones of false.  A linear set is normalized, and when it is
@@ -651,7 +645,7 @@ def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOpt
         cones = merge_linear_duplicates(cones)
     collected, refuted = _cone_labels(cones, options)
     if refuted is not None:
-        return _counterexample_from_model(comp, origins, nhc, cones, *refuted), nhc.arg_vectors
+        return _counterexample_from_model(comp, origins, nhc, cones, *refuted)
     assignment: dict = {}
     for p in sorted(comp.relations):
         parts = []
@@ -664,7 +658,7 @@ def _solve_component(comp: ClauseSet, report: FragmentReport, options: SolverOpt
                 parts.append(label)
         if parts:
             assignment[p] = cand(*parts)
-    return assignment, nhc.arg_vectors
+    return assignment
 
 
 def solve(hc: ClauseSet, options: SolverOptions = None):
@@ -676,30 +670,24 @@ def solve(hc: ClauseSet, options: SolverOptions = None):
     say whether the set is recursive, and only then is the whole set's
     dependence graph searched for the cycle to name.  Every component is
     solved before the first Counterexample, in component order, is
-    returned; otherwise the combined solution is verified against ``hc``.
+    returned; otherwise the combined solution, each symbol over the
+    argument vector normalize gives it and true where no component labeled
+    it, is verified against ``hc``.
     """
     options = options or SolverOptions()
     components = connected_components(hc)
     reports = [classify(comp) for comp in components]
     if not all(report.recursion_free for report in reports):
         _check_recursion_free(hc)
-    assignment_formulas: dict = {}
-    vectors: dict = {}
     results = [_solve_component(comp, report, options)
                for comp, report in zip(components, reports)]
-    for result, arg_vectors in results:
+    formulas: dict = {}
+    for result in results:
         if isinstance(result, Counterexample):
             return result
-        assignment_formulas.update(result)
-        vectors.update(arg_vectors)
-    for p in sorted(hc.relations):
-        assignment_formulas.setdefault(p, TRUE)  # unconstrained symbols
-    assignment = {}
-    for p, formula in assignment_formulas.items():
-        params = list(vectors.get(p) or
-                      (Var(f"{p.name}#{i}", sort) for i, sort in enumerate(p.arg_sorts)))
-        assignment[p] = (params, formula)
-    sol = Solution(assignment)
+        formulas.update(result)
+    sol = Solution({p: (list(_fresh_vector(p)), formulas.get(p, TRUE))
+                    for p in sorted(hc.relations)})
     verdict = verify_solution(sol, hc, options.branch_depth, options.cube_limit)
     if not isinstance(verdict, Valid):
         raise SolverInternalError(

@@ -356,12 +356,17 @@ def atom(term: LinearTerm, rel: str) -> Constraint:
     return CAtom(a)
 
 
+def _difference(lhs, rhs) -> LinearTerm:
+    """lhs - rhs, built in one pass."""
+    return weighted_sum(((_as_term(lhs), 1), (_as_term(rhs), -1)))
+
+
 def le(lhs, rhs=0) -> Constraint:
-    return atom(_as_term(lhs) - _as_term(rhs), LE)
+    return atom(_difference(lhs, rhs), LE)
 
 
 def lt(lhs, rhs=0) -> Constraint:
-    return atom(_as_term(lhs) - _as_term(rhs), LT)
+    return atom(_difference(lhs, rhs), LT)
 
 
 def ge(lhs, rhs=0) -> Constraint:
@@ -373,11 +378,11 @@ def gt(lhs, rhs=0) -> Constraint:
 
 
 def eq(lhs, rhs=0) -> Constraint:
-    return atom(_as_term(lhs) - _as_term(rhs), EQ)
+    return atom(_difference(lhs, rhs), EQ)
 
 
 def ne(lhs, rhs=0) -> Constraint:
-    return atom(_as_term(lhs) - _as_term(rhs), NE)
+    return atom(_difference(lhs, rhs), NE)
 
 
 def _as_term(x) -> LinearTerm:

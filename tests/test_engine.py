@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from generators import random_unsat_pair
+from generators import random_constraint, random_unsat_pair
 from hornitp import engine
 from hornitp.engine import (
     DEFAULT_BRANCH_DEPTH,
@@ -25,6 +25,7 @@ from hornitp.terms import (
     INT,
     LE,
     LT,
+    REAL,
     TRUE,
     Cube,
     LinearTerm,
@@ -70,6 +71,24 @@ class TestSat:
         res = sat_cube(cube)
         assert isinstance(res, Sat)
         assert res.model[X].denominator == 1
+
+    def test_sat_cube_model_names_exactly_the_cube_vars(self):
+        # decide_rational values every variable of the atoms it is given,
+        # branching cuts included, so sat_cube's model needs no completion
+        rng = random.Random(5)
+        pool = [X, N, Var("r", REAL)]
+        satisfiable = branched = 0
+        for _ in range(1500):
+            for cube in to_dnf(random_constraint(rng, pool)):
+                try:
+                    res = sat_cube(cube)
+                except UnknownResult:  # an unbounded Int branch; no model
+                    continue
+                if isinstance(res, Sat):
+                    satisfiable += 1
+                    assert res.model.keys() == cube.vars
+                    branched += _fractional_int(decide_rational(cube.atoms).model) is not None
+        assert satisfiable >= 1000 and branched >= 100
 
     def test_integer_only_unsat_has_no_certificate(self):
         # 2x = 1 is rationally satisfiable but has no integer solution;

@@ -1,5 +1,6 @@
-"""Golden CLI outputs: ``hornitp --output {human,sexpr} solve`` must print
-exactly the recorded stdout and exit with the recorded code.
+"""Golden CLI outputs: ``hornitp --output {human,sexpr} solve`` and
+``hornitp expand`` must print exactly the recorded stdout and exit with the
+recorded code.
 
 Inputs are every ``tests/data/*.chc`` plus the chains stored under
 ``tests/data/golden/`` (from :func:`generators.chain_clauses`, solvable, and
@@ -32,22 +33,41 @@ def _cases() -> list:
     return [(path, mode) for path in _inputs() for mode in MODES]
 
 
+def _recordings() -> list:
+    return _cases() + [(path, "expand") for path in _inputs()]
+
+
 def _key(path: pathlib.Path, mode: str) -> str:
     return f"{path.stem}.{mode}"
 
 
-@pytest.mark.parametrize("path,mode", _cases(), ids=lambda x: getattr(x, "stem", x))
-def test_solve_output_matches_golden(path, mode, capsys):
-    code = main(["--output", mode, "solve", str(path)])
+def _argv(path: pathlib.Path, mode: str) -> list:
+    """The command line of a recording: ``solve`` in an output mode, or
+    ``expand`` for the mode ``"expand"``."""
+    return ["expand", str(path)] if mode == "expand" else ["--output", mode, "solve", str(path)]
+
+
+def _check(path, mode, capsys):
+    code = main(_argv(path, mode))
     out = capsys.readouterr().out
     key = _key(path, mode)
     assert out == (GOLDEN / f"{key}.out").read_text(encoding="utf-8")
     assert code == json.loads((GOLDEN / "exit_codes.json").read_text())[key]
 
 
+@pytest.mark.parametrize("path,mode", _cases(), ids=lambda x: getattr(x, "stem", x))
+def test_solve_output_matches_golden(path, mode, capsys):
+    _check(path, mode, capsys)
+
+
+@pytest.mark.parametrize("path", _inputs(), ids=lambda x: x.stem)
+def test_expand_output_matches_golden(path, capsys):
+    _check(path, "expand", capsys)
+
+
 def test_every_input_has_a_recording():
     codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert sorted(codes) == sorted(_key(p, m) for p, m in _cases())
+    assert sorted(codes) == sorted(_key(p, m) for p, m in _recordings())
 
 
 def _write_chains():
@@ -73,10 +93,10 @@ def _record():
     GOLDEN.mkdir(exist_ok=True)
     _write_chains()
     codes = {}
-    for path, mode in _cases():
+    for path, mode in _recordings():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-            codes[_key(path, mode)] = main(["--output", mode, "solve", str(path)])
+            codes[_key(path, mode)] = main(_argv(path, mode))
         (GOLDEN / f"{_key(path, mode)}.out").write_text(buf.getvalue(), encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
 

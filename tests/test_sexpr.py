@@ -1,6 +1,7 @@
 """S-expression reading and writing for constraints and models."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,86 @@ class TestReaderPositions:
         with pytest.raises(ParseError) as err:
             parse_all(text)
         assert str(err.value) == f"parse error at {line}:{col}: {message}"
+
+
+# The reader that scanned a text with strings token by token, each string
+# read by str.find, and every other text with one findall.
+_SPLIT_TOKEN = re.compile(r'[^\s();"][^\s();]*|[()]|;[^\n]*|"')
+
+
+def _split_parse_all(text):
+    stack, top = [], []
+    tokens = _SPLIT_TOKEN.findall(text) if '"' not in text else (t for _, t in _split_scan(text))
+    for tok in tokens:
+        if tok == "(":
+            node = []
+            top.append(node)
+            stack.append(top)
+            top = node
+        elif tok == ")":
+            if not stack:
+                _split_unbalanced(text)
+            top = stack.pop()
+        elif tok[0] not in '";':
+            top.append(tok)
+        elif tok[0] == '"':
+            top.append('"' + tok[1:-1].replace('""', '"') + '"')
+    if stack:
+        _split_unbalanced(text)
+    return top
+
+
+def _split_scan(text):
+    pos = 0
+    while pos is not None:
+        matches, pos = _SPLIT_TOKEN.finditer(text, pos), None
+        for m in matches:
+            tok, start = m[0], m.start()
+            if tok == '"':
+                end = text.find('"', start + 1)
+                while end >= 0 and text.startswith('"', end + 1):
+                    end = text.find('"', end + 2)
+                if end < 0:
+                    raise ParseError("unterminated string", *_position(text, start))
+                yield start, text[start:end + 1]
+                pos = end + 1
+                break
+            if tok[0] != ";":
+                yield start, tok
+
+
+def _split_unbalanced(text):
+    opened = []
+    for offset, tok in _split_scan(text):
+        if tok == "(":
+            opened.append(offset)
+        elif tok == ")":
+            if not opened:
+                raise ParseError("unbalanced ')'", *_position(text, offset))
+            opened.pop()
+    raise ParseError("unbalanced '('", *_position(text, opened[-1]))
+
+
+def _parsed(parse, text):
+    try:
+        return "read", parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line, exc.col
+
+
+class TestOneTokenizer:
+    def test_matches_the_split_reader(self):
+        # texts over quotes, escaped quotes, strings, comments (some with
+        # quotes) and parentheses
+        pieces = ['"', '""', '"a"', '"b""c"', "a", "x1", "(", ")", " ", "\n", ";c\n", ';"\n']
+        rng = random.Random(29)
+        outcomes = set()
+        for _ in range(20_000):
+            text = "".join(rng.choices(pieces, k=rng.randrange(13)))
+            got = _parsed(parse_all, text)
+            assert got == _parsed(_split_parse_all, text), text
+            outcomes.add(got[0].split(":")[-1])
+        assert outcomes == {"read", " unterminated string", " unbalanced '('", " unbalanced ')'"}
 
 
 class TestTerms:

@@ -86,10 +86,33 @@ X = Var("x", INT)
 TX = LinearTerm.of(X)
 
 
+class _Budget:
+    """Clause instances numbered in creation order, at most ``limit`` of
+    them: the renaming that solver.expand used before its instances were
+    built by solver._instance."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
+
+    def rename(self, h: HornClause):
+        self.used += 1
+        if self.used > self.limit:
+            raise ExpansionLimitExceeded(self.limit)
+        ren = {v: Var(f"{v.name}~{self.used}", v.sort) for v in sorted(h.vars)}
+
+        def ratom(a: RelationAtom) -> RelationAtom:
+            return RelationAtom(a.symbol, tuple([t.renamed(ren) for t in a.args]))
+
+        return (rename_injective(h.constraint, ren),
+                tuple([ratom(b) for b in h.body]),
+                ratom(h.head) if h.head is not None else None)
+
+
 def _recursive_expand(hc, limit=solver.DEFAULT_EXPANSION_LIMIT):
     """solver.expand as a recursion per derivation level."""
     solver._check_recursion_free(hc)
-    budget = solver._Budget(limit)
+    budget = _Budget(limit)
     by_head: dict = {}
     for h in hc.clauses:
         if h.head is not None:
@@ -761,6 +784,19 @@ class TestCounterexampleFromModel:
                 found += 1
                 _assert_checked(res, hc)
         assert found >= 20
+
+    def test_one_derivation_has_the_expansion_as_constraint(self):
+        # solve and expand build their clause instances by one rule, so a set
+        # with exactly one derivation of false has the expansion as its
+        # counterexample's constraint
+        c = PE.increment_clauses()
+        rec_is_2 = HornClause(eq(LinearTerm.of(PE.REC2), 2), c[10].body, c[10].head)
+        treelike = ClauseSet.make([c[i - 1] for i in (1, 2, 3, 5, 6, 9, 12)] + [rec_is_2])
+        assert classify(treelike).tree_like
+        for hc in [chain_clauses(n, unsat=True) for n in range(1, 31)] + [treelike]:
+            cx = solve(hc)
+            assert isinstance(cx, Counterexample)
+            assert cx.constraint == expand(hc)
 
     def test_branching_model_is_a_counterexample(self):
         # draw 722 of this stream: label_tree's branch and bound reaches an
