@@ -9,6 +9,19 @@ lower bound above an upper bound is a conflict before any pivot: when the
 kept atoms on a form t and on its exact negation -t cross, their sum with
 multipliers (1, 1) is the certificate and no tableau is built.
 
+Kept atoms on t and -t whose bounds meet are an equality t + c = 0, and
+the design treats a variable it fixes as gone from the tableau: in one
+forward pass each such equality with int coefficients is pivoted on a
+variable whose coefficient is +-1 once the pivots before it are substituted
+in, and its halves leave the LP; if one is left without such a
+coefficient, the kept atoms go to the simplex as they are.  Every other
+kept atom has the pivots it holds substituted; the reduced atoms go through
+the bound-pair check again and then to the simplex.  A refutation of the
+reduced atoms maps back onto the kept atoms: each keeps its multiplier, and
+each substituted equality gets one signed multiplier, recovered by walking
+the pivots back, which goes onto its t + c <= 0 half or its -t - c <= 0
+half by its sign.  A model values each pivot by back-substitution.
+
 The simplex works over Python ints and gives int certificate multipliers.
 It scales each atom's slack to integer coefficients and bounds, keeps its
 tableau rows as integer coefficients over one positive integer denominator,
@@ -22,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -36,11 +50,14 @@ class FarkasCertificate:
     ``atoms`` are the kept atoms: a subset of the split input atoms
     (equalities appear as their two <= halves), one per linear form, the
     same tuple whether the simplex refuted them or a crossing bound pair
-    did; ``origins[i]`` is the index of the input atom that atoms[i] came
-    from.  A bound pair's certificate has multipliers (1, 1) on the atoms
-    of a form and of its exact negation.  The weighted sum of the atom
-    terms has zero variable coefficients and a constant c with c > 0, or
-    c >= 0 when some strict atom carries a positive multiplier.
+    did, and whether or not equalities were substituted away first;
+    ``origins[i]`` is the index of the input atom that atoms[i] came from.
+    A bound pair's certificate has multipliers (1, 1) on the atoms of a
+    form and of its exact negation.  A substituted equality's multiplier
+    sits on one of its two halves, the one its sign picks.  The weighted
+    sum of the atom terms has zero variable coefficients and a constant c
+    with c > 0, or c >= 0 when some strict atom carries a positive
+    multiplier.
 
     A certificate is determined only up to a positive factor: scaling every
     multiplier by the same k > 0 keeps it valid, and the simplex does not
@@ -48,7 +65,9 @@ class FarkasCertificate:
     """
 
     atoms: tuple
-    multipliers: tuple  # of (atom index, int or Fraction >= 0); the simplex gives ints
+    # of (atom index, int or Fraction >= 0): ints, unless a substituted atom
+    # has a Fraction coefficient, which no canonical atom has
+    multipliers: tuple
     strict: bool
     origins: tuple
 
@@ -107,49 +126,207 @@ def split_equalities(atoms) -> list:
 def decide_rational(atoms) -> Sat | Unsat:
     """Feasibility over the rationals (Int sorts are not yet enforced).
 
-    Of the split atoms with one linear form t only the tightest is kept:
-    the one with the largest constant c in t + c <= 0, a strict atom
-    winning a tie, which entails all the others.  When the kept atoms
-    t + c1 <= 0 and -t + c2 <= 0 cross (c1 + c2 > 0, or = 0 with one of them
-    strict) their sum refutes the conjunction without the simplex;
-    otherwise the kept atoms go to the simplex.  A certificate names only
+    Of the split atoms with one linear form only the tightest is kept
+    (:func:`_tightest`).  Kept atoms on a form and on its exact negation
+    whose bounds cross refute the conjunction by their sum, without the
+    simplex.  Kept pairs whose bounds meet are equalities, which
+    :func:`_eliminate` substitutes away before the tableau; with none, the
+    kept atoms go to the simplex as they are.  A certificate names only
     kept atoms and is checked before it is returned; a model is checked
     against every input atom.
     """
-    tightest: dict = {}  # term.coeffs -> (tightness, atom, origin)
-    for a, o in split_equalities(atoms):
-        key = (a.term.constant, a.rel == LT)
-        kept = tightest.get(a.term.coeffs)
-        if kept is None or key > kept[0]:
-            tightest[a.term.coeffs] = (key, a, o)
-    split = [(a, o) for _, a, o in tightest.values()]
-    for coeffs, ((c, strict), _, _) in tightest.items():
-        if coeffs and coeffs[0][1] < 0:
-            negated = tuple([(v, -k) for v, k in coeffs])
-            opposite = tightest.get(negated)
-            if opposite is not None:
-                total = c + opposite[0][0]
-                if total > 0 or (total == 0 and (strict or opposite[0][1])):
-                    forms = list(tightest)
-                    return _bound_pair(split, forms.index(coeffs), forms.index(negated))
-    res = _simplex(split)
+    split, crossing, meeting = _tightest(split_equalities(atoms))
+    if crossing is not None:
+        return _refuted(split, crossing)
+    res = _eliminate(split, meeting) if meeting else _simplex(split)
     if isinstance(res, Sat) and not _holds_all(atoms, res.model):
-        raise SolverInternalError("simplex model violates an input atom")
+        raise SolverInternalError("model violates an input atom")
     return res
 
 
-def _bound_pair(split: list, i: int, j: int) -> Unsat:
-    """Unsat from the kept atoms split[i] and split[j], on a form and its
-    exact negation, whose bounds cross: their sum with multipliers (1, 1)
-    is a constant contradiction."""
+def _tightest(split) -> tuple:
+    """(kept, crossing, meeting) for [(inequality atom, origin)] pairs.
+
+    ``kept`` holds the tightest atom per linear form t: the one with the
+    largest constant c in t + c <= 0, a strict atom winning a tie, which
+    entails all the others; kept atoms stay where their form first occurs.
+    ``crossing`` is the refutation ((index, 1), (index, 1)), in index
+    order, by the first kept atoms t + c1 <= 0 and -t + c2 <= 0 whose
+    bounds cross (c1 + c2 > 0, or = 0 with one of them strict), else None.
+    ``meeting`` lists the index pairs, positive leading coefficient first,
+    of kept atoms whose bounds meet (c1 + c2 = 0, neither strict) on a form
+    with int coefficients: each is an equality t + c1 = 0 as its two
+    halves."""
+    index: dict = {}  # term.coeffs -> index into kept
+    kept, keys = [], []
+    for a, o in split:
+        t = a.term
+        key = (t.constant, a.rel == LT)
+        i = index.get(t.coeffs)
+        if i is None:
+            index[t.coeffs] = len(kept)
+            kept.append((a, o))
+            keys.append(key)
+        elif key > keys[i]:
+            kept[i] = (a, o)
+            keys[i] = key
+    meeting = []
+    for coeffs, i in index.items():
+        if coeffs and coeffs[0][1] < 0:
+            j = index.get(tuple([(v, -k) for v, k in coeffs]))
+            if j is not None:
+                (c, strict), (c2, strict2) = keys[i], keys[j]
+                total = c + c2
+                if total > 0 or (total == 0 and (strict or strict2)):
+                    return kept, ((min(i, j), 1), (max(i, j), 1)), meeting
+                if total == 0 and all([type(k) is int for _, k in coeffs]):
+                    meeting.append((j, i))
+    return kept, None, meeting
+
+
+def _eliminate(split, meeting) -> Sat | Unsat:
+    """Decide the kept atoms ``split`` with the equalities ``meeting``, index
+    pairs of their halves, substituted away as the module docstring says.
+
+    Each equality is pivoted on the last variable of its reduced form with
+    coefficient +-1, preferring one that no earlier pivot's expression
+    holds, so substitutions seldom chain; one reduced to 0 = 0 is dropped.
+    One left with no unit coefficient, such as 2v - 2w = 1, sends the kept
+    atoms to the simplex as they are: on the small LPs of parity pairs,
+    u = 2v and u = 2w + 1, finishing the substitution costs more than the
+    tableau rows it saves.  A reduced atom left constant is dropped if it
+    holds and refutes if it does not.  A variable that vanished and is no
+    pivot is valued 0.
+    """
+    pivots: dict = {}  # pivot variable -> index into eqs
+    # per pivot: (variable, [(variable, coefficient)] and constant of the
+    # expression it equals, its coefficient's sign, the index pair of its
+    # halves, its subs from _reduce)
+    eqs = []
+    used = set()  # the variables of the pivots' expressions
+    gone = set()  # indices of the equality halves that left the LP
+    for halves in meeting:
+        t = split[halves[0]][0].term
+        acc, const, subs = _reduce(t, pivots, eqs) or (dict(t.coeffs), t.constant, ())
+        v = None  # the last unit variable, one outside used if there is one
+        for u, c in acc.items():
+            if (c == 1 or c == -1) and (v is None or u not in used or v in used):
+                v = u
+        if v is not None:
+            s = acc.pop(v)
+            used.update(acc)
+            pivots[v] = len(eqs)
+            eqs.append((v, [(w, -s * c) for w, c in acc.items()], -s * const, s, halves, subs))
+        elif acc:
+            return _simplex(split)
+        elif const:
+            continue  # its halves refute, reduced below
+        gone.update(halves)
+    reduced = []
+    subs_of = {}
+    for i, (a, _) in enumerate(split):
+        if i in gone:
+            continue
+        red = _reduce(a.term, pivots, eqs)
+        if red is None:
+            reduced.append((a, i))
+            continue
+        acc, const, subs_of[i] = red
+        if acc:
+            reduced.append((LinearAtom(LinearTerm(tuple(sorted(acc.items())), const), a.rel), i))
+        elif const > 0 or (const == 0 and a.rel == LT):
+            return _refuted(split, [(i, 1)], eqs, subs_of)
+    kept, crossing, _ = _tightest(reduced)
+    if crossing is not None:
+        return _refuted(split, [(kept[k][1], 1) for k, _ in crossing], eqs, subs_of)
+    res = _simplex(kept)
+    if isinstance(res, Unsat):
+        cert = res.certificate
+        return _refuted(split, [(cert.origins[k], lam) for k, lam in cert.multipliers],
+                        eqs, subs_of)
+    # a variable that vanished from the reduced atoms is a pivot or was
+    # cancelled by one, so the expressions hold every other one
+    model = dict(res.model)
+    for v, expr, const, *_ in reversed(eqs):
+        for w, c in expr:
+            x = model.get(w)
+            if x is None:
+                model[w] = x = Fraction(0)
+            const += c * x
+        model[v] = Fraction(const)
+    return Sat(model)
+
+
+def _reduce(term, pivots: dict, eqs: list):
+    """None when ``term`` holds no pivot, else (coefficients, constant,
+    subs): ``term`` with each pivot it holds substituted in pivot order, a
+    pivot's expression holding only later pivots, and subs the
+    (equality index, weight) pairs with term + sum weight * E_j equal to the
+    result, E_j being equality j reduced by the pivots before it."""
+    todo = [pivots[v] for v, _ in term.coeffs if v in pivots]
+    if not todo:
+        return None
+    heapify(todo)
+    acc = dict(term.coeffs)
+    const = term.constant
+    subs = []
+    while todo:
+        j = heappop(todo)
+        v, expr, e_const, s, _, _ = eqs[j]
+        k = acc.pop(v, 0)
+        if not k:
+            continue  # pushed twice, or cancelled
+        const += k * e_const
+        for w, c in expr:
+            old = acc.get(w)
+            if old is None:
+                acc[w] = k * c
+                if w in pivots:
+                    heappush(todo, pivots[w])
+            elif old + k * c:
+                acc[w] = old + k * c
+            else:
+                del acc[w]
+        # E_j = s * (v - expression), so k * v = k * expression + k * s * E_j
+        subs.append((j, -k * s))
+    return acc, const, subs
+
+
+def _refuted(split, refutation, eqs=(), subs_of=None) -> Unsat:
+    """Unsat over the kept atoms ``split`` from the (split index, multiplier)
+    pairs of a ``refutation``: of the kept atoms themselves, in index order,
+    such as a crossing bound pair with multipliers (1, 1), or of their
+    reductions by the pivots ``eqs``.  Each kept atom keeps its multiplier
+    and adds its subs (``subs_of``, from :func:`_reduce`) to the signed
+    multipliers of the reduced equalities; walking the pivots from the last
+    to the first turns these into multipliers of the equalities as kept,
+    each put on the half whose sign it has."""
+    if eqs:
+        mults = dict(refutation)
+        nu = [0] * len(eqs)
+        for i, lam in refutation:
+            for j, w in subs_of.get(i, ()):
+                nu[j] += lam * w
+        for j in range(len(eqs) - 1, -1, -1):
+            m = nu[j]
+            if m:
+                _, _, _, _, (pos, neg), subs = eqs[j]
+                for i, w in subs:
+                    nu[i] += m * w
+                if m > 0:
+                    mults[pos] = m
+                else:
+                    mults[neg] = -m
+        refutation = sorted(mults.items())
+    atoms = tuple([a for a, _ in split])
     cert = FarkasCertificate(
-        tuple([a for a, _ in split]),
-        ((min(i, j), 1), (max(i, j), 1)),
-        split[i][0].rel == LT or split[j][0].rel == LT,
+        atoms,
+        tuple(refutation),
+        any([atoms[i].rel == LT for i, _ in refutation]),
         tuple([o for _, o in split]),
     )
     if not cert.is_valid():
-        raise SolverInternalError("bound-pair certificate is not a contradiction")
+        raise SolverInternalError("certificate is not a contradiction")
     return Unsat(cert)
 
 

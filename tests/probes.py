@@ -58,9 +58,11 @@ def hornitp(*args, code=0, first_line=None) -> str:
 def long_chain(n):
     """300-, 1,200- and 2,400-step chains: TreeProblem's iterative layout,
     derivation-cone enumeration, check_tree's shared-variable sets, the
-    suffix-sum frontier checks and the alias-free normal form (one LP atom
-    per step, no binding equalities) at lengths where a recursion limit or a
-    quadratic or cubic regression shows as a failure or a timeout."""
+    suffix-sum frontier checks and the alias-free normal form (one LP
+    equality per step, y = x + 1, which decide_rational substitutes away
+    before the tableau; no binding equalities) at lengths where a recursion
+    limit or a quadratic or cubic regression shows as a failure or a
+    timeout."""
     result = solver.solve(chc.parse_chc(chain_text(n, False)))
     assert isinstance(result, solver.Solved), result
 
@@ -259,6 +261,26 @@ def bound_pair_fast_path():
     assert 4 * len(tableaus) < len(lps), (len(tableaus), len(lps))
 
 
+def equality_elimination():
+    """decide_rational substitutes unit-coefficient equalities away before
+    the tableau: chain_text(4800, False) solves, and the largest LP of
+    chain_text(2400, False) (4,803 atoms, one step equality each) and of
+    diamond(11) (8,191 atoms) reaches lp._simplex with at most 4 rows, or
+    not at all.  A lost elimination shows here as a failure, thousands of
+    rows; a quadratic substitution as a timeout."""
+    result = solver.solve(chc.parse_chc(chain_text(4800, False)))
+    assert isinstance(result, solver.Solved), result
+    for hc in chc.parse_chc(chain_text(2400, False)), diamond(11):
+        sizes, decide, simplex = [], lp.decide_rational, lp._simplex
+        engine.decide_rational = lambda atoms: sizes.append([len(atoms)]) or decide(atoms)
+        lp._simplex = lambda split: sizes[-1].append(len(split)) or simplex(split)
+        result = solver.solve(hc)
+        engine.decide_rational, lp._simplex = decide, simplex
+        assert isinstance(result, solver.Solved), result
+        atoms, *rows = max(sizes)
+        assert sum(rows) <= 4, (atoms, rows)
+
+
 def planted_corpus():
     """1,000 draws each of Int and Real through planted_verdicts in
     tests/test_planted.py, each a safe set and its unsafe twin: every
@@ -289,6 +311,7 @@ PROBES = [  # (name, timeout in seconds, function)
     ("propositional chain, hornitp rename-horn", 60 + 10, propositional_chain_cli),
     ("problem shapes", 3 * 60 + 10, problem_shapes),
     ("bound-pair fast path", 60, bound_pair_fast_path),
+    ("equality elimination", 60, equality_elimination),
     ("planted corpus, 1,000 Int and Real draws", 180, planted_corpus),
 ]
 

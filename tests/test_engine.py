@@ -38,6 +38,7 @@ from hornitp.terms import (
     free_vars,
     ge,
     le,
+    lt,
     ne,
     to_dnf,
     weighted_sum,
@@ -89,6 +90,20 @@ class TestSat:
                     assert res.model.keys() == cube.vars
                     branched += _fractional_int(decide_rational(cube.atoms).model) is not None
         assert satisfiable >= 1000 and branched >= 100
+
+    @pytest.mark.xfail(raises=UnknownResult, strict=True,
+                       reason="branch and bound cuts on the first fractional Int variable "
+                              "by name and exhausts its depth (ROADMAP item 4)")
+    def test_sat_cube_finds_the_small_integer_model(self):
+        # n = -1, x = 0, r = 1 satisfies the cube
+        r = Var("r", REAL)
+        tr = LinearTerm.of(r)
+        cube = Cube((le(TN + 1, 0).atom, lt(-2 * tr - 3 * TX, 0).atom,
+                     eq(2 * TN + 2 * tr - TX, 0).atom))
+        assert evaluate(cand(*[atom(a.term, a.rel) for a in cube.atoms]),
+                        {N: Fraction(-1), X: Fraction(0), r: Fraction(1)})
+        res = sat_cube(cube)
+        assert isinstance(res, Sat) and all(a.holds(res.model) for a in cube.atoms)
 
     def test_integer_only_unsat_has_no_certificate(self):
         # 2x = 1 is rationally satisfiable but has no integer solution;

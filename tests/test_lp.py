@@ -299,6 +299,202 @@ class TestBoundPair:
         assert min(paths.values()) > 30, paths
 
 
+def _unsubstituted_decide(atoms):
+    """decide_rational without the substitution, as a reference: the
+    tightest-atom merge, the bound-pair check and the simplex on every kept
+    atom."""
+    tightest: dict = {}  # term.coeffs -> (tightness, atom, origin)
+    for a, o in split_equalities(atoms):
+        key = (a.term.constant, a.rel == LT)
+        kept = tightest.get(a.term.coeffs)
+        if kept is None or key > kept[0]:
+            tightest[a.term.coeffs] = (key, a, o)
+    split = [(a, o) for _, a, o in tightest.values()]
+    for coeffs, ((c, strict), _, _) in tightest.items():
+        if coeffs and coeffs[0][1] < 0:
+            negated = tuple([(v, -k) for v, k in coeffs])
+            opposite = tightest.get(negated)
+            if opposite is not None:
+                total = c + opposite[0][0]
+                if total > 0 or (total == 0 and (strict or opposite[0][1])):
+                    return Unsat(None)  # the bound pair's certificate
+    return _simplex(split)
+
+
+def _equality_cube(rng):
+    """Atoms over 2-6 Int, Real or mixed variables: equalities with and
+    without a unit coefficient, one implied by two others (0 = 0 or, shifted,
+    a nonzero constant after substitution), inequalities, touching bound
+    pairs (an equality as two atoms, or with a strict atom a crossing) and
+    atoms with Fraction coefficients or constants."""
+    sorts = rng.choice([[INT], [REAL], [INT, REAL]])
+    pool = [Var(f"q{i}", rng.choice(sorts)) for i in range(rng.randint(2, 6))]
+    eqs = []
+    for _ in range(rng.randint(1, 4)):
+        vs = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+        eqs.append(LinearTerm.make({v: rng.choice([1, -1, 1, -1, 2, -3]) for v in vs},
+                                   rng.randint(-3, 3)))
+    if len(eqs) >= 2 and rng.random() < 0.5:
+        eqs.append(eqs[0] + eqs[1] + rng.choice([0, 0, -1, 1]))
+    cs = [eq(e, 0) for e in eqs]
+    fractional = []
+    for _ in range(rng.randint(0, 4)):
+        term = random_term(rng, pool, max_vars=3)
+        r = rng.random()
+        if r < 0.2:  # touching bounds, one of them maybe strict
+            k = Fraction(rng.randint(-3, 3), rng.choice([1, 2]))
+            cs += [le(term, k), rng.choice([ge, ge, lt])(term, k)]
+        elif r < 0.35:
+            coeffs = {v: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 3]))
+                      for v in rng.sample(pool, rng.randint(1, min(2, len(pool))))}
+            fractional.append(_real_atom(coeffs, Fraction(rng.randint(-4, 4), rng.choice([1, 3])),
+                                         rng.choice([LE, LT, EQ])))
+        else:
+            cs.append(rng.choice([le, le, lt, ge])(term, 0))
+    return [c.atom for c in cs if hasattr(c, "atom")] + fractional
+
+
+def _assert_answer(atoms, res):
+    """A certificate holds only split input atoms with their origins and is
+    valid; a model values exactly the atoms' variables and satisfies them."""
+    if isinstance(res, Unsat):
+        cert = res.certificate
+        split = set(split_equalities(atoms))
+        assert all(pair in split for pair in zip(cert.atoms, cert.origins)), atoms
+        assert cert.is_valid() and all(lam > 0 for _, lam in cert.multipliers), atoms
+    else:
+        assert res.model.keys() == set().union(*[a.vars for a in atoms]), atoms
+        assert all(a.holds(res.model) for a in atoms), atoms
+
+
+def _other_halves(atoms, cert) -> int:
+    """How many multipliers sit on the -t <= 0 half of an input t = 0."""
+    return sum(1 for k, _ in cert.multipliers
+               if atoms[cert.origins[k]].rel == EQ
+               and cert.atoms[k].term == -atoms[cert.origins[k]].term)
+
+
+def _counting(monkeypatch, name) -> list:
+    """Patch lp.<name> to record each call's result."""
+    calls = []
+    f = getattr(lp, name)
+
+    def counting(*args):
+        calls.append(f(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(lp, name, counting)
+    return calls
+
+
+def _link_chain(n, order, last):
+    """x0 >= 0, the links x(i+1) = x(i) + 1 in ``order`` and x(n) < last."""
+    xs = [LinearTerm.of(Var(f"x{i}", INT)) for i in range(n + 1)]
+    links = [eq(xs[i + 1], xs[i] + 1).atom for i in range(n)]
+    if order == "reversed":
+        links.reverse()
+    elif order == "shuffled":
+        random.Random(n).shuffle(links)
+    return [ge(xs[0], 0).atom] + links + [lt(xs[n], last).atom]
+
+
+class TestEqualityElimination:
+    """decide_rational substitutes unit-coefficient equalities away before the
+    tableau and maps each refutation back onto the kept split atoms."""
+
+    def test_agrees_with_the_unsubstituted_lp_on_equality_cubes(self, monkeypatch):
+        eliminations = _counting(monkeypatch, "_eliminate")
+        tableaus = _count_simplex(monkeypatch)
+        rng = random.Random(97)
+        seen = {"Sat": 0, "Unsat": 0, "eliminated": 0, "no tableau": 0, "other half": 0}
+        for trial in range(1500):
+            atoms = _equality_cube(rng)
+            before, ran = len(eliminations), len(tableaus)
+            res = decide_rational(atoms)
+            assert type(res) is type(_unsubstituted_decide(atoms)), (trial, atoms)
+            _assert_answer(atoms, res)
+            seen[type(res).__name__] += 1
+            if len(eliminations) > before:
+                seen["eliminated"] += 1
+                if isinstance(res, Unsat):
+                    seen["no tableau"] += len(tableaus) == ran
+                    seen["other half"] += _other_halves(atoms, res.certificate) > 0
+        assert min(seen.values()) > 100, seen
+
+    def test_a_negative_multiplier_lands_on_the_other_half(self, no_tableau):
+        # x = y with x <= 0 and y >= 1: the refutation adds y - x <= 0, the
+        # second half of x - y = 0; with x >= 1 and y <= 0 it adds the first
+        x, y = LinearTerm.of(X), LinearTerm.of(Y)
+        for bounds, half in ((le(x, 0), ge(y, 1)), 1), ((ge(x, 1), le(y, 0)), 0):
+            atoms = _atoms(eq(x, y), *bounds)
+            res = decide_rational(atoms)
+            _assert_answer(atoms, res)
+            cert = res.certificate
+            used = {cert.atoms[k]: lam for k, lam in cert.multipliers}
+            halves = [a for a, _ in split_equalities(atoms[:1])]
+            assert used.get(halves[half]) == 1 and halves[1 - half] not in used, cert
+
+    def test_a_contradiction_after_substitution_needs_no_tableau(self, no_tableau):
+        # x = y, y = z and x = z + 1 reduce to 0 = 1
+        x, y, z = (LinearTerm.of(Var(n, REAL)) for n in "xyz")
+        atoms = _atoms(eq(x, y), eq(y, z), eq(x, z + 1))
+        res = decide_rational(atoms)
+        _assert_answer(atoms, res)
+        assert {cert_o for cert_o in res.certificate.origins} == {0, 1, 2}
+        assert len(res.certificate.multipliers) == 3
+
+    def test_a_redundant_equality_is_dropped(self, monkeypatch):
+        # x = z reduces to 0 = 0; the tableau gets x >= 1 and 2x <= 2 alone
+        calls = _count_simplex(monkeypatch)
+        x, y, z = (LinearTerm.of(Var(n, REAL)) for n in "xyz")
+        atoms = _atoms(eq(x, y), eq(y, z), eq(x, z), ge(x, 1), le(y + z, 2))
+        res = decide_rational(atoms)
+        _assert_answer(atoms, res)
+        assert set(res.model.values()) == {1} and calls == [2]
+
+    @pytest.mark.parametrize("unit_first", [True, False])
+    def test_an_equality_without_a_unit_coefficient_leaves_the_lp_whole(self, monkeypatch,
+                                                                        unit_first):
+        # c = a + b turns 2c = 4a + 5b + 1 into 2a + 3b + 1 = 0, which has no
+        # unit coefficient, so the tableau gets all six kept atoms as they are
+        calls = _count_simplex(monkeypatch)
+        a, b, c = (LinearTerm.of(Var(n, REAL)) for n in "abc")
+        eqs = [eq(c, a + b), eq(2 * c, 4 * a + 5 * b + 1)]
+        atoms = _atoms(*(eqs if unit_first else eqs[::-1]), ge(a, 5), le(c, 20))
+        res = decide_rational(atoms)
+        _assert_answer(atoms, res)
+        assert isinstance(res, Sat) and calls == [6]
+        atoms.append(ge(b, 0).atom)  # now 2a + 3b = -1 has no solution
+        res = decide_rational(atoms)
+        _assert_answer(atoms, res)
+        assert isinstance(res, Unsat) and calls == [6, 7]
+
+    def test_an_lp_without_an_equality_pair_builds_no_substitution(self, monkeypatch):
+        calls = _counting(monkeypatch, "_eliminate")
+        rng = random.Random(5)
+        pool = [Var(f"w{i}", INT) for i in range(4)]
+        for _ in range(300):
+            # positive coefficients only, so no form meets its negation
+            terms = [LinearTerm.make({v: rng.randint(1, 3) for v in rng.sample(pool, 2)},
+                                     rng.randint(-3, 3)) for _ in range(5)]
+            decide_rational([rng.choice([le, lt])(t, 0).atom for t in terms])
+        assert calls == []
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    def test_a_long_chain_takes_a_linear_number_of_substitutions(self, monkeypatch, order):
+        n = 4800
+        reductions = _counting(monkeypatch, "_reduce")
+        for last, verdict in (n, Unsat), (n + 1, Sat):
+            reductions.clear()
+            atoms = _link_chain(n, order, last)
+            res = decide_rational(atoms)
+            assert isinstance(res, verdict)
+            _assert_answer(atoms, res)
+            substitutions = sum(len(r[2]) for r in reductions if r is not None)
+            assert substitutions <= 2 * n, substitutions
+        assert len(res.model) == n + 1 and res.model[Var(f"x{n}", INT)] == n
+
+
 class TestBackendAgreement:
     def test_fm_and_simplex_agree(self):
         # small systems of 1-4 variables, where Fourier-Motzkin is cheap
