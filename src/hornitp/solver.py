@@ -27,7 +27,12 @@ bound as the expansion's are, by one helper, so a set with exactly one
 derivation of false has the expansion as its counterexample's constraint.
 A solution gives every symbol normalize's argument vector as its
 parameters, and true where no component labeled it.  A restricted DAG
-interpolation problem is solved as its Horn encoding, a linear set."""
+interpolation problem is solved as its Horn encoding, a linear set.
+
+Every answer passes one gate.  solve's is verify_solution on the set it
+was given, so its cone trees are labeled by _label_tree_problem without
+check_tree; tree_interpolate and sequence_interpolants keep check_tree, and
+dag_interpolate check_dag.  The per-node frontier checks run on every path."""
 
 from __future__ import annotations
 
@@ -55,6 +60,7 @@ from .errors import (
     NotUnsat,
     RecursiveSystem,
     SolverInternalError,
+    SortMismatch,
 )
 from .horn import (
     ClauseSet,
@@ -319,20 +325,29 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
     of the processed nodes whose parent is still unprocessed, together with
     the remaining node labels, must be unsatisfiable; on the certificate
     path that means that for every certificate read they still form one.
-    The final labeling must pass check_tree, and a violated check raises
-    SolverInternalError.  Raises NotUnsat (with a model) when the
-    conjunction of all node labels is satisfiable.
+    _label_tree_problem's labeling must then pass check_tree, this entry
+    point's gate, and a violated check raises SolverInternalError; solve
+    labels its cones without it, since its gate is verify_solution.
+    Raises NotUnsat (with a model) when the conjunction of all node labels
+    is satisfiable.
 
     The labels solve the tree's Horn encoding, tree_problem_to_horn: symbol
     p<i> takes the label of v = tp.nodes[i] over sorted(tp.shared[tp.index[v]]).
     """
     options = options or SolverOptions()
-    sweep = _certificate_labels if options.interpolate is None else _node_by_node_labels
-    labels = sweep(tp, options)
+    labels = _label_tree_problem(tp, options)
     failures = check_tree(tp, labels, options.branch_depth, options.cube_limit)
     if failures:
         raise SolverInternalError(f"tree labeling rejected: {failures}")
     return labels
+
+
+def _label_tree_problem(tp: TreeProblem, options: SolverOptions) -> dict:
+    """tree_interpolate's labels before its final check_tree: the
+    certificate sweep, or the node-by-node sweep when ``options.interpolate``
+    is set, each with its frontier checks."""
+    sweep = _certificate_labels if options.interpolate is None else _node_by_node_labels
+    return sweep(tp, options)
 
 
 def _certificate_labels(tp: TreeProblem, options: SolverOptions):
@@ -532,13 +547,14 @@ def _cone_labels(comp: ClauseSet, options: SolverOptions):
     keyed by its derivation key: it disjoins, over the groups of cones that
     derive the symbol by the same clauses, the conjunction of the group's
     labels.  The cones are counted before any is built, and each is labeled
-    as it is built.  A set without a false-head clause has no cone and gets
-    an empty map.
+    by _label_tree_problem as it is built, without check_tree: solve's
+    verify_solution checks the combined answer.  A set without a false-head
+    clause has no cone and gets an empty map.
     """
     split: dict = {}  # symbol -> ([label], [derivation key]), one entry per cone
     for tp, keys, choice in _derivation_cones(comp, options.cube_limit):
         try:
-            labels = tree_interpolate(tp, options)
+            labels = _label_tree_problem(tp, options)
         except NotUnsat as exc:
             return None, (choice, exc.model)
         for p, key in keys.items():
@@ -672,7 +688,10 @@ def solve(hc: ClauseSet, options: SolverOptions = None):
     solved before the first Counterexample, in component order, is
     returned; otherwise the combined solution, each symbol over the
     argument vector normalize gives it and true where no component labeled
-    it, is verified against ``hc``.
+    it, is verified against ``hc``.  That is the answer's one gate, as no
+    cone's labels pass check_tree: a labeling that fails it, or a label
+    over a variable outside its symbol's vector, raises
+    SolverInternalError.
     """
     options = options or SolverOptions()
     components = connected_components(hc)
@@ -686,8 +705,11 @@ def solve(hc: ClauseSet, options: SolverOptions = None):
         if isinstance(result, Counterexample):
             return result
         formulas.update(result)
-    sol = Solution({p: (list(_fresh_vector(p)), formulas.get(p, TRUE))
-                    for p in sorted(hc.relations)})
+    try:
+        sol = Solution({p: (list(_fresh_vector(p)), formulas.get(p, TRUE))
+                        for p in sorted(hc.relations)})
+    except SortMismatch as exc:
+        raise SolverInternalError(f"computed solution rejected: {exc}") from exc
     verdict = verify_solution(sol, hc, options.branch_depth, options.cube_limit)
     if not isinstance(verdict, Valid):
         raise SolverInternalError(

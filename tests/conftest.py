@@ -28,17 +28,18 @@ def unsat_pairs() -> tuple:
 
 @pytest.fixture
 def solved_trees(monkeypatch) -> list:
-    """Every (tree problem, labels) that ``solver.tree_interpolate`` returns
-    during the test, in order; the solver's own calls go through it too."""
+    """Every (tree problem, labels) that ``solver._label_tree_problem``
+    returns during the test, in order: each tree that ``solve`` labels, and
+    each that ``tree_interpolate`` labels before its final check."""
     trees = []
-    tree_interpolate = solver.tree_interpolate
+    label_tree_problem = solver._label_tree_problem
 
-    def recording(tp, options=None):
-        labels = tree_interpolate(tp, options)
+    def recording(tp, options):
+        labels = label_tree_problem(tp, options)
         trees.append((tp, labels))
         return labels
 
-    monkeypatch.setattr(solver, "tree_interpolate", recording)
+    monkeypatch.setattr(solver, "_label_tree_problem", recording)
     return trees
 
 

@@ -57,12 +57,11 @@ def hornitp(*args, code=0, first_line=None) -> str:
 
 def long_chain(n):
     """300-, 1,200- and 2,400-step chains: TreeProblem's iterative layout,
-    derivation-cone enumeration, check_tree's shared-variable sets, the
-    suffix-sum frontier checks and the alias-free normal form (one LP
-    equality per step, y = x + 1, which decide_rational substitutes away
-    before the tableau; no binding equalities) at lengths where a recursion
-    limit or a quadratic or cubic regression shows as a failure or a
-    timeout."""
+    derivation-cone enumeration, the suffix-sum frontier checks and the
+    alias-free normal form (one LP equality per step, y = x + 1, which
+    decide_rational substitutes away before the tableau; no binding
+    equalities) at lengths where a recursion limit or a quadratic or cubic
+    regression shows as a failure or a timeout."""
     result = solver.solve(chc.parse_chc(chain_text(n, False)))
     assert isinstance(result, solver.Solved), result
 
@@ -281,6 +280,24 @@ def equality_elimination():
         assert sum(rows) <= 4, (atoms, rows)
 
 
+def one_gate_per_answer():
+    """solve labels its cone trees without check_tree, and verify_solution
+    is its gate: ladder(12), safe and unsafe, each makes under 5,000 LPs
+    (2^12 cones, one label_tree LP each, and the answer's check), and
+    diamond(13) under 100.  A check_tree per cone shows here as about
+    110,000 and 16,400 LPs."""
+    decide = engine.decide_rational
+    for hc, verdict, most in ((ladder(12), solver.Solved, 5000),
+                              (ladder(12, unsafe=True), solver.Counterexample, 5000),
+                              (diamond(13), solver.Solved, 100)):
+        lps = []
+        engine.decide_rational = lambda atoms: lps.append(None) or decide(atoms)
+        result = solver.solve(hc)
+        engine.decide_rational = decide
+        assert isinstance(result, verdict), result
+        assert len(lps) < most, len(lps)
+
+
 def planted_corpus():
     """1,000 draws each of Int and Real through planted_verdicts in
     tests/test_planted.py, each a safe set and its unsafe twin: every
@@ -312,6 +329,7 @@ PROBES = [  # (name, timeout in seconds, function)
     ("problem shapes", 3 * 60 + 10, problem_shapes),
     ("bound-pair fast path", 60, bound_pair_fast_path),
     ("equality elimination", 60, equality_elimination),
+    ("one gate per answer, ladder and diamond", 120, one_gate_per_answer),
     ("planted corpus, 1,000 Int and Real draws", 180, planted_corpus),
 ]
 

@@ -7,11 +7,12 @@ from dataclasses import fields
 import pytest
 
 from generators import chain_clauses
-from hornitp import chc, cli
+from hornitp import chc, cli, solver
 from hornitp.cli import main
 from hornitp.horn import verify_solution
 from hornitp.sexpr import parse_all, parse_one
 from hornitp.solver import SolverOptions
+from hornitp.terms import TRUE
 
 TREELIKE = "tests/data/increment_treelike.chc"
 RECURSIVE = "tests/data/increment_recursive.chc"
@@ -194,8 +195,8 @@ class TestSolve:
                              ids=["engine", "backend"])
     def test_gates_keep_the_run_cube_limit(self, capsys, tmp_path, backend):
         # 14 two-way ors in the query: 16,384 cubes, over the default limit
-        # of 10,000; check_tree, and with a backend check_interpolant, must
-        # read the run's limit
+        # of 10,000; the cone's labeling and verify_solution, and with a
+        # backend check_interpolant, must read the run's limit
         k = 14
         ys = " ".join(f"(y{i} Int)" for i in range(k))
         ors = " ".join(f"(or (<= y{i} 0) (>= y{i} 2))" for i in range(k))
@@ -448,6 +449,21 @@ class TestFaults:
         assert code == 2
         assert out == '(error "internal: RuntimeError: unexpected")\n'
         assert "RuntimeError" in err
+
+    def test_labeling_bug_is_a_failed_verification(self, capsys, monkeypatch):
+        # solve labels its cone trees without check_tree: a too-weak
+        # labeling must stop at verify_solution as a fault, not a verdict
+        label_tree_problem = solver._label_tree_problem
+
+        def weakened(tp, options):
+            return {v: c if v == tp.root else TRUE
+                    for v, c in label_tree_problem(tp, options).items()}
+
+        monkeypatch.setattr(solver, "_label_tree_problem", weakened)
+        code, out, err = run(capsys, "solve", TREELIKE)
+        assert code == 2
+        assert out.startswith('(error "SolverInternalError: computed solution failed verification')
+        assert "failed verification" in err
 
     @pytest.mark.parametrize("mode", ["human", "sexpr"])
     def test_deeply_nested_constraint_prints_its_verdict(self, capsys, tmp_path, mode):

@@ -203,13 +203,14 @@ class TestFindCounterexample:
 
 
 class TestTreeInterpolate:
-    def test_treelike_subset_labels_pass_checks(self):
+    def test_treelike_subset_labels_pass_checks(self, monkeypatch):
         nhc = normalize(PE.treelike_clauses())
         (tp,) = tree_problem_from_treelike(nhc)
+        gates = _counting(monkeypatch, "check_tree")
         labels = tree_interpolate(tp)
         from hornitp.problems import check_tree
 
-        assert check_tree(tp, labels) == []
+        assert check_tree(tp, labels) == [] and len(gates) == 1
 
     def test_satisfiable_tree_raises_not_unsat(self):
         from hornitp.problems import TreeProblem
@@ -230,12 +231,13 @@ class TestTreeInterpolate:
 
 
 class TestSequenceInterpolants:
-    def test_labels_form_inductive_sequence(self):
+    def test_labels_form_inductive_sequence(self, monkeypatch):
         y = Var("y", INT)
         sp = SequenceProblem((ge(TX, 0), le(TX - LinearTerm.of(y), 0),
                               lt(LinearTerm.of(y), 0)))
+        gates = _counting(monkeypatch, "check_tree")
         labels = sequence_interpolants(sp)
-        assert labels[0] is TRUE
+        assert labels[0] is TRUE and len(gates) == 1
         assert check_sequence(sp, labels) == []
 
 
@@ -256,7 +258,7 @@ def _dag_shaped_sets(seed: int, count: int) -> list:
 
 
 class TestDagInterpolate:
-    def test_diamond_labels_pass_checks(self):
+    def test_diamond_labels_pass_checks(self, monkeypatch):
         nodes = ("en", "a", "b", "ex")
         edges = (("en", "a"), ("en", "b"), ("a", "ex"), ("b", "ex"))
         edge_labels = {("en", "a"): ge(TX, 0), ("en", "b"): ge(TX, 2),
@@ -265,8 +267,9 @@ class TestDagInterpolate:
                         {v: TRUE for v in nodes},
                         {"en": frozenset(), "a": frozenset({X}),
                          "b": frozenset({X}), "ex": frozenset()})
+        gates = _counting(monkeypatch, "check_dag")
         labels = dag_interpolate(dp)
-        assert check_dag(dp, labels) == []
+        assert check_dag(dp, labels) == [] and len(gates) == 1
 
     def test_cone_budget_bounds_a_linear_dag_before_any_lp(self, monkeypatch):
         # 2^14 derivations of false, one cone each, as a clause set and as
@@ -719,6 +722,45 @@ def _unsolvable() -> ClauseSet:
         HornClause(ge(TX, 0), (), rel_atom(p, X)),
         HornClause(ge(TX, 5), (rel_atom(p, X),), None),
     ])
+
+
+def _relabeling(monkeypatch, change):
+    """Make solver._label_tree_problem return its labels with ``change``
+    applied to each non-root node's label."""
+    label_tree_problem = solver._label_tree_problem
+
+    def relabeled(tp, options):
+        labels = label_tree_problem(tp, options)
+        return {v: c if v == tp.root else change(c) for v, c in labels.items()}
+
+    monkeypatch.setattr(solver, "_label_tree_problem", relabeled)
+
+
+class TestOneGatePerAnswer:
+    """solve's one gate is verify_solution on its input: its cone trees are
+    labeled without check_tree (the tree, sequence and DAG entry points'
+    own checks are counted in their classes), and the frontier checks still
+    run."""
+
+    @pytest.mark.parametrize("hc", [PE.treelike_clauses(), ladder(4)], ids=["treelike", "ladder4"])
+    def test_solve_runs_no_check_tree(self, monkeypatch, hc):
+        checks = _counting(monkeypatch, "check_tree")
+        gates = _counting(monkeypatch, "verify_solution")
+        frontier = _counting(monkeypatch, "_frontier_refuted")
+        assert isinstance(solve(hc), Solved)
+        assert checks == [] and len(gates) == 1 and frontier
+
+    @pytest.mark.parametrize("hc", [PE.treelike_clauses(), ladder(4)], ids=["treelike", "ladder4"])
+    def test_too_weak_labeling_fails_verification(self, monkeypatch, hc):
+        _relabeling(monkeypatch, lambda c: TRUE)
+        with pytest.raises(SolverInternalError, match="failed verification"):
+            solve(hc)
+
+    def test_stray_variable_is_an_internal_error(self, monkeypatch):
+        stray = ge(LinearTerm.of(Var("stray", INT)), 0)
+        _relabeling(monkeypatch, lambda c: cor(c, stray))
+        with pytest.raises(SolverInternalError, match="outside its parameters"):
+            solve(PE.treelike_clauses())
 
 
 class TestCounterexampleFromModel:
