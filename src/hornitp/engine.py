@@ -14,13 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import CubeLimitExceeded, NotUnsat, UnknownResult
+from .errors import CubeLimitExceeded, NotUnsat, SolverInternalError, UnknownResult
 from .lp import Sat, Unsat, decide_rational
 from .terms import (
     FALSE,
     INT,
     LE,
     LT,
+    TRUE,
+    CAtom,
     Constraint,
     Cube,
     LinearTerm,
@@ -120,25 +122,57 @@ def case_split(labels: list, keys: list) -> Constraint:
     return cor(*[cand(*g) for g in groups.values()])
 
 
-def _subtree_labels(own: list, strict: set, kids: list, leaves) -> list:
+def _subtree_labels(own: list, strict: set, kids: list, check: bool) -> list:
     """Labels of one certificate from each node's (term, multiplier) pairs
-    and the set of nodes with a strict atom."""
+    and the set of nodes with a strict atom, with ``check`` each fitted to
+    its subtree's sum, the root's false included."""
+    n = len(own)
     sums, below, itps = [], [], []
-    for i in range(len(own) - 1):
+    for i in range(n if check else n - 1):
         pairs, below_i = own[i], i in strict
         if kids[i]:
             pairs = pairs + [(sums[c], 1) for c in kids[i]]
             below_i = below_i or any(below[c] for c in kids[i])
         sums.append(weighted_sum(pairs))
         below.append(below_i)
-        itps.append(atom(sums[i], LT if below_i else LE))
-    itps.append(FALSE)
-    if leaves is not None:
-        leaves.append((own, strict, sums, itps))
-    return itps
+        itps.append(FALSE if i == n - 1 else atom(sums[i], LT if below_i else LE))
+        if check and not _fits_sum(itps[i], sums[i], below_i):
+            raise SolverInternalError(f"certificate label of node {i} does not fit "
+                                      f"its subtree's sum {sums[i]}")
+    return itps if check else itps + [FALSE]
 
 
-def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, leaves) -> list:
+def _fits_sum(label: Constraint, total: LinearTerm, strict: bool) -> bool:
+    """Whether ``label`` may stand for ``total < 0`` (``strict``) or
+    ``total <= 0``: true or false only for a constant total, on its side of
+    0 (at the root, the Farkas condition), and else an atom k * total + c
+    for one k > 0 and c >= 0, non-strict only where total is or c > 0.  So
+    any frontier's labels, each divided by its k, and the remaining atoms
+    still sum to a contradiction.  Int cross-multiplication throughout."""
+    if label is TRUE or label is FALSE:
+        c = total.constant.numerator
+        return not total.coeffs and (label is FALSE) == (c > 0 or (c == 0 and strict))
+    if not isinstance(label, CAtom):
+        return False
+    t, rel = label.atom
+    if len(t.coeffs) != len(total.coeffs):
+        return False
+    # k = kn / kd = t's leading coefficient over total's, kd > 0
+    s0 = total.coeffs[0][1]
+    kn, kd = t.coeffs[0][1] * s0.denominator, s0.numerator
+    if kd < 0:
+        kn, kd = -kn, -kd
+    if kn <= 0:
+        return False
+    for (v, a), (w, s) in zip(t.coeffs, total.coeffs):
+        if v != w or a * kd * s.denominator != kn * s.numerator:
+            return False
+    c, d = t.constant, total.constant
+    lhs, rhs = c.numerator * kd * d.denominator, kn * d.numerator * c.denominator
+    return lhs >= rhs and (rel == (LT if strict else LE) or (rel == LE and lhs > rhs))
+
+
+def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, check: bool) -> list:
     """Labels of one cube choice, nodes[i] being node i's cube with its cuts
     appended: one LP per call, the nested calls are branch nodes."""
     atoms, ends, own = [], [], []
@@ -157,7 +191,7 @@ def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, leaves)
             own[i].append((a.term, lam))
             if a.rel == LT:
                 strict.add(i)
-        return _subtree_labels(own, strict, kids, leaves)
+        return _subtree_labels(own, strict, kids, check)
     frac = _fractional_int(res.model)
     if frac is None:
         raise NotUnsat(res.model)
@@ -170,7 +204,7 @@ def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, leaves)
     for cut in _branch_cuts(v, val):
         split = list(nodes)
         split[s] = Cube(nodes[s].atoms + (cut,))
-        branches.append(_interpolate_cubes(split, kids, first, depth - 1, leaves))
+        branches.append(_interpolate_cubes(split, kids, first, depth - 1, check))
     # case_split in closed form, the cut at node s being the case: subtrees
     # holding s are the union of the two branches, the others hold in both
     return [cor(left, right) if first[w] <= s <= w else cand(left, right)
@@ -178,7 +212,7 @@ def _interpolate_cubes(nodes: list, kids: list, first: list, depth: int, leaves)
 
 
 def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH,
-               leaves: list = None, cube_limit: int = DEFAULT_CUBE_LIMIT) -> list:
+               check: bool = False, cube_limit: int = DEFAULT_CUBE_LIMIT) -> list:
     """Tree interpolant of nodes 0..n-1 in post order (each subtree an
     interval ending at its root, n-1 the root) with DNF cubes cubes[i] and
     children kids[i], in post order too.
@@ -192,24 +226,24 @@ def label_tree(cubes: list, kids: list, branch_depth: int = DEFAULT_BRANCH_DEPTH
     made inside subtree(w) the conjunction over those made outside it.  A
     node without cubes refutes alone, as 1 <= 0 would.
 
-    A list ``leaves`` gets (own, strict, sums, labels) per certificate read:
-    per node its (term, multiplier) pairs, the nodes with a strict atom, and
-    per non-root node its subtree's sum.  Raises NotUnsat with a model of
-    every cube when a choice is satisfiable, UnknownResult when
-    ``branch_depth`` runs out, and CubeLimitExceeded, before any LP, when
-    there are more than ``cube_limit`` cube choices.
+    With ``check``, each certificate's labels, the root's false included,
+    must fit their subtree sums (_fits_sum), or SolverInternalError is
+    raised.  Raises NotUnsat with a model of every cube when a choice is
+    satisfiable, UnknownResult when ``branch_depth`` runs out, and
+    CubeLimitExceeded, before any LP, when there are more than
+    ``cube_limit`` cube choices.
     """
     n = len(cubes)
     if math.prod(map(len, cubes)) > cube_limit:
         raise CubeLimitExceeded(cube_limit, "cube choices across a tree's node labels")
     if not all(cubes):
         one = [(LinearTerm.const(1), 1)]
-        return _subtree_labels([[] if cs else one for cs in cubes], set(), kids, leaves)
+        return _subtree_labels([[] if cs else one for cs in cubes], set(), kids, check)
     first = []  # subtree(i) is first[i]..i
     for i, cs in enumerate(kids):
         first.append(first[cs[0]] if cs else i)
     try:
-        choices = [_interpolate_cubes(nodes, kids, first, branch_depth, leaves)
+        choices = [_interpolate_cubes(nodes, kids, first, branch_depth, check)
                    for nodes in product(*cubes)]
     except NotUnsat as exc:
         model = dict(exc.model)  # completed to every cube's variables

@@ -355,10 +355,13 @@ def _holds_all(atoms, model: dict) -> bool:
 # (-D*c, -D if strict else 0), read as a + b*eps for an infinitesimal
 # eps > 0; problem variables have no bounds.  A basic row is kept
 # fraction-free as (d, {j: a_j}), meaning d * x_s = sum a_j * x_j with d > 0
-# and gcd(d, a_j...) = 1.  A pivot cross-multiplies rows and divides out the
-# gcd.  A nonbasic variable is either a slack sitting at its bound (it left
-# the basis there) or a problem variable still at 0, so d * x_s is the int
-# pair sum a_j * bound_j; every row starts at (0, 0).  A pivot changes the
+# and gcd(d, a_j...) = 1: rows start as (1, ...), a pivot cross-multiplies
+# each row that holds the entering variable and divides out the gcd, and the
+# entering row is the leaving row solved for it, the same entries up to sign
+# and place, so its gcd is 1 already (were it not, rows would still be
+# exact, only larger).  A nonbasic variable is either a slack sitting at its
+# bound (it left the basis there) or a problem variable still at 0, so
+# d * x_s is the int pair sum a_j * bound_j; every row starts at (0, 0).  A pivot changes the
 # value of no row but those that hold the entering variable and the
 # entering variable's own, which is below its bound; the former get their
 # new value from their old one and the entering row's, and are re-checked
@@ -427,16 +430,13 @@ def _simplex(split) -> Sat | Unsat:
                 raise SolverInternalError("simplex certificate is not a contradiction")
             return Unsat(cert)
         # pivot bad <-> enter: d_e * x_enter = sum erow_j * x_j, which is
-        # (p_e, q_e) once bad is nonbasic at its upper bound
+        # (p_e, q_e) once bad is nonbasic at its upper bound.  Its entries
+        # are bad's row's up to sign, whose gcd is 1, so it needs no reduction
         a_e = row.pop(enter)
         sign = 1 if a_e > 0 else -1
         d_e = a_e * sign
         erow = {j: -a * sign for j, a in row.items()}
         erow[bad] = d * sign
-        g = gcd(d_e, *erow.values())
-        if g != 1:
-            d_e //= g
-            erow = {j: a // g for j, a in erow.items()}
         p_e = q_e = 0
         for j, a in erow.items():
             p_e += a * ub_a[j]

@@ -32,7 +32,9 @@ interpolation problem is solved as its Horn encoding, a linear set.
 Every answer passes one gate.  solve's is verify_solution on the set it
 was given, so its cone trees are labeled by _label_tree_problem without
 check_tree; tree_interpolate and sequence_interpolants keep check_tree, and
-dag_interpolate check_dag.  The per-node frontier checks run on every path."""
+dag_interpolate check_dag.  Every path checks each node as it labels it:
+against its certificate's subtree sum in engine.label_tree, or, node by
+node, its frontier with sat."""
 
 from __future__ import annotations
 
@@ -71,18 +73,14 @@ from .horn import (
     Valid,
     verify_solution,
 )
-from .lp import FarkasCertificate, Sat
+from .lp import Sat
 from .problems import DagProblem, SequenceProblem, TreeProblem, check_dag, check_tree
 from .terms import (
     DEFAULT_CUBE_LIMIT,
     FALSE,
     INT,
-    LE,
-    LT,
     TRUE,
     Constraint,
-    LinearAtom,
-    LinearTerm,
     Var,
     cand,
     cor,
@@ -90,7 +88,6 @@ from .terms import (
     evaluate,
     rename_injective,
     to_dnf,
-    weighted_sum,
 )
 
 DEFAULT_EXPANSION_LIMIT = 100_000
@@ -321,10 +318,10 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
     ``options.interpolate`` backend answers binary problems only, so each
     node gets one binary interpolation and one satisfiability check.
 
-    Either path makes one frontier check per node: after node v, the labels
-    of the processed nodes whose parent is still unprocessed, together with
-    the remaining node labels, must be unsatisfiable; on the certificate
-    path that means that for every certificate read they still form one.
+    Either path checks each node once.  Node by node: after node v, the
+    labels of the processed nodes whose parent is unprocessed, with the
+    remaining node labels, must be unsatisfiable.  From certificates: each
+    label must fit its subtree's sum, engine.label_tree's check.
     _label_tree_problem's labeling must then pass check_tree, this entry
     point's gate, and a violated check raises SolverInternalError; solve
     labels its cones without it, since its gate is verify_solution.
@@ -343,56 +340,14 @@ def tree_interpolate(tp: TreeProblem, options: SolverOptions = None) -> dict:
 
 
 def _label_tree_problem(tp: TreeProblem, options: SolverOptions) -> dict:
-    """tree_interpolate's labels before its final check_tree: the
-    certificate sweep, or the node-by-node sweep when ``options.interpolate``
-    is set, each with its frontier checks."""
-    sweep = _certificate_labels if options.interpolate is None else _node_by_node_labels
-    return sweep(tp, options)
-
-
-def _certificate_labels(tp: TreeProblem, options: SolverOptions):
-    """Labels from engine.label_tree, with the frontier checked against
-    every certificate it read."""
-    n = len(tp.order)
+    """tree_interpolate's labels before its final check_tree: checked
+    engine.label_tree labels, or the node-by-node sweep's when
+    ``options.interpolate`` is set."""
+    if options.interpolate is not None:
+        return _node_by_node_labels(tp, options)
     cubes = [to_dnf(tp.labels[v], options.cube_limit) for v in tp.order]
-    leaves: list = []
-    itps = label_tree(cubes, tp.kids, options.branch_depth, leaves, options.cube_limit)
-    certified = []  # per certificate: (labels, subtree sums, remaining-atom sums)
-    for own, strict, sums, leaf_itps in leaves:
-        # rest[i]: the certificate atoms of the nodes from i on, summed into
-        # one atom, strict when one of them is
-        rest = [LinearAtom(LinearTerm.const(0), LE)] * (n + 1)
-        for i in reversed(range(n)):
-            rest[i] = LinearAtom(weighted_sum(own[i] + [(rest[i + 1].term, 1)]),
-                                 LT if i in strict or rest[i + 1].rel == LT else LE)
-        certified.append((leaf_itps, sums, rest))
-    frontier: list = []
-    for i in range(n):  # the root's parent, n, is never processed
-        frontier = [w for w in frontier if tp.parent[w] != i] + [i]
-        for leaf_itps, sums, rest in certified:
-            if not _frontier_refuted(frontier, leaf_itps, sums, rest[i + 1]):
-                raise SolverInternalError(f"frontier invariant violated after node {tp.order[i]}")
+    itps = label_tree(cubes, tp.kids, options.branch_depth, True, options.cube_limit)
     return dict(zip(tp.order, itps))
-
-
-def _frontier_refuted(frontier: list, itps: list, sums: list, rest: LinearAtom) -> bool:
-    """Whether the frontier labels of one certificate, each canonical atom
-    weighted by the inverse of its canonicalisation scale, and ``rest``, the
-    certificate's remaining atoms summed into one, still form a Farkas
-    certificate."""
-    weighted = []
-    for w in frontier:
-        label = itps[w]
-        if label is FALSE:
-            return True
-        if label is not TRUE:
-            a = label.atom
-            weighted.append((a, Fraction(sums[w].coeffs[0][1], a.term.coeffs[0][1])))
-    weighted.append((rest, 1))
-    atoms = tuple([a for a, _ in weighted])
-    mults = tuple([(j, lam) for j, (_, lam) in enumerate(weighted)])
-    strict = any(a.rel == LT and lam > 0 for a, lam in weighted)
-    return FarkasCertificate(atoms, mults, strict, tuple(range(len(atoms)))).is_valid()
 
 
 def _node_by_node_labels(tp: TreeProblem, options: SolverOptions):

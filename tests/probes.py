@@ -57,7 +57,7 @@ def hornitp(*args, code=0, first_line=None) -> str:
 
 def long_chain(n):
     """300-, 1,200- and 2,400-step chains: TreeProblem's iterative layout,
-    derivation-cone enumeration, the suffix-sum frontier checks and the
+    derivation-cone enumeration, the per-node certificate label checks and the
     alias-free normal form (one LP equality per step, y = x + 1, which
     decide_rational substitutes away before the tableau; no binding
     equalities) at lengths where a recursion limit or a quadratic or cubic

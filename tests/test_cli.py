@@ -346,6 +346,34 @@ class TestEncode:
             "(declare-fun p0 (Int) Bool)", "(declare-fun p1 (Int Int) Bool)",
             "(declare-fun p2 () Bool)"]
 
+    @pytest.mark.parametrize("b, verdict", [("(<= 1 x)", "sat"), ("(<= 0 x)", "unsat")])
+    def test_binary_encoding_solves(self, capsys, tmp_path, b, verdict):
+        # A = x <= 0: the set is solvable exactly when A and B conflict
+        path = tmp_path / "p.bin"
+        path.write_text(f"(binary (vars (x Int)) (A (<= x 0)) (B {b}))")
+        code, out, _ = run(capsys, "encode", str(path), "--kind", "binary")
+        assert code == 0
+        enc = tmp_path / "p.chc"
+        enc.write_text(out)
+        code, out, _ = run(capsys, "solve", str(enc))
+        assert (code, out.splitlines()[0]) == ((0, "sat") if verdict == "sat" else (1, "unsat"))
+
+    @pytest.mark.parametrize("bound, verdict", [(3, "sat"), (7, "unsat")])
+    def test_dag_encoding_checks_the_target_label(self, capsys, tmp_path, bound, verdict):
+        # m's label x <= 5 makes its guard clause, false <- s, x <= bound,
+        # not x <= 5, and x >= 10 on the edge out of m keeps t unreachable:
+        # the set is solvable exactly when bound <= 5.  Five clauses: the
+        # entry fact, two edges, m's guard and the exit query
+        path = tmp_path / "p.dag"
+        path.write_text(f"(dag (vars (x Int)) (nodes (s true) (m (<= x 5)) (t true)) "
+                        f"(edges (s m (<= x {bound})) (m t (>= x 10))) (entry s) (exit t))")
+        code, out, _ = run(capsys, "encode", str(path), "--kind", "dag")
+        assert code == 0 and out.count("(assert ") == 5
+        enc = tmp_path / "p.chc"
+        enc.write_text(out)
+        code, out, _ = run(capsys, "solve", str(enc))
+        assert (code, out.splitlines()[0]) == ((0, "sat") if verdict == "sat" else (1, "unsat"))
+
     def test_kind_mismatch_is_fault(self, capsys, tmp_path):
         path = tmp_path / "p.seq"
         path.write_text(SEQ_PROBLEM)
@@ -408,6 +436,14 @@ class TestRenameHorn:
         path.write_text("p cnf 2 2\n1 -2 0\n2 -1 0\n")
         code, out, _ = run(capsys, "rename-horn", str(path))
         assert code == 1 and out.splitlines()[0] == "NONTERMINATING"
+
+    def test_nonterminating_sexpr_output(self, capsys, tmp_path):
+        path = tmp_path / "cyc.cnf"
+        path.write_text("p cnf 2 2\n1 -2 0\n2 -1 0\n")
+        code, out, _ = run(capsys, "--output", "sexpr", "rename-horn", str(path))
+        assert code == 1
+        form = parse_one(out)
+        assert form[0] == "nonterminating" and form[1][0] == "cycle" and len(form[1]) > 1
 
     def test_chc_format_rejected(self, capsys):
         code, out, _ = run(capsys, "--format", "chc", "rename-horn", CNF)

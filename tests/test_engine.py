@@ -285,15 +285,17 @@ class TestLabelTree:
             binary_interpolant(a, b, cube_limit=200)
         assert lps == []
 
-    def test_case_split_labels_the_subtrees(self):
+    def test_case_split_labels_the_subtrees(self, monkeypatch):
         # leaf 0 says x = 2y, leaf 1 bounds x to [0, 2], root 2 says
         # x = 2z + 1: the first fractional value is cut at the first node
         # that mentions it, and every certificate labels all three nodes
         y, z = LinearTerm.of(Var("y", INT)), LinearTerm.of(Var("z", INT))
         labels = [eq(TX, y.scale(2)), cand(ge(TX, 0), le(TX, 2)), eq(TX, z.scale(2) + 1)]
-        leaves = []
-        itps = label_tree([to_dnf(c) for c in labels], ([], [], [0, 1]), leaves=leaves)
-        assert len(leaves) > 1 and itps[2] is FALSE
+        certificates, read = [], engine._subtree_labels
+        monkeypatch.setattr(engine, "_subtree_labels",
+                            lambda *args: certificates.append(args) or read(*args))
+        itps = label_tree([to_dnf(c) for c in labels], ([], [], [0, 1]), check=True)
+        assert len(certificates) > 1 and itps[2] is FALSE
         assert free_vars(itps[0]) <= {X} and free_vars(itps[1]) <= {X}
         assert entails([labels[0]], itps[0]) and entails([labels[1]], itps[1])
         assert isinstance(sat(cand(itps[0], itps[1], labels[2])), Unsat)

@@ -56,6 +56,12 @@ class TestSequence:
         failures = check_sequence(self._problem(), labels)
         assert "variable-condition-1" in failures
 
+    def test_start_label_must_be_true(self):
+        # I0 = false makes every step entailment hold and uses no variable:
+        # only the start condition fails
+        labels = [FALSE, ge(TX, 0), ge(TY, 0), FALSE]
+        assert check_sequence(self._problem(), labels) == ["start-label-not-true"]
+
     def test_end_label_must_be_false(self):
         labels = [TRUE, ge(TX, 0), ge(TY, 0), TRUE]
         assert "end-label-not-false" in check_sequence(self._problem(), labels)

@@ -1,7 +1,6 @@
 """End-to-end solving: dispatch, interpolation sweeps, expansion oracle."""
 
 import random
-from collections import Counter
 from dataclasses import make_dataclass
 from fractions import Fraction
 
@@ -224,9 +223,8 @@ class TestTreeInterpolate:
     def test_one_frontier_check_per_node_and_certificate(self, monkeypatch):
         nhc = normalize(PE.treelike_clauses())
         (tp,) = tree_problem_from_treelike(nhc)
-        checks = _counting(monkeypatch, "_frontier_refuted")
+        per_certificate = _label_checks_per_certificate(monkeypatch)
         tree_interpolate(tp)
-        per_certificate = _frontier_checks_per_certificate(checks)
         assert per_certificate and set(per_certificate) == {len(tp.nodes)}
 
 
@@ -739,16 +737,16 @@ def _relabeling(monkeypatch, change):
 class TestOneGatePerAnswer:
     """solve's one gate is verify_solution on its input: its cone trees are
     labeled without check_tree (the tree, sequence and DAG entry points'
-    own checks are counted in their classes), and the frontier checks still
-    run."""
+    own checks are counted in their classes), and each certificate's label
+    checks still run."""
 
     @pytest.mark.parametrize("hc", [PE.treelike_clauses(), ladder(4)], ids=["treelike", "ladder4"])
     def test_solve_runs_no_check_tree(self, monkeypatch, hc):
         checks = _counting(monkeypatch, "check_tree")
         gates = _counting(monkeypatch, "verify_solution")
-        frontier = _counting(monkeypatch, "_frontier_refuted")
+        label_checks = _counting(monkeypatch, "_fits_sum", engine)
         assert isinstance(solve(hc), Solved)
-        assert checks == [] and len(gates) == 1 and frontier
+        assert checks == [] and len(gates) == 1 and label_checks
 
     @pytest.mark.parametrize("hc", [PE.treelike_clauses(), ladder(4)], ids=["treelike", "ladder4"])
     def test_too_weak_labeling_fails_verification(self, monkeypatch, hc):
@@ -1187,10 +1185,23 @@ def _counting(monkeypatch, name, module=solver):
     return calls
 
 
-def _frontier_checks_per_certificate(calls) -> list:
-    """Per certificate read, the number of recorded _frontier_refuted calls
-    made against it, told apart by its labels list."""
-    return list(Counter(id(args[1]) for args in calls).values())
+def _label_checks_per_certificate(monkeypatch) -> list:
+    """A list that gets, per certificate engine.label_tree reads, the
+    number of engine._fits_sum checks made on its labels."""
+    per_certificate = []
+    read, fits = engine._subtree_labels, engine._fits_sum
+
+    def reading(*args):
+        per_certificate.append(0)
+        return read(*args)
+
+    def fitting(*args):
+        per_certificate[-1] += 1
+        return fits(*args)
+
+    monkeypatch.setattr(engine, "_subtree_labels", reading)
+    monkeypatch.setattr(engine, "_fits_sum", fitting)
+    return per_certificate
 
 
 class TestCertificateLabels:
@@ -1210,7 +1221,7 @@ class TestCertificateLabels:
     def test_random_trees_pass_check_tree(self, monkeypatch):
         rng = random.Random(31)
         sweeps = _counting(monkeypatch, "_node_by_node_labels")
-        checks = _counting(monkeypatch, "_frontier_refuted")
+        per_certificate = _label_checks_per_certificate(monkeypatch)
         solved = {0: 0, 1: 0, 2: 0}
         while min(solved.values()) < 15:
             disjunctive = rng.choice(list(solved))
@@ -1222,10 +1233,9 @@ class TestCertificateLabels:
                     and all(isinstance(decide_rational(list(c.atoms)), Unsat)
                             for c in to_dnf(cand(*tp.labels.values())))):
                 continue
-            checks.clear()
+            per_certificate.clear()
             labels = tree_interpolate(tp)
             assert check_tree(tp, labels) == []
-            per_certificate = _frontier_checks_per_certificate(checks)
             assert per_certificate and set(per_certificate) == {len(tp.nodes)}
             solved[disjunctive] += 1
         assert sweeps == []
@@ -1318,15 +1328,41 @@ class TestCertificateLabels:
 
     def test_weakened_labels_fail_the_frontier_check(self, monkeypatch):
         # x >= 0, y = x, y < 0 over the reals: the certificate sums to 0 < 0,
-        # at every scale, so labels weakened by 1 leave -1 < 0
+        # at every scale, so labels weakened by 1 leave -1 < 0; the label
+        # check finds node 0's constant below its subtree's sum's, and it
+        # runs under solve as under tree_interpolate
         x, y = Var("x", REAL), Var("y", REAL)
         tp = _path_tree([ge(LinearTerm.of(x), 0), eq(LinearTerm.of(y), LinearTerm.of(x)),
                          lt(LinearTerm.of(y), 0)])
         assert check_tree(tp, tree_interpolate(tp)) == []
         weakened = engine.atom
         monkeypatch.setattr(engine, "atom", lambda term, rel: weakened(term - 1, rel))
-        with pytest.raises(SolverInternalError, match="frontier invariant violated after node 0"):
+        with pytest.raises(SolverInternalError, match="certificate label of node 0 does not fit"):
             tree_interpolate(tp)
+        with pytest.raises(SolverInternalError, match="certificate label of node .* does not fit"):
+            solve(PE.treelike_clauses())
+
+    def test_label_that_drops_strictness_fails_the_label_check(self, monkeypatch):
+        # y < 0, y = x, x >= 0 over the reals: leaf 0's label y < 0 keeps its
+        # sum's strictness, and y <= 0 in its place would leave the remaining
+        # atoms satisfiable (x = y = 0)
+        x, y = Var("x", REAL), Var("y", REAL)
+        tp = _path_tree([lt(LinearTerm.of(y), 0), eq(LinearTerm.of(y), LinearTerm.of(x)),
+                         ge(LinearTerm.of(x), 0)])
+        assert tree_interpolate(tp)[0] == lt(LinearTerm.of(y), 0)
+        unstrict = engine.atom
+        monkeypatch.setattr(engine, "atom", lambda term, rel: unstrict(term, "<="))
+        with pytest.raises(SolverInternalError, match="certificate label of node 0 does not fit"):
+            tree_interpolate(tp)
+
+    def test_dropped_child_sum_fails_the_root_check(self):
+        # leaf 0 says x >= 0 and root 1 says x <= -1; with the leaf left out
+        # of the root's children, leaf 0's label still fits its own sum, but
+        # the root's atoms alone sum to x + 1, no contradiction
+        cubes = [to_dnf(ge(TX, 0)), to_dnf(le(TX, -1))]
+        assert engine.label_tree(cubes, ([], [0]), check=True) == [le(-TX, 0), FALSE]
+        with pytest.raises(SolverInternalError, match="certificate label of node 1 does not fit"):
+            engine.label_tree(cubes, ([], []), check=True)
 
     def test_cube_product_over_limit(self):
         # five labels of two cubes each: 32 choices
