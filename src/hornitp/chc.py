@@ -272,11 +272,31 @@ def _named_constraints(node: list, variables: dict) -> dict:
     return out
 
 
+def _edges(sec: dict, forms: list, nodes: dict, shape: str) -> dict:
+    """(u, v) -> item for each item of the (edges ...) section, a list of the
+    ``shape`` given, such as (parent child), whose first two entries name
+    declared nodes.  An edge given twice is an error here, as a problem type
+    would keep it once."""
+    edges = forms[0][_section(sec, "edges", forms)]
+    out = {}
+    for i in range(1, len(edges)):
+        item = _expect_list(edges, i, f"an edge {shape}")
+        if len(item) != len(shape.split()):
+            raise Misread(ParseError, f"expected {shape}", edges, i)
+        key = (_declared(item, 0, nodes, "node"), _declared(item, 1, nodes, "node"))
+        if key in out:
+            raise Misread(ParseError, f"duplicate edge {key[0]!r} -> {key[1]!r}", edges, i)
+        out[key] = item
+    return out
+
+
 def parse_problem(text: str):
     """Returns ("binary", (a, b)), a SequenceProblem, TreeProblem, or
     DagProblem according to the leading keyword.  A problem whose shape
-    breaks its definition (a node with two parents, an edge into a DAG's
-    entry, a cycle, ...) is a ParseError at the offending part."""
+    breaks its type's definition (a node with two parents, an edge into a
+    DAG's entry, a cycle, ...) is a ParseError with the type's message, at
+    the declaration of the node it names, else at the (edges ...) section,
+    else at the problem."""
     return parse_with(text, _problem)
 
 
@@ -297,73 +317,40 @@ def _problem(forms: list):
         return ("binary", (read_constraint(form[sec["A"]], 1, variables),
                            read_constraint(form[sec["B"]], 1, variables)))
     if kind == "sequence":
-        if len(form) == 2:
-            raise Misread(ParseError, "sequence problem needs at least one part", forms, 0)
-        return SequenceProblem(tuple(read_constraint(form, i, variables)
-                                     for i in range(2, len(form))))
-    if kind == "tree":
-        sec = _sections(form, 2)
-        nodes = _section(sec, "nodes", forms)
-        labels = _named_constraints(form[nodes], variables)
-        root = _named_node(sec, "root", forms, labels)
-        edges = form[_section(sec, "edges", forms)]
-        parent = {}
-        for i in range(1, len(edges)):
-            pair = _expect_list(edges, i, "an edge (parent child)")
-            if len(pair) != 2:
-                raise Misread(ParseError, "expected (parent child)", edges, i)
-            p, c = _declared(pair, 0, labels, "node"), _declared(pair, 1, labels, "node")
-            if c == root:
-                raise Misread(ParseError, f"edge into the root {c!r}", edges, i)
-            if c in parent:
-                raise Misread(ParseError, f"node {c!r} has two parents", edges, i)
-            parent[c] = p
-        for v in labels:
-            if v != root and v not in parent:
-                raise Misread(ParseError, f"node {v!r} has no parent", form, nodes)
-        try:  # what is left to find is a cycle
-            return TreeProblem(tuple(labels), frozenset((p, c) for c, p in parent.items()),
-                               labels, root)
-        except MalformedProblem as exc:
-            raise Misread(ParseError, str(exc), form, sec["edges"]) from None
-    if kind == "dag":
+        nodes, at = (), (forms, 0)  # where an error that names no node goes
+        problem, args = SequenceProblem, (tuple(read_constraint(form, i, variables)
+                                                for i in range(2, len(form))),)
+    elif kind in ("tree", "dag"):
         sec = _sections(form, 2)
         nodes = form[_section(sec, "nodes", forms)]
-        node_labels = _named_constraints(nodes, variables)
-        entry = _named_node(sec, "entry", forms, node_labels)
-        exit_ = _named_node(sec, "exit", forms, node_labels)
-        edges = form[_section(sec, "edges", forms)]
-        edge_labels = {}
-        for i in range(1, len(edges)):
-            triple = _expect_list(edges, i, "an edge (u v constraint)")
-            if len(triple) != 3:
-                raise Misread(ParseError, "expected (u v constraint)", edges, i)
-            key = (_declared(triple, 0, node_labels, "node"),
-                   _declared(triple, 1, node_labels, "node"))
-            if key[1] == entry:
-                raise Misread(ParseError, f"edge into the entry {entry!r}", edges, i)
-            if key[0] == exit_:
-                raise Misread(ParseError, f"edge out of the exit {exit_!r}", edges, i)
-            if key in edge_labels:
-                raise Misread(ParseError, f"duplicate edge {key[0]!r} -> {key[1]!r}", edges, i)
-            edge_labels[key] = read_constraint(triple, 2, variables)
-        allowed = None
-        if "allowed" in sec:
-            allowed = {v: frozenset() for v in node_labels}
-            sets = form[sec["allowed"]]
-            for i in range(1, len(sets)):
-                names = _expect_list(sets, i, "an allowed set (node var ...)")
-                if not names:
-                    raise Misread(ParseError, "expected (node var ...)", sets, i)
-                allowed[_declared(names, 0, node_labels, "node")] = frozenset(
-                    variables[_declared(names, k, variables, "variable")]
-                    for k in range(1, len(names)))
-        try:
-            dp = DagProblem(tuple(node_labels), tuple(edge_labels), entry, exit_,
-                            edge_labels, node_labels, allowed)
-        except MalformedProblem as exc:
-            at = next(((nodes, i) for i in range(1, len(nodes)) if nodes[i][0] == exc.node),
-                      (form, sec["edges"]))
-            raise Misread(ParseError, str(exc), *at) from None
-        return dp
-    raise Misread(ParseError, f"unknown problem kind {kind!r}", forms, 0)
+        labels = _named_constraints(nodes, variables)
+        if kind == "tree":
+            root = _named_node(sec, "root", forms, labels)
+            edges = _edges(sec, forms, labels, "(parent child)")
+            problem, args = TreeProblem, (tuple(labels), frozenset(edges), labels, root)
+        else:
+            entry = _named_node(sec, "entry", forms, labels)
+            exit_ = _named_node(sec, "exit", forms, labels)
+            edges = _edges(sec, forms, labels, "(u v constraint)")
+            edge_labels = {key: read_constraint(item, 2, variables) for key, item in edges.items()}
+            allowed = None
+            if "allowed" in sec:
+                allowed = {v: frozenset() for v in labels}
+                sets = form[sec["allowed"]]
+                for i in range(1, len(sets)):
+                    names = _expect_list(sets, i, "an allowed set (node var ...)")
+                    if not names:
+                        raise Misread(ParseError, "expected (node var ...)", sets, i)
+                    allowed[_declared(names, 0, labels, "node")] = frozenset(
+                        variables[_declared(names, k, variables, "variable")]
+                        for k in range(1, len(names)))
+            problem, args = DagProblem, (tuple(labels), tuple(edges), entry, exit_, edge_labels,
+                                         labels, allowed)
+        at = (form, sec["edges"])
+    else:
+        raise Misread(ParseError, f"unknown problem kind {kind!r}", forms, 0)
+    try:
+        return problem(*args)
+    except MalformedProblem as exc:
+        at = next(((nodes, i) for i in range(1, len(nodes)) if nodes[i][0] == exc.node), at)
+        raise Misread(ParseError, str(exc), *at) from None

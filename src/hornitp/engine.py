@@ -63,7 +63,9 @@ def _branch_cuts(v, val):
 
 def _decide(atoms, depth):
     """Sat with Int-integral model, Unsat (certificate None when the
-    contradiction was only established by branching), or UnknownResult."""
+    contradiction was only established by branching), or UnknownResult.
+    Of the two cuts, the one whose side holds the LP value rounded to the
+    nearest integer (down at one half) is tried first."""
     res = decide_rational(atoms)
     if isinstance(res, Unsat):
         return res
@@ -72,7 +74,10 @@ def _decide(atoms, depth):
         return res
     if depth <= 0:
         raise UnknownResult("integer branching depth exhausted (--branch-depth)")
-    for cut in _branch_cuts(*frac):
+    cuts = _branch_cuts(*frac)
+    if 2 * (frac[1] - math.floor(frac[1])) > 1:
+        cuts = cuts[::-1]
+    for cut in cuts:
         sub = _decide(atoms + [cut], depth - 1)
         if isinstance(sub, Sat):
             return sub

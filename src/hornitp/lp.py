@@ -414,21 +414,11 @@ def _simplex(split) -> Sat | Unsat:
             # every coefficient is negative, on a slack pinned at its upper
             # bound: d * s_bad = sum a_j * s_j is a Farkas contradiction, and
             # D_bad * d and -a_j * D_j are its multipliers on the atoms
-            atoms = tuple([a for a, _ in split])
-            origins = tuple([o for _, o in split])
             mults = {bad - nvars: d * scale[bad - nvars]}
             for j, a in row.items():
                 mults[j - nvars] = -a * scale[j - nvars]
             g = gcd(*mults.values())
-            cert = FarkasCertificate(
-                atoms,
-                tuple(sorted((i, lam // g) for i, lam in mults.items())),
-                any(atoms[i].rel == LT for i in mults),
-                origins,
-            )
-            if not cert.is_valid():
-                raise SolverInternalError("simplex certificate is not a contradiction")
-            return Unsat(cert)
+            return _refuted(split, sorted((i, lam // g) for i, lam in mults.items()))
         # pivot bad <-> enter: d_e * x_enter = sum erow_j * x_j, which is
         # (p_e, q_e) once bad is nonbasic at its upper bound.  Its entries
         # are bad's row's up to sign, whose gcd is 1, so it needs no reduction

@@ -97,19 +97,21 @@ class TreeProblem:
 
     def __post_init__(self):
         children: dict = {v: [] for v in self.nodes}
-        parents: dict = {}
+        parents: dict = {}  # node -> its number of parents
         for p, c in self.edges:
             if p not in children or c not in children:
                 raise MalformedProblem(f"edge {p!r} -> {c!r} names an undeclared node")
-            if c in parents:
-                raise MalformedProblem(f"node {c!r} has two parents", c)
-            parents[c] = p
+            parents[c] = parents.get(c, 0) + 1
             children[p].append(c)
         _require(self.root in children, f"root {self.root!r} is not a node")
-        _require(self.root not in parents, f"root {self.root!r} has a parent")
-        _require(all(v in self.labels for v in self.nodes), "a node has no label")
-        _require(all(v == self.root or v in parents for v in self.nodes),
-                 "a node other than the root has no parent")
+        for v in self.nodes:  # in their order, so the first offender is named
+            n = parents.get(v, 0)
+            if v not in self.labels:
+                raise MalformedProblem(f"node {v!r} has no label", v)
+            if n and v == self.root:
+                raise MalformedProblem(f"root {v!r} has a parent", v)
+            if n > 1 or (not n and v != self.root):
+                raise MalformedProblem(f"node {v!r} has {'two parents' if n else 'no parent'}", v)
         order = []
         stack = [(self.root, False)]
         while stack:
@@ -205,8 +207,10 @@ class DagProblem:
                 raise MalformedProblem(f"edge {u!r} -> {v!r} names an undeclared node")
             outs[u].append(e)
             ins[v].append(e)
-        _require(not ins[self.entry], "the entry has an incoming edge")
-        _require(not outs[self.exit], "the exit has an outgoing edge")
+        if ins[self.entry]:
+            raise MalformedProblem(f"entry {self.entry!r} has an incoming edge", self.entry)
+        if outs[self.exit]:
+            raise MalformedProblem(f"exit {self.exit!r} has an outgoing edge", self.exit)
         for v in self.nodes:
             if not (ins[v] or outs[v] or v in (self.entry, self.exit)):
                 raise MalformedProblem(f"node {v!r} touches no edge", v)

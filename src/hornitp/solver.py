@@ -639,13 +639,13 @@ def solve(hc: ClauseSet, options: SolverOptions = None):
     The set is split into its connected components and each is classified
     once; a dependence cycle lies inside one component, so their reports
     say whether the set is recursive, and only then is the whole set's
-    dependence graph searched for the cycle to name.  Every component is
-    solved before the first Counterexample, in component order, is
-    returned; otherwise the combined solution, each symbol over the
-    argument vector normalize gives it and true where no component labeled
-    it, is verified against ``hc``.  That is the answer's one gate, as no
-    cone's labels pass check_tree: a labeling that fails it, or a label
-    over a variable outside its symbol's vector, raises
+    dependence graph searched for the cycle to name.  The components are
+    then solved in order, and the first Counterexample is returned without
+    solving the ones after it; otherwise the combined solution, each symbol
+    over the argument vector normalize gives it and true where no component
+    labeled it, is verified against ``hc``.  That is the answer's one gate,
+    as no cone's labels pass check_tree: a labeling that fails it, or a
+    label over a variable outside its symbol's vector, raises
     SolverInternalError.
     """
     options = options or SolverOptions()
@@ -653,10 +653,9 @@ def solve(hc: ClauseSet, options: SolverOptions = None):
     reports = [classify(comp) for comp in components]
     if not all(report.recursion_free for report in reports):
         _check_recursion_free(hc)
-    results = [_solve_component(comp, report, options)
-               for comp, report in zip(components, reports)]
     formulas: dict = {}
-    for result in results:
+    for comp, report in zip(components, reports):
+        result = _solve_component(comp, report, options)
         if isinstance(result, Counterexample):
             return result
         formulas.update(result)

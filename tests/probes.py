@@ -1,11 +1,14 @@
 """Scaling probes: inputs at the sizes where a recursion limit, a lost budget
 or a super-linear walk shows as a failure or a timeout.
 
-Run ``python tests/probes.py`` from the repository root with the package
-installed (``pip install -e .``).  Each row of PROBES (name, timeout in
-seconds, function) runs in its own process group in a temporary directory,
-killed whole at its timeout, so a hang inside C code or a ``hornitp`` run
-ends there too; a ``hornitp`` run has 60 s and its row 10 s more to start.
+Run ``python tests/probes.py`` from a checkout: it puts the checkout's
+``src/`` first on the path, for itself and for the ``hornitp`` runs it
+starts (``python -m hornitp.cli``), so it tests the working tree whether or
+not a copy of the package is installed.  Each row of PROBES (name, timeout
+in seconds, function) runs in its own process group in a temporary
+directory, killed whole at its timeout, so a hang inside C code or a
+``hornitp`` run ends there too; a ``hornitp`` run has 60 s and its row 10 s
+more to start.
 One line per probe gives its wall time; the exit code is 1 if any failed.
 """
 
@@ -21,7 +24,8 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-sys.path[:0] = [str(Path(__file__).resolve().parents[1] / d) for d in ("perfbench", "tests")]
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / d) for d in ("src", "perfbench", "tests")]
 
 from generators import diamond, ladder
 from test_planted import planted_verdicts
@@ -49,7 +53,9 @@ def expect(error, call, *args, says=""):
 
 def hornitp(*args, code=0, first_line=None) -> str:
     """The output of ``hornitp``, after checking its exit code and first line."""
-    run = subprocess.run(["hornitp", *args], capture_output=True, text=True, timeout=60)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-m", "hornitp.cli", *args], capture_output=True,
+                         text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert run.returncode == code and first_line in (None, run.stdout.partition("\n")[0]), \
         (args, run.returncode, run.stdout[:300], run.stderr[-300:])
     return run.stdout

@@ -10,6 +10,7 @@ from hornitp.chc import (
     print_chc,
     print_solution,
 )
+from hornitp.cli import main
 from hornitp.errors import ParseError, SortError, UndeclaredSymbol
 from hornitp.horn import verify_solution
 from hornitp.problems import DagProblem, SequenceProblem, TreeProblem
@@ -200,3 +201,87 @@ class TestProblems:
     def test_missing_vars_section_rejected(self):
         with pytest.raises(ParseError):
             parse_problem("(sequence (<= 0 1))")
+
+
+TREE_NODES = "(tree (vars (x Int))\n (nodes (a true) (b true) (c (<= x 0)))\n"
+DAG_NODES = "(dag (vars (x Int))\n (nodes (s true) (m true) (t false))\n"
+
+# (kind, text, message, line, col): every shape error a problem file can
+# report.  The first rows are the rules a problem type enforces when it is
+# built, reported in its words at the declaration of the node they name, or
+# at the (edges ...) section, or at the problem; the rest are the rules only
+# the reader can check: sections, undeclared names at their token, duplicate
+# node names and duplicate edges, which a type would keep once
+MALFORMED_PROBLEMS = [
+    ("sequence", "(sequence (vars (x Int)))",
+     "a sequence problem needs at least one part", 1, 1),
+    ("tree", TREE_NODES + " (edges (a b) (a c) (c a))\n (root a))",
+     "root 'a' has a parent", 2, 9),
+    ("tree", TREE_NODES + " (edges (a b) (a c) (b c))\n (root a))",
+     "node 'c' has two parents", 2, 27),
+    ("tree", TREE_NODES + " (edges (a c))\n (root a))",
+     "node 'b' has no parent", 2, 18),
+    ("tree", TREE_NODES + " (edges (b c) (c b))\n (root a))",
+     "edges form a cycle", 3, 2),
+    ("dag", DAG_NODES + " (edges (s m true) (m t true) (m s true))\n (entry s) (exit t))",
+     "entry 's' has an incoming edge", 2, 9),
+    ("dag", DAG_NODES + " (edges (s m true) (m t true) (t m true))\n (entry s) (exit t))",
+     "exit 't' has an outgoing edge", 2, 27),
+    ("dag", DAG_NODES + " (edges (s t true))\n (entry s) (exit t))",
+     "node 'm' touches no edge", 2, 18),
+    ("dag", "(dag (vars (x Int))\n (nodes (s true) (m true) (n true) (t false))\n"
+            " (edges (s m true) (m n true) (n m true) (m t true))\n (entry s) (exit t))",
+     "the edge relation has a cycle", 3, 2),
+    ("tree", "(tree (vars (x Int))) (tree (vars (x Int)))",
+     "expected a single problem expression", 1, 1),
+    ("sequence", "(sequence (<= 0 1))",
+     "problem must start with a (vars ...) declaration", 1, 1),
+    ("tree", "\n  (forest (vars (x Int)))", "unknown problem kind 'forest'", 2, 3),
+    ("binary", "(binary (vars (x Int)) (A (<= x 0)))",
+     "binary problem needs (B <constraint>)", 1, 1),
+    ("tree", TREE_NODES + " edges (root a))", "expected a (key ...) section", 3, 2),
+    ("tree", TREE_NODES + " (nodes (d true)) (edges) (root a))",
+     "duplicate section 'nodes'", 3, 2),
+    ("tree", TREE_NODES + " (root a))", "problem needs a (edges ...) section", 1, 1),
+    ("tree", TREE_NODES + " (edges (a b) (a c))\n (root a b))", "expected (root name)", 4, 2),
+    ("dag", DAG_NODES + " (edges (s m true) (m t true))\n (entry s) (exit z))",
+     "undeclared node 'z'", 4, 18),
+    ("tree", TREE_NODES + " (edges (a b) (a z))\n (root a))", "undeclared node 'z'", 3, 18),
+    ("tree", "(tree (vars (x Int))\n (nodes (a (<= y 0)))\n (edges)\n (root a))",
+     "undeclared variable 'y'", 2, 16),
+    ("dag", DAG_NODES + " (edges (s m true) (m t true))\n (entry s) (exit t) (allowed (m x y)))",
+     "undeclared variable 'y'", 4, 35),
+    ("tree", "(tree (vars (x Int))\n (nodes (a true) (a false))\n (edges)\n (root a))",
+     "duplicate node 'a'", 2, 18),
+    ("tree", "(tree (vars (x Int))\n (nodes (a true) (b))\n (edges)\n (root a))",
+     "expected (name constraint)", 2, 18),
+    ("tree", TREE_NODES + " (edges a)\n (root a))", "expected an edge (parent child)", 3, 9),
+    ("tree", TREE_NODES + " (edges (a b c))\n (root a))", "expected (parent child)", 3, 9),
+    ("dag", DAG_NODES + " (edges (s m))\n (entry s) (exit t))", "expected (u v constraint)", 3, 9),
+    ("dag", DAG_NODES + " (edges (s m true) (m t true))\n (entry s) (exit t) (allowed ()))",
+     "expected (node var ...)", 4, 30),
+    ("tree", TREE_NODES + " (edges (a b) (a c) (a b))\n (root a))",
+     "duplicate edge 'a' -> 'b'", 3, 21),
+    ("dag", DAG_NODES + " (edges (s m true) (m t true) (s m (<= x 0)))\n (entry s) (exit t))",
+     "duplicate edge 's' -> 'm'", 3, 31),
+]
+
+
+class TestProblemErrors:
+    @pytest.mark.parametrize("kind,text,message,line,col", MALFORMED_PROBLEMS,
+                             ids=[f"{case[0]}: {case[2]}" for case in MALFORMED_PROBLEMS])
+    def test_message_and_position(self, kind, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_problem(text)
+        assert str(err.value) == f"parse error at {line}:{col}: {message}"
+        assert (err.value.line, err.value.col) == (line, col)
+
+    def test_encode_reports_the_type_error(self, capsys, tmp_path):
+        kind, text, message, line, col = MALFORMED_PROBLEMS[3]  # node 'b' has no parent
+        path = tmp_path / "p.tree"
+        path.write_text(text)
+        code = main(["encode", str(path), "--kind", kind])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == f'(error "parse error at {line}:{col}: {message}")\n'
+        assert "internal:" not in out + err and "Traceback" not in err

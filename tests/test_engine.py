@@ -91,11 +91,10 @@ class TestSat:
                     branched += _fractional_int(decide_rational(cube.atoms).model) is not None
         assert satisfiable >= 1000 and branched >= 100
 
-    @pytest.mark.xfail(raises=UnknownResult, strict=True,
-                       reason="branch and bound cuts on the first fractional Int variable "
-                              "by name and exhausts its depth (ROADMAP item 4)")
     def test_sat_cube_finds_the_small_integer_model(self):
-        # n = -1, x = 0, r = 1 satisfies the cube
+        # n = -1, x = 0, r = 1 satisfies the cube.  The first LP gives
+        # x = -1/4: the cut x <= -1 leads away from every model without
+        # end, so the search must try x >= 0, the side of the rounded value
         r = Var("r", REAL)
         tr = LinearTerm.of(r)
         cube = Cube((le(TN + 1, 0).atom, lt(-2 * tr - 3 * TX, 0).atom,

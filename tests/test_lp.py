@@ -111,7 +111,7 @@ class TestSelfChecks:
         calls = _count_simplex(monkeypatch)
         monkeypatch.setattr(FarkasCertificate, "is_valid", lambda self: False)
         t = LinearTerm.of
-        with pytest.raises(SolverInternalError, match="simplex certificate"):
+        with pytest.raises(SolverInternalError, match="certificate is not a contradiction"):
             decide_rational(_atoms(le(t(X) - t(Y), 0), le(t(Y), 0), le(-t(X), -1)))
         assert calls == [3]
 

@@ -129,6 +129,18 @@ class TestTree:
                         frozenset({("a", "c"), ("b", "c"), ("a", "b")}),
                         {"a": TRUE, "b": TRUE, "c": TRUE}, "a")
 
+    @pytest.mark.parametrize("edges, message, node", [
+        ({("a", "b"), ("a", "c"), ("c", "a")}, "root 'a' has a parent", "a"),
+        ({("a", "b"), ("a", "c"), ("b", "c")}, "node 'c' has two parents", "c"),
+        ({("a", "c")}, "node 'b' has no parent", "b"),
+        ({("b", "c"), ("c", "b")}, "edges form a cycle", None),
+    ])
+    def test_shape_errors_name_their_node(self, edges, message, node):
+        # the words the problem-file reader reports, placed at ``node``
+        with pytest.raises(MalformedProblem) as info:
+            TreeProblem(("a", "b", "c"), frozenset(edges), dict.fromkeys("abc", TRUE), "a")
+        assert (str(info.value), info.value.node) == (message, node)
+
     def test_post_order_children_first(self):
         tp = self._problem()
         order = tp.order
@@ -310,6 +322,17 @@ class TestDag:
         with pytest.raises(MalformedProblem, match="the edge relation has a cycle"):
             DagProblem(("en", "a", "b", "ex"), edges, "en", "ex",
                        dict.fromkeys(edges, TRUE), dict.fromkeys(("en", "a", "b", "ex"), TRUE))
+
+    @pytest.mark.parametrize("edges, message, node", [
+        ((("en", "a"), ("a", "ex"), ("a", "en")), "entry 'en' has an incoming edge", "en"),
+        ((("en", "a"), ("a", "ex"), ("ex", "a")), "exit 'ex' has an outgoing edge", "ex"),
+    ])
+    def test_entry_and_exit_errors_name_their_node(self, edges, message, node):
+        nodes = ("en", "a", "ex")
+        with pytest.raises(MalformedProblem) as info:
+            DagProblem(nodes, edges, "en", "ex", dict.fromkeys(edges, TRUE),
+                       dict.fromkeys(nodes, TRUE))
+        assert (str(info.value), info.value.node) == (message, node)
 
     def test_node_without_edges_rejected(self):
         dp = self._problem()

@@ -592,6 +592,28 @@ class TestSolve:
         assert isinstance(res, Counterexample)
         assert evaluate(res.constraint, res.model)
 
+    def test_first_refuted_component_answers(self, monkeypatch):
+        # a refuted one-step chain over r0, r1, then ladder(14), whose 2^14
+        # cones alone raise CubeLimitExceeded: the chain's Counterexample is
+        # the answer, and the ladder is never solved
+        chain = chain_clauses(1, name=lambda i: f"r{i}", unsat=True)
+        hc = ClauseSet.make(chain.clauses + ladder(14).clauses)
+        with pytest.raises(CubeLimitExceeded):
+            solve(ladder(14))
+        solved = []
+        solve_component = solver._solve_component
+
+        def spy(comp, report, options):
+            solved.append(comp)
+            return solve_component(comp, report, options)
+
+        monkeypatch.setattr(solver, "_solve_component", spy)
+        res = solve(hc)
+        assert isinstance(res, Counterexample)
+        assert evaluate(res.constraint, res.model)
+        assert len(connected_components(hc)) == 2
+        assert [c.relations for c in solved] == [chain.relations]
+
     def test_missing_counterexample_is_an_internal_error(self, monkeypatch):
         # a merged step clause whose two clauses both fail under the model
         # (every variable 0): the check must raise, not assert or stop an
